@@ -1,8 +1,9 @@
 """Command-line interface: load instances, run validators and constructions,
 emit JSON-line reports.
 
-Exit codes: 0 all checks passed, 1 invalid input data, 2 a check failed,
-3 file parse/IO error.
+Exit codes: 0 all checks passed, 1 invalid input data (including maps that
+are not module maps or gluing morphisms), 2 a check failed, 3 file parse/IO
+error, 4 a rank decision too close to its threshold to make.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import sys
 import time
 
 from . import gen, morita, suite
-from .errors import FormatError, InvalidInputError, ModelViolationError
+from .errors import (
+    FormatError,
+    InvalidInputError,
+    ModelViolationError,
+    NotAModuleMapError,
+    NotAMorphismError,
+    RankAmbiguityError,
+)
 from .glue import (
     GluingDatum,
     descent_identities_check,
@@ -39,11 +47,17 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CHECK_FAILED = 2
 EXIT_PARSE = 3
+EXIT_RANK_AMBIGUOUS = 4
+
+
+def _env_tol():
+    env = os.environ.get("MODGLUE_TOL")
+    return float(env) if env else None
 
 
 def _default_tol() -> float:
-    env = os.environ.get("MODGLUE_TOL")
-    return float(env) if env else 1e-9
+    tol = _env_tol()
+    return 1e-9 if tol is None else tol
 
 
 def _emit(reports, out_path):
@@ -269,7 +283,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = suite.run_suite(trials=args.trials if args.trials != 200 else None)
+    reports = suite.run_suite(trials=args.trials, tol=args.tol)
     return _emit(reports, args.out)
 
 
@@ -325,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None)
 
     s = sub.add_parser("suite", help="run the full acceptance battery")
-    s.add_argument("--tol", type=float, default=_default_tol())
-    s.add_argument("--trials", type=int, default=200)
+    s.add_argument("--tol", type=float, default=_env_tol(),
+                   help="override every criterion's tolerance (default: each its own)")
+    s.add_argument("--trials", type=int, default=None,
+                   help="override every criterion's trial count (default: each its own)")
     s.add_argument("--out", default=None)
     return p
 
@@ -352,9 +368,12 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidInputError, ModelViolationError) as exc:
+    except (InvalidInputError, ModelViolationError, NotAModuleMapError, NotAMorphismError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RankAmbiguityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RANK_AMBIGUOUS
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ class InvalidInputError(ValueError):
 
 
 class RankAmbiguityError(ArithmeticError):
-    """A numerical-rank decision came out inconsistent (e.g. kernel dimension
-    not divisible by a block dimension).  Carries residual diagnostics."""
+    """A numerical-rank decision is too close to its threshold to make (a
+    singular value lies in the refusal band around it).  Carries diagnostics:
+    the label, cover sets, singular values and rank margin."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -298,17 +298,23 @@ class GluedModule:
 def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
     """Solve the overlap constraints and assemble the glued Hilbert A-module.
 
-    Blockwise, the constraint map sends a stacked family (z_i) to all
-    differences z_i - zeta_ij z_j; the glued multiplicity is the kernel
-    dimension of the full matrix-coordinate constraint divided by the block
-    dimension, with the divisibility enforced as a rank-consistency check.
+    Blockwise, the constraint C sends a stacked multiplicity family (z_i) to
+    all differences z_i - zeta_ij z_j.  In matrix coordinates the constraint
+    is C (x) I_n, whose kernel is ker C (x) C^n, so the glued multiplicity is
+    dim ker C.  One SVD of C gives both the kernel basis and the margin of the
+    rank decision at tol: a singular value within a factor
+    numlin.RANK_GAP_FACTOR of tol * sigma_max raises RankAmbiguityError
+    instead of being rounded either way.
     """
+    if tol <= 0 or tol * numlin.RANK_GAP_FACTOR >= 1:
+        raise InvalidInputError(
+            f"tol must lie in (0, 1/{numlin.RANK_GAP_FACTOR:g}), got {tol:g}"
+        )
     A = D.algebra
     mult = []
     stacked_basis = {}
     layout = {}
-    for pos, k in enumerate(A.labels):
-        n = A.block_dims[pos]
+    for k in A.labels:
         members = D.cover.members(k)
         sizes = [D.mult_at(i, k) for i in members]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
@@ -327,21 +333,25 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
             if rows
             else np.zeros((0, total), dtype=np.complex128)
         )
-        E = numlin.kernel_basis(C, tol)
-        g = E.shape[1]
-        full_dim = numlin.kernel_basis(np.kron(C, np.eye(n)), tol).shape[1]
-        if full_dim != g * n:
+        E, s = numlin.kernel_basis(C, tol, return_singular_values=True)
+        kept, dropped = numlin.rank_margin(s, total, tol)
+        if (kept is not None and kept < numlin.RANK_GAP_FACTOR) or (
+            dropped is not None and dropped > 1 / numlin.RANK_GAP_FACTOR
+        ):
             raise RankAmbiguityError(
-                f"block {k}: full constraint kernel has dimension {full_dim}, "
-                f"not divisible consistently by n={n} (column kernel {g})",
+                f"block {k} on cover sets {list(members)}: a singular value of "
+                f"the overlap constraint lies within a factor "
+                f"{numlin.RANK_GAP_FACTOR:g} of the rank threshold "
+                f"{tol:g}*sigma_max (smallest kept {kept}, largest discarded "
+                f"{dropped}, relative to the threshold)",
                 diagnostics={
                     "label": k,
-                    "column_kernel": g,
-                    "full_kernel": full_dim,
-                    "singular_values": numlin.singular_values(C).tolist(),
+                    "members": list(members),
+                    "singular_values": s.tolist(),
+                    "margin": {"smallest_kept": kept, "largest_discarded": dropped},
                 },
             )
-        mult.append(g)
+        mult.append(E.shape[1])
         stacked_basis[k] = E
         layout[k] = tuple(
             (i, int(offsets[a]), sizes[a]) for a, i in enumerate(members)

@@ -2,7 +2,9 @@
 
 Every rank, kernel and subspace decision in the package funnels through the
 SVD-based routines here, so a single threshold convention governs all of them:
-a singular value sigma counts as zero iff sigma <= tol * sigma_max.
+a singular value sigma counts as zero iff sigma <= tol * sigma_max.  Callers
+that must not round a near-threshold decision either way test its margin
+against RANK_GAP_FACTOR.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from .errors import InvalidInputError
 
 #: Default relative rank threshold (scale invariant).
 DEFAULT_RANK_TOL = 1e-10
+
+#: Half-width, as a factor, of the refusal band around a rank threshold: a
+#: rank decision at relative threshold tol is ambiguous when some singular
+#: value lies in (tol / RANK_GAP_FACTOR, tol * RANK_GAP_FACTOR) * sigma_max.
+#: With the default tol the band is (1e-13, 1e-7) * sigma_max.
+RANK_GAP_FACTOR = 1e3
 
 
 def as_cmatrix(data, shape=None) -> np.ndarray:
@@ -40,32 +48,57 @@ def op_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _rank_of(s: np.ndarray, tol: float) -> int:
+    """Number of descending singular values s above tol * s[0]."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
+
+
 def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: number of singular values above tol * sigma_max."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    s = singular_values(M)
-    if not s.size or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _rank_of(singular_values(M), tol)
 
 
-def kernel_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool = False):
     """Orthonormal basis of ker M as columns of a (cols, dim ker) matrix.
 
     An empty matrix (0 rows) has full kernel: the identity on the column space.
+    With return_singular_values, the result is (basis, s), where s holds the
+    min(rows, cols) singular values of M, descending, from the same SVD.
+    A tall M takes the economy SVD, whose V is already square, so the
+    rows x rows U is never formed.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     M = as_cmatrix(M)
     rows, cols = M.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
-    return vh[r:].conj().T
+    if 0 in M.shape:
+        K, s = np.eye(cols, dtype=np.complex128), np.zeros(0)
+    else:
+        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+        K = vh[_rank_of(s, tol):].conj().T
+    return (K, s) if return_singular_values else K
+
+
+def rank_margin(s: np.ndarray, cols: int, tol: float):
+    """How clearly the rank decision at tol was made.
+
+    s are the descending singular values of a matrix with cols columns; a
+    wide matrix also discards cols - len(s) exact zeros.  Returns the smallest
+    kept and the largest discarded singular value, each divided by
+    tol * sigma_max, with None where nothing is kept or nothing is discarded.
+    A matrix with no nonzero singular value keeps nothing and discards exact
+    zeros only, reported as 0.0.
+    """
+    if not s.size or s[0] == 0.0:
+        return None, (0.0 if cols else None)
+    r = _rank_of(s, tol)
+    rel = s / (tol * s[0])
+    kept = float(rel[r - 1]) if r else None
+    if r < s.size:
+        return kept, float(rel[r])
+    return kept, (0.0 if cols > s.size else None)
 
 
 def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -76,8 +109,7 @@ def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if 0 in M.shape:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
-    return u[:, :r]
+    return u[:, :_rank_of(s, tol)]
 
 
 def is_unitary(M, tol: float) -> bool:

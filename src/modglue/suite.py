@@ -125,7 +125,7 @@ def _random_b(rng: Rng, B):
     )
 
 
-def criterion_4_delta_algebra(trials: int = 100, tol_kernel: float = 1e-9,
+def criterion_4_delta_algebra(trials: int = 100, tol: float = 1e-9,
                               tol_exact: float = 1e-12, base_seed: int = 400) -> Report:
     """Counit, coassociativity and the kernel identity, coherent and twisted.
 
@@ -142,16 +142,16 @@ def criterion_4_delta_algebra(trials: int = 100, tol_kernel: float = 1e-9,
         mode = "coherent" if s % 2 == 0 else "random_unitary"
         cfg = GenConfig(seed=base_seed + s, twist_mode=mode)
         D = gen.random_gluing_instance(cfg).datum
-        rep = descent_identities_check(D, tol=tol_kernel, trials=4, seed=base_seed + s)
+        rep = descent_identities_check(D, tol=tol, trials=4, seed=base_seed + s)
         worst_exact = max(worst_exact, rep.counit, rep.coassoc_glued)
         if rep.coherent:
             worst_exact = max(worst_exact, rep.coassoc)
         else:
             max_raw_coassoc_twisted = max(max_raw_coassoc_twisted, rep.coassoc)
         worst_kernel = max(worst_kernel, rep.kernel_gap)
-    passed = worst_exact <= tol_exact and worst_kernel <= tol_kernel
+    passed = worst_exact <= tol_exact and worst_kernel <= tol
     return Report(
-        "criterion_4_delta_algebra", passed, max(worst_exact, worst_kernel), tol_kernel,
+        "criterion_4_delta_algebra", passed, max(worst_exact, worst_kernel), tol,
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,
         {"trials": trials, "max_exact_residual": worst_exact,
          "tol_exact": tol_exact, "max_kernel_gap": worst_kernel,
@@ -445,13 +445,14 @@ ALL_CRITERIA = (
 )
 
 
-def run_suite(trials: int = None) -> list:
-    """Run every criterion; trials overrides the per-criterion default count
-    where one applies (criterion 7 is a fixed instance)."""
+def run_suite(trials: int = None, tol: float = None) -> list:
+    """Run every criterion; trials and tol, when given, override each
+    criterion's own trial count and tolerance where it has one (criterion 7
+    is a fixed instance and has no trial count)."""
     reports = []
     for fn in ALL_CRITERIA:
-        if trials is not None and "trials" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            reports.append(fn(trials=trials))
-        else:
-            reports.append(fn())
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        overrides = {name: value for name, value in (("trials", trials), ("tol", tol))
+                     if value is not None and name in params}
+        reports.append(fn(**overrides))
     return reports

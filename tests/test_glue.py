@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modglue import gen, numlin, tensor
 from modglue.cstar import algebra, cover, restrict_algebra
-from modglue.errors import InvalidInputError, NotAMorphismError
+from modglue.errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import (
     GlueMorphism,
@@ -32,6 +34,8 @@ from modglue.hmod import (
     vec_norm,
 )
 from modglue.rng import Rng
+
+from oracles import constraint_matrix, kron_kernel_dim, two_svd_multiplicities
 
 
 def twisted_single_block_datum():
@@ -318,33 +322,91 @@ class TestDescentIdentities:
         assert found, "no essentially twisted instance encountered"
 
 
-def test_rank_ambiguity_guard(monkeypatch):
-    # if the full-coordinate kernel were ever to disagree with the column
-    # kernel times the block dimension, gluing must refuse rather than round
-    import sys
+def phase_witness(theta):
+    """Three full cover sets over one 2x2 block, multiplicity 1, with the
+    transition phases (1, 1, e^{i theta}): coherent at theta = 0, and the
+    constraint's smallest singular value is about 0.19 * theta * sigma_max."""
+    cfg = GenConfig(seed=0, twist_mode="prescribed_phases", phases=(
+        (0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, np.cos(theta), np.sin(theta)),
+    ))
+    return gen.random_gluing_datum(
+        Rng(0), algebra((2,)), cover(1, [{0}, {0}, {0}]), cfg, mult=(1,)
+    )
 
-    glmod = sys.modules["modglue.glue"]
-    from modglue.errors import RankAmbiguityError
 
-    X = module(algebra((2,)), (2,))
-    cov = cover(1, [{0}, {0}])
-    D = pull_apart(X, cov)
+def test_rank_ambiguity_guard():
+    # gluing refuses a rank decision inside the refusal band rather than
+    # rounding it, on either side of the threshold, and glues clear cases
+    rho = numlin.RANK_GAP_FACTOR
+    assert glue(phase_witness(1e-6)).module.mult == (0,)
+    assert glue(phase_witness(0.0)).module.mult == (1,)
 
-    real_kernel_basis = numlin.kernel_basis
-    calls = {"n": 0}
-
-    def flaky(M, tol=numlin.DEFAULT_RANK_TOL):
-        out = real_kernel_basis(M, tol)
-        calls["n"] += 1
-        if calls["n"] == 2:  # the kron recomputation of the first block
-            return out[:, :-1]
-        return out
-
-    monkeypatch.setattr(glmod.numlin, "kernel_basis", flaky)
     with pytest.raises(RankAmbiguityError) as err:
-        glue(D)
-    assert "kernel" in str(err.value)
-    assert err.value.diagnostics["label"] == 0
+        glue(phase_witness(1e-10))
+    diag = err.value.diagnostics
+    assert diag["label"] == 0 and diag["members"] == [0, 1, 2]
+    assert len(diag["singular_values"]) == 3
+    margin = diag["margin"]
+    assert margin["smallest_kept"] >= rho  # the two large values are clear
+    assert 1 / rho < margin["largest_discarded"] <= 1.0  # the culprit
+    assert "singular value" in str(err.value)
+
+    with pytest.raises(RankAmbiguityError) as err:
+        glue(phase_witness(1e-8))
+    margin = err.value.diagnostics["margin"]
+    assert 1.0 < margin["smallest_kept"] < rho  # kept, but barely
+    assert margin["largest_discarded"] is None
+
+
+def test_glue_rejects_tol_without_room_for_the_band():
+    D = phase_witness(0.0)
+    for tol in (0.0, -1e-10, 1 / numlin.RANK_GAP_FACTOR, 0.5):
+        with pytest.raises(InvalidInputError):
+            glue(D, tol)
+
+
+def _oracle_datum(mode, seed, theta):
+    """A datum of the given family: coherent, random_unitary, the (1, 1,
+    e^{i theta}) phases over a random algebra, or coherent with every even
+    label at multiplicity zero."""
+    if mode == "prescribed_phases":
+        cfg = GenConfig(seed=seed, twist_mode=mode, phases=(
+            (0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, np.cos(theta), np.sin(theta)),
+        ))
+        return gen.random_gluing_instance(cfg).datum
+    if mode == "zero_mult":
+        cfg = GenConfig(seed=seed)
+        rng = Rng(seed)
+        A = gen.random_algebra(rng, cfg)
+        cov = gen.random_cover(rng, A, cfg)
+        mult = tuple(0 if k % 2 == 0 else rng.randint(0, cfg.max_mult) for k in A.labels)
+        return gen.random_gluing_datum(rng, A, cov, cfg, mult=mult)
+    return gen.random_gluing_instance(GenConfig(seed=seed, twist_mode=mode)).datum
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["coherent", "random_unitary", "prescribed_phases", "zero_mult"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    theta=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+@example(mode="prescribed_phases", seed=0, theta=1e-10)  # refused
+@example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1): glues to zero
+def test_one_svd_glue_matches_the_kronecker_oracle(mode, seed, theta):
+    D = _oracle_datum(mode, seed, theta)
+    tol = numlin.DEFAULT_RANK_TOL
+    try:
+        gd = glue(D, tol)
+    except RankAmbiguityError as err:
+        # a refusal must be backed by a singular value inside the band
+        s = np.linalg.svd(constraint_matrix(D, err.diagnostics["label"]), compute_uv=False)
+        rel = s / (tol * s[0])
+        rho = numlin.RANK_GAP_FACTOR
+        assert np.any((rel > 1 / rho) & (rel < rho))
+        return
+    assert gd.module.mult == two_svd_multiplicities(D, tol)
+    for k, n, g in zip(D.algebra.labels, D.algebra.block_dims, gd.module.mult):
+        assert kron_kernel_dim(constraint_matrix(D, k), n, tol) == g * n
 
 
 def test_dimension_law_for_coherent_data():

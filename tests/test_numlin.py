@@ -113,6 +113,68 @@ def test_kernel_dim_plus_rank_is_cols(m, n, r, seed):
     assert numlin.kernel_basis(M).shape[1] + numlin.rank(M) == n
 
 
+def low_rank(m, n, r):
+    """An m x n complex matrix of rank r (the zero matrix when r = 0)."""
+    if r == 0:
+        return np.zeros((m, n), dtype=np.complex128)
+    return crand(m, r) @ crand(r, n)
+
+
+def full_svd_kernel(M, tol=numlin.DEFAULT_RANK_TOL):
+    """Reference kernel basis from the full SVD, V taken whole."""
+    rows, cols = M.shape
+    if 0 in M.shape:
+        return np.eye(cols, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    r = int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
+    return vh[r:].conj().T
+
+
+@pytest.mark.parametrize("shape,r", [
+    ((7, 3), 3),  # tall, full column rank
+    ((8, 4), 2),  # tall, rank-deficient
+    ((3, 7), 3),  # wide, full row rank
+    ((4, 7), 2),  # wide, rank-deficient
+    ((5, 5), 5),  # square, invertible
+    ((5, 5), 3),  # square, rank-deficient
+    ((4, 3), 0),  # all-zero, tall
+    ((3, 5), 0),  # all-zero, wide
+    ((0, 3), 0),  # no rows
+    ((3, 0), 0),  # no columns
+    ((0, 0), 0),  # empty
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"rank{v}")
+def test_kernel_basis_matches_full_svd_reference(shape, r):
+    M = low_rank(*shape, r)
+    K, s = numlin.kernel_basis(M, return_singular_values=True)
+    ref = full_svd_kernel(M)
+    cols = shape[1]
+    assert K.shape == ref.shape == (cols, cols - r)
+    assert numlin.subspace_gap(K, ref) <= 1e-12
+    assert numlin.rank(M) + K.shape[1] == cols
+    assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+    assert np.allclose(s, numlin.singular_values(M), rtol=0, atol=1e-12 * numlin.op_norm(M))
+    assert np.array_equal(numlin.kernel_basis(M), K)
+
+
+class TestRankMargin:
+    def test_clear_gap(self):
+        s = np.array([4.0, 2.0, 4e-14])
+        kept, dropped = numlin.rank_margin(s, 3, 1e-10)
+        assert kept == pytest.approx(2.0 / 4e-10)
+        assert dropped == pytest.approx(4e-14 / 4e-10)
+
+    def test_wide_full_rank_discards_exact_zeros(self):
+        assert numlin.rank_margin(np.array([1.0, 0.5]), 4, 1e-10)[1] == 0.0
+
+    def test_square_full_rank_discards_nothing(self):
+        assert numlin.rank_margin(np.array([1.0, 0.5]), 2, 1e-10) == (5e9, None)
+
+    def test_zero_and_empty(self):
+        assert numlin.rank_margin(np.zeros(2), 3, 1e-10) == (None, 0.0)
+        assert numlin.rank_margin(np.zeros(0), 3, 1e-10) == (None, 0.0)
+        assert numlin.rank_margin(np.zeros(0), 0, 1e-10) == (None, None)
+
+
 def test_subspace_gap():
     Q = np.linalg.qr(crand(5, 5))[0]
     B1, B2 = Q[:, :2], Q[:, :2] @ np.linalg.qr(crand(2, 2))[0]

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from modglue import gen, serial
+from modglue import cli, gen, serial, suite
 from modglue.cli import main
+from modglue.errors import NotAModuleMapError, NotAMorphismError
 from modglue.gen import GenConfig
+
+from test_glue import phase_witness
 
 
 def run_cli(args, env=None):
@@ -136,6 +139,47 @@ class TestCli:
         assert main(["pullapart", str(mod), "--out", str(pa)]) == 0
         assert main(["roundtrip", str(mod)]) == 0
         assert main(["roundtrip", str(pa)]) == 0
+
+    def test_rank_ambiguous_datum_exits_4(self, tmp_path, capsys):
+        inst = tmp_path / "near.json"
+        inst.write_text(serial.canonical_dumps(serial.gluing_to_json(phase_witness(1e-10))))
+        for command in ("glue", "roundtrip", "descent"):
+            assert main([command, str(inst)]) == cli.EXIT_RANK_AMBIGUOUS == 4
+            assert "error: block 0 on cover sets [0, 1, 2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NotAMorphismError, NotAModuleMapError])
+    def test_map_errors_exit_invalid(self, monkeypatch, capsys, error):
+        def refuse(args):
+            raise error("residual 1.000e+00", residual=1.0)
+
+        monkeypatch.setitem(cli._COMMANDS, "glue", refuse)
+        assert main(["glue", "unused.json"]) == cli.EXIT_INVALID
+        assert "error: residual" in capsys.readouterr().err
+
+    def test_suite_tol_overrides_every_criterion(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(suite, "ALL_CRITERIA", (
+            suite.criterion_1_round_trip_phi, suite.criterion_7_degeneracy_witness,
+        ))
+        rep = tmp_path / "rep.jsonl"
+        code = main(["suite", "--trials", "2", "--tol", "1e-30", "--out", str(rep)])
+        records = [json.loads(line) for line in rep.read_text().splitlines()]
+        assert [r["tol"] for r in records] == [1e-30, 1e-30]
+        assert all(r["pass"] == (r["max_residual"] <= 1e-30) for r in records)
+        assert code == (0 if all(r["pass"] for r in records) else 2)
+
+    def test_suite_trials_and_tol_default_to_each_criterion(self, monkeypatch):
+        monkeypatch.delenv("MODGLUE_TOL", raising=False)
+        seen = []
+
+        def criterion(trials=30, tol=1e-10):
+            seen.append((trials, tol))
+            return serial.Report("stub", True, 0.0, tol, "stub", 0.0)
+
+        monkeypatch.setattr(suite, "ALL_CRITERIA", (criterion,))
+        assert main(["suite", "--trials", "200"]) == 0
+        assert main(["suite"]) == 0
+        assert main(["suite", "--tol", "1e-9"]) == 0
+        assert seen == [(200, 1e-10), (30, 1e-10), (30, 1e-9)]
 
     def test_env_tolerance_override(self, tmp_path):
         inst = tmp_path / "inst.json"
