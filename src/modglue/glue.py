@@ -35,7 +35,6 @@ from .hmod import (
     module_map,
     restrict_map,
     restrict_module,
-    vec_norm,
 )
 
 DEFAULT_TOL = 1e-9
@@ -467,11 +466,6 @@ def epsilon_iso(D: GluingDatum, tol: float = DEFAULT_TOL) -> EpsilonResult:
     )
 
 
-def family_norm(parts) -> float:
-    """Norm of a vector of the direct-sum module: max of component norms."""
-    return max((vec_norm(p) for p in parts), default=0.0)
-
-
 def family_inner(parts1, parts2, base: FdCStarAlgebra, cover: ClosedCover) -> AlgebraElement:
     """B-valued inner product of two families, blockwise per (set, label)."""
     from .hmod import inner_product
@@ -534,7 +528,7 @@ def descent_identities_check(
     its residual tracks the cocycle residual, and on embedded glued vectors
     it vanishes unconditionally; both residuals are reported.
     """
-    from . import tensor
+    from . import gen, tensor
     from .rng import Rng
 
     rng = Rng(seed)
@@ -545,29 +539,28 @@ def descent_identities_check(
     res_b = 0.0
     res_b_glued = 0.0
     for _ in range(trials):
-        z = tuple(_random_vector(rng, m) for m in D.modules)
+        z = tuple(gen.random_vector(rng, m) for m in D.modules)
         t = tensor.delta_map(D, z)
         back = tensor.epsilon_map(t)
-        res_a = max(res_a, family_norm(tuple(a - b for a, b in zip(back, z))))
+        res_a = max(res_a, tensor.family_norm(tuple(a - b for a, b in zip(back, z))))
         lhs = tensor.lift_to_triple("delta_tensor_id", D, t)
         rhs = tensor.lift_to_triple("eta_tensor_id", D, t)
         res_b = max(res_b, tensor.triple_norm(lhs - rhs))
 
-        zg = gd.embed(_random_vector(rng, gd.module))
+        zg = gd.embed(gen.random_vector(rng, gd.module))
         tg = tensor.delta_map(D, zg)
         lhs_g = tensor.lift_to_triple("delta_tensor_id", D, tg)
         rhs_g = tensor.lift_to_triple("eta_tensor_id", D, tg)
         res_b_glued = max(res_b_glued, tensor.triple_norm(lhs_g - rhs_g))
 
-    M = tensor.eta_minus_delta_matrix(D)
-    ker = numlin.kernel_basis(M)
-    emb = _glued_subspace_basis(gd)
-    kernel_gap = numlin.subspace_gap(ker, emb)
-
-    Mt = tensor.eta_minus_delta_tensor_id_matrix(D)
-    ker_t = numlin.kernel_basis(Mt)
-    model = tensor.glued_tensor_subspace_basis(gd)
-    tensor_gap = numlin.subspace_gap(ker_t, model)
+    # Per label, ker(eta - delta) on the family slots is the span of E_k.
+    kernel_gap = max(
+        (numlin.subspace_gap(numlin.kernel_basis(tensor.eta_minus_delta_matrix(D, k)),
+                             gd.stacked_basis[k])
+         for k in D.algebra.labels),
+        default=0.0,
+    )
+    tensor_dims, tensor_gap = _tensor_kernel_check(gd)
 
     return DescentReport(
         counit=res_a,
@@ -575,45 +568,26 @@ def descent_identities_check(
         coassoc_glued=res_b_glued,
         cocycle_residual=cocycle_residual,
         kernel_gap=kernel_gap,
-        tensor_dims=(model.shape[1], ker_t.shape[1]),
+        tensor_dims=tensor_dims,
         tensor_gap=tensor_gap,
         tolerances={"counit": 1e-12, "coassoc": 1e-12, "kernel": tol},
     )
 
 
-def _random_vector(rng, mod: HilbertModule) -> ModuleVector:
-    return ModuleVector(
-        mod, tuple(rng.gauss_matrix(m, n) for (m, n) in mod.block_shapes())
-    )
+def _tensor_kernel_check(gd: GluedModule):
+    """Compare ker((eta - delta) (x) id) with the glued tensor model label by
+    label.  Returns ((model dim, kernel dim), largest subspace gap); a label k
+    adds n_k times its dimensions, as T_k (x) I_{n_k} does in flat coordinates.
+    """
+    from . import tensor
 
-
-def _glued_subspace_basis(gd: GluedModule) -> np.ndarray:
-    """Orthonormal basis of the embedded glued module in flat family coords."""
     D = gd.datum
-    dims = [m.dim for m in D.modules]
-    total = sum(dims)
-    set_ofs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-
-    def flat_index(i, k, r, c):
-        mod = D.modules[i]
-        pos = mod.algebra.position(k)
-        inner = sum(
-            mm * nn for (mm, nn) in mod.block_shapes()[:pos]
-        )
-        n = mod.algebra.block_dims[pos]
-        return set_ofs[i] + inner + r * n + c
-
-    cols = []
-    for pos, k in enumerate(gd.module.algebra.labels):
-        E = gd.stacked_basis[k]
-        n = gd.module.algebra.block_dims[pos]
-        for col in range(E.shape[1]):
-            for c in range(n):
-                v = np.zeros(total, dtype=np.complex128)
-                for (i, ofs, m_i) in gd.layout[k]:
-                    for r in range(m_i):
-                        v[flat_index(i, k, r, c)] = E[ofs + r, col]
-                cols.append(v)
-    if not cols:
-        return np.zeros((total, 0), dtype=np.complex128)
-    return np.stack(cols, axis=1)
+    model_dim = ker_dim = 0
+    gap = 0.0
+    for k, n in zip(D.algebra.labels, D.algebra.block_dims):
+        ker = numlin.kernel_basis(tensor.eta_minus_delta_tensor_id_matrix(D, k))
+        model = tensor.glued_tensor_subspace_basis(gd, k)
+        model_dim += n * model.shape[1]
+        ker_dim += n * ker.shape[1]
+        gap = max(gap, numlin.subspace_gap(ker, model))
+    return (model_dim, ker_dim), gap

@@ -268,19 +268,6 @@ def from_coords(mod: HilbertModule, u) -> ModuleVector:
     return ModuleVector(mod, tuple(blocks))
 
 
-def map_matrix(alpha: AdjointableMap) -> np.ndarray:
-    """Matrix of the map on flat coordinates: direct sum of T_k (x) I_{n_k}."""
-    D_out, D_in = alpha.target.dim, alpha.source.dim
-    M = np.zeros((D_out, D_in), dtype=np.complex128)
-    ro = co = 0
-    for T, n in zip(alpha.blocks, alpha.source.algebra.block_dims):
-        p, m = T.shape
-        M[ro:ro + p * n, co:co + m * n] = np.kron(T, np.eye(n))
-        ro += p * n
-        co += m * n
-    return M
-
-
 def module_map_from_linear(L, X: HilbertModule, Y: HilbertModule, tol: float = 1e-9) -> AdjointableMap:
     """Recover the blockwise left-multiplication form of a linear map, or reject.
 

@@ -26,12 +26,14 @@ from .cstar import (
     restrict_algebra,
 )
 from .errors import InvalidInputError, ModelViolationError
+from .gen import random_vector
 from .glue import GluingDatum, GluedModule, glue, make_gluing_datum
 from .hmod import (
     HilbertModule,
     ModuleVector,
     inner_product,
     module,
+    right_act,
     vec_norm,
 )
 from .rng import Rng
@@ -136,13 +138,13 @@ def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL,
 
     imp = lin = herm = adj = 0.0
     for _ in range(trials):
-        x = _random_elem(rng, Xr)
-        y = _random_elem(rng, Xr)
-        z = _random_elem(rng, Xr)
+        x = random_vector(rng, Xr)
+        y = random_vector(rng, Xr)
+        z = random_vector(rng, Xr)
         ap = _random_alg(rng, M.left_algebra)
         # _A'<x|y> . z = x . <y|z>_A
         lhs = left_act(M, left_inner(M, x, y), z)
-        rhs = _right_act(x, inner_product(y, z))
+        rhs = right_act(x, inner_product(y, z))
         imp = max(imp, vec_norm(lhs - rhs))
         # _A'<a'x|y> = a' _A'<x|y>
         lin = max(lin, (left_inner(M, left_act(M, ap, x), y) - ap * left_inner(M, x, y)).norm())
@@ -189,18 +191,6 @@ def _span_full(M: EquivalenceBimodule, left: bool) -> bool:
         if not vecs and want > 0:
             return False
     return True
-
-
-def _right_act(x: ModuleVector, a: AlgebraElement) -> ModuleVector:
-    from .hmod import right_act
-
-    return right_act(x, a)
-
-
-def _random_elem(rng: Rng, mod: HilbertModule) -> ModuleVector:
-    return ModuleVector(
-        mod, tuple(rng.gauss_matrix(m, n) for (m, n) in mod.block_shapes())
-    )
 
 
 def _random_alg(rng: Rng, alg: FdCStarAlgebra) -> AlgebraElement:
@@ -280,9 +270,7 @@ def bimodule_morphism_residual(M: EquivalenceBimodule, N: EquivalenceBimodule, W
         worst = max(worst, numlin.op_norm(Wk.conj().T @ Wk - np.eye(m)))
         # intertwine left actions: W (u a u*) = (v a v*) W for all a
         # equivalently v* W u central, i.e. scalar
-        C = v.conj().T @ Wk @ u
-        s = np.trace(C) / m if m else 0.0
-        worst = max(worst, numlin.op_norm(C - s * np.eye(m)))
+        worst = max(worst, _scalar_of(v.conj().T @ Wk @ u)[1])
         # left inner products: v* (Wx)(Wy)* v = u* x y* u given W = s v u*
     return worst
 
@@ -379,7 +367,7 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
         for k in sorted(D.cover.overlap(i, j)):
             W = D.nu_block(i, j, k)
             unit = unit and numlin.is_unitary(W, max(tol, 1e-9))
-            _, r = _scalar_against(W, D.twist_at(i, k), D.twist_at(j, k))
+            _, r = _scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             bire = max(bire, r)
             invo = max(invo, numlin.op_norm(D.nu_block(j, i, k) - W.conj().T))
     for (i, j, l) in D.cover.triples():
@@ -387,16 +375,6 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
             lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
             coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
     return BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
-
-
-def _scalar_against(W: np.ndarray, vi: np.ndarray, vj: np.ndarray):
-    """Best scalar s with W = s * vi vj*, and the residual of that fit."""
-    m = W.shape[0]
-    if m == 0:
-        return 1.0 + 0j, 0.0
-    C = vi.conj().T @ W @ vj
-    s = complex(np.trace(C) / m)
-    return s, numlin.op_norm(C - s * np.eye(m))
 
 
 def pull_apart_bimodule(M: EquivalenceBimodule, cover: ClosedCover) -> BimoduleGluingDatum:
@@ -516,12 +494,7 @@ def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> di
         per_block = {}
         for k in sorted(D.cover.overlap(i, j, l)):
             C = D.nu_block(i, j, k) @ D.nu_block(j, l, k) @ D.nu_block(i, l, k).conj().T
-            m = C.shape[0]
-            if m == 0:
-                per_block[k] = 1.0 + 0j
-                continue
-            f = complex(np.trace(C) / m)
-            r = numlin.op_norm(C - f * np.eye(m))
+            f, r = _scalar_of(C)
             if r > tol:
                 raise ModelViolationError(
                     f"transition composite at ({i},{j},{l}) block {k} is not scalar "
@@ -546,7 +519,7 @@ def dual_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleGlui
             continue
         for k in sorted(D.cover.overlap(i, j)):
             W = D.nu_block(i, j, k)
-            s, r = _scalar_against(W, D.twist_at(i, k), D.twist_at(j, k))
+            s, r = _scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             if r > tol:
                 raise ModelViolationError(
                     f"transition ({i},{j}) block {k} is not a bimodule unitary "
@@ -581,7 +554,7 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
         for k in sorted(D1.cover.overlap(i, j)):
             W1 = D1.nu_block(i, j, k)
             W2 = D2.nu_block(i, j, k)
-            s, r = _scalar_against(W2, D2.twist_at(i, k), D2.twist_at(j, k))
+            s, r = _scalar_of(D2.twist_at(i, k).conj().T @ W2 @ D2.twist_at(j, k))
             if r > tol:
                 raise ModelViolationError(
                     f"right-factor transition ({i},{j}) block {k} is not a "
@@ -651,7 +624,7 @@ def picard_conjugate_morphism(D: BimoduleGluingDatum,
         blocks = []
         for pos, k in enumerate(sorted(cov.sets[i])):
             Wk = witnesses[i][pos]
-            s, r = _scalar_against(Wk, tgt.twist_at(i, k), src.twist_at(i, k))
+            s, r = _scalar_of(tgt.twist_at(i, k).conj().T @ Wk @ src.twist_at(i, k))
             if r > tol:
                 raise ModelViolationError(
                     f"witness at set {i} block {k} is not a bimodule map "
@@ -711,6 +684,8 @@ def _canon_matrix(D1, D2, i: int, k) -> np.ndarray:
 
 
 def _scalar_of(C: np.ndarray):
+    """Trace-normalized scalar s of a square C and the residual ||C - s I||;
+    (1, 0) for an empty C."""
     m = C.shape[0]
     if m == 0:
         return 1.0 + 0j, 0.0

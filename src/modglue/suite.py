@@ -15,7 +15,7 @@ from . import gen, morita, numlin, tensor
 from .cstar import algebra, cover, restrict_algebra, sum_algebra
 from .gen import GenConfig
 from .glue import (
-    _glued_subspace_basis,
+    _tensor_kernel_check,
     descent_identities_check,
     epsilon_iso,
     glue,
@@ -170,11 +170,9 @@ def criterion_5_kernels(trials: int = 100, tol: float = 1e-9, base_seed: int = 5
         cfg = GenConfig(seed=base_seed + s, twist_mode=mode,
                         max_blocks=4, max_mult=4)
         D = gen.random_gluing_instance(cfg).datum
-        M = tensor.eta_minus_delta_tensor_id_matrix(D)
-        ker = numlin.kernel_basis(M)
-        model = tensor.glued_tensor_subspace_basis(glue(D))
-        dims_ok = dims_ok and (ker.shape[1] == model.shape[1])
-        worst = max(worst, numlin.subspace_gap(ker, model))
+        (model_dim, ker_dim), gap = _tensor_kernel_check(glue(D))
+        dims_ok = dims_ok and model_dim == ker_dim
+        worst = max(worst, gap)
     return Report(
         "criterion_5_kernels", dims_ok and worst <= tol, worst, tol,
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,
@@ -192,12 +190,16 @@ def criterion_6_image_eta(trials: int = 100, tol: float = 1e-9, base_seed: int =
         cfg = GenConfig(seed=base_seed + s)
         inst = gen.random_module_instance(cfg)
         X, cov = inst.module, inst.cover
-        M_unit, M_eta_id, M_id_etaB = tensor.image_eta_matrices(X, cov)
-        ker = numlin.kernel_basis(M_eta_id - M_id_etaB)
-        im = numlin.orth_basis(M_unit)
-        emb = _glued_subspace_basis(glue(pull_apart(X, cov)))
-        dims_ok = dims_ok and (ker.shape[1] == X.dim == im.shape[1] == emb.shape[1])
-        worst = max(worst, numlin.subspace_gap(ker, im), numlin.subspace_gap(ker, emb))
+        gd = glue(pull_apart(X, cov))
+        dims = [0, 0, 0]  # n_k-weighted dims of the kernel, image(unit), image(Phi)
+        for k, n in zip(X.algebra.labels, X.algebra.block_dims):
+            M_unit, M_eta_id, M_id_etaB = tensor.image_eta_matrices(X, cov, k)
+            ker = numlin.kernel_basis(M_eta_id - M_id_etaB)
+            im = numlin.orth_basis(M_unit)
+            emb = gd.stacked_basis[k]
+            dims = [d + n * b.shape[1] for d, b in zip(dims, (ker, im, emb))]
+            worst = max(worst, numlin.subspace_gap(ker, im), numlin.subspace_gap(ker, emb))
+        dims_ok = dims_ok and dims[0] == X.dim == dims[1] == dims[2]
     return Report(
         "criterion_6_image_eta", dims_ok and worst <= tol, worst, tol,
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,

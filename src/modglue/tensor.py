@@ -12,6 +12,7 @@ balancing relations, built from nothing but action matrices and an SVD.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ class PairTensorModel:
 
     def __post_init__(self):
         self.entries = tuple(self.cover.pairs(include_diagonal=True))
+        self.index = {e: n for n, e in enumerate(self.entries)}
         self.spaces = tuple(
             restrict_module(self.modules[i], self.cover.overlap(i, j))
             for (i, j) in self.entries
@@ -63,7 +65,7 @@ class PairTensorModel:
         return PairTensorVector(self, tuple(s.zero_vector() for s in self.spaces))
 
     def space(self, i: int, j: int) -> HilbertModule:
-        return self.spaces[self.entries.index((i, j))]
+        return self.spaces[self.index[(i, j)]]
 
 
 @dataclass(eq=False)
@@ -72,7 +74,7 @@ class PairTensorVector:
     comps: tuple  # ModuleVector per entry, aligned with model.entries
 
     def comp(self, i: int, j: int) -> ModuleVector:
-        return self.comps[self.model.entries.index((i, j))]
+        return self.comps[self.model.index[(i, j)]]
 
     def __add__(self, other):
         return PairTensorVector(
@@ -97,6 +99,7 @@ class TripleTensorModel:
 
     def __post_init__(self):
         self.entries = tuple(self.cover.triples())
+        self.index = {e: n for n, e in enumerate(self.entries)}
         self.spaces = tuple(
             restrict_module(self.modules[i], self.cover.overlap(i, j, l))
             for (i, j, l) in self.entries
@@ -115,7 +118,7 @@ class TripleTensorVector:
     comps: tuple
 
     def comp(self, i, j, l) -> ModuleVector:
-        return self.comps[self.model.entries.index((i, j, l))]
+        return self.comps[self.model.index[(i, j, l)]]
 
     def __sub__(self, other):
         return TripleTensorVector(
@@ -217,7 +220,7 @@ def eta_map(arg, ctx):
 def phi_embed(model: PairTensorModel, i: int, j: int, v: ModuleVector) -> PairTensorVector:
     """Place a vector of Z_i|F_ij at component (i, j), zero elsewhere."""
     t = model.zero()
-    idx = model.entries.index((i, j))
+    idx = model.index[(i, j)]
     space = model.spaces[idx]
     if v.module.mult != space.mult or v.module.algebra.labels != space.algebra.labels:
         raise InvalidInputError("vector does not live in Z_i restricted to the overlap")
@@ -245,7 +248,7 @@ def epsilon_map(t: PairTensorVector):
     model = t.model
     parts = []
     for i, Z in enumerate(model.modules):
-        if (i, i) not in model.entries:  # empty cover set: Z_i is zero
+        if (i, i) not in model.index:  # empty cover set: Z_i is zero
             parts.append(Z.zero_vector())
             continue
         d = t.comp(i, i)
@@ -358,150 +361,95 @@ def _matrix_of(fn, dom_dim: int, cod_dim: int) -> np.ndarray:
     return M
 
 
-class _Layout:
-    """Offset table for flat coordinates split into keyed (rows x cols) slots."""
-
-    def __init__(self, slots):
-        self.offsets = {}
-        self.shapes = {}
-        ofs = 0
-        for key, m, n in slots:
-            self.offsets[key] = ofs
-            self.shapes[key] = (m, n)
-            ofs += m * n
-        self.dim = ofs
-
-    def place(self, M: np.ndarray, out_key, in_layout: "_Layout", in_key, T: np.ndarray):
-        """Add kron(T, I_n) mapping the in slot to the out slot of matrix M."""
-        ro = self.offsets[out_key]
-        co = in_layout.offsets[in_key]
-        n = self.shapes[out_key][1]
-        blk = np.kron(T, np.eye(n))
-        M[ro:ro + blk.shape[0], co:co + blk.shape[1]] += blk
+# ---------------------------------------------------------------------------
+# Per-label matrices of the structural maps
+#
+# Up to a fixed permutation of flat coordinates, every structural map below is
+# the direct sum over block labels k of T_k (x) I_{n_k}, where T_k acts on
+# multiplicity indices only; its kernel is the direct sum of ker T_k (x) C^{n_k}.
+# Each function returns T_k for one label k.  The slots of label k are keyed by
+# tuples of the member sets of k (one set for a family, pairs and triples for
+# the tensor models), in lexicographic order; slot (i, ...) has the size of
+# Z_i at k.
 
 
-def _family_layout(modules) -> _Layout:
-    slots = []
-    for i, mod in enumerate(modules):
-        for lab, m, n in zip(mod.algebra.labels, mod.mult, mod.algebra.block_dims):
-            slots.append(((i, lab), m, n))
-    return _Layout(slots)
+def _slots(members, size: dict, arity: int) -> dict:
+    return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
 
 
-def _pair_layout(model: PairTensorModel) -> _Layout:
-    slots = []
-    for (i, j), space in zip(model.entries, model.spaces):
-        for lab, m, n in zip(space.algebra.labels, space.mult, space.algebra.block_dims):
-            slots.append((((i, j), lab), m, n))
-    return _Layout(slots)
-
-
-def _triple_layout(tm: TripleTensorModel) -> _Layout:
-    slots = []
-    for (i, j, l), space in zip(tm.entries, tm.spaces):
-        for lab, m, n in zip(space.algebra.labels, space.mult, space.algebra.block_dims):
-            slots.append((((i, j, l), lab), m, n))
-    return _Layout(slots)
-
-
-def eta_matrix(datum) -> np.ndarray:
-    """Matrix of eta: family coordinates -> pair coordinates."""
-    model = pair_model(datum)
-    fam = _family_layout(model.modules)
-    pair = _pair_layout(model)
-    M = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
-    for (i, j) in model.entries:
-        for k in sorted(model.cover.overlap(i, j)):
-            m = fam.shapes[(i, k)][0]
-            pair.place(M, ((i, j), k), fam, (i, k), np.eye(m))
+def _block_matrix(row_slots: dict, col_slots: dict, terms) -> np.ndarray:
+    """Dense matrix over keyed row and column slots, stacked in dict order;
+    terms are (row key, column key, block) triples, summed in place."""
+    row_ofs = dict(zip(row_slots, np.cumsum([0, *row_slots.values()])))
+    col_ofs = dict(zip(col_slots, np.cumsum([0, *col_slots.values()])))
+    M = np.zeros((sum(row_slots.values()), sum(col_slots.values())), dtype=np.complex128)
+    for r, c, blk in terms:
+        M[row_ofs[r]:row_ofs[r] + blk.shape[0], col_ofs[c]:col_ofs[c] + blk.shape[1]] += blk
     return M
 
 
-def delta_matrix(datum) -> np.ndarray:
-    model = pair_model(datum)
-    fam = _family_layout(model.modules)
-    pair = _pair_layout(model)
-    M = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
-    for (i, j) in model.entries:
-        for k in sorted(model.cover.overlap(i, j)):
-            pair.place(M, ((i, j), k), fam, (j, k), datum.zeta_block(i, j, k))
-    return M
+def _eta_minus_delta(datum, k, level: int) -> np.ndarray:
+    """T_k of (eta - delta) (x) id^level: slot (i, j, *r) receives slot
+    (i, *r) minus zeta_ij applied to slot (j, *r)."""
+    members = datum.cover.members(k)
+    size = {i: datum.mult_at(i, k) for i in members}
+    dst = _slots(members, size, level + 2)
+    terms = []
+    for (i, j, *r) in dst:
+        terms.append(((i, j, *r), (i, *r), np.eye(size[i])))
+        terms.append(((i, j, *r), (j, *r), -datum.zeta_block(i, j, k)))
+    return _block_matrix(dst, _slots(members, size, level + 1), terms)
 
 
-def eta_minus_delta_matrix(datum) -> np.ndarray:
-    return eta_matrix(datum) - delta_matrix(datum)
+def eta_minus_delta_matrix(datum, k) -> np.ndarray:
+    """T_k of eta - delta: family slots i -> pair slots (i, j)."""
+    return _eta_minus_delta(datum, k, 0)
 
 
-def eta_minus_delta_tensor_id_matrix(datum) -> np.ndarray:
-    """Matrix of (eta - delta) (x) id: pair coordinates -> triple coordinates."""
-    model = pair_model(datum)
-    tm = triple_model(datum)
-    pair = _pair_layout(model)
-    trip = _triple_layout(tm)
-    M = np.zeros((trip.dim, pair.dim), dtype=np.complex128)
-    for (i, j, l) in tm.entries:
-        for k in sorted(tm.cover.overlap(i, j, l)):
-            m = pair.shapes[((i, l), k)][0]
-            trip.place(M, ((i, j, l), k), pair, ((i, l), k), np.eye(m))
-            trip.place(M, ((i, j, l), k), pair, ((j, l), k), -datum.zeta_block(i, j, k))
-    return M
+def eta_minus_delta_tensor_id_matrix(datum, k) -> np.ndarray:
+    """T_k of (eta - delta) (x) id: pair slots (i, l) -> triple slots (i, j, l)."""
+    return _eta_minus_delta(datum, k, 1)
 
 
-def image_eta_matrices(X: HilbertModule, cover: ClosedCover):
-    """The two maps of the image-of-the-unit identity, at the family level.
+def image_eta_matrices(X: HilbertModule, cover: ClosedCover, k):
+    """The two maps of the image-of-the-unit identity at label k.
 
-    Returns (M_unit, M_eta_id, M_id_etaB): the matrix of x |-> (x|F_i)_i from
-    module coordinates to family coordinates, and the two maps from family
-    coordinates to pair coordinates whose difference has the unit's image as
-    kernel: component (i, j) equal to t_j|F_ij, resp. t_i|F_ij.
+    Returns (M_unit, M_eta_id, M_id_etaB): T_k of x |-> (x|F_i)_i from the
+    module slot to the family slots, and of the two maps from family slots to
+    pair slots whose difference has the unit's image as kernel: slot (i, j)
+    equal to t_j, resp. t_i.
     """
-    modules = tuple(restrict_module(X, F) for F in cover.sets)
-    model = PairTensorModel(cover, modules)
-    fam = _family_layout(modules)
-    pair = _pair_layout(model)
-
-    mod_layout = _Layout(
-        [((0, lab), m, n)
-         for lab, m, n in zip(X.algebra.labels, X.mult, X.algebra.block_dims)]
-    )
-    M_unit = np.zeros((fam.dim, mod_layout.dim), dtype=np.complex128)
-    for i in range(cover.num_sets):
-        for k in sorted(cover.sets[i]):
-            m = mod_layout.shapes[(0, k)][0]
-            fam.place(M_unit, (i, k), mod_layout, (0, k), np.eye(m))
-
-    M_eta_id = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
-    M_id_etaB = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
-    for (i, j) in model.entries:
-        for k in sorted(cover.overlap(i, j)):
-            m = fam.shapes[(i, k)][0]
-            pair.place(M_eta_id, ((i, j), k), fam, (j, k), np.eye(m))
-            pair.place(M_id_etaB, ((i, j), k), fam, (i, k), np.eye(m))
+    members = cover.members(k)
+    m = X.mult[X.algebra.position(k)]
+    size = dict.fromkeys(members, m)
+    fam, pair = _slots(members, size, 1), _slots(members, size, 2)
+    eye = np.eye(m)
+    M_unit = _block_matrix(fam, {(): m}, [(key, (), eye) for key in fam])
+    M_eta_id = _block_matrix(pair, fam, [((i, j), (j,), eye) for (i, j) in pair])
+    M_id_etaB = _block_matrix(pair, fam, [((i, j), (i,), eye) for (i, j) in pair])
     return M_unit, M_eta_id, M_id_etaB
 
 
-def glued_tensor_subspace_basis(glued) -> np.ndarray:
-    """Orthonormal basis, in pair coordinates, of the image of (glued (x) B).
+def glued_tensor_subspace_basis(glued, k) -> np.ndarray:
+    """Orthonormal basis, over the pair slots of label k, of the image of
+    (glued (x) B).
 
     The sum over l of the restrictions G|F_l maps into the pair model by
-    sending the l-th summand to the components (i, l) through the embedding;
-    this realizes the tensor square of the glued module inside that of Z.
+    sending the l-th summand to the slots (i, l) through the embedding, whose
+    rows for set i are those of E_k times sqrt(#members).  Without that
+    factor the columns for one l are E_k's, orthonormal, and columns for
+    different l have disjoint supports: they are the basis as they stand.
     """
     D = glued.datum
-    model = pair_model(D)
-    pair = _pair_layout(model)
-    summands = tuple(restrict_module(glued.module, F) for F in D.cover.sets)
-    dom = _family_layout(summands)
-    M = np.zeros((pair.dim, dom.dim), dtype=np.complex128)
-    for (i, l) in model.entries:
-        for k in sorted(D.cover.overlap(i, l)):
-            E = glued.stacked_basis[k]
-            c = glued.member_count(k)
-            ofs = {ii: o for (ii, o, _) in glued.layout[k]}[i]
-            m_i = D.mult_at(i, k)
-            W_i = np.sqrt(c) * E[ofs:ofs + m_i, :]
-            pair.place(M, ((i, l), k), dom, (l, k), W_i)
-    return numlin.orth_basis(M)
+    members = D.cover.members(k)
+    size = {i: D.mult_at(i, k) for i in members}
+    E = glued.stacked_basis[k]
+    ofs = {i: o for (i, o, _) in glued.layout[k]}
+    pair = _slots(members, size, 2)
+    dom = _slots(members, dict.fromkeys(members, E.shape[1]), 1)
+    return _block_matrix(
+        pair, dom, [((i, l), (l,), E[ofs[i]:ofs[i] + size[i]]) for (i, l) in pair]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -971,15 +919,11 @@ def _zb_pair_form(modules, B, cover, u, v, i, j) -> AlgebraElement:
             ip = inner_product(zs[i], zt[i])  # over A|F_i
             bu = _b_from_coords(B, U[s])
             bv = _b_from_coords(B, V[t])
-            bu_j = _b_set_component(bu, B, j)
-            bv_j = _b_set_component(bv, B, j)
+            bu_j = B.component(bu, j)
+            bv_j = B.component(bv, j)
             term = bu_j.adjoint() * _spread_element(ip, bu_j.algebra) * bv_j
             out = out + _spread_element(restrict_element(term, F & frozenset(bu_j.algebra.labels)), target)
     return out
-
-
-def _b_set_component(b: AlgebraElement, B, j: int) -> AlgebraElement:
-    return B.component(b, j)
 
 
 def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: int = 0) -> OracleReport:

@@ -4,9 +4,15 @@ These deliberately avoid the SVD paths of the package: rank comes from row
 reduction with partial pivoting, the largest singular value from power
 iteration on M*M, and the gluing kernel dimension from a numpy SVD of the
 Kronecker-expanded overlap constraint, assembled here independently of glue.
+The structural maps of the tensor models are likewise assembled here as whole
+Kronecker-expanded matrices on flat coordinates, the slow path that the
+library's per-label matrices T_k replace.
 """
 
 import numpy as np
+
+from modglue import tensor
+from modglue.hmod import restrict_module
 
 
 def row_reduction_rank(M, tol=1e-10):
@@ -98,3 +104,145 @@ def two_svd_multiplicities(D, tol):
             return None
         mult.append(g)
     return tuple(mult)
+
+
+# ---------------------------------------------------------------------------
+# Flat Kronecker-expanded structural matrices
+#
+# Flat coordinates of a family, pair or triple vector list its components in
+# model order, blocks in label order, each m x n block row-major; a map acting
+# by T on the multiplicity index of a block of dimension n is kron(T, I_n).
+
+
+class Layout:
+    """Offset table for flat coordinates split into keyed (rows x cols) slots."""
+
+    def __init__(self, slots):
+        self.offsets = {}
+        self.shapes = {}
+        ofs = 0
+        for key, m, n in slots:
+            self.offsets[key] = ofs
+            self.shapes[key] = (m, n)
+            ofs += m * n
+        self.dim = ofs
+
+    def place(self, M, out_key, in_layout, in_key, T):
+        """Add kron(T, I_n) mapping the in slot to the out slot of matrix M."""
+        ro = self.offsets[out_key]
+        co = in_layout.offsets[in_key]
+        n = self.shapes[out_key][1]
+        blk = np.kron(T, np.eye(n))
+        M[ro:ro + blk.shape[0], co:co + blk.shape[1]] += blk
+
+
+def family_layout(modules):
+    return Layout([
+        ((i, lab), m, n)
+        for i, mod in enumerate(modules)
+        for lab, m, n in zip(mod.algebra.labels, mod.mult, mod.algebra.block_dims)
+    ])
+
+
+def model_layout(model):
+    """Layout of a pair or triple model: slots keyed (entry, label)."""
+    return Layout([
+        ((e, lab), m, n)
+        for e, space in zip(model.entries, model.spaces)
+        for lab, m, n in zip(space.algebra.labels, space.mult, space.algebra.block_dims)
+    ])
+
+
+def flat_eta_minus_delta(D):
+    """eta - delta: family coordinates -> pair coordinates."""
+    model = tensor.pair_model(D)
+    fam, pair = family_layout(model.modules), model_layout(model)
+    M = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
+    for (i, j) in model.entries:
+        for k in sorted(model.cover.overlap(i, j)):
+            pair.place(M, ((i, j), k), fam, (i, k), np.eye(D.mult_at(i, k)))
+            pair.place(M, ((i, j), k), fam, (j, k), -D.zeta_block(i, j, k))
+    return M
+
+
+def flat_eta_minus_delta_tensor_id(D):
+    """(eta - delta) (x) id: pair coordinates -> triple coordinates."""
+    model, tm = tensor.pair_model(D), tensor.triple_model(D)
+    pair, trip = model_layout(model), model_layout(tm)
+    M = np.zeros((trip.dim, pair.dim), dtype=np.complex128)
+    for (i, j, l) in tm.entries:
+        for k in sorted(tm.cover.overlap(i, j, l)):
+            trip.place(M, ((i, j, l), k), pair, ((i, l), k), np.eye(D.mult_at(i, k)))
+            trip.place(M, ((i, j, l), k), pair, ((j, l), k), -D.zeta_block(i, j, k))
+    return M
+
+
+def flat_image_eta(X, cover):
+    """(M_unit, M_eta_id, M_id_etaB): x |-> (x|F_i)_i from module to family
+    coordinates, and the maps to pair coordinates with component (i, j) equal
+    to t_j|F_ij, resp. t_i|F_ij."""
+    modules = tuple(restrict_module(X, F) for F in cover.sets)
+    model = tensor.PairTensorModel(cover, modules)
+    fam, pair = family_layout(modules), model_layout(model)
+    mod = family_layout((X,))
+    M_unit = np.zeros((fam.dim, mod.dim), dtype=np.complex128)
+    for i in range(cover.num_sets):
+        for k in sorted(cover.sets[i]):
+            fam.place(M_unit, (i, k), mod, (0, k), np.eye(mod.shapes[(0, k)][0]))
+    M_eta_id = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
+    M_id_etaB = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
+    for (i, j) in model.entries:
+        for k in sorted(cover.overlap(i, j)):
+            eye = np.eye(fam.shapes[(i, k)][0])
+            pair.place(M_eta_id, ((i, j), k), fam, (j, k), eye)
+            pair.place(M_id_etaB, ((i, j), k), fam, (i, k), eye)
+    return M_unit, M_eta_id, M_id_etaB
+
+
+def flat_glued_subspace_basis(gd):
+    """Orthonormal basis of the embedded glued module in flat family
+    coordinates: column c of block n-index t of E_k, spread over the sets."""
+    D = gd.datum
+    fam = family_layout(D.modules)
+    cols = []
+    for k, n in zip(gd.module.algebra.labels, gd.module.algebra.block_dims):
+        E = gd.stacked_basis[k]
+        for col in range(E.shape[1]):
+            for t in range(n):
+                v = np.zeros(fam.dim, dtype=np.complex128)
+                for (i, ofs, m_i) in gd.layout[k]:
+                    for r in range(m_i):
+                        v[fam.offsets[(i, k)] + r * n + t] = E[ofs + r, col]
+                cols.append(v)
+    return np.stack(cols, axis=1) if cols else np.zeros((fam.dim, 0), dtype=np.complex128)
+
+
+def flat_glued_tensor_subspace_basis(gd):
+    """Orthonormal basis, in flat pair coordinates, of the image of
+    (glued (x) B): the l-th restriction G|F_l lands in the components (i, l)
+    through the embedding, and an SVD orthonormalizes the image."""
+    D = gd.datum
+    model = tensor.pair_model(D)
+    pair = model_layout(model)
+    dom = family_layout(tuple(restrict_module(gd.module, F) for F in D.cover.sets))
+    M = np.zeros((pair.dim, dom.dim), dtype=np.complex128)
+    for (i, l) in model.entries:
+        for k in sorted(D.cover.overlap(i, l)):
+            E = gd.stacked_basis[k]
+            ofs = {ii: o for (ii, o, _) in gd.layout[k]}[i]
+            W_i = np.sqrt(gd.member_count(k)) * E[ofs:ofs + D.mult_at(i, k), :]
+            pair.place(M, ((i, l), k), dom, (l, k), W_i)
+    if 0 in M.shape:
+        return np.zeros((M.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    return u[:, s > 1e-10 * s[0]]
+
+
+def kernel(M, tol=1e-10):
+    """Orthonormal kernel basis from a numpy SVD, the identity for 0 rows."""
+    rows, cols = M.shape
+    if 0 in M.shape:
+        return np.eye(cols, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
+    return vh[rank:].conj().T

@@ -9,7 +9,6 @@ from modglue.errors import InvalidInputError, NotAMorphismError, RankAmbiguityEr
 from modglue.gen import GenConfig
 from modglue.glue import (
     GlueMorphism,
-    _glued_subspace_basis,
     descent_identities_check,
     epsilon_iso,
     glue,
@@ -35,7 +34,12 @@ from modglue.hmod import (
 )
 from modglue.rng import Rng
 
-from oracles import constraint_matrix, kron_kernel_dim, two_svd_multiplicities
+from oracles import (
+    constraint_matrix,
+    flat_glued_subspace_basis,
+    kron_kernel_dim,
+    two_svd_multiplicities,
+)
 
 
 def twisted_single_block_datum():
@@ -365,23 +369,23 @@ def test_glue_rejects_tol_without_room_for_the_band():
             glue(D, tol)
 
 
-def _oracle_datum(mode, seed, theta):
+def oracle_datum(mode, seed, theta, **caps):
     """A datum of the given family: coherent, random_unitary, the (1, 1,
     e^{i theta}) phases over a random algebra, or coherent with every even
-    label at multiplicity zero."""
+    label at multiplicity zero; caps are GenConfig size caps."""
     if mode == "prescribed_phases":
         cfg = GenConfig(seed=seed, twist_mode=mode, phases=(
             (0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, np.cos(theta), np.sin(theta)),
-        ))
+        ), **caps)
         return gen.random_gluing_instance(cfg).datum
     if mode == "zero_mult":
-        cfg = GenConfig(seed=seed)
+        cfg = GenConfig(seed=seed, **caps)
         rng = Rng(seed)
         A = gen.random_algebra(rng, cfg)
         cov = gen.random_cover(rng, A, cfg)
         mult = tuple(0 if k % 2 == 0 else rng.randint(0, cfg.max_mult) for k in A.labels)
         return gen.random_gluing_datum(rng, A, cov, cfg, mult=mult)
-    return gen.random_gluing_instance(GenConfig(seed=seed, twist_mode=mode)).datum
+    return gen.random_gluing_instance(GenConfig(seed=seed, twist_mode=mode, **caps)).datum
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,7 +397,7 @@ def _oracle_datum(mode, seed, theta):
 @example(mode="prescribed_phases", seed=0, theta=1e-10)  # refused
 @example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1): glues to zero
 def test_one_svd_glue_matches_the_kronecker_oracle(mode, seed, theta):
-    D = _oracle_datum(mode, seed, theta)
+    D = oracle_datum(mode, seed, theta)
     tol = numlin.DEFAULT_RANK_TOL
     try:
         gd = glue(D, tol)
@@ -419,7 +423,13 @@ def test_dimension_law_for_coherent_data():
 
 
 def test_glued_subspace_basis_is_orthonormal():
+    # the flat basis of the oracle, and per label E_k and the glued tensor
+    # model's basis, which the library uses as they stand
     cfg = GenConfig(seed=30, twist_mode="coherent")
     D = gen.random_gluing_instance(cfg).datum
-    B = _glued_subspace_basis(glue(D))
-    assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
+    gd = glue(D)
+    bases = [flat_glued_subspace_basis(gd)]
+    for k in D.algebra.labels:
+        bases += [gd.stacked_basis[k], tensor.glued_tensor_subspace_basis(gd, k)]
+    for B in bases:
+        assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modglue import gen, numlin, tensor
 from modglue.cstar import AlgebraElement, algebra, cover, restrict_algebra, sum_algebra
 from modglue.errors import InvalidInputError
 from modglue.gen import GenConfig
-from modglue.glue import glue, pull_apart
+from modglue.glue import _tensor_kernel_check, glue, pull_apart
 from modglue.hmod import (
     ModuleVector,
     coords,
@@ -16,6 +18,9 @@ from modglue.hmod import (
     vec_norm,
 )
 from modglue.rng import Rng
+
+import oracles
+from test_glue import oracle_datum
 
 
 @pytest.fixture
@@ -197,8 +202,8 @@ class TestLiftToTriple:
         D = twisted_datum
         model = tensor.pair_model(D)
         tm = tensor.triple_model(D)
-        pair_l = tensor._pair_layout(model)
-        trip_l = tensor._triple_layout(tm)
+        pair_l = oracles.model_layout(model)
+        trip_l = oracles.model_layout(tm)
         M_eta = np.zeros((trip_l.dim, pair_l.dim), dtype=np.complex128)
         M_idb = np.zeros((trip_l.dim, pair_l.dim), dtype=np.complex128)
         for (i, j, l) in tm.entries:
@@ -392,3 +397,66 @@ class TestModelOracles:
         assert tensor.pair_norm(t) == 0.0
         u = tensor.pair_coords(t)
         assert u.size == model.dim
+
+
+def _label_sum(D, per_label):
+    """Sum of n_k * per_label(k) over the labels k of D's algebra."""
+    return sum(n * per_label(k) for k, n in zip(D.algebra.labels, D.algebra.block_dims))
+
+
+def _assert_same_spectrum(flat, per_label, D):
+    """flat is a permutation of the direct sum of T_k (x) I_{n_k}: its
+    singular values are those of each T_k, n_k times over, padded with 0."""
+    want = []
+    for k, n in zip(D.algebra.labels, D.algebra.block_dims):
+        T = per_label(k)
+        want += n * (list(np.linalg.svd(T, compute_uv=False)) if T.size else [])
+    got = np.linalg.svd(flat, compute_uv=False) if flat.size else np.zeros(0)
+    want = np.sort(np.pad(want, (0, got.size - len(want))))[::-1]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, got[:1].sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["coherent", "random_unitary", "prescribed_phases", "zero_mult"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(mode="prescribed_phases", seed=0)  # (1, 1, -1): glues to zero
+def test_per_label_kernels_match_the_flat_oracle(mode, seed):
+    caps = dict(max_blocks=3, max_block_dim=3, max_cover_sets=3, max_mult=3)
+    D = oracle_datum(mode, seed, np.pi, **caps)
+    gd = glue(D)
+
+    # ker(eta - delta) against the embedded glued module
+    flat = oracles.flat_eta_minus_delta(D)
+    _assert_same_spectrum(flat, lambda k: tensor.eta_minus_delta_matrix(D, k), D)
+    ker = oracles.kernel(flat)
+    emb = oracles.flat_glued_subspace_basis(gd)
+    kers = {k: numlin.kernel_basis(tensor.eta_minus_delta_matrix(D, k)) for k in D.algebra.labels}
+    assert ker.shape[1] == _label_sum(D, lambda k: kers[k].shape[1])
+    assert emb.shape[1] == _label_sum(D, lambda k: gd.stacked_basis[k].shape[1])
+    gap = max((numlin.subspace_gap(kers[k], gd.stacked_basis[k]) for k in kers), default=0.0)
+    assert abs(numlin.subspace_gap(ker, emb) - gap) <= 1e-12
+
+    # ker((eta - delta) (x) id) against the glued tensor model
+    flat = oracles.flat_eta_minus_delta_tensor_id(D)
+    _assert_same_spectrum(flat, lambda k: tensor.eta_minus_delta_tensor_id_matrix(D, k), D)
+    ker = oracles.kernel(flat)
+    model = oracles.flat_glued_tensor_subspace_basis(gd)
+    dims, gap = _tensor_kernel_check(gd)
+    assert dims == (model.shape[1], ker.shape[1])
+    assert abs(numlin.subspace_gap(ker, model) - gap) <= 1e-12
+
+    # image of the unit, for a module over the same algebra and cover
+    X = gen.random_module(Rng(seed), D.algebra, GenConfig(seed=seed, **caps))
+    M_unit, M_eta_id, M_id_etaB = oracles.flat_image_eta(X, D.cover)
+    per_label = {k: tensor.image_eta_matrices(X, D.cover, k) for k in D.algebra.labels}
+    for idx, flat in enumerate((M_unit, M_eta_id, M_id_etaB)):
+        _assert_same_spectrum(flat, lambda k: per_label[k][idx], D)
+    ker = oracles.kernel(M_eta_id - M_id_etaB)
+    kers = {k: numlin.kernel_basis(T[1] - T[2]) for k, T in per_label.items()}
+    assert ker.shape[1] == _label_sum(D, lambda k: kers[k].shape[1]) == X.dim
+    im = numlin.orth_basis(M_unit)
+    gap = max((numlin.subspace_gap(kers[k], numlin.orth_basis(T[0]))
+               for k, T in per_label.items()), default=0.0)
+    assert abs(numlin.subspace_gap(ker, im) - gap) <= 1e-12

@@ -10,6 +10,7 @@ from modglue import cli, gen, serial, suite
 from modglue.cli import main
 from modglue.errors import NotAModuleMapError, NotAMorphismError
 from modglue.gen import GenConfig
+from modglue.glue import descent_identities_check
 
 from test_glue import phase_witness
 
@@ -125,6 +126,29 @@ class TestCli:
         assert main(["picard-conjugate", str(d_file), str(m_file), "--out", str(out)]) == 0
         conj = serial.parse_instance(json.loads(out.read_text()))
         assert morita.validate_bimodule_datum(conj).cocycle <= 1e-10
+
+    def test_picard_conjugate_uses_tol_as_given(self, tmp_path, capsys):
+        from modglue import morita
+        from modglue.cstar import algebra, cover
+
+        # identity twists and transitions: every residual is exactly zero
+        A = algebra((2, 1))
+        D = morita.pull_apart_bimodule(morita.identity_bimodule(A), cover(2, [{0, 1}, {0}]))
+        d_file = tmp_path / "D.json"
+        d_file.write_text(serial.canonical_dumps(serial.bimodule_datum_to_json(D)))
+        assert main(["picard-conjugate", str(d_file), str(d_file), "--tol", "1e-30"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["tol"] == 1e-30
+
+    def test_descent_runs_the_trials_asked_for(self, monkeypatch):
+        seen = []
+
+        def check(D, **kwargs):
+            seen.append(kwargs["trials"])
+            return descent_identities_check(D, **kwargs)
+
+        monkeypatch.setattr(cli, "descent_identities_check", check)
+        assert main(["descent", "--seed", "3", "--trials", "120"]) == 0
+        assert seen == [120]
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
