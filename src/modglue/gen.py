@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover
+from .cstar import AlgebraElement, ClosedCover, FdCStarAlgebra, algebra, cover
 from .errors import InvalidInputError
 from .glue import GluingDatum, make_gluing_datum
 from .hmod import AdjointableMap, HilbertModule, ModuleVector, module, module_map
@@ -77,6 +77,10 @@ def random_vector(rng: Rng, mod: HilbertModule) -> ModuleVector:
     return ModuleVector(
         mod, tuple(rng.gauss_matrix(m, n) for (m, n) in mod.block_shapes())
     )
+
+
+def random_element(rng: Rng, alg: FdCStarAlgebra) -> AlgebraElement:
+    return AlgebraElement(alg, tuple(rng.gauss_matrix(n, n) for n in alg.block_dims))
 
 
 def random_map(rng: Rng, src: HilbertModule, tgt: HilbertModule) -> AdjointableMap:

@@ -533,6 +533,7 @@ def descent_identities_check(
 
     rng = Rng(seed)
     gd = glue(D)
+    tm = tensor.triple_model(D)
     cocycle_residual = validate_gluing_datum(D, tol).max_residuals["cocycle"]
 
     res_a = 0.0
@@ -543,14 +544,14 @@ def descent_identities_check(
         t = tensor.delta_map(D, z)
         back = tensor.epsilon_map(t)
         res_a = max(res_a, tensor.family_norm(tuple(a - b for a, b in zip(back, z))))
-        lhs = tensor.lift_to_triple("delta_tensor_id", D, t)
-        rhs = tensor.lift_to_triple("eta_tensor_id", D, t)
+        lhs = tensor.lift_to_triple("delta_tensor_id", D, t, tm)
+        rhs = tensor.lift_to_triple("eta_tensor_id", D, t, tm)
         res_b = max(res_b, tensor.triple_norm(lhs - rhs))
 
         zg = gd.embed(gen.random_vector(rng, gd.module))
         tg = tensor.delta_map(D, zg)
-        lhs_g = tensor.lift_to_triple("delta_tensor_id", D, tg)
-        rhs_g = tensor.lift_to_triple("eta_tensor_id", D, tg)
+        lhs_g = tensor.lift_to_triple("delta_tensor_id", D, tg, tm)
+        rhs_g = tensor.lift_to_triple("eta_tensor_id", D, tg, tm)
         res_b_glued = max(res_b_glued, tensor.triple_norm(lhs_g - rhs_g))
 
     # Per label, ker(eta - delta) on the family slots is the span of E_k.

@@ -26,7 +26,7 @@ from .cstar import (
     restrict_algebra,
 )
 from .errors import InvalidInputError, ModelViolationError
-from .gen import random_vector
+from .gen import random_element, random_vector
 from .glue import GluingDatum, GluedModule, glue, make_gluing_datum
 from .hmod import (
     HilbertModule,
@@ -117,6 +117,7 @@ class BimoduleValidation:
     full_left: bool
     full_right: bool
     labels_aligned: bool
+    tol: float  # the tolerance the residuals were judged at
 
     @property
     def passed(self) -> bool:
@@ -124,13 +125,26 @@ class BimoduleValidation:
             self.shapes and self.twist_unitary and self.full_left
             and self.full_right and self.labels_aligned
             and max(self.imprimitivity, self.left_linearity,
-                    self.hermitian, self.adjoint_compat) <= 1e-9
+                    self.hermitian, self.adjoint_compat) <= self.tol
         )
+
+
+# The left inner products see u through a -> u* a u, whose singular values
+# are the products s_i s_j of u's; this threshold on s_min / s_max is the
+# rank threshold on s_min^2 / s_max^2.
+_TWIST_RANK_TOL = numlin.DEFAULT_RANK_TOL ** 0.5
 
 
 def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL,
                       trials: int = 8, seed: int = 7) -> BimoduleValidation:
-    """Check the imprimitivity identities on random vectors and fullness by rank."""
+    """Check the imprimitivity identities on random vectors, and fullness in
+    closed form.
+
+    In normal form the left inner products u* x y* u of block k span
+    u* M_m u, which is all of M_m iff u is invertible.  The right inner
+    products x* y span M_n whenever m >= 1, and every block of an
+    FdCStarAlgebra has m >= 1, so full_right always holds.
+    """
     rng = Rng(seed)
     Xr = M.right_module()
     shapes = M.left_algebra.block_dims == tuple(M.mult)
@@ -141,7 +155,7 @@ def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL,
         x = random_vector(rng, Xr)
         y = random_vector(rng, Xr)
         z = random_vector(rng, Xr)
-        ap = _random_alg(rng, M.left_algebra)
+        ap = random_element(rng, M.left_algebra)
         # _A'<x|y> . z = x . <y|z>_A
         lhs = left_act(M, left_inner(M, x, y), z)
         rhs = right_act(x, inner_product(y, z))
@@ -158,44 +172,11 @@ def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL,
         )
 
     full_left = all(
-        m >= 1 and n >= 1
-        for m, n in zip(M.mult, M.right_algebra.block_dims)
-    ) and _span_full(M, left=True)
-    full_right = _span_full(M, left=False)
-    return BimoduleValidation(
-        shapes, twist_unitary, imp, lin, herm, adj, full_left, full_right,
-        labels_aligned=(M.left_algebra.labels == M.right_algebra.labels),
+        numlin.rank(u, _TWIST_RANK_TOL) == m for m, u in zip(M.mult, M.twist)
     )
-
-
-def _span_full(M: EquivalenceBimodule, left: bool) -> bool:
-    """Rank of the span of inner-product values over basis pairs, blockwise."""
-    Xr = M.right_module()
-    for pos, lab in enumerate(M.left_algebra.labels):
-        m = M.mult[pos]
-        n = M.right_algebra.block_dims[pos]
-        vecs = []
-        for s in range(m):
-            for t in range(n):
-                for s2 in range(m):
-                    for t2 in range(n):
-                        x = Xr.zero_vector()
-                        y = Xr.zero_vector()
-                        x.blocks[pos][s, t] = 1.0
-                        y.blocks[pos][s2, t2] = 1.0
-                        val = (left_inner(M, x, y) if left else inner_product(x, y))
-                        vecs.append(val.blocks[pos].reshape(-1))
-        want = m * m if left else n * n
-        if vecs and numlin.rank(np.stack(vecs, axis=1)) != want:
-            return False
-        if not vecs and want > 0:
-            return False
-    return True
-
-
-def _random_alg(rng: Rng, alg: FdCStarAlgebra) -> AlgebraElement:
-    return AlgebraElement(
-        alg, tuple(rng.gauss_matrix(n, n) for n in alg.block_dims)
+    return BimoduleValidation(
+        shapes, twist_unitary, imp, lin, herm, adj, full_left, True,
+        labels_aligned=(M.left_algebra.labels == M.right_algebra.labels), tol=tol,
     )
 
 
@@ -366,7 +347,7 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
     for (i, j) in D.cover.pairs(include_diagonal=False):
         for k in sorted(D.cover.overlap(i, j)):
             W = D.nu_block(i, j, k)
-            unit = unit and numlin.is_unitary(W, max(tol, 1e-9))
+            unit = unit and numlin.is_unitary(W, tol)
             _, r = _scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             bire = max(bire, r)
             invo = max(invo, numlin.op_norm(D.nu_block(j, i, k) - W.conj().T))
@@ -411,10 +392,13 @@ def glue_bimodules(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> GluedBim
     """Glue the right modules, then transport and normalize the left action.
 
     The glued left action of a' acts through the embedding by the per-set
-    twists; when the cocycle holds it is an inner automorphism blockwise and
-    the extracted unitary becomes the glued twist.  A cocycle violation shows
-    up as a dimension deficit (the glued module is too small to be full) and
-    is reported instead of a bimodule.
+    twists; when the transitions are bimodule maps it is a -> V a V*
+    blockwise, and the unitary V, read in closed form from the stacked basis
+    and the twists, becomes the glued twist.  A cocycle violation shows up as
+    a dimension deficit (the glued module is too small to be full), and a
+    transition that is no bimodule map or a member twist that is not unitary
+    as a left-action residual above tol; either is reported instead of a
+    bimodule.
     """
     gd = glue(underlying_right_datum(D))
     left = D.left_algebra
@@ -428,19 +412,8 @@ def glue_bimodules(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> GluedBim
 
     twists = []
     worst = 0.0
-    for pos, k in enumerate(left.labels):
-        nprime = left.block_dims[pos]
-        E = gd.stacked_basis[k]
-
-        def rho(a_block):
-            rows = E.shape[0]
-            diag = np.zeros((rows, rows), dtype=np.complex128)
-            for (i, ofs, m_i) in gd.layout[k]:
-                v = D.twist_at(i, k)
-                diag[ofs:ofs + m_i, ofs:ofs + m_i] = v @ a_block @ v.conj().T
-            return E.conj().T @ diag @ E
-
-        V, r = _inner_unitary_of(rho, nprime)
+    for k in left.labels:
+        V, r = _glued_twist(D, gd, k)
         worst = max(worst, r)
         twists.append(V)
     if worst > tol:
@@ -450,32 +423,35 @@ def glue_bimodules(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> GluedBim
     return GluedBimodule(gd, Mg, worst, {}, validate_bimodule(Mg, tol))
 
 
-def _inner_unitary_of(rho, m: int):
-    """Recover V with rho(a) = V a V* from an inner automorphism of M_m.
+def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
+    """The glued twist V at label k, and how far the glued left action is
+    from a -> V a V*.
 
-    Uses the rank-one projection rho(E_11): its range vector seeds the columns
-    V e_s = rho(E_s1) xi.  Returns (V, residual over all matrix units).
+    Through the embedding the glued left action is the Kraus sum
+    L(a) = sum_i K_i a K_i* with K_i = E_i* v_i, where E_i is member i's
+    rows of the stacked basis and v_i its twist.  L(a) = V a V* for a
+    unitary V iff K_i = c_i V with sum_i |c_i|^2 = 1, since two Kraus forms
+    of one map differ by an isometry.  V is the K_r of largest Frobenius
+    norm, divided by its root-mean-square singular value.  The residual is
+    the largest of ||V*V - 1||, the non-scalarity of each V* K_i, and
+    |sum_i |c_i|^2 - 1| over the trace-normalized scalars c_i of V* K_i.
     """
+    E = gd.stacked_basis[k]
+    m = E.shape[1]
     if m == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-
-    def unit(s, t):
-        E = np.zeros((m, m), dtype=np.complex128)
-        E[s, t] = 1.0
-        return E
-
-    T = rho(unit(0, 0))
-    Th = 0.5 * (T + T.conj().T)
-    w, vecs = np.linalg.eigh(Th)
-    xi = vecs[:, -1]
-    V = np.zeros((m, m), dtype=np.complex128)
-    for s in range(m):
-        V[:, s] = rho(unit(s, 0)) @ xi
+    K = [E[ofs:ofs + m_i].conj().T @ D.twist_at(i, k) for (i, ofs, m_i) in gd.layout[k]]
+    norms = [np.linalg.norm(Ki) for Ki in K]
+    r = int(np.argmax(norms))
+    c_r = norms[r] / np.sqrt(m)
+    V = K[r] / c_r if c_r > 0 else K[r]
     res = numlin.op_norm(V.conj().T @ V - np.eye(m))
-    for s in range(m):
-        for t in range(m):
-            res = max(res, numlin.op_norm(rho(unit(s, t)) - V @ unit(s, t) @ V.conj().T))
-    return V, res
+    weight = 0.0
+    for Ki in K:
+        c, nonscalar = _scalar_of(V.conj().T @ Ki)
+        res = max(res, nonscalar)
+        weight += abs(c) ** 2
+    return V, max(res, abs(weight - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def criterion_3_delta_isometry(trials: int = 200, tol: float = 1e-9, base_seed: 
         B = sum_algebra(D.algebra, D.cover)
         rng = Rng((base_seed + s) ^ 0xD1CE)
         zs = [tuple(gen.random_vector(rng, m) for m in D.modules) for _ in range(4)]
-        b = _random_b(rng, B)
+        b = gen.random_element(rng, B.flat)
 
         t = tensor.delta_map(D, zs[0])
         # B-linearity
@@ -114,14 +114,6 @@ def criterion_3_delta_isometry(trials: int = 200, tol: float = 1e-9, base_seed: 
         "criterion_3_delta_isometry", worst <= tol, worst, tol,
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,
         {"trials": trials, "amplification_levels": [1, 2]},
-    )
-
-
-def _random_b(rng: Rng, B):
-    from .cstar import AlgebraElement
-
-    return AlgebraElement(
-        B.flat, tuple(rng.gauss_matrix(n, n) for n in B.flat.block_dims)
     )
 
 
@@ -281,7 +273,7 @@ def _phi_bimodule_residual(M, Mg, phi, rng: Rng) -> float:
     for _ in range(4):
         x = gen.random_vector(rng, Xr)
         y = gen.random_vector(rng, Xr)
-        ap = morita._random_alg(rng, M.left_algebra)
+        ap = gen.random_element(rng, M.left_algebra)
         lhs = apply_map(phi, morita.left_act(M, ap, x))
         rhs = morita.left_act(Mg, ap, apply_map(phi, x))
         worst = max(worst, vec_norm(lhs - rhs))

@@ -259,25 +259,23 @@ def epsilon_map(t: PairTensorVector):
 _TRIPLE_KINDS = ("eta_tensor_id", "id_tensor_etaB", "delta_tensor_id")
 
 
-def lift_to_triple(kind: str, datum, t: PairTensorVector) -> TripleTensorVector:
-    """One-leg amplifications of eta and delta from the pair to the triple model."""
+def lift_to_triple(kind: str, datum, t: PairTensorVector,
+                   tm: TripleTensorModel) -> TripleTensorVector:
+    """One-leg amplifications of eta and delta from the pair to the triple
+    model tm, which the caller builds once with triple_model(datum)."""
     if kind not in _TRIPLE_KINDS:
         raise InvalidInputError(f"unknown lift kind {kind!r}; expected one of {_TRIPLE_KINDS}")
-    tm = triple_model(datum)
     comps = []
     for (i, j, l), space in zip(tm.entries, tm.spaces):
-        F = tm.cover.overlap(i, j, l)
+        labels = space.algebra.labels
         if kind == "eta_tensor_id":
-            v = restrict_vector(t.comp(i, l), F)
+            blocks = tuple(t.comp(i, l).block(k) for k in labels)
         elif kind == "id_tensor_etaB":
-            v = restrict_vector(t.comp(i, j), F)
+            blocks = tuple(t.comp(i, j).block(k) for k in labels)
         else:
-            w = restrict_vector(t.comp(j, l), F)
-            v = ModuleVector(
-                space,
-                tuple(datum.zeta_block(i, j, k) @ w.block(k) for k in space.algebra.labels),
-            )
-        comps.append(ModuleVector(space, tuple(v.block(k) for k in space.algebra.labels)))
+            w = t.comp(j, l)
+            blocks = tuple(datum.zeta_block(i, j, k) @ w.block(k) for k in labels)
+        comps.append(ModuleVector(space, blocks))
     return TripleTensorVector(tm, tuple(comps))
 
 

@@ -6,13 +6,17 @@ iteration on M*M, and the gluing kernel dimension from a numpy SVD of the
 Kronecker-expanded overlap constraint, assembled here independently of glue.
 The structural maps of the tensor models are likewise assembled here as whole
 Kronecker-expanded matrices on flat coordinates, the slow path that the
-library's per-label matrices T_k replace.
+library's per-label matrices T_k replace.  Bimodule fullness and the glued
+twist, which the library reads in closed form from the normal form, are
+re-derived here by brute force: the rank of the span of all inner products of
+matrix-unit vectors, and the transported left action probed on every matrix
+unit.
 """
 
 import numpy as np
 
-from modglue import tensor
-from modglue.hmod import restrict_module
+from modglue import morita, tensor
+from modglue.hmod import inner_product, restrict_module
 
 
 def row_reduction_rank(M, tol=1e-10):
@@ -246,3 +250,80 @@ def kernel(M, tol=1e-10):
     _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
     rank = int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
     return vh[rank:].conj().T
+
+
+# ---------------------------------------------------------------------------
+# Brute-force Morita checks
+
+
+def _span_rank(vecs, tol=1e-10):
+    if not vecs:
+        return 0
+    M = np.stack(vecs, axis=1)
+    return M.shape[1] - _kernel_dim(M, tol)
+
+
+def span_fullness(M):
+    """(full_left, full_right) of a normal-form bimodule by rank: per block,
+    do the left (right) inner products of every pair of matrix-unit vectors
+    span the whole m x m (n x n) block?"""
+    Xr = M.right_module()
+    full_left = full_right = True
+    for pos, (m, n) in enumerate(zip(M.mult, M.right_algebra.block_dims)):
+        left_vals, right_vals = [], []
+        for s in range(m):
+            for t in range(n):
+                for s2 in range(m):
+                    for t2 in range(n):
+                        x, y = Xr.zero_vector(), Xr.zero_vector()
+                        x.blocks[pos][s, t] = 1.0
+                        y.blocks[pos][s2, t2] = 1.0
+                        left_vals.append(morita.left_inner(M, x, y).blocks[pos].reshape(-1))
+                        right_vals.append(inner_product(x, y).blocks[pos].reshape(-1))
+        full_left = full_left and m >= 1 and n >= 1 and _span_rank(left_vals) == m * m
+        full_right = full_right and _span_rank(right_vals) == n * n
+    return full_left, full_right
+
+
+def _inner_unitary_of(rho, m):
+    """V with rho(a) = V a V* for an inner automorphism rho of M_m, seeded by
+    the range vector xi of the rank-one projection rho(E_11): V e_s =
+    rho(E_s1) xi.  Returns (V, residual over V*V - 1 and all m^2 units)."""
+    if m == 0:
+        return np.zeros((0, 0), dtype=np.complex128), 0.0
+
+    def unit(s, t):
+        E = np.zeros((m, m), dtype=np.complex128)
+        E[s, t] = 1.0
+        return E
+
+    T = rho(unit(0, 0))
+    _, vecs = np.linalg.eigh(0.5 * (T + T.conj().T))
+    xi = vecs[:, -1]
+    V = np.stack([rho(unit(s, 0)) @ xi for s in range(m)], axis=1)
+    res = np.linalg.norm(V.conj().T @ V - np.eye(m), 2)
+    for s in range(m):
+        for t in range(m):
+            res = max(res, np.linalg.norm(rho(unit(s, t)) - V @ unit(s, t) @ V.conj().T, 2))
+    return V, float(res)
+
+
+def probed_glued_twists(D, gd):
+    """Glued twists of a bimodule datum D over its glued right module gd by
+    probing the transported left action rho(a) = E* diag(v_i a v_i*) E on
+    every matrix unit; returns (twists, largest residual)."""
+    twists, worst = [], 0.0
+    for k, m in zip(D.left_algebra.labels, D.left_algebra.block_dims):
+        E = gd.stacked_basis[k]
+
+        def rho(a, E=E, k=k):
+            diag = np.zeros((E.shape[0], E.shape[0]), dtype=np.complex128)
+            for (i, ofs, m_i) in gd.layout[k]:
+                v = D.twist_at(i, k)
+                diag[ofs:ofs + m_i, ofs:ofs + m_i] = v @ a @ v.conj().T
+            return E.conj().T @ diag @ E
+
+        V, r = _inner_unitary_of(rho, m)
+        twists.append(V)
+        worst = max(worst, r)
+    return tuple(twists), worst

@@ -14,11 +14,8 @@ from modglue.cstar import (
     sum_algebra,
 )
 from modglue.errors import InvalidInputError
+from modglue.gen import random_element
 from modglue.rng import Rng
-
-
-def rand_element(rng, alg):
-    return AlgebraElement(alg, tuple(rng.gauss_matrix(n, n) for n in alg.block_dims))
 
 
 class TestRestriction:
@@ -51,7 +48,7 @@ class TestRestriction:
     def test_double_restriction_functorial(self):
         A = algebra((2, 1, 3, 2))
         rng = Rng(11)
-        a = rand_element(rng, A)
+        a = random_element(rng, A)
         F, G = {0, 1, 3}, {1, 2, 3}
         twice = restrict_element(restrict_element(a, F), F & G)
         once = restrict_element(a, F & G)
@@ -61,7 +58,7 @@ class TestRestriction:
     def test_restricted_norm_is_max_over_retained_blocks(self):
         A = algebra((2, 3, 1))
         rng = Rng(5)
-        a = rand_element(rng, A)
+        a = random_element(rng, A)
         F = {0, 2}
         expected = max(numlin.op_norm(a.block(k)) for k in F)
         assert restrict_element(a, F).norm() == pytest.approx(expected, rel=1e-12)
@@ -69,7 +66,7 @@ class TestRestriction:
     def test_restriction_is_star_homomorphism(self):
         A = algebra((2, 2, 3))
         rng = Rng(6)
-        a, b = rand_element(rng, A), rand_element(rng, A)
+        a, b = random_element(rng, A), random_element(rng, A)
         F = {0, 2}
         prod = restrict_element(a * b, F) - restrict_element(a, F) * restrict_element(b, F)
         assert prod.norm() == 0.0
@@ -107,14 +104,14 @@ class TestEta:
         cov = cover(3, [{0, 1}, {1, 2}, {0}])
         rng = Rng(7)
         for _ in range(10):
-            a = rand_element(rng, A)
+            a = random_element(rng, A)
             assert eta_embed(A, cov, a).norm() == pytest.approx(a.norm(), rel=1e-12)
 
     def test_homomorphism(self):
         A = algebra((2, 2))
         cov = cover(2, [{0}, {0, 1}])
         rng = Rng(8)
-        a, b = rand_element(rng, A), rand_element(rng, A)
+        a, b = random_element(rng, A), random_element(rng, A)
         lhs = eta_embed(A, cov, a) * eta_embed(A, cov, b)
         rhs = eta_embed(A, cov, a * b)
         assert (lhs - rhs).norm() == 0.0
@@ -123,7 +120,7 @@ class TestEta:
         A = algebra((2, 1, 3))
         cov = cover(3, [{0, 1}, {1, 2}])
         rng = Rng(9)
-        b = eta_embed(A, cov, rand_element(rng, A))
+        b = eta_embed(A, cov, random_element(rng, A))
         assert image_of_eta_characterization(b, cov)
 
     def test_image_characterization_rejects_perturbation(self):
@@ -171,6 +168,6 @@ class TestEta:
         A = algebra((2, 3))
         cov = cover(2, [{0}, {0, 1}])
         rng = Rng(10)
-        a = rand_element(rng, A)
+        a = random_element(rng, A)
         norms = [restrict_element(a, F).norm() for F in cov.sets]
         assert max(norms) == pytest.approx(a.norm(), rel=1e-12)

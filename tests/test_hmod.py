@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from modglue import numlin
-from modglue.cstar import AlgebraElement, algebra
+from modglue.cstar import algebra
 from modglue.errors import InvalidInputError, NotAModuleMapError
+from modglue.gen import random_element, random_vector
 from modglue.hmod import (
     AdjointableMap,
     ModuleVector,
@@ -26,14 +27,6 @@ from modglue.hmod import (
     vec_norm,
 )
 from modglue.rng import Rng
-
-
-def rand_vector(rng, mod):
-    return ModuleVector(mod, tuple(rng.gauss_matrix(m, n) for (m, n) in mod.block_shapes()))
-
-
-def rand_alg(rng, alg):
-    return AlgebraElement(alg, tuple(rng.gauss_matrix(n, n) for n in alg.block_dims))
 
 
 def rand_map(rng, src, tgt):
@@ -59,8 +52,8 @@ class TestInnerProduct:
 
     def test_right_linearity(self, setup):
         A, X, rng = setup
-        x, y = rand_vector(rng, X), rand_vector(rng, X)
-        a = rand_alg(rng, A)
+        x, y = random_vector(rng, X), random_vector(rng, X)
+        a = random_element(rng, A)
         lhs = inner_product(x, right_act(y, a))
         rhs = inner_product(x, y) * a
         assert (lhs - rhs).norm() < 1e-12
@@ -69,7 +62,7 @@ class TestInnerProduct:
         # ||x||^2 computed two ways: blockwise sup norm vs algebra norm of <x|x>
         A, X, rng = setup
         for _ in range(10):
-            x = rand_vector(rng, X)
+            x = random_vector(rng, X)
             assert vec_norm(x) ** 2 == pytest.approx(
                 numlin.op_norm(max(inner_product(x, x).blocks, key=numlin.op_norm)),
                 rel=1e-9,
@@ -78,27 +71,27 @@ class TestInnerProduct:
     def test_cauchy_schwarz(self, setup):
         A, X, rng = setup
         for _ in range(20):
-            x, y = rand_vector(rng, X), rand_vector(rng, X)
+            x, y = random_vector(rng, X), random_vector(rng, X)
             assert inner_product(x, y).norm() <= vec_norm(x) * vec_norm(y) * (1 + 1e-9)
 
     def test_module_mismatch(self, setup):
         A, X, rng = setup
         Y = module(A, (2, 2, 2))
         with pytest.raises(InvalidInputError):
-            inner_product(rand_vector(rng, X), rand_vector(rng, Y))
+            inner_product(random_vector(rng, X), random_vector(rng, Y))
 
 
 class TestRightAction:
     def test_identity_and_zero(self, setup):
         A, X, rng = setup
-        x = rand_vector(rng, X)
+        x = random_vector(rng, X)
         assert vec_norm(right_act(x, A.identity()) - x) == 0.0
         assert vec_norm(right_act(x, A.zero())) == 0.0
 
     def test_associativity(self, setup):
         A, X, rng = setup
-        x = rand_vector(rng, X)
-        a, b = rand_alg(rng, A), rand_alg(rng, A)
+        x = random_vector(rng, X)
+        a, b = random_element(rng, A), random_element(rng, A)
         lhs = right_act(right_act(x, a), b)
         rhs = right_act(x, a * b)
         assert vec_norm(lhs - rhs) < 1e-12
@@ -113,14 +106,14 @@ class TestRestriction:
 
     def test_full_restriction_identity(self, setup):
         A, X, rng = setup
-        x = rand_vector(rng, X)
+        x = random_vector(rng, X)
         assert vec_norm(restrict_vector(x, {0, 1, 2}) - x) == 0.0
 
     def test_quotient_norm_is_projection_distance(self, setup):
         # ||x|_F|| equals the distance from x to the submodule supported off F
         A, X, rng = setup
         F = {0, 2}
-        x = rand_vector(rng, X)
+        x = random_vector(rng, X)
         killed = ModuleVector(X, tuple(
             np.zeros_like(b) if k in F else b
             for k, b in zip(A.labels, x.blocks)
@@ -130,7 +123,7 @@ class TestRestriction:
         )
         # and is a lower bound for any other candidate in the submodule
         for _ in range(10):
-            v = rand_vector(rng, X)
+            v = random_vector(rng, X)
             v = ModuleVector(X, tuple(
                 np.zeros_like(b) if k in F else b
                 for k, b in zip(A.labels, v.blocks)
@@ -166,7 +159,7 @@ class TestAdjointable:
         Y = module(A, (3, 1, 2))
         a = rand_map(rng, X, Y)
         for _ in range(10):
-            x, y = rand_vector(rng, X), rand_vector(rng, Y)
+            x, y = random_vector(rng, X), random_vector(rng, Y)
             lhs = inner_product(apply_map(a, x), y)
             rhs = inner_product(x, apply_map(adjoint_of(a), y))
             assert (lhs - rhs).norm() < 1e-12
@@ -199,7 +192,7 @@ class TestUnitaryMaps:
         A, X, rng = setup
         U = module_map(X, X, tuple(rng.unitary(m) for m in X.mult))
         assert is_unitary_module_map(U, 1e-12)
-        x, y = rand_vector(rng, X), rand_vector(rng, X)
+        x, y = random_vector(rng, X), random_vector(rng, X)
         lhs = inner_product(apply_map(U, x), apply_map(U, y))
         assert (lhs - inner_product(x, y)).norm() < 1e-12
 
@@ -221,7 +214,7 @@ class TestModuleMapFromLinear:
     def test_right_multiplication_rejected(self, setup):
         # right multiplication by a non-central element is not left multiplication
         A, X, rng = setup
-        a = rand_alg(rng, A)
+        a = random_element(rng, A)
 
         with pytest.raises(NotAModuleMapError) as err:
             module_map_from_linear(lambda v: right_act(v, a), X, X)
@@ -261,5 +254,5 @@ class TestModuleMapFromLinear:
 
     def test_coords_round_trip(self, setup):
         A, X, rng = setup
-        x = rand_vector(rng, X)
+        x = random_vector(rng, X)
         assert vec_norm(from_coords(X, coords(x)) - x) == 0.0

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modglue import gen, morita, numlin
 from modglue.cstar import algebra, cover
-from modglue.errors import ModelViolationError
+from modglue.errors import ModelViolationError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import phi_map
 from modglue.hmod import apply_map, inner_product, unitary_residual, vec_norm
 from modglue.morita import (
+    EquivalenceBimodule,
     bimodule_data_isomorphic,
     bimodules_isomorphic,
     datum_tensor,
@@ -30,6 +33,8 @@ from modglue.morita import (
     validate_bimodule_datum,
 )
 from modglue.rng import Rng
+
+import oracles
 
 
 @pytest.fixture
@@ -74,6 +79,33 @@ class TestValidate:
         v = validate_bimodule(M)
         assert v.shapes  # normal form forces m = n'
         assert v.passed
+
+
+    def test_passed_judges_residuals_at_the_given_tol(self):
+        # a signed-permutation twist is exactly unitary, so only the
+        # float-rounding residuals of the identities can fail a tiny tol
+        rng = Rng(50)
+        left, right = algebra((3, 2)), algebra((2, 2))
+        twists = tuple(
+            np.diag([(-1.0) ** rng.randint(0, 1) for _ in range(m)])
+            @ np.roll(np.eye(m, dtype=np.complex128), rng.randint(1, m - 1), axis=0)
+            for m in left.block_dims
+        )
+        M = EquivalenceBimodule(left, right, twists)
+        assert validate_bimodule(M).passed
+        v = validate_bimodule(M, 1e-20)
+        assert v.tol == 1e-20 and v.twist_unitary
+        assert max(v.imprimitivity, v.left_linearity, v.hermitian, v.adjoint_compat) > 1e-20
+        assert not v.passed
+
+    def test_transition_unitarity_uses_the_given_tol(self):
+        A = algebra((2,))
+        cov = cover(1, [{0}, {0}])
+        M = standard_bimodule(A, A)
+        near = (1 + 1e-12) * np.eye(2, dtype=np.complex128)
+        D = morita.make_bimodule_datum(A, A, cov, (M, M), [(0, 1, 0, near)])
+        assert validate_bimodule_datum(D).transitions_unitary
+        assert not validate_bimodule_datum(D, 1e-30).transitions_unitary
 
 
 class TestDual:
@@ -206,7 +238,7 @@ class TestGlueRoundTrip:
         rng = Rng(57)
         for _ in range(5):
             x = gen.random_vector(rng, M.right_module())
-            ap = morita._random_alg(rng, M.left_algebra)
+            ap = gen.random_element(rng, M.left_algebra)
             lhs = apply_map(phi, left_act(M, ap, x))
             rhs = left_act(gb.bimodule, ap, apply_map(phi, x))
             assert vec_norm(lhs - rhs) < 1e-9
@@ -411,3 +443,115 @@ class TestPicard:
         for key, per in f.items():
             for k, v in per.items():
                 assert abs(v - f2[key][k]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the brute-force oracles
+
+TWIST_KINDS = ("unitary", "zero", "scaled", "rank_deficient", "ill_conditioned")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(TWIST_KINDS), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(kinds=list(TWIST_KINDS), seed=0)
+@example(kinds=["ill_conditioned"] * 3, seed=1)
+def test_closed_form_fullness_matches_the_span_rank_oracle(kinds, seed):
+    rng = Rng(seed)
+    left = algebra(tuple(rng.randint(1, 3) for _ in kinds))
+    right = algebra(tuple(rng.randint(1, 3) for _ in kinds))
+    twists = []
+    for kind, m in zip(kinds, left.block_dims):
+        u = rng.unitary(m)
+        if kind == "zero":
+            u = 0.0 * u
+        elif kind == "scaled":
+            u = 2.0 * u
+        elif kind == "rank_deficient":  # zero for m = 1
+            u = u @ np.diag([1.0] * (m - 1) + [0.0])
+        elif kind == "ill_conditioned":  # full iff s_min / s_max > 1e-5
+            u = u @ np.diag([1.0] * (m - 1) + [(1e-3, 1e-7)[rng.randint(0, 1)]])
+        twists.append(u)
+    M = EquivalenceBimodule(left, right, tuple(twists))
+    v = validate_bimodule(M)
+    assert (v.full_left, v.full_right) == oracles.span_fullness(M)
+
+
+DATUM_MODES = ("coherent", "random_unitary", "pull_apart", "non_bimodule",
+               "scaled_twist", "scaled_transition")
+
+
+def bimodule_datum(mode, seed):
+    """A bimodule gluing datum of the given family: coherent or random-unitary
+    scalars times the canonical transitions, the pull-apart of a random
+    bimodule, random unitary transitions that are no bimodule maps (every
+    block of dimension >= 2 on at least two full sets), a coherent datum with
+    the last non-empty set's twist zeroed or doubled (a member twist that is
+    not unitary), or one whose transitions nu_ij are rescaled by l_i / l_j (not
+    unitary, but the glued left action is still a -> V a V*)."""
+    rng = Rng(seed)
+    cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=3, max_cover_sets=3,
+                    twist_mode="random_unitary" if mode == "random_unitary" else "coherent")
+    if mode == "non_bimodule":
+        left = algebra(tuple(rng.randint(2, 3) for _ in range(rng.randint(1, 3))))
+        cov = cover(left.num_blocks, [frozenset(left.labels)] * rng.randint(2, 3))
+    else:
+        left = gen.random_algebra(rng, cfg)
+        cov = gen.random_cover(rng, left, cfg)
+    right = algebra(tuple(rng.randint(1, 3) for _ in left.block_dims))
+    if mode == "pull_apart":
+        return pull_apart_bimodule(random_bimodule(rng, left, right), cov)
+    D = random_bimodule_datum(rng, left, right, cov, cfg)
+    nu = [(i, j, k, W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    if mode == "non_bimodule":
+        entries = [(i, j, k, rng.unitary(D.mult_at(i, k)))
+                   for (i, j) in cov.pairs(include_diagonal=False) if i < j
+                   for k in sorted(cov.overlap(i, j))]
+        D = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
+    elif mode == "scaled_twist":
+        bims = list(D.bimodules)
+        last = max(i for i, F in enumerate(cov.sets) if F)
+        bims[last] = EquivalenceBimodule(
+            bims[last].left_algebra, bims[last].right_algebra,
+            tuple((0.0, 2.0)[rng.randint(0, 1)] * u for u in bims[last].twist))
+        D = morita.make_bimodule_datum(left, right, cov, bims, nu)
+    elif mode == "scaled_transition":
+        scale = [1.0 + 2.0 * rng.uniform() for _ in range(cov.num_sets)]
+        D = morita.make_bimodule_datum(
+            left, right, cov, D.bimodules,
+            [(i, j, k, scale[i] / scale[j] * W) for (i, j, k, W) in nu])
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(DATUM_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="non_bimodule", seed=0)
+@example(mode="scaled_twist", seed=0)
+@example(mode="scaled_transition", seed=0)
+def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
+    D = bimodule_datum(mode, seed)
+    tol = morita.DEFAULT_TOL
+    try:
+        gb = glue_bimodules(D, tol)
+    except RankAmbiguityError:
+        return  # glue refused the rank decision; there is no twist to compare
+    if mode == "non_bimodule":
+        assert validate_bimodule_datum(D).transitions_bimodule > 1e-3
+    if mode in ("non_bimodule", "scaled_twist"):
+        assert gb.bimodule is None
+    if gb.dimension_deficit:
+        assert gb.bimodule is None
+        return
+    if mode == "scaled_transition":
+        assert gb.bimodule is not None
+    twists, residual = oracles.probed_glued_twists(D, gb.glued)
+    assert (gb.left_action_residual <= tol) == (residual <= tol)
+    if gb.bimodule is None:
+        return
+    assert (gb.validation.full_left, gb.validation.full_right) == oracles.span_fullness(gb.bimodule)
+    for V, W in zip(gb.bimodule.twist, twists):
+        phase = np.vdot(W, V) / np.vdot(W, W)  # V = phase * W
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert numlin.op_norm(V - phase * W) <= 1e-12

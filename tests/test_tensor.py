@@ -159,7 +159,7 @@ class TestDeltaMap:
         B = sum_algebra(D.algebra, D.cover)
         rng = Rng(9)
         z = rand_family(rng, D)
-        b = AlgebraElement(B.flat, tuple(rng.gauss_matrix(n, n) for n in B.flat.block_dims))
+        b = gen.random_element(rng, B.flat)
         lhs = tensor.delta_map(D, tensor.family_right_act(z, b, B))
         rhs = tensor.pair_right_act(tensor.delta_map(D, z), b)
         assert tensor.pair_norm(lhs - rhs) <= 1e-12
@@ -173,7 +173,8 @@ class TestLiftToTriple:
         model = tensor.pair_model(D)
         z = tuple(gen.random_vector(Rng(10), m) for m in D.modules)
         t = tensor.eta_map(z, model)
-        lifts = [tensor.lift_to_triple(kind, D, t) for kind in
+        tm = tensor.triple_model(D)
+        lifts = [tensor.lift_to_triple(kind, D, t, tm) for kind in
                  ("eta_tensor_id", "id_tensor_etaB", "delta_tensor_id")]
         for a in lifts[1:]:
             assert tensor.triple_norm(
@@ -185,17 +186,19 @@ class TestLiftToTriple:
     def test_coassociativity_on_coherent_data(self, coherent_datum):
         D = coherent_datum
         rng = Rng(11)
+        tm = tensor.triple_model(D)
         for _ in range(10):
             z = rand_family(rng, D)
             t = tensor.delta_map(D, z)
-            lhs = tensor.lift_to_triple("delta_tensor_id", D, t)
-            rhs = tensor.lift_to_triple("eta_tensor_id", D, t)
+            lhs = tensor.lift_to_triple("delta_tensor_id", D, t, tm)
+            rhs = tensor.lift_to_triple("eta_tensor_id", D, t, tm)
             assert tensor.triple_norm(lhs - rhs) <= 1e-12
 
     def test_unknown_kind_rejected(self, coherent_datum):
         model = tensor.pair_model(coherent_datum)
         with pytest.raises(InvalidInputError):
-            tensor.lift_to_triple("bogus", coherent_datum, model.zero())
+            tensor.lift_to_triple("bogus", coherent_datum, model.zero(),
+                                   tensor.triple_model(coherent_datum))
 
     def test_pair_level_image_eta_dimension(self, twisted_datum):
         # ker(eta (x) id - id (x) eta_B) at the pair level has dim Z
@@ -355,12 +358,8 @@ class TestGluedTensorImage:
         for _ in range(5):
             g1 = gen.random_vector(rng, gd.module)
             g2 = gen.random_vector(rng, gd.module)
-            b1 = AlgebraElement(B.flat, tuple(
-                rng.gauss_matrix(n, n) for n in B.flat.block_dims
-            ))
-            b2 = AlgebraElement(B.flat, tuple(
-                rng.gauss_matrix(n, n) for n in B.flat.block_dims
-            ))
+            b1 = gen.random_element(rng, B.flat)
+            b2 = gen.random_element(rng, B.flat)
             x = tensor.pair_from_family_and_b(model, gd.embed(g1), b1)
             y = tensor.pair_from_family_and_b(model, gd.embed(g2), b2)
             lhs = family_inner(
