@@ -71,6 +71,12 @@ def _emit(reports, out_path):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
+def _required_residual(v) -> float:
+    """The largest residual of a gluing datum's required laws."""
+    r = v.max_residuals
+    return max(r["unitary"], r["identity"], r["involutive"])
+
+
 def cmd_validate(args) -> int:
     obj = load_instance_file(args.file)
     t0 = time.time()
@@ -78,9 +84,7 @@ def cmd_validate(args) -> int:
     if isinstance(obj, GluingDatum):
         v = validate_gluing_datum(obj, args.tol)
         reports.append(Report(
-            "validate_gluing_datum", v.required_ok,
-            max(v.max_residuals["unitary"], v.max_residuals["identity"],
-                v.max_residuals["involutive"]),
+            "validate_gluing_datum", v.required_ok, _required_residual(v),
             args.tol, args.file, time.time() - t0,
             {"cocycle": v.cocycle, "residuals": v.max_residuals},
         ))
@@ -133,12 +137,20 @@ def cmd_glue(args) -> int:
     if isinstance(obj, GluingDatum):
         v = validate_gluing_datum(obj, args.tol)
         if not v.required_ok:
-            print("FAIL datum validation", v.max_residuals)
-            return EXIT_CHECK_FAILED
+            rep = Report(
+                "glue", False, _required_residual(v), args.tol, args.file,
+                time.time() - t0,
+                {"cocycle": v.cocycle, "residuals": v.max_residuals},
+            )
+            return _emit([rep], args.out)
         gd = glue(obj)
         rep = Report(
             "glue", True, 0.0, args.tol, args.file, time.time() - t0,
-            {"glued_mult": list(gd.module.mult), "cocycle": v.cocycle},
+            {
+                "glued_mult": list(gd.module.mult),
+                "cocycle": v.cocycle,
+                "rank_margin": {str(k): list(m) for k, m in gd.rank_margin.items()},
+            },
         )
         return _emit([rep], args.out)
     raise InvalidInputError("glue expects a gluing datum file")

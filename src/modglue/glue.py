@@ -39,6 +39,11 @@ from .hmod import (
 
 DEFAULT_TOL = 1e-9
 
+#: How far from the identity, in operator norm, make_gluing_datum lets a
+#: diagonal transition zeta_ii lie before rejecting the datum.  It is
+#: absolute: a diagonal entry is compared with I, which has norm 1.
+DIAGONAL_IDENTITY_TOL = 1e-12
+
 
 @dataclass(eq=False)
 class GluingDatum:
@@ -98,7 +103,7 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
     for (i, j, k, M) in zeta_entries:
         if i == j:
             m = _mult(modules[i], k)
-            if numlin.op_norm(numlin.as_cmatrix(M) - np.eye(m)) > 1e-12:
+            if numlin.op_norm(numlin.as_cmatrix(M) - np.eye(m)) > DIAGONAL_IDENTITY_TOL:
                 raise InvalidInputError("diagonal transitions must be the identity")
             continue
         if k not in cover.overlap(i, j):
@@ -130,29 +135,73 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
+def transition_residuals(members, sizes, block):
+    """Largest unitarity, involution and cocycle residuals of one label's
+    transitions, from one stacked tensor.
+
+    members are the cover sets owning the label, sizes their multiplicities
+    and block(i, j) the transition matrix from member j to member i.  Each
+    transition is zero-padded into Z[a, b] of the (s, s, m, m) tensor, m the
+    largest size, with P_a = diag(1, ..., 1, 0, ...) (m_a ones) on the
+    diagonal; padding preserves every operator norm when unitarity is
+    measured against P_b and P_a instead of I.  Returns (unitary, nonsquare,
+    involutive, cocycle): the largest of ||W*W - I|| and ||WW* - I|| over the
+    square pairs, whether any pair is not square, the largest ||Z_ba - Z_ab*||
+    and the largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c}; the triples
+    with b = a or b = c are exactly 0 and are left out.  The cocycle is taken
+    one first index a at a time, so the extra memory is O(s^2 m^2).
+    """
+    s = len(members)
+    if s < 2:
+        return 0.0, False, 0.0, 0.0
+    m = max(sizes)
+    Z = np.zeros((s, s, m, m), dtype=np.complex128)
+    proj = np.zeros((s, m, m), dtype=np.complex128)
+    for a, (i, m_a) in enumerate(zip(members, sizes)):
+        proj[a, :m_a, :m_a] = np.eye(m_a)
+        Z[a, a] = proj[a]
+        for b, j in enumerate(members):
+            if b != a:
+                Z[a, b, :m_a, :sizes[b]] = block(i, j)
+
+    off = ~np.eye(s, dtype=bool)
+    pa, pb = np.nonzero(off)  # ordered pairs a != b
+    size = np.asarray(sizes)
+    square = size[pa] == size[pb]
+    sa, sb = pa[square], pb[square]
+    W = Z[sa, sb]
+    WH = W.conj().swapaxes(-1, -2)
+    unitary = numlin.op_norms(
+        np.concatenate([WH @ W - proj[sb], W @ WH - proj[sa]])
+    ).max(initial=0.0)
+    involutive = numlin.op_norms(
+        Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
+    ).max(initial=0.0)
+    cocycle = 0.0
+    for a in range(s):
+        b, c = np.nonzero(off & (np.arange(s) != a)[:, None])  # b not in {a, c}
+        cocycle = max(cocycle, numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
+    return float(unitary), not square.all(), float(involutive), float(cocycle)
+
+
 def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumValidation:
     """Check unitarity, diagonal identities, involution and the cocycle.
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
+    The transitions are checked label by label with transition_residuals; a
+    transition that is not square counts as unitarity residual 1.
     """
     res = {"unitary": 0.0, "identity": 0.0, "involutive": 0.0, "cocycle": 0.0}
-    for (i, j) in D.cover.pairs(include_diagonal=False):
-        for k in sorted(D.cover.overlap(i, j)):
-            U = D.zeta_block(i, j, k)
-            m = U.shape[0]
-            if U.shape[0] != U.shape[1]:
-                res["unitary"] = max(res["unitary"], 1.0)
-            else:
-                res["unitary"] = max(
-                    res["unitary"],
-                    numlin.op_norm(U.conj().T @ U - np.eye(m)),
-                    numlin.op_norm(U @ U.conj().T - np.eye(m)),
-                )
-            res["involutive"] = max(
-                res["involutive"],
-                numlin.op_norm(D.zeta_block(j, i, k) - U.conj().T),
-            )
+    for k in D.algebra.labels:
+        members = D.cover.members(k)
+        unitary, nonsquare, involutive, cocycle = transition_residuals(
+            members, [D.mult_at(i, k) for i in members],
+            lambda i, j: D.zeta_block(i, j, k),
+        )
+        res["unitary"] = max(res["unitary"], unitary, 1.0 if nonsquare else 0.0)
+        res["involutive"] = max(res["involutive"], involutive)
+        res["cocycle"] = max(res["cocycle"], cocycle)
     # Diagonal entries are identities by construction; report 0 unless a raw
     # datum was built without the normalizing constructor.
     for (i, j), entries in D.zeta.items():
@@ -161,12 +210,6 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
                 res["identity"] = max(
                     res["identity"], numlin.op_norm(U - np.eye(U.shape[0]))
                 )
-    for (i, j, l) in D.cover.triples():
-        for k in sorted(D.cover.overlap(i, j, l)):
-            lhs = D.zeta_block(i, j, k) @ D.zeta_block(j, l, k)
-            res["cocycle"] = max(
-                res["cocycle"], numlin.op_norm(lhs - D.zeta_block(i, l, k))
-            )
     return DatumValidation(
         unitary=res["unitary"] <= tol,
         identity=res["identity"] <= tol,
@@ -249,12 +292,16 @@ class GluedModule:
     members[k] lists the cover sets owning block k with their row offsets.
     The embedding scales E_k by sqrt(#members) so that each single component
     of an embedded vector carries the abstract inner product on the nose.
+    rank_margin[k] is numlin.rank_margin of the rank decision that gave E_k:
+    (smallest kept, largest discarded) singular value of the overlap
+    constraint, each relative to the rank threshold, None where there is none.
     """
 
     datum: GluingDatum
     module: HilbertModule
     stacked_basis: dict = field(default_factory=dict)  # label -> E_k
     layout: dict = field(default_factory=dict)  # label -> tuple of (i, offset, m_i)
+    rank_margin: dict = field(default_factory=dict)  # label -> (kept, discarded)
 
     def member_count(self, label) -> int:
         return len(self.layout[label])
@@ -313,6 +360,7 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
     mult = []
     stacked_basis = {}
     layout = {}
+    margins = {}
     for k in A.labels:
         members = D.cover.members(k)
         sizes = [D.mult_at(i, k) for i in members]
@@ -352,11 +400,12 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
             )
         mult.append(E.shape[1])
         stacked_basis[k] = E
+        margins[k] = (kept, dropped)
         layout[k] = tuple(
             (i, int(offsets[a]), sizes[a]) for a, i in enumerate(members)
         )
     glued = HilbertModule(A, tuple(mult))
-    return GluedModule(D, glued, stacked_basis, layout)
+    return GluedModule(D, glued, stacked_basis, layout, margins)
 
 
 def glue_morphism(m: GlueMorphism, tol: float = DEFAULT_TOL) -> AdjointableMap:

@@ -48,6 +48,22 @@ def op_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def op_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a (..., rows, cols) stack.
+
+    Entry by entry equal to op_norm, from one batched SVD; like as_cmatrix it
+    rejects NaN/Inf, and empty matrices (and an empty stack) give 0.
+    """
+    S = np.asarray(stack, dtype=np.complex128)
+    if S.ndim < 2:
+        raise InvalidInputError(f"expected a stack of matrices, got ndim={S.ndim}")
+    if S.size and not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    if S.size == 0:
+        return np.zeros(S.shape[:-2])
+    return np.linalg.svd(S, compute_uv=False)[..., 0]
+
+
 def _rank_of(s: np.ndarray, tol: float) -> int:
     """Number of descending singular values s above tol * s[0]."""
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0

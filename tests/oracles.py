@@ -10,12 +10,15 @@ library's per-label matrices T_k replace.  Bimodule fullness and the glued
 twist, which the library reads in closed form from the normal form, are
 re-derived here by brute force: the rank of the span of all inner products of
 matrix-unit vectors, and the transported left action probed on every matrix
-unit.
+unit.  The transition checks of both datum validators, which the library
+takes per label from one stacked tensor, are the per-pair and per-triple
+loops here.
 """
 
 import numpy as np
 
-from modglue import morita, tensor
+from modglue import morita, numlin, tensor
+from modglue.glue import DatumValidation
 from modglue.hmod import inner_product, restrict_module
 
 
@@ -327,3 +330,64 @@ def probed_glued_twists(D, gd):
         twists.append(V)
         worst = max(worst, r)
     return tuple(twists), worst
+
+
+# ---------------------------------------------------------------------------
+# Per-pair transition checks
+
+
+def pairwise_gluing_validation(D, tol):
+    """validate_gluing_datum with one SVD per (pair, label) and per
+    (triple, label)."""
+    res = {"unitary": 0.0, "identity": 0.0, "involutive": 0.0, "cocycle": 0.0}
+    for (i, j) in D.cover.pairs(include_diagonal=False):
+        for k in sorted(D.cover.overlap(i, j)):
+            U = D.zeta_block(i, j, k)
+            m = U.shape[0]
+            if U.shape[0] != U.shape[1]:
+                res["unitary"] = max(res["unitary"], 1.0)
+            else:
+                res["unitary"] = max(
+                    res["unitary"],
+                    numlin.op_norm(U.conj().T @ U - np.eye(m)),
+                    numlin.op_norm(U @ U.conj().T - np.eye(m)),
+                )
+            res["involutive"] = max(
+                res["involutive"],
+                numlin.op_norm(D.zeta_block(j, i, k) - U.conj().T),
+            )
+    for (i, j), entries in D.zeta.items():
+        if i == j:
+            for k, U in entries.items():
+                res["identity"] = max(res["identity"], numlin.op_norm(U - np.eye(U.shape[0])))
+    for (i, j, l) in D.cover.triples():
+        for k in sorted(D.cover.overlap(i, j, l)):
+            lhs = D.zeta_block(i, j, k) @ D.zeta_block(j, l, k)
+            res["cocycle"] = max(res["cocycle"], numlin.op_norm(lhs - D.zeta_block(i, l, k)))
+    return DatumValidation(
+        unitary=res["unitary"] <= tol,
+        identity=res["identity"] <= tol,
+        involutive=res["involutive"] <= tol,
+        cocycle=res["cocycle"] <= tol,
+        max_residuals=res,
+    )
+
+
+def pairwise_bimodule_validation(D, tol):
+    """validate_bimodule_datum with numlin.is_unitary per (pair, label) and
+    one SVD per (triple, label)."""
+    bims_ok = all(morita.validate_bimodule(Mi, tol).passed for Mi in D.bimodules)
+    unit = True
+    bire = invo = coc = 0.0
+    for (i, j) in D.cover.pairs(include_diagonal=False):
+        for k in sorted(D.cover.overlap(i, j)):
+            W = D.nu_block(i, j, k)
+            unit = unit and numlin.is_unitary(W, tol)
+            _, r = morita._scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
+            bire = max(bire, r)
+            invo = max(invo, numlin.op_norm(D.nu_block(j, i, k) - W.conj().T))
+    for (i, j, l) in D.cover.triples():
+        for k in sorted(D.cover.overlap(i, j, l)):
+            lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
+            coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
+    return morita.BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)

@@ -8,6 +8,7 @@ from modglue.cstar import algebra, cover, restrict_algebra
 from modglue.errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import (
+    DEFAULT_TOL,
     GlueMorphism,
     descent_identities_check,
     epsilon_iso,
@@ -38,6 +39,7 @@ from oracles import (
     constraint_matrix,
     flat_glued_subspace_basis,
     kron_kernel_dim,
+    pairwise_gluing_validation,
     two_svd_multiplicities,
 )
 
@@ -411,6 +413,111 @@ def test_one_svd_glue_matches_the_kronecker_oracle(mode, seed, theta):
     assert gd.module.mult == two_svd_multiplicities(D, tol)
     for k, n, g in zip(D.algebra.labels, D.algebra.block_dims, gd.module.mult):
         assert kron_kernel_dim(constraint_matrix(D, k), n, tol) == g * n
+
+
+def test_glued_module_records_the_rank_margin():
+    # the witness of test_rank_ambiguity_guard, on both clear sides of the band
+    tol, rho = numlin.DEFAULT_RANK_TOL, numlin.RANK_GAP_FACTOR
+    for theta in (1e-6, 0.0, np.pi):
+        D = phase_witness(theta)
+        gd = glue(D, tol)
+        _, s = numlin.kernel_basis(constraint_matrix(D, 0), tol, return_singular_values=True)
+        assert gd.rank_margin == {0: numlin.rank_margin(s, 3, tol)}
+    kept, dropped = glue(phase_witness(1e-6)).rank_margin[0]
+    assert kept >= rho and dropped is None  # all three kept: glues to zero
+    kept, dropped = glue(phase_witness(0.0)).rank_margin[0]
+    assert kept >= rho and dropped < 1 / rho  # one exact zero discarded
+
+
+TRANSITION_MODES = ("coherent", "random_unitary", "prescribed_phases", "zero_mult",
+                    "single_member", "scaled", "mixed_mult")
+
+
+def transition_datum(mode, seed, theta):
+    """A datum for the transition checks: a family of oracle_datum, one whose
+    labels each have one member set except label 0, which every set owns,
+    random-unitary transitions each scaled by its own factor (neither unitary
+    nor involutive), or per-set multiplicities drawn independently in 0..3,
+    so that some transitions are not square.  Returns (datum, uniform), with
+    uniform False iff some label's members differ in multiplicity."""
+    if mode not in ("single_member", "scaled", "mixed_mult"):
+        return oracle_datum(mode, seed, theta), True
+    rng = Rng(seed)
+    cfg = GenConfig(seed=seed, max_blocks=4, max_block_dim=2, twist_mode="random_unitary")
+    A = gen.random_algebra(rng, cfg)
+    N = rng.randint(2, 4)
+    if mode == "single_member":
+        sets = [{0} for _ in range(N)]
+        for k in A.labels[1:]:
+            sets[rng.randint(0, N - 1)].add(k)
+        return gen.random_gluing_datum(rng, A, cover(A.num_blocks, sets), cfg), True
+    cov = gen.random_cover(rng, A, cfg)
+    if mode == "scaled":
+        D = gen.random_gluing_datum(rng, A, cov, cfg)
+        entries = [(i, j, k, (1.0 + rng.uniform()) * U)
+                   for (i, j), per in D.zeta.items() for k, U in per.items()]
+        return make_gluing_datum(A, cov, D.modules, entries), True
+    modules = tuple(
+        module(restrict_algebra(A, F), tuple(rng.randint(0, 3) for _ in F))
+        for F in cov.sets
+    )
+    def mult(i, k):
+        return modules[i].mult[modules[i].algebra.position(k)]
+    entries = []
+    for (i, j) in cov.pairs(include_diagonal=False):
+        if i < j:
+            for k in sorted(cov.overlap(i, j)):
+                U = rng.unitary(max(mult(i, k), mult(j, k)))
+                entries.append((i, j, k, U[:mult(i, k), :mult(j, k)]))
+    uniform = all(len({mult(i, k) for i in cov.members(k)}) <= 1 for k in A.labels)
+    return make_gluing_datum(A, cov, modules, entries), uniform
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(TRANSITION_MODES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    theta=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+@example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1)
+@example(mode="mixed_mult", seed=13, theta=0.0)  # padded: equal up to rounding
+def test_stacked_validation_matches_the_pairwise_oracle(mode, seed, theta):
+    D, uniform = transition_datum(mode, seed, theta)
+    tol = DEFAULT_TOL
+    v, w = validate_gluing_datum(D, tol), pairwise_gluing_validation(D, tol)
+    assert (v.unitary, v.identity, v.involutive, v.cocycle) == (
+        w.unitary, w.identity, w.involutive, w.cocycle)
+    if uniform:
+        assert v.max_residuals == w.max_residuals  # bit for bit
+    else:
+        for key, r in w.max_residuals.items():
+            assert abs(v.max_residuals[key] - r) <= 1e-12 * max(1.0, r)
+
+
+def test_mixed_multiplicities_are_checked():
+    # a 2 x 1 isometry and its adjoint: not unitary, but exactly involutive,
+    # and the cocycle zeta_01 zeta_10 - I = diag(0, -1) has norm 1
+    A = algebra((1,))
+    cov = cover(1, [{0}, {0}])
+    mods = (module(A, (2,)), module(A, (1,)))
+    D = make_gluing_datum(A, cov, mods, [(0, 1, 0, np.array([[1.0], [0.0]]))])
+    v = validate_gluing_datum(D)
+    assert v.max_residuals == {"unitary": 1.0, "identity": 0.0,
+                               "involutive": 0.0, "cocycle": 1.0}
+    assert v == pairwise_gluing_validation(D, DEFAULT_TOL)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_transitions_are_invalid_input():
+    D = gen.random_gluing_instance(GenConfig(seed=4, twist_mode="random_unitary")).datum
+    entries = [(i, j, k, 1e200 * U) for (i, j), per in D.zeta.items() for k, U in per.items()]
+    assert entries
+    big = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+    with pytest.raises(InvalidInputError):
+        validate_gluing_datum(big)
+    with pytest.raises(InvalidInputError):
+        pairwise_gluing_validation(big, DEFAULT_TOL)
 
 
 def test_dimension_law_for_coherent_data():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from modglue import gen, morita, numlin
 from modglue.cstar import algebra, cover
-from modglue.errors import ModelViolationError, RankAmbiguityError
+from modglue.errors import InvalidInputError, ModelViolationError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import phi_map
 from modglue.hmod import apply_map, inner_product, unitary_residual, vec_norm
@@ -555,3 +555,30 @@ def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
         phase = np.vdot(W, V) / np.vdot(W, W)  # V = phase * W
         assert abs(abs(phase) - 1.0) <= 1e-12
         assert numlin.op_norm(V - phase * W) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(DATUM_MODES + ("phases",)),
+       seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="phases", seed=0)
+@example(mode="scaled_transition", seed=0)
+def test_stacked_validation_matches_the_pairwise_oracle(mode, seed):
+    # bimodule multiplicities are the left block dimensions, so every
+    # label's transitions are square and no padding occurs: bit for bit
+    D = phases_datum() if mode == "phases" else bimodule_datum(mode, seed)
+    tol = morita.DEFAULT_TOL
+    assert validate_bimodule_datum(D, tol) == oracles.pairwise_bimodule_validation(D, tol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_transitions_are_invalid_input():
+    D = bimodule_datum("random_unitary", 5)
+    entries = [(i, j, k, 1e200 * W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    assert entries
+    big = morita.make_bimodule_datum(D.left_algebra, D.right_algebra, D.cover,
+                                     D.bimodules, entries)
+    with pytest.raises(InvalidInputError):
+        validate_bimodule_datum(big)
+    with pytest.raises(InvalidInputError):
+        oracles.pairwise_bimodule_validation(big, morita.DEFAULT_TOL)

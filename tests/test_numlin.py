@@ -77,6 +77,34 @@ class TestOpNorm:
             assert numlin.op_norm(A.conj().T) == pytest.approx(na, rel=1e-9)
 
 
+class TestOpNorms:
+    def test_equals_op_norm_matrix_by_matrix(self):
+        stack = np.stack([crand(4, 3) for _ in range(6)]).reshape(2, 3, 4, 3)
+        norms = numlin.op_norms(stack)
+        assert norms.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert norms[idx] == numlin.op_norm(stack[idx])
+
+    def test_empty_stack(self):
+        assert numlin.op_norms(np.zeros((0, 3, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (2, 4, 0), (2, 0, 0)])
+    def test_empty_members_give_zero(self, shape):
+        norms = numlin.op_norms(np.zeros(shape, dtype=np.complex128))
+        assert norms.shape == (shape[0],) and not norms.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        stack = np.stack([crand(2, 2), crand(2, 2)])
+        stack[1, 0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            numlin.op_norms(stack)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(InvalidInputError):
+            numlin.op_norms(np.ones(3))
+
+
 class TestIsUnitary:
     def test_identity(self):
         assert numlin.is_unitary(np.eye(3), 1e-12)

@@ -10,7 +10,7 @@ from modglue import cli, gen, serial, suite
 from modglue.cli import main
 from modglue.errors import NotAModuleMapError, NotAMorphismError
 from modglue.gen import GenConfig
-from modglue.glue import descent_identities_check
+from modglue.glue import descent_identities_check, glue, make_gluing_datum
 
 from test_glue import phase_witness
 
@@ -84,6 +84,37 @@ class TestCli:
         # the designated block glues to multiplicity zero
         assert record["details"]["glued_mult"][0] == 0
         assert record["details"]["cocycle"] is False
+
+    def test_glue_reports_a_failing_datum(self, tmp_path, capsys):
+        # one doubled transition: unitarity residual 3, a glue report, exit 2
+        D = gen.random_gluing_instance(GenConfig(seed=6, twist_mode="random_unitary")).datum
+        (i, j), per = next(iter(D.zeta.items()))
+        k = next(iter(per))
+        entries = [(a, b, lab, 2.0 * U if (a, b, lab) == (i, j, k) else U)
+                   for (a, b), blocks in D.zeta.items() for lab, U in blocks.items()
+                   if (b, a, lab) != (i, j, k)]
+        bad = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+        inst, rep = tmp_path / "bad.json", tmp_path / "rep.jsonl"
+        inst.write_text(serial.canonical_dumps(serial.gluing_to_json(bad)))
+        assert main(["glue", str(inst), "--out", str(rep)]) == 2
+        records = [json.loads(line) for line in rep.read_text().splitlines()]
+        assert len(records) == 1
+        record = records[0]
+        residuals = record["details"]["residuals"]
+        assert record["check"] == "glue" and record["pass"] is False
+        assert abs(residuals["unitary"] - 3.0) < 1e-12
+        assert record["max_residual"] == max(
+            residuals["unitary"], residuals["identity"], residuals["involutive"])
+        assert capsys.readouterr().out.startswith("FAIL glue residual=")
+
+    def test_glue_report_carries_the_rank_margin(self, tmp_path):
+        inst, rep = tmp_path / "w.json", tmp_path / "rep.jsonl"
+        inst.write_text(serial.canonical_dumps(serial.gluing_to_json(phase_witness(1e-6))))
+        assert main(["glue", str(inst), "--out", str(rep)]) == 0
+        record = json.loads(rep.read_text())
+        expected = glue(phase_witness(1e-6)).rank_margin[0]
+        assert record["details"]["rank_margin"] == {"0": list(expected)}
+        assert record["details"]["rank_margin"]["0"][1] is None
 
     def test_roundtrip_on_seeds(self):
         assert main(["roundtrip", "--trials", "3"]) == 0
