@@ -99,9 +99,12 @@ def cmd_validate(args) -> int:
     elif isinstance(obj, EquivalenceBimodule):
         v = morita.validate_bimodule(obj, args.tol)
         reports.append(Report(
-            "validate_bimodule", v.passed,
-            max(v.imprimitivity, v.left_linearity, v.hermitian, v.adjoint_compat),
-            args.tol, args.file, time.time() - t0, {},
+            "validate_bimodule", v.passed, max(v.imprimitivity, v.left_linearity),
+            args.tol, args.file, time.time() - t0,
+            {
+                "unitarity_defect": {str(k): d for k, d in v.unitarity_defect.items()},
+                "rank_margin": {str(k): list(m) for k, m in v.rank_margin.items()},
+            },
         ))
     else:  # module instance triple
         A, cov, X = obj

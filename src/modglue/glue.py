@@ -135,6 +135,7 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def transition_residuals(members, sizes, block):
     """Largest unitarity, involution and cocycle residuals of one label's
     transitions, from one stacked tensor.
@@ -149,7 +150,9 @@ def transition_residuals(members, sizes, block):
     square pairs, whether any pair is not square, the largest ||Z_ba - Z_ab*||
     and the largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c}; the triples
     with b = a or b = c are exactly 0 and are left out.  The cocycle is taken
-    one first index a at a time, so the extra memory is O(s^2 m^2).
+    one first index a at a time, so the extra memory is O(s^2 m^2).  A
+    non-finite residual raises InvalidInputError, with numpy's overflow and
+    invalid-value warnings silenced.
     """
     s = len(members)
     if s < 2:

@@ -26,7 +26,6 @@ from .cstar import (
     restrict_algebra,
 )
 from .errors import InvalidInputError, ModelViolationError
-from .gen import random_element, random_vector
 from .glue import (
     GluingDatum,
     GluedModule,
@@ -34,14 +33,7 @@ from .glue import (
     make_gluing_datum,
     transition_residuals,
 )
-from .hmod import (
-    HilbertModule,
-    ModuleVector,
-    inner_product,
-    module,
-    right_act,
-    vec_norm,
-)
+from .hmod import HilbertModule, ModuleVector, module
 from .rng import Rng
 
 DEFAULT_TOL = 1e-9
@@ -112,77 +104,78 @@ def restrict_bimodule(M: EquivalenceBimodule, F) -> EquivalenceBimodule:
     )
 
 
-@dataclass
-class BimoduleValidation:
-    shapes: bool
-    twist_unitary: bool
-    imprimitivity: float
-    left_linearity: float
-    hermitian: float
-    adjoint_compat: float
-    full_left: bool
-    full_right: bool
-    labels_aligned: bool
-    tol: float  # the tolerance the residuals were judged at
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.shapes and self.twist_unitary and self.full_left
-            and self.full_right and self.labels_aligned
-            and max(self.imprimitivity, self.left_linearity,
-                    self.hermitian, self.adjoint_compat) <= self.tol
-        )
-
-
 # The left inner products see u through a -> u* a u, whose singular values
 # are the products s_i s_j of u's; this threshold on s_min / s_max is the
 # rank threshold on s_min^2 / s_max^2.
 _TWIST_RANK_TOL = numlin.DEFAULT_RANK_TOL ** 0.5
 
 
-def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL,
-                      trials: int = 8, seed: int = 7) -> BimoduleValidation:
-    """Check the imprimitivity identities on random vectors, and fullness in
-    closed form.
+@dataclass
+class BimoduleValidation:
+    """Closed-form validation of a normal-form equivalence bimodule.
 
-    In normal form the left inner products u* x y* u of block k span
-    u* M_m u, which is all of M_m iff u is invertible.  The right inner
-    products x* y span M_n whenever m >= 1, and every block of an
-    FdCStarAlgebra has m >= 1, so full_right always holds.
+    Per block k with twist u, singular values s and P = uu*, the unitarity
+    defect d_k = max |s^2 - 1| equals ||u*u - I|| = ||uu* - I||, and:
+
+    - left_linearity is max_k d_k s_max^2, the exact sup over unit a', x, y
+      of ||_A'<a'x|y> - a' _A'<x|y>||, since
+      u*(u a u* x) y* u - a u* x y* u = (u*u - I) a (u* x y* u);
+    - imprimitivity is max_k d_k (s_max^2 + 1), an upper bound of the sup
+      over unit x, y, z of ||_A'<x|y> z - x <y|z>_A||, since
+      P x y* P z - x y* z = (P - I) x y* P z + x y* (P - I) z;
+    - full_left holds iff every u_k is invertible, the left inner products
+      u* x y* u spanning u* M_m u.
+
+    The other laws hold for every EquivalenceBimodule and have no field:
+    hermitian symmetry, as (u* x y* u)* = u* y x* u; adjoint compatibility
+    <a'x|y>_A = <x|a'* y>_A, as both sides are x* u a* u* y; the shape law
+    m_k = n'_k, as mult is defined as the left block dimensions; right
+    fullness, as the x* y span M_n whenever m >= 1, which every block has;
+    and label alignment, which EquivalenceBimodule.__post_init__ enforces.
     """
-    rng = Rng(seed)
-    Xr = M.right_module()
-    shapes = M.left_algebra.block_dims == tuple(M.mult)
-    twist_unitary = all(numlin.is_unitary(u, tol) for u in M.twist)
 
-    imp = lin = herm = adj = 0.0
-    for _ in range(trials):
-        x = random_vector(rng, Xr)
-        y = random_vector(rng, Xr)
-        z = random_vector(rng, Xr)
-        ap = random_element(rng, M.left_algebra)
-        # _A'<x|y> . z = x . <y|z>_A
-        lhs = left_act(M, left_inner(M, x, y), z)
-        rhs = right_act(x, inner_product(y, z))
-        imp = max(imp, vec_norm(lhs - rhs))
-        # _A'<a'x|y> = a' _A'<x|y>
-        lin = max(lin, (left_inner(M, left_act(M, ap, x), y) - ap * left_inner(M, x, y)).norm())
-        # hermitian symmetry
-        herm = max(herm, (left_inner(M, x, y).adjoint() - left_inner(M, y, x)).norm())
-        # <a'x|y>_A = <x|a'* y>_A
-        adj = max(
-            adj,
-            (inner_product(left_act(M, ap, x), y)
-             - inner_product(x, left_act(M, ap.adjoint(), y))).norm(),
+    twist_unitary: bool
+    imprimitivity: float
+    left_linearity: float
+    full_left: bool
+    unitarity_defect: dict  # label -> d_k
+    rank_margin: dict  # label -> numlin.rank_margin of u_k at _TWIST_RANK_TOL
+    tol: float  # the tolerance the residuals were judged at
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.twist_unitary and self.full_left
+            and max(self.imprimitivity, self.left_linearity) <= self.tol
         )
 
-    full_left = all(
-        numlin.rank(u, _TWIST_RANK_TOL) == m for m, u in zip(M.mult, M.twist)
-    )
+
+def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL) -> BimoduleValidation:
+    """Validate M from one SVD per twist (see BimoduleValidation).
+
+    A twist counts as invertible iff its rank decision at _TWIST_RANK_TOL
+    discards no singular value.
+    """
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    defect, margin = {}, {}
+    imp = lin = 0.0
+    for lab, u in zip(M.left_algebra.labels, M.twist):
+        s = numlin.singular_values(u)
+        d = float(np.abs(s * s - 1.0).max())
+        top = float(s[0]) ** 2
+        defect[lab] = d
+        margin[lab] = numlin.rank_margin(s, u.shape[1], _TWIST_RANK_TOL)
+        imp = max(imp, d * (top + 1.0))
+        lin = max(lin, d * top)
     return BimoduleValidation(
-        shapes, twist_unitary, imp, lin, herm, adj, full_left, True,
-        labels_aligned=(M.left_algebra.labels == M.right_algebra.labels), tol=tol,
+        twist_unitary=all(d <= tol for d in defect.values()),
+        imprimitivity=imp,
+        left_linearity=lin,
+        full_left=all(dropped is None for _, dropped in margin.values()),
+        unitarity_defect=defect,
+        rank_margin=margin,
+        tol=tol,
     )
 
 
@@ -414,7 +407,9 @@ def glue_bimodules(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> GluedBim
     a dimension deficit (the glued module is too small to be full), and a
     transition that is no bimodule map or a member twist that is not unitary
     as a left-action residual above tol; either is reported instead of a
-    bimodule.
+    bimodule.  A glued bimodule still gets validate_bimodule: a residual at
+    most tol leaves V's unitarity defect d at most tol, but the imprimitivity
+    bound d (s_max^2 + 1) can exceed tol.
     """
     gd = glue(underlying_right_datum(D))
     left = D.left_algebra

@@ -10,7 +10,9 @@ library's per-label matrices T_k replace.  Bimodule fullness and the glued
 twist, which the library reads in closed form from the normal form, are
 re-derived here by brute force: the rank of the span of all inner products of
 matrix-unit vectors, and the transported left action probed on every matrix
-unit.  The transition checks of both datum validators, which the library
+unit.  The identities of an equivalence bimodule, which the library bounds in
+closed form from each twist's singular values, are sampled here on random
+vectors.  The transition checks of both datum validators, which the library
 takes per label from one stacked tensor, are the per-pair and per-triple
 loops here.
 """
@@ -18,8 +20,10 @@ loops here.
 import numpy as np
 
 from modglue import morita, numlin, tensor
+from modglue.gen import random_element, random_vector
 from modglue.glue import DatumValidation
-from modglue.hmod import inner_product, restrict_module
+from modglue.hmod import inner_product, restrict_module, right_act, vec_norm
+from modglue.rng import Rng
 
 
 def row_reduction_rank(M, tol=1e-10):
@@ -286,6 +290,44 @@ def span_fullness(M):
         full_left = full_left and m >= 1 and n >= 1 and _span_rank(left_vals) == m * m
         full_right = full_right and _span_rank(right_vals) == n * n
     return full_left, full_right
+
+
+def sampled_bimodule_validation(M, tol):
+    """validate_bimodule by sampling, the slow path its closed form replaces:
+    the four identities of an equivalence bimodule on 8 draws of random
+    vectors x, y, z and a random element a', unitarity by numlin.is_unitary
+    and fullness by span_fullness.  Returns (passed, residuals): passed
+    judges the raw residuals at tol, and residuals maps each identity to its
+    largest sampled residual divided by the product of its inputs' norms."""
+    rng = Rng(7)
+    Xr = M.right_module()
+    raw = 0.0
+    res = dict.fromkeys(("imprimitivity", "left_linearity", "hermitian", "adjoint_compat"), 0.0)
+
+    def record(name, r, *norms):
+        nonlocal raw
+        raw = max(raw, r)
+        scale = float(np.prod(norms))
+        res[name] = max(res[name], r / scale if scale > 0 else r)
+
+    L, act = morita.left_inner, morita.left_act
+    for _ in range(8):
+        x, y, z = (random_vector(rng, Xr) for _ in range(3))
+        ap = random_element(rng, M.left_algebra)
+        nx, ny, nz, na = vec_norm(x), vec_norm(y), vec_norm(z), ap.norm()
+        # _A'<x|y> . z = x . <y|z>_A
+        record("imprimitivity",
+               vec_norm(act(M, L(M, x, y), z) - right_act(x, inner_product(y, z))), nx, ny, nz)
+        # _A'<a'x|y> = a' _A'<x|y>
+        record("left_linearity", (L(M, act(M, ap, x), y) - ap * L(M, x, y)).norm(), na, nx, ny)
+        record("hermitian", (L(M, x, y).adjoint() - L(M, y, x)).norm(), nx, ny)
+        # <a'x|y>_A = <x|a'* y>_A
+        record("adjoint_compat",
+               (inner_product(act(M, ap, x), y) - inner_product(x, act(M, ap.adjoint(), y))).norm(),
+               na, nx, ny)
+    full_left, full_right = span_fullness(M)
+    unitary = all(numlin.is_unitary(u, tol) for u in M.twist)
+    return unitary and full_left and full_right and raw <= tol, res
 
 
 def _inner_unitary_of(rho, m):

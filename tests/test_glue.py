@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -507,16 +509,17 @@ def test_mixed_multiplicities_are_checked():
     assert v == pairwise_gluing_validation(D, DEFAULT_TOL)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_transitions_are_invalid_input():
     D = gen.random_gluing_instance(GenConfig(seed=4, twist_mode="random_unitary")).datum
     entries = [(i, j, k, 1e200 * U) for (i, j), per in D.zeta.items() for k, U in per.items()]
     assert entries
     big = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
-    with pytest.raises(InvalidInputError):
-        validate_gluing_datum(big)
-    with pytest.raises(InvalidInputError):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError):
+            validate_gluing_datum(big)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
         pairwise_gluing_validation(big, DEFAULT_TOL)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -60,42 +62,47 @@ def phases_datum(left=None, right=None):
 
 class TestValidate:
     def test_standard_is_clean(self, algebras):
-        # residuals at raw float-associativity level, far below any tolerance
+        # identity twists have singular values exactly 1
         left, right = algebras
         v = validate_bimodule(standard_bimodule(left, right))
         assert v.passed
-        assert max(v.imprimitivity, v.left_linearity, v.hermitian, v.adjoint_compat) < 1e-13
+        assert v.imprimitivity == v.left_linearity == 0.0
+        assert set(v.unitarity_defect.values()) == {0.0}
 
     def test_random_twist_passes(self, bimodule):
         v = validate_bimodule(bimodule)
         assert v.passed
-        assert max(v.imprimitivity, v.left_linearity, v.hermitian, v.adjoint_compat) < 1e-12
+        assert max(v.imprimitivity, v.left_linearity) < 1e-12
+        # a unitary twist keeps every singular value, at relative size 1 / tol
+        for kept, dropped in v.rank_margin.values():
+            assert dropped is None and abs(kept * morita._TWIST_RANK_TOL - 1.0) < 1e-12
 
     def test_wrong_multiplicity_fails_fullness(self):
         # a bimodule whose left algebra does not match the multiplicity is
-        # not representable in normal form; the closest check is that the
-        # shape law m_k = n'_k is structural
+        # not representable in normal form: mult is defined as the left
+        # block dimensions, so the shape law m_k = n'_k is structural
         M = standard_bimodule(algebra((2,)), algebra((3,)))
-        v = validate_bimodule(M)
-        assert v.shapes  # normal form forces m = n'
-        assert v.passed
-
+        assert M.mult == M.left_algebra.block_dims
+        assert validate_bimodule(M).passed
 
     def test_passed_judges_residuals_at_the_given_tol(self):
-        # a signed-permutation twist is exactly unitary, so only the
-        # float-rounding residuals of the identities can fail a tiny tol
+        # (1 + eps) times a signed permutation has unitarity defect
+        # d = 2 eps + eps^2 in (tol / 2, tol]: the twist counts as unitary,
+        # but the imprimitivity bound d (s_max^2 + 1) exceeds tol
         rng = Rng(50)
+        tol, eps = 1e-12, 4e-13
         left, right = algebra((3, 2)), algebra((2, 2))
         twists = tuple(
-            np.diag([(-1.0) ** rng.randint(0, 1) for _ in range(m)])
+            (1 + eps) * np.diag([(-1.0) ** rng.randint(0, 1) for _ in range(m)])
             @ np.roll(np.eye(m, dtype=np.complex128), rng.randint(1, m - 1), axis=0)
             for m in left.block_dims
         )
         M = EquivalenceBimodule(left, right, twists)
         assert validate_bimodule(M).passed
-        v = validate_bimodule(M, 1e-20)
-        assert v.tol == 1e-20 and v.twist_unitary
-        assert max(v.imprimitivity, v.left_linearity, v.hermitian, v.adjoint_compat) > 1e-20
+        v = validate_bimodule(M, tol)
+        assert v.tol == tol and v.twist_unitary
+        assert all(tol / 2 < d <= tol for d in v.unitarity_defect.values())
+        assert v.imprimitivity > tol
         assert not v.passed
 
     def test_transition_unitarity_uses_the_given_tol(self):
@@ -448,17 +455,13 @@ class TestPicard:
 # ---------------------------------------------------------------------------
 # Closed forms against the brute-force oracles
 
-TWIST_KINDS = ("unitary", "zero", "scaled", "rank_deficient", "ill_conditioned")
+TWIST_KINDS = ("unitary", "zero", "scaled", "rank_deficient", "ill_conditioned", "random")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    kinds=st.lists(st.sampled_from(TWIST_KINDS), min_size=1, max_size=3),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@example(kinds=list(TWIST_KINDS), seed=0)
-@example(kinds=["ill_conditioned"] * 3, seed=1)
-def test_closed_form_fullness_matches_the_span_rank_oracle(kinds, seed):
+def twisted_bimodule(kinds, seed):
+    """A bimodule with one block per entry of kinds, whose twist is a random
+    unitary, zero, twice a unitary, a unitary with its last singular value
+    zeroed or shrunk to 1e-3 or 1e-7, or a complex Gaussian matrix."""
     rng = Rng(seed)
     left = algebra(tuple(rng.randint(1, 3) for _ in kinds))
     right = algebra(tuple(rng.randint(1, 3) for _ in kinds))
@@ -473,10 +476,37 @@ def test_closed_form_fullness_matches_the_span_rank_oracle(kinds, seed):
             u = u @ np.diag([1.0] * (m - 1) + [0.0])
         elif kind == "ill_conditioned":  # full iff s_min / s_max > 1e-5
             u = u @ np.diag([1.0] * (m - 1) + [(1e-3, 1e-7)[rng.randint(0, 1)]])
+        elif kind == "random":
+            u = rng.gauss_matrix(m, m)
         twists.append(u)
-    M = EquivalenceBimodule(left, right, tuple(twists))
-    v = validate_bimodule(M)
-    assert (v.full_left, v.full_right) == oracles.span_fullness(M)
+    return EquivalenceBimodule(left, right, tuple(twists))
+
+
+def assert_closed_form_matches_the_oracles(M, tol=morita.DEFAULT_TOL):
+    """validate_bimodule against the sampled oracle: the same verdict, the
+    closed forms bound the sampled residuals per unit input, the identities
+    the closed form drops stay at rounding level, and the dropped right
+    fullness holds."""
+    v = validate_bimodule(M, tol)
+    passed, sampled = oracles.sampled_bimodule_validation(M, tol)
+    assert v.passed == passed
+    rounding = 1e-12 * max([1.0] + [numlin.op_norm(u) ** 4 for u in M.twist])
+    assert sampled["imprimitivity"] <= v.imprimitivity + rounding
+    assert sampled["left_linearity"] <= v.left_linearity + rounding
+    assert max(sampled["hermitian"], sampled["adjoint_compat"]) <= rounding
+    assert oracles.span_fullness(M) == (v.full_left, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(TWIST_KINDS), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(kinds=list(TWIST_KINDS), seed=0)
+@example(kinds=["ill_conditioned"] * 3, seed=1)
+@example(kinds=["random"] * 3, seed=2)
+def test_closed_form_fullness_matches_the_span_rank_oracle(kinds, seed):
+    assert_closed_form_matches_the_oracles(twisted_bimodule(kinds, seed))
 
 
 DATUM_MODES = ("coherent", "random_unitary", "pull_apart", "non_bimodule",
@@ -533,6 +563,8 @@ def bimodule_datum(mode, seed):
 def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
     D = bimodule_datum(mode, seed)
     tol = morita.DEFAULT_TOL
+    for Mi in D.bimodules:
+        assert_closed_form_matches_the_oracles(Mi, tol)
     try:
         gb = glue_bimodules(D, tol)
     except RankAmbiguityError:
@@ -550,7 +582,7 @@ def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
     assert (gb.left_action_residual <= tol) == (residual <= tol)
     if gb.bimodule is None:
         return
-    assert (gb.validation.full_left, gb.validation.full_right) == oracles.span_fullness(gb.bimodule)
+    assert_closed_form_matches_the_oracles(gb.bimodule, tol)
     for V, W in zip(gb.bimodule.twist, twists):
         phase = np.vdot(W, V) / np.vdot(W, W)  # V = phase * W
         assert abs(abs(phase) - 1.0) <= 1e-12
@@ -570,15 +602,32 @@ def test_stacked_validation_matches_the_pairwise_oracle(mode, seed):
     assert validate_bimodule_datum(D, tol) == oracles.pairwise_bimodule_validation(D, tol)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_transitions_are_invalid_input():
     D = bimodule_datum("random_unitary", 5)
     entries = [(i, j, k, 1e200 * W) for (i, j), per in D.nu.items() for k, W in per.items()]
     assert entries
     big = morita.make_bimodule_datum(D.left_algebra, D.right_algebra, D.cover,
                                      D.bimodules, entries)
-    with pytest.raises(InvalidInputError):
-        validate_bimodule_datum(big)
-    with pytest.raises(InvalidInputError):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError):
+            validate_bimodule_datum(big)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
         oracles.pairwise_bimodule_validation(big, morita.DEFAULT_TOL)
+
+
+def test_validation_draws_no_random_samples(monkeypatch, algebras):
+    left, right = algebras
+    cov = cover(3, [{0, 1}, {1, 2}])
+    D = random_bimodule_datum(Rng(58), left, right, cov,
+                              GenConfig(seed=58, twist_mode="coherent"))
+
+    def refuse(*args):
+        raise AssertionError("random sampling on the validation path")
+
+    monkeypatch.setattr(Rng, "gauss_matrix", refuse)
+    assert all(validate_bimodule(Mi).passed for Mi in D.bimodules)
+    assert validate_bimodule_datum(D).required_ok()
+    gb = glue_bimodules(D)
+    assert gb.bimodule is not None and gb.validation.passed

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from modglue import cli, gen, serial, suite
+from modglue import cli, gen, morita, serial, suite
+from modglue.cstar import algebra
 from modglue.cli import main
 from modglue.errors import NotAModuleMapError, NotAMorphismError
 from modglue.gen import GenConfig
@@ -114,6 +115,21 @@ class TestCli:
         record = json.loads(rep.read_text())
         expected = glue(phase_witness(1e-6)).rank_margin[0]
         assert record["details"]["rank_margin"] == {"0": list(expected)}
+        assert record["details"]["rank_margin"]["0"][1] is None
+
+    def test_validate_bimodule_report_carries_defects_and_rank_margins(self, tmp_path):
+        # twist 2 I on a block of dimension 2: defect 3, imprimitivity 3 (4 + 1)
+        M = morita.EquivalenceBimodule(algebra((2,)), algebra((1,)),
+                                       (2.0 * np.eye(2, dtype=np.complex128),))
+        inst, rep = tmp_path / "m.json", tmp_path / "rep.jsonl"
+        inst.write_text(serial.canonical_dumps(serial.bimodule_to_json(M)))
+        assert main(["validate", str(inst), "--out", str(rep)]) == 2
+        record = json.loads(rep.read_text())
+        assert record["max_residual"] == 15.0
+        assert record["details"] == {
+            "unitarity_defect": {"0": 3.0},
+            "rank_margin": {"0": list(morita.validate_bimodule(M).rank_margin[0])},
+        }
         assert record["details"]["rank_margin"]["0"][1] is None
 
     def test_roundtrip_on_seeds(self):
