@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from . import gen, morita, suite
+from . import gen, morita, numlin, suite
 from .errors import (
     FormatError,
     InvalidInputError,
@@ -57,7 +57,7 @@ def _env_tol():
 
 def _default_tol() -> float:
     tol = _env_tol()
-    return 1e-9 if tol is None else tol
+    return numlin.DEFAULT_TOL if tol is None else tol
 
 
 def _emit(reports, out_path):

@@ -77,18 +77,13 @@ def algebra(block_dims, labels=None) -> FdCStarAlgebra:
 
 @dataclass(eq=False)
 class AlgebraElement:
-    """One square complex matrix per block of its algebra."""
+    """One square complex matrix per block of its algebra.
+
+    A record that trusts its blocks, a tuple of finite complex128 n_k x n_k
+    matrices: element() validates them, operations build it directly."""
 
     algebra: FdCStarAlgebra
     blocks: tuple
-
-    def __post_init__(self):
-        if len(self.blocks) != self.algebra.num_blocks:
-            raise InvalidInputError("wrong number of blocks")
-        self.blocks = tuple(
-            numlin.as_cmatrix(b, (n, n))
-            for b, n in zip(self.blocks, self.algebra.block_dims)
-        )
 
     def __add__(self, other):
         _same_algebra(self, other)
@@ -124,7 +119,13 @@ class AlgebraElement:
 
 
 def element(alg: FdCStarAlgebra, blocks) -> AlgebraElement:
-    return AlgebraElement(alg, tuple(blocks))
+    """AlgebraElement from finite n_k x n_k blocks, coerced to complex128."""
+    blocks = tuple(blocks)
+    if len(blocks) != alg.num_blocks:
+        raise InvalidInputError("wrong number of blocks")
+    return AlgebraElement(
+        alg, tuple(numlin.as_cmatrix(b, (n, n)) for b, n in zip(blocks, alg.block_dims))
+    )
 
 
 def _same_algebra(a: AlgebraElement, b: AlgebraElement):
@@ -216,6 +217,7 @@ class SumAlgebraB:
     base: FdCStarAlgebra
     cover: ClosedCover
     flat: FdCStarAlgebra = field(init=False)
+    summands: tuple = field(init=False)  # A|F_i per cover set
 
     def __post_init__(self):
         if self.cover.prim_size != self.base.num_blocks:
@@ -226,13 +228,11 @@ class SumAlgebraB:
                 dims.append(self.base.block_dims[self.base.position(k)])
                 labels.append((i, k))
         self.flat = FdCStarAlgebra(tuple(dims), tuple(labels))
-
-    def summand_algebra(self, i: int) -> FdCStarAlgebra:
-        return restrict_algebra(self.base, self.cover.sets[i])
+        self.summands = tuple(restrict_algebra(self.base, s) for s in self.cover.sets)
 
     def component(self, b: AlgebraElement, i: int) -> AlgebraElement:
         """Project a B-element onto its i-th summand A|F_i."""
-        sub = self.summand_algebra(i)
+        sub = self.summands[i]
         return AlgebraElement(sub, tuple(b.block((i, k)) for k in sub.labels))
 
     def assemble(self, parts) -> AlgebraElement:

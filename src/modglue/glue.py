@@ -36,8 +36,12 @@ from .hmod import (
     restrict_map,
     restrict_module,
 )
+from .numlin import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
+#: Absolute bound on residuals of identities that hold exactly up to
+#: rounding: DescentReport's counit and coassociativity, and the exact part
+#: of suite criterion 4 (isometries applied to unit-scale Gaussian vectors).
+EXACT_IDENTITY_TOL = 1e-12
 
 #: How far from the identity, in operator norm, make_gluing_datum lets a
 #: diagonal transition zeta_ii lie before rejecting the datum.  It is
@@ -68,14 +72,6 @@ class GluingDatum:
         if i == j:
             return np.eye(self.mult_at(i, label), dtype=np.complex128)
         return self.zeta[(i, j)][label]
-
-    def zeta_map(self, i: int, j: int) -> AdjointableMap:
-        """The transition as an adjointable map Z_j|F_ij -> Z_i|F_ij."""
-        F = self.cover.overlap(i, j)
-        src = restrict_module(self.modules[j], F)
-        tgt = restrict_module(self.modules[i], F)
-        blocks = tuple(self.zeta_block(i, j, k) for k in src.algebra.labels)
-        return module_map(src, tgt, blocks)
 
 
 def _mult(mod: HilbertModule, label) -> int:
@@ -507,7 +503,7 @@ def epsilon_iso(D: GluingDatum, tol: float = DEFAULT_TOL) -> EpsilonResult:
                     numlin.op_norm(blk.conj().T @ blk - np.eye(blk.shape[1])),
                     numlin.op_norm(blk @ blk.conj().T - np.eye(blk.shape[0])),
                 )
-        maps.append(module_map(src, tgt, blocks))
+        maps.append(AdjointableMap(src, tgt, tuple(blocks)))
 
     if deficit:
         return EpsilonResult(gd, None, unitary_res, float("inf"), deficit)
@@ -623,7 +619,7 @@ def descent_identities_check(
         kernel_gap=kernel_gap,
         tensor_dims=tensor_dims,
         tensor_gap=tensor_gap,
-        tolerances={"counit": 1e-12, "coassoc": 1e-12, "kernel": tol},
+        tolerances={"counit": EXACT_IDENTITY_TOL, "coassoc": EXACT_IDENTITY_TOL, "kernel": tol},
     )
 
 

@@ -60,16 +60,14 @@ def module(alg: FdCStarAlgebra, mult) -> HilbertModule:
 
 @dataclass(eq=False)
 class ModuleVector:
+    """One m_k x n_k complex matrix per block of its module.
+
+    A record that trusts its blocks, a tuple of finite complex128 matrices of
+    the module's block shapes: vector() and from_coords() validate them,
+    operations build it directly."""
+
     module: HilbertModule
     blocks: tuple  # m_k x n_k matrices
-
-    def __post_init__(self):
-        self.blocks = tuple(
-            numlin.as_cmatrix(b, shape)
-            for b, shape in zip(self.blocks, self.module.block_shapes())
-        )
-        if len(self.blocks) != self.module.algebra.num_blocks:
-            raise InvalidInputError("wrong number of blocks")
 
     def __add__(self, other):
         _same_module(self, other)
@@ -91,7 +89,13 @@ class ModuleVector:
 
 
 def vector(mod: HilbertModule, blocks) -> ModuleVector:
-    return ModuleVector(mod, tuple(blocks))
+    """ModuleVector from finite blocks of the module's shapes, coerced to complex128."""
+    blocks = tuple(blocks)
+    if len(blocks) != mod.algebra.num_blocks:
+        raise InvalidInputError("wrong number of blocks")
+    return ModuleVector(
+        mod, tuple(numlin.as_cmatrix(b, s) for b, s in zip(blocks, mod.block_shapes()))
+    )
 
 
 def _same_module(x: ModuleVector, y: ModuleVector):
@@ -133,23 +137,15 @@ def restrict_vector(x: ModuleVector, F) -> ModuleVector:
 
 @dataclass(eq=False)
 class AdjointableMap:
-    """Blockwise left multiplication T_k: source block -> target block."""
+    """Blockwise left multiplication T_k: source block -> target block.
+
+    A record that trusts its modules (over one algebra) and blocks, a tuple
+    of finite complex128 p_k x m_k matrices: module_map() validates them,
+    operations build it directly."""
 
     source: HilbertModule
     target: HilbertModule
     blocks: tuple  # p_k x m_k matrices
-
-    def __post_init__(self):
-        if self.source.algebra.labels != self.target.algebra.labels:
-            raise InvalidInputError("source and target must share an algebra")
-        shapes = tuple(
-            (p, m) for p, m in zip(self.target.mult, self.source.mult)
-        )
-        self.blocks = tuple(
-            numlin.as_cmatrix(b, s) for b, s in zip(self.blocks, shapes)
-        )
-        if len(self.blocks) != len(shapes):
-            raise InvalidInputError("wrong number of blocks")
 
     def __add__(self, other):
         _composable_like(self, other)
@@ -182,7 +178,15 @@ def _composable_like(a: AdjointableMap, b: AdjointableMap):
 
 
 def module_map(source: HilbertModule, target: HilbertModule, blocks) -> AdjointableMap:
-    return AdjointableMap(source, target, tuple(blocks))
+    """AdjointableMap from finite p_k x m_k blocks, coerced to complex128."""
+    if source.algebra.labels != target.algebra.labels:
+        raise InvalidInputError("source and target must share an algebra")
+    blocks = tuple(blocks)
+    if len(blocks) != source.algebra.num_blocks:
+        raise InvalidInputError("wrong number of blocks")
+    return AdjointableMap(source, target, tuple(
+        numlin.as_cmatrix(b, (p, m)) for b, p, m in zip(blocks, target.mult, source.mult)
+    ))
 
 
 def identity_map(X: HilbertModule) -> AdjointableMap:
@@ -265,7 +269,7 @@ def from_coords(mod: HilbertModule, u) -> ModuleVector:
     for (m, n) in mod.block_shapes():
         blocks.append(u[ofs:ofs + m * n].reshape(m, n))
         ofs += m * n
-    return ModuleVector(mod, tuple(blocks))
+    return vector(mod, blocks)
 
 
 def module_map_from_linear(L, X: HilbertModule, Y: HilbertModule, tol: float = 1e-9) -> AdjointableMap:

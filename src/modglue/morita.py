@@ -34,9 +34,8 @@ from .glue import (
     transition_residuals,
 )
 from .hmod import HilbertModule, ModuleVector, module
+from .numlin import DEFAULT_TOL
 from .rng import Rng
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -680,6 +679,12 @@ def _scalar_of(C: np.ndarray):
     return s, numlin.op_norm(C - s * np.eye(m))
 
 
+#: _scalar_ratio refuses a quotient Q with ||Q - s I|| above the first or
+#: |s| below the second; absolute, as a scalar unitary quotient has |s| = 1.
+_SCALAR_RESIDUAL_TOL = 1e-8
+_SCALAR_ZERO_TOL = 1e-12
+
+
 def _scalar_ratio(Ci, nu1, nu2, Cr):
     """Scalar q with Ci^{-1} nu2 Cr = q nu1 (None if the quotient is not scalar)."""
     m = Ci.shape[0]
@@ -687,7 +692,7 @@ def _scalar_ratio(Ci, nu1, nu2, Cr):
         return 1.0 + 0j
     Q = Ci.conj().T @ nu2 @ Cr @ nu1.conj().T
     s, r = _scalar_of(Q)
-    if r > 1e-8 or abs(s) < 1e-12:
+    if r > _SCALAR_RESIDUAL_TOL or abs(s) < _SCALAR_ZERO_TOL:
         return None
     return s
 

@@ -16,6 +16,10 @@ from .errors import InvalidInputError
 #: Default relative rank threshold (scale invariant).
 DEFAULT_RANK_TOL = 1e-10
 
+#: Default tolerance on residuals judged in the package (unitarity, cocycle,
+#: intertwining, round trips), and the CLI's --tol default.
+DEFAULT_TOL = 1e-9
+
 #: Half-width, as a factor, of the refusal band around a rank threshold: a
 #: rank decision at relative threshold tol is ambiguous when some singular
 #: value lies in (tol / RANK_GAP_FACTOR, tol * RANK_GAP_FACTOR) * sigma_max.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover, restrict_algebra
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError
 from .glue import GluingDatum, make_gluing_datum
 from .hmod import HilbertModule, module
 from .morita import (
@@ -203,7 +203,7 @@ def parse_instance(obj):
             return bimodule_from_json(obj)
         if kind == "bimodule_datum":
             return bimodule_datum_from_json(obj)
-    except FormatError:
+    except (FormatError, InvalidInputError):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise FormatError(f"malformed {kind} instance: {exc}") from exc

@@ -15,6 +15,7 @@ from . import gen, morita, numlin, tensor
 from .cstar import algebra, cover, restrict_algebra, sum_algebra
 from .gen import GenConfig
 from .glue import (
+    EXACT_IDENTITY_TOL,
     _tensor_kernel_check,
     descent_identities_check,
     epsilon_iso,
@@ -118,7 +119,7 @@ def criterion_3_delta_isometry(trials: int = 200, tol: float = 1e-9, base_seed: 
 
 
 def criterion_4_delta_algebra(trials: int = 100, tol: float = 1e-9,
-                              tol_exact: float = 1e-12, base_seed: int = 400) -> Report:
+                              tol_exact: float = EXACT_IDENTITY_TOL, base_seed: int = 400) -> Report:
     """Counit, coassociativity and the kernel identity, coherent and twisted.
 
     Coassociativity on arbitrary vectors is equivalent to the triple-overlap

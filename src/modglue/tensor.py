@@ -108,9 +108,6 @@ class TripleTensorModel:
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.dim = int(self.offsets[-1])
 
-    def zero(self) -> "TripleTensorVector":
-        return TripleTensorVector(self, tuple(s.zero_vector() for s in self.spaces))
-
 
 @dataclass(eq=False)
 class TripleTensorVector:
@@ -210,10 +207,11 @@ def eta_map(arg, ctx):
         return tuple(restrict_vector(arg, F) for F in ctx.sets)
     if isinstance(ctx, PairTensorModel):
         parts = tuple(arg)
-        comps = []
-        for (i, j), space in zip(ctx.entries, ctx.spaces):
-            comps.append(restrict_vector(parts[i], ctx.cover.overlap(i, j)))
-        return PairTensorVector(ctx, tuple(comps))
+        comps = tuple(
+            ModuleVector(space, tuple(parts[i].block(k) for k in space.algebra.labels))
+            for (i, _), space in zip(ctx.entries, ctx.spaces)
+        )
+        return PairTensorVector(ctx, comps)
     raise InvalidInputError("eta_map expects (vector, cover) or (family, pair model)")
 
 
@@ -234,9 +232,8 @@ def delta_map(datum, parts) -> PairTensorVector:
     model = pair_model(datum)
     comps = []
     for (i, j), space in zip(model.entries, model.spaces):
-        zj = restrict_vector(parts[j], model.cover.overlap(i, j))
         blocks = tuple(
-            datum.zeta_block(i, j, k) @ zj.block(k)
+            datum.zeta_block(i, j, k) @ parts[j].block(k)
             for k in space.algebra.labels
         )
         comps.append(ModuleVector(space, blocks))
@@ -282,24 +279,11 @@ def lift_to_triple(kind: str, datum, t: PairTensorVector,
 def pair_right_act(t: PairTensorVector, b: AlgebraElement) -> PairTensorVector:
     """Right B-action on the pair model: component (i, j) acted on by b_j|F_ij."""
     comps = []
-    for (i, j), c in zip(t.model.entries, t.comps):
-        F = t.model.cover.overlap(i, j)
-        bj = AlgebraElement(
-            restrict_algebra_from_b(b, j),
-            tuple(b.block((j, k)) for k in sorted_labels_of_b(b, j)),
-        )
-        comps.append(right_act(c, restrict_element(bj, F)))
+    for (_, j), c in zip(t.model.entries, t.comps):
+        sub = c.module.algebra  # A|F_ij
+        bj = AlgebraElement(sub, tuple(b.block((j, k)) for k in sub.labels))
+        comps.append(right_act(c, bj))
     return PairTensorVector(t.model, tuple(comps))
-
-
-def restrict_algebra_from_b(b: AlgebraElement, j: int) -> FdCStarAlgebra:
-    labels = sorted_labels_of_b(b, j)
-    dims = tuple(b.algebra.block_dims[b.algebra.position((j, k))] for k in labels)
-    return FdCStarAlgebra(dims, labels)
-
-
-def sorted_labels_of_b(b: AlgebraElement, j: int) -> tuple:
-    return tuple(k for (i, k) in b.algebra.labels if i == j)
 
 
 def pair_from_family_and_b(model: PairTensorModel, parts, b: AlgebraElement) -> PairTensorVector:
@@ -465,11 +449,10 @@ class PsiIso:
     def apply(self, x: ModuleVector, b: AlgebraElement):
         """Image of the elementary tensor x (x) b: the family (x|F_i * b_i)."""
         parts = []
-        for i, F in enumerate(self.cover.sets):
-            xi = restrict_vector(x, F)
-            bi = AlgebraElement(
-                xi.module.algebra, tuple(b.block((i, k)) for k in xi.module.algebra.labels)
-            )
+        for i, Xi in enumerate(self.summands):
+            labels = Xi.algebra.labels
+            xi = ModuleVector(Xi, tuple(x.block(k) for k in labels))
+            bi = AlgebraElement(Xi.algebra, tuple(b.block((i, k)) for k in labels))
             parts.append(right_act(xi, bi))
         return tuple(parts)
 
@@ -490,8 +473,9 @@ class NuIso:
 
     def apply(self, y: ModuleVector, a: AlgebraElement) -> ModuleVector:
         """y (x) a |-> y|F_ij * a|F_ij."""
-        F = frozenset(self.target.algebra.labels)
-        return right_act(restrict_vector(y, F), restrict_element(a, F))
+        sub = self.target.algebra
+        y_ij = ModuleVector(self.target, tuple(y.block(k) for k in sub.labels))
+        return right_act(y_ij, AlgebraElement(sub, tuple(a.block(k) for k in sub.labels)))
 
     def inverse(self, v: ModuleVector):
         """A representative (y, a) with nu(y (x) a) = v: zero-padded lift and unit."""
@@ -634,6 +618,11 @@ class GenericBalancedTensor:
         return self.complement @ np.asarray(q, dtype=np.complex128)
 
 
+#: generic_balanced_tensor drops relation columns of norm at most this; the
+#: factors built here give 0/1 differences, so a nonzero column has norm >= 1.
+_RELATION_COLUMN_TOL = 1e-14
+
+
 def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> GenericBalancedTensor:
     """Span the relations x*a (x) y - x (x) a*y in every slot and quotient them out."""
     factors = tuple(factors)
@@ -659,7 +648,7 @@ def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> Ge
             A2 = _slot_matrix(dims, s + 1, L)
             diff = A1 - A2
             norms = np.linalg.norm(diff, axis=0)
-            keep = diff[:, norms > 1e-14]
+            keep = diff[:, norms > _RELATION_COLUMN_TOL]
             if keep.size:
                 rel_cols.append(keep)
     if rel_cols:
@@ -940,15 +929,13 @@ def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: i
     bdim = B.flat.dim
 
     def mu_of_elementary(zs, b1, b2):
-        out = tm.zero()
-        comps = list(out.comps)
-        for idx, (i, j, l) in enumerate(tm.entries):
-            F = cover.overlap(i, j, l)
-            space = tm.spaces[idx]
-            zi = restrict_vector(zs[i], F)
-            bj = restrict_element(B.component(b1, j), F)
-            bl = restrict_element(B.component(b2, l), F)
-            comps[idx] = right_act(right_act(zi, bj), bl)
+        comps = []
+        for (i, j, l), space in zip(tm.entries, tm.spaces):  # space = Z_i|F_ijl
+            sub = space.algebra
+            zi = ModuleVector(space, tuple(zs[i].block(k) for k in sub.labels))
+            bj = AlgebraElement(sub, tuple(b1.block((j, k)) for k in sub.labels))
+            bl = AlgebraElement(sub, tuple(b2.block((l, k)) for k in sub.labels))
+            comps.append(right_act(right_act(zi, bj), bl))
         return TripleTensorVector(tm, tuple(comps))
 
     def model_map(u):

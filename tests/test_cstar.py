@@ -171,3 +171,31 @@ class TestEta:
         a = random_element(rng, A)
         norms = [restrict_element(a, F).norm() for F in cov.sets]
         assert max(norms) == pytest.approx(a.norm(), rel=1e-12)
+
+
+class TestBoundary:
+    """element() refuses what AlgebraElement trusts."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_element_rejects_non_finite(self, bad):
+        A = algebra((2, 1))
+        blocks = [np.eye(2), np.ones((1, 1))]
+        blocks[0][1, 0] = bad
+        with pytest.raises(InvalidInputError):
+            element(A, blocks)
+
+    def test_element_rejects_wrong_shape_and_count(self):
+        A = algebra((2, 1))
+        with pytest.raises(InvalidInputError):
+            element(A, [np.eye(2), np.eye(2)])
+        with pytest.raises(InvalidInputError):
+            element(A, [np.eye(2)])
+        with pytest.raises(InvalidInputError):
+            element(A, [np.eye(2), np.eye(1), np.eye(1)])
+        with pytest.raises(InvalidInputError):
+            element(A, [np.ones(4), np.eye(1)])
+
+    def test_norm_rejects_a_non_finite_record(self):
+        a = AlgebraElement(algebra((1,)), (np.array([[np.nan]], dtype=np.complex128),))
+        with pytest.raises(InvalidInputError):
+            a.norm()

@@ -25,6 +25,7 @@ from modglue.hmod import (
     restrict_vector,
     right_act,
     vec_norm,
+    vector,
 )
 from modglue.rng import Rng
 
@@ -256,3 +257,82 @@ class TestModuleMapFromLinear:
         A, X, rng = setup
         x = random_vector(rng, X)
         assert vec_norm(from_coords(X, coords(x)) - x) == 0.0
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestBoundary:
+    """The validating constructors refuse what the records trust."""
+
+    @pytest.fixture
+    def blocks(self, setup):
+        A, X, rng = setup
+        return [rng.gauss_matrix(m, n) for m, n in X.block_shapes()]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_vector_rejects_non_finite(self, setup, blocks, bad):
+        _, X, _ = setup
+        blocks[2][1, 0] = bad
+        with pytest.raises(InvalidInputError):
+            vector(X, blocks)
+
+    def test_vector_rejects_wrong_shape_and_count(self, setup, blocks):
+        _, X, _ = setup
+        with pytest.raises(InvalidInputError):
+            vector(X, [blocks[0], blocks[1], blocks[2].T])
+        with pytest.raises(InvalidInputError):
+            vector(X, blocks[:2])
+        with pytest.raises(InvalidInputError):
+            vector(X, blocks + [np.zeros((1, 1))])
+
+    def test_vector_coerces_to_complex(self, setup):
+        _, X, _ = setup
+        x = vector(X, [np.ones(s, dtype=int).tolist() for s in X.block_shapes()])
+        assert type(x.blocks) is tuple
+        assert all(b.dtype == np.complex128 for b in x.blocks)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_from_coords_rejects_non_finite(self, setup, bad):
+        _, X, _ = setup
+        u = np.ones(X.dim, dtype=np.complex128)
+        u[X.dim - 1] = bad
+        with pytest.raises(InvalidInputError):
+            from_coords(X, u)
+
+    def test_from_coords_rejects_wrong_length(self, setup):
+        A, X, _ = setup
+        with pytest.raises(InvalidInputError):
+            from_coords(X, np.ones(X.dim - 1))
+        with pytest.raises(InvalidInputError):
+            from_coords(X, np.ones(X.dim + 2))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_module_map_rejects_non_finite(self, setup, bad):
+        A, X, rng = setup
+        Y = module(A, (2, 1, 3))
+        blocks = [rng.gauss_matrix(p, m) for p, m in zip(Y.mult, X.mult)]
+        blocks[0][0, 0] = bad
+        with pytest.raises(InvalidInputError):
+            module_map(X, Y, blocks)
+
+    def test_module_map_rejects_wrong_shape_count_and_algebra(self, setup):
+        A, X, rng = setup
+        Y = module(A, (2, 1, 3))
+        blocks = [rng.gauss_matrix(p, m) for p, m in zip(Y.mult, X.mult)]
+        with pytest.raises(InvalidInputError):
+            module_map(X, Y, [blocks[0].T, blocks[1], blocks[2]])
+        with pytest.raises(InvalidInputError):
+            module_map(X, Y, blocks[:2])
+        other = module(algebra((2, 1, 3), labels=(0, 1, 5)), Y.mult)
+        with pytest.raises(InvalidInputError):
+            module_map(X, other, blocks)
+
+    def test_norm_rejects_a_non_finite_record(self, setup):
+        # records trust their blocks; the numlin decision refuses them
+        _, X, rng = setup
+        x = random_vector(rng, X)
+        with np.errstate(invalid="ignore"):
+            y = float("inf") * x
+        with pytest.raises(InvalidInputError):
+            vec_norm(y)

@@ -10,11 +10,15 @@ from modglue.gen import GenConfig
 from modglue.glue import _tensor_kernel_check, glue, pull_apart
 from modglue.hmod import (
     ModuleVector,
+    adjoint_of,
+    apply_map,
+    compose,
     coords,
     inner_product,
     module,
     restrict_module,
     restrict_vector,
+    right_act,
     vec_norm,
 )
 from modglue.rng import Rng
@@ -459,3 +463,74 @@ def test_per_label_kernels_match_the_flat_oracle(mode, seed):
     gap = max((numlin.subspace_gap(kers[k], numlin.orth_basis(T[0]))
                for k, T in per_label.items()), default=0.0)
     assert abs(numlin.subspace_gap(ker, im) - gap) <= 1e-12
+
+
+def _assert_blocks(blocks, shapes):
+    """The invariant the value records trust: a tuple of 2-D complex128
+    arrays of exactly the expected shapes."""
+    assert type(blocks) is tuple
+    assert [b.shape for b in blocks] == list(shapes)
+    assert all(isinstance(b, np.ndarray) and b.dtype == np.complex128 for b in blocks)
+
+
+def _assert_vector(x, mod=None):
+    if mod is not None:
+        assert x.module == mod
+    _assert_blocks(x.blocks, x.module.block_shapes())
+
+
+def _assert_element(a):
+    _assert_blocks(a.blocks, [(n, n) for n in a.algebra.block_dims])
+
+
+def _assert_map(alpha):
+    assert alpha.source.algebra.labels == alpha.target.algebra.labels
+    _assert_blocks(alpha.blocks, list(zip(alpha.target.mult, alpha.source.mult)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["coherent", "random_unitary", "zero_mult"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_operations_return_well_formed_records(mode, seed):
+    D = oracle_datum(mode, seed, np.pi, max_blocks=3, max_block_dim=3,
+                     max_cover_sets=3, max_mult=3)
+    rng = Rng(seed)
+    z = rand_family(rng, D)
+
+    # hmod operations, on each member module and a second module over its algebra
+    for zi in z:
+        Z = zi.module
+        W = module(Z.algebra, tuple(m + 1 for m in Z.mult))
+        alpha, beta = gen.random_map(rng, Z, W), gen.random_map(rng, W, Z)
+        _assert_vector(right_act(zi, gen.random_element(rng, Z.algebra)), Z)
+        _assert_element(inner_product(zi, zi))
+        _assert_vector(apply_map(alpha, zi), W)
+        _assert_map(compose(beta, alpha))
+        _assert_map(adjoint_of(alpha))
+        F = set(Z.algebra.labels[::2])
+        _assert_vector(restrict_vector(zi, F), restrict_module(Z, F))
+
+    # the glued module's realization
+    gd = glue(D)
+    parts = gd.embed(gen.random_vector(rng, gd.module))
+    for p, Z in zip(parts, D.modules):
+        _assert_vector(p, Z)
+    _assert_vector(gd.project(parts), gd.module)
+
+    # structural maps on the tensor models
+    model, tm = tensor.pair_model(D), tensor.triple_model(D)
+    X = module(D.algebra, tuple(rng.randint(0, 2) for _ in D.algebra.labels))
+    for p, F in zip(tensor.eta_map(gen.random_vector(rng, X), D.cover), D.cover.sets):
+        _assert_vector(p, restrict_module(X, F))
+    t = tensor.delta_map(D, z)
+    b = gen.random_element(rng, sum_algebra(D.algebra, D.cover).flat)
+    for u in (t, tensor.eta_map(z, model), tensor.pair_right_act(t, b)):
+        for c, space in zip(u.comps, model.spaces):
+            _assert_vector(c, space)
+    for p, Z in zip(tensor.epsilon_map(t), D.modules):
+        _assert_vector(p, Z)
+    for kind in ("eta_tensor_id", "id_tensor_etaB", "delta_tensor_id"):
+        for c, space in zip(tensor.lift_to_triple(kind, D, t, tm).comps, tm.spaces):
+            _assert_vector(c, space)

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +282,52 @@ class TestCli:
         b = json.loads(out2.read_text())
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
+
+    def test_validate_refuses_nan_entries(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "5", "--mode", "coherent", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        assert obj["zeta"]
+        obj["zeta"][0]["matrix"][0][0] = [float("nan"), 0.0]
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst)]) == cli.EXIT_INVALID
+
+        bim = tmp_path / "bimodule.json"
+        obj = serial.bimodule_to_json(morita.identity_bimodule(algebra((2, 1))))
+        obj["twist"][0][1][0] = [float("nan"), 0.0]
+        bim.write_text(json.dumps(obj))
+        assert main(["validate", str(bim)]) == cli.EXIT_INVALID
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_datum_exit_codes(self, tmp_path):
+        # transitions scaled by 1e200: every judged residual or kernel is
+        # non-finite, so the commands refuse the datum (roundtrip reports
+        # the failed counit instead)
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "1", "--mode", "random_unitary", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        assert obj["zeta"]
+        for e in obj["zeta"]:
+            e["matrix"] = [[[1e200 * re, 1e200 * im] for re, im in row] for row in e["matrix"]]
+        inst.write_text(json.dumps(obj))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for command in ("validate", "glue", "descent"):
+                assert main([command, str(inst)]) == cli.EXIT_INVALID
+            assert main(["roundtrip", str(inst)]) == cli.EXIT_CHECK_FAILED
+
+
+def test_benchmark_tracer_spans_resolve():
+    # the traced benchmark run wraps every (module, attribute) of SPANS; a
+    # library name deleted or renamed under it would break that run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANS
+    for name, modname, attr in tracer.SPANS:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+            assert attr in vars(owner), name
+        assert callable(getattr(owner, attr)), name
