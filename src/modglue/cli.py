@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -49,15 +50,34 @@ EXIT_CHECK_FAILED = 2
 EXIT_PARSE = 3
 EXIT_RANK_AMBIGUOUS = 4
 
-
-def _env_tol():
-    env = os.environ.get("MODGLUE_TOL")
-    return float(env) if env else None
+TOL_HELP = f"a finite number > 0 (default: MODGLUE_TOL, else {numlin.DEFAULT_TOL:g})"
 
 
-def _default_tol() -> float:
-    tol = _env_tol()
-    return numlin.DEFAULT_TOL if tol is None else tol
+def _positive_tol(text: str, source: str) -> float:
+    """A tolerance given as text: a finite number > 0, else InvalidInputError."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"{source} must be a finite positive number, got {text!r}")
+    return tol
+
+
+def _check_numbers(args) -> None:
+    """Resolve --tol, falling back on MODGLUE_TOL and then on the command's
+    default, and refuse a tolerance that is not a finite positive number or
+    a negative --trials."""
+    if hasattr(args, "tol"):
+        env = os.environ.get("MODGLUE_TOL")
+        if args.tol is not None:
+            args.tol = _positive_tol(args.tol, "--tol")
+        elif env:
+            args.tol = _positive_tol(env, "MODGLUE_TOL")
+        elif args.command != "suite":  # the suite keeps each criterion's own
+            args.tol = numlin.DEFAULT_TOL
+    if getattr(args, "trials", None) is not None and args.trials < 0:
+        raise InvalidInputError(f"--trials must be >= 0, got {args.trials}")
 
 
 def _emit(reports, out_path):
@@ -313,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, file_arg=True):
         if file_arg:
             sp.add_argument("file", help="instance JSON file")
-        sp.add_argument("--tol", type=float, default=_default_tol())
+        sp.add_argument("--tol", default=None, help=TOL_HELP)
         sp.add_argument("--out", default=None, help="write JSON-line reports here")
         return sp
 
@@ -323,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser("roundtrip", help="both round trips, on a file or random seeds")
     rt.add_argument("file", nargs="?", default=None)
-    rt.add_argument("--tol", type=float, default=_default_tol())
+    rt.add_argument("--tol", default=None, help=TOL_HELP)
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("--trials", type=int, default=200)
     rt.add_argument("--out", default=None)
 
     de = sub.add_parser("descent", help="descent identities on a file or a random seed")
     de.add_argument("file", nargs="?", default=None)
-    de.add_argument("--tol", type=float, default=_default_tol())
+    de.add_argument("--tol", default=None, help=TOL_HELP)
     de.add_argument("--seed", type=int, default=0)
     de.add_argument("--trials", type=int, default=20)
     de.add_argument("--mode", default="coherent", choices=gen.TWIST_MODES)
@@ -342,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("picard-conjugate", help="conjugate a self-equivalence datum")
     pc.add_argument("datum", help="bimodule datum file (the conjugator)")
     pc.add_argument("self_datum", help="self-equivalence bimodule datum file")
-    pc.add_argument("--tol", type=float, default=_default_tol())
+    pc.add_argument("--tol", default=None, help=TOL_HELP)
     pc.add_argument("--out", default=None)
 
     g = sub.add_parser("gen", help="emit a seeded random instance")
@@ -354,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None)
 
     s = sub.add_parser("suite", help="run the full acceptance battery")
-    s.add_argument("--tol", type=float, default=_env_tol(),
-                   help="override every criterion's tolerance (default: each its own)")
+    s.add_argument("--tol", default=None,
+                   help="override every criterion's tolerance (default: MODGLUE_TOL, "
+                        "else each its own)")
     s.add_argument("--trials", type=int, default=None,
                    help="override every criterion's trial count (default: each its own)")
     s.add_argument("--out", default=None)
@@ -379,6 +400,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

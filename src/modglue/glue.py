@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .cstar import (
-    AlgebraElement,
-    ClosedCover,
-    FdCStarAlgebra,
-    restrict_algebra,
-    sum_algebra,
-)
+from .cstar import ClosedCover, FdCStarAlgebra, restrict_algebra
 from .errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
 from .hmod import (
     AdjointableMap,
@@ -43,9 +37,10 @@ from .numlin import DEFAULT_TOL
 #: of suite criterion 4 (isometries applied to unit-scale Gaussian vectors).
 EXACT_IDENTITY_TOL = 1e-12
 
-#: How far from the identity, in operator norm, make_gluing_datum lets a
-#: diagonal transition zeta_ii lie before rejecting the datum.  It is
-#: absolute: a diagonal entry is compared with I, which has norm 1.
+#: How far from the identity, in operator norm, make_gluing_datum and
+#: morita.make_bimodule_datum let a diagonal transition lie before rejecting
+#: the datum.  It is absolute: a diagonal entry is compared with I, which has
+#: norm 1.
 DIAGONAL_IDENTITY_TOL = 1e-12
 
 
@@ -74,16 +69,42 @@ class GluingDatum:
         return self.zeta[(i, j)][label]
 
 
-def _mult(mod: HilbertModule, label) -> int:
-    return mod.mult[mod.algebra.position(label)]
+def normalize_transitions(cover: ClosedCover, entries, size) -> dict:
+    """Checked transition dict {(i, j): {label: matrix}} of a datum.
+
+    entries is an iterable of (i, j, label, matrix) and size(i, label) the
+    multiplicity of set i at the label.  Each matrix must have shape
+    (size(i, label), size(j, label)) on a label of the overlap; a pair given
+    in only one direction gets the adjoint as its mirror, and a diagonal entry
+    must lie within DIAGONAL_IDENTITY_TOL of the identity and is dropped.
+    """
+    out: dict = {}
+    for (i, j, k, M) in entries:
+        if k not in cover.overlap(i, j):
+            raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
+        M = numlin.as_cmatrix(M, (size(i, k), size(j, k)))
+        if i == j:
+            if numlin.op_norm(M - np.eye(len(M))) > DIAGONAL_IDENTITY_TOL:
+                raise InvalidInputError("diagonal transitions must be the identity")
+            continue
+        out.setdefault((i, j), {})[k] = M
+
+    for (i, j) in cover.pairs(include_diagonal=False):
+        for k in sorted(cover.overlap(i, j)):
+            have = (i, j) in out and k in out[(i, j)]
+            mirror = (j, i) in out and k in out[(j, i)]
+            if not have and not mirror:
+                raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
+            if not have:
+                out.setdefault((i, j), {})[k] = out[(j, i)][k].conj().T
+    return out
 
 
 def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_entries) -> GluingDatum:
     """Normalizing constructor: checks shapes and fills mirror transitions.
 
-    zeta_entries is an iterable of (i, j, label, matrix).  For any pair given
-    in only one direction, the mirror is installed as the adjoint; diagonal
-    entries must be identities and are dropped.
+    zeta_entries is an iterable of (i, j, label, matrix), normalized by
+    normalize_transitions.
     """
     modules = tuple(modules)
     if cover.prim_size != alg.num_blocks:
@@ -95,27 +116,10 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
         if mod.algebra != expected:
             raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
 
-    zeta: dict = {}
-    for (i, j, k, M) in zeta_entries:
-        if i == j:
-            m = _mult(modules[i], k)
-            if numlin.op_norm(numlin.as_cmatrix(M) - np.eye(m)) > DIAGONAL_IDENTITY_TOL:
-                raise InvalidInputError("diagonal transitions must be the identity")
-            continue
-        if k not in cover.overlap(i, j):
-            raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
-        M = numlin.as_cmatrix(M, (_mult(modules[i], k), _mult(modules[j], k)))
-        zeta.setdefault((i, j), {})[k] = M
+    def size(i, k):
+        return modules[i].mult[modules[i].algebra.position(k)]
 
-    for (i, j) in cover.pairs(include_diagonal=False):
-        for k in sorted(cover.overlap(i, j)):
-            have = (i, j) in zeta and k in zeta[(i, j)]
-            mirror = (j, i) in zeta and k in zeta[(j, i)]
-            if not have and not mirror:
-                raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
-            if not have:
-                zeta.setdefault((i, j), {})[k] = zeta[(j, i)][k].conj().T
-    return GluingDatum(alg, cover, modules, zeta)
+    return GluingDatum(alg, cover, modules, normalize_transitions(cover, zeta_entries, size))
 
 
 @dataclass
@@ -514,15 +518,6 @@ def epsilon_iso(D: GluingDatum, tol: float = DEFAULT_TOL) -> EpsilonResult:
     )
 
 
-def family_inner(parts1, parts2, base: FdCStarAlgebra, cover: ClosedCover) -> AlgebraElement:
-    """B-valued inner product of two families, blockwise per (set, label)."""
-    from .hmod import inner_product
-
-    B = sum_algebra(base, cover)
-    per_set = [inner_product(x, y) for x, y in zip(parts1, parts2)]
-    return B.assemble(per_set)
-
-
 @dataclass
 class DescentReport:
     """Residuals for the comodule-style identities of a gluing datum.
@@ -575,32 +570,36 @@ def descent_identities_check(
     arbitrary vectors holds exactly when the triple-overlap condition does:
     its residual tracks the cocycle residual, and on embedded glued vectors
     it vanishes unconditionally; both residuals are reported.
+
+    The random vectors of all trials are drawn first, then each label's
+    maps T_k act on their stacked slots at once; every residual is the
+    largest operator norm of a slot block, as the Hilbert-module norm is.
     """
     from . import gen, tensor
     from .rng import Rng
 
+    if trials < 0:
+        raise InvalidInputError(f"trials must be >= 0, got {trials}")
     rng = Rng(seed)
     gd = glue(D)
-    tm = tensor.triple_model(D)
     cocycle_residual = validate_gluing_datum(D, tol).max_residuals["cocycle"]
 
-    res_a = 0.0
-    res_b = 0.0
-    res_b_glued = 0.0
+    draws, glued = [], []
     for _ in range(trials):
-        z = tuple(gen.random_vector(rng, m) for m in D.modules)
-        t = tensor.delta_map(D, z)
-        back = tensor.epsilon_map(t)
-        res_a = max(res_a, tensor.family_norm(tuple(a - b for a, b in zip(back, z))))
-        lhs = tensor.lift_to_triple("delta_tensor_id", D, t, tm)
-        rhs = tensor.lift_to_triple("eta_tensor_id", D, t, tm)
-        res_b = max(res_b, tensor.triple_norm(lhs - rhs))
-
-        zg = gd.embed(gen.random_vector(rng, gd.module))
-        tg = tensor.delta_map(D, zg)
-        lhs_g = tensor.lift_to_triple("delta_tensor_id", D, tg, tm)
-        rhs_g = tensor.lift_to_triple("eta_tensor_id", D, tg, tm)
-        res_b_glued = max(res_b_glued, tensor.triple_norm(lhs_g - rhs_g))
+        draws.append(tuple(gen.random_vector(rng, m) for m in D.modules))
+        glued.append(gd.embed(gen.random_vector(rng, gd.module)))
+    counit, coassoc, coassoc_glued = [], [], []
+    for k in D.algebra.labels:
+        Z = tensor.family_stack(draws + glued, D, k)
+        t = tensor.delta_map(D, k) @ Z
+        back = tensor.epsilon_map(D, k) @ t[:trials] - Z[:trials]
+        counit += tensor.split_slots(back, tensor.slot_sizes(D, k, 1))
+        lhs = tensor.lift_to_triple("delta_tensor_id", D, k) @ t
+        diff = lhs - tensor.lift_to_triple("eta_tensor_id", D, k) @ t
+        for b in tensor.split_slots(diff, tensor.slot_sizes(D, k, 3)):
+            coassoc.append(b[:trials])
+            coassoc_glued.append(b[trials:])
+    res_a, res_b, res_b_glued = numlin.op_norm_maxima([counit, coassoc, coassoc_glued])
 
     # Per label, ker(eta - delta) on the family slots is the span of E_k.
     kernel_gap = max(

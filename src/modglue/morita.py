@@ -31,6 +31,7 @@ from .glue import (
     GluedModule,
     glue,
     make_gluing_datum,
+    normalize_transitions,
     transition_residuals,
 )
 from .hmod import HilbertModule, ModuleVector, module
@@ -287,6 +288,8 @@ class BimoduleGluingDatum:
 
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
                         cover: ClosedCover, bimodules, nu_entries) -> BimoduleGluingDatum:
+    """Normalizing constructor: checks the bimodules, and the transitions
+    (i, j, label, matrix) as glue.normalize_transitions does."""
     bimodules = tuple(bimodules)
     if left.labels != right.labels:
         raise InvalidInputError("algebras must share labels")
@@ -300,26 +303,10 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
         if Mi.right_algebra != restrict_algebra(right, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong right algebra")
 
-    nu: dict = {}
-    for (i, j, k, Mx) in nu_entries:
-        if i == j:
-            continue
-        if k not in cover.overlap(i, j):
-            raise InvalidInputError(f"block {k} not in overlap of sets {i}, {j}")
-        shape = (bimodules[i].mult[bimodules[i].left_algebra.position(k)],
-                 bimodules[j].mult[bimodules[j].left_algebra.position(k)])
-        nu.setdefault((i, j), {})[k] = numlin.as_cmatrix(Mx, shape)
-    for i in range(cover.num_sets):
-        for j in range(cover.num_sets):
-            if i == j:
-                continue
-            for k in sorted(cover.overlap(i, j)):
-                have = (i, j) in nu and k in nu[(i, j)]
-                mirror = (j, i) in nu and k in nu[(j, i)]
-                if not have and not mirror:
-                    raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
-                if not have:
-                    nu.setdefault((i, j), {})[k] = nu[(j, i)][k].conj().T
+    def size(i, k):
+        return bimodules[i].mult[bimodules[i].left_algebra.position(k)]
+
+    nu = normalize_transitions(cover, nu_entries, size)
     return BimoduleGluingDatum(left, right, cover, bimodules, nu)
 
 

@@ -68,6 +68,29 @@ def op_norms(stack) -> np.ndarray:
     return np.linalg.svd(S, compute_uv=False)[..., 0]
 
 
+def op_norm_maxima(groups) -> list:
+    """Largest operator norm in each group of (count, rows, cols) stacks of
+    any shapes, 0.0 for a group with no matrix.
+
+    Every matrix is zero-padded to the largest rows and cols, which keeps its
+    singular values, so all of them take one op_norms call.
+    """
+    flat = [b for g in groups for b in g]
+    rows = max((b.shape[1] for b in flat), default=0)
+    cols = max((b.shape[2] for b in flat), default=0)
+    ends = np.cumsum([len(b) for b in flat], dtype=int)
+    stack = np.zeros((int(ends[-1]) if flat else 0, rows, cols), dtype=np.complex128)
+    for b, e in zip(flat, ends):
+        stack[e - len(b):e, :b.shape[1], :b.shape[2]] = b
+    norms = op_norms(stack)
+    out, start = [], 0
+    for g in groups:
+        stop = start + sum(len(b) for b in g)
+        out.append(float(norms[start:stop].max(initial=0.0)))
+        start = stop
+    return out
+
+
 def _rank_of(s: np.ndarray, tol: float) -> int:
     """Number of descending singular values s above tol * s[0]."""
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0

@@ -8,6 +8,10 @@ is z_i|F_ij * b_j|F_ij.  The cube gets ordered triples.  These projections
 separate points, so the models are definitional; the independent oracle is a
 generic quotient of the plain coordinate tensor space by the span of the
 balancing relations, built from nothing but action matrices and an SVD.
+
+The structural maps (delta, epsilon, the one-leg lifts) are given label by
+label as multiplicity matrices T_k acting on stacked slot arrays; the
+object-level maps on model vectors are the test oracle.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from .hmod import (
     from_coords,
     inner_product,
     restrict_module,
-    restrict_vector,
     right_act,
-    vec_norm,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,34 +63,6 @@ class PairTensorModel:
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.dim = int(self.offsets[-1])
 
-    def zero(self) -> "PairTensorVector":
-        return PairTensorVector(self, tuple(s.zero_vector() for s in self.spaces))
-
-    def space(self, i: int, j: int) -> HilbertModule:
-        return self.spaces[self.index[(i, j)]]
-
-
-@dataclass(eq=False)
-class PairTensorVector:
-    model: PairTensorModel
-    comps: tuple  # ModuleVector per entry, aligned with model.entries
-
-    def comp(self, i: int, j: int) -> ModuleVector:
-        return self.comps[self.model.index[(i, j)]]
-
-    def __add__(self, other):
-        return PairTensorVector(
-            self.model, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __sub__(self, other):
-        return PairTensorVector(
-            self.model, tuple(a - b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __rmul__(self, scalar):
-        return PairTensorVector(self.model, tuple(scalar * c for c in self.comps))
-
 
 @dataclass(eq=False)
 class TripleTensorModel:
@@ -109,197 +83,16 @@ class TripleTensorModel:
         self.dim = int(self.offsets[-1])
 
 
-@dataclass(eq=False)
-class TripleTensorVector:
-    model: TripleTensorModel
-    comps: tuple
-
-    def comp(self, i, j, l) -> ModuleVector:
-        return self.comps[self.model.index[(i, j, l)]]
-
-    def __sub__(self, other):
-        return TripleTensorVector(
-            self.model, tuple(a - b for a, b in zip(self.comps, other.comps))
-        )
+def pair_model(datum) -> PairTensorModel:
+    return PairTensorModel(datum.cover, tuple(datum.modules))
 
 
-def pair_model(datum_or_cover, modules=None) -> PairTensorModel:
-    """Build the pair model from a gluing datum or from (cover, modules)."""
-    if modules is None:
-        return PairTensorModel(datum_or_cover.cover, tuple(datum_or_cover.modules))
-    return PairTensorModel(datum_or_cover, tuple(modules))
-
-
-def triple_model(datum_or_cover, modules=None) -> TripleTensorModel:
-    if modules is None:
-        return TripleTensorModel(datum_or_cover.cover, tuple(datum_or_cover.modules))
-    return TripleTensorModel(datum_or_cover, tuple(modules))
+def triple_model(datum) -> TripleTensorModel:
+    return TripleTensorModel(datum.cover, tuple(datum.modules))
 
 
 # ---------------------------------------------------------------------------
-# Norms (levels 1 and 2)
-
-
-def family_norm(parts) -> float:
-    return max((vec_norm(p) for p in parts), default=0.0)
-
-
-def pair_norm(t: PairTensorVector) -> float:
-    return max((vec_norm(c) for c in t.comps), default=0.0)
-
-
-def triple_norm(t: TripleTensorVector) -> float:
-    return max((vec_norm(c) for c in t.comps), default=0.0)
-
-
-def _amp2_block_norm(blocks_grid) -> float:
-    """Operator norm of the 2x2 block matrix assembled from four equal shapes."""
-    return numlin.op_norm(
-        np.block([[blocks_grid[0][0], blocks_grid[0][1]],
-                  [blocks_grid[1][0], blocks_grid[1][1]]])
-    )
-
-
-def family_norm_amp2(grid) -> float:
-    """Amplified norm of a 2x2 grid of family vectors (same family shape)."""
-    worst = 0.0
-    nparts = len(grid[0][0])
-    for p in range(nparts):
-        nblocks = len(grid[0][0][p].blocks)
-        for b in range(nblocks):
-            worst = max(
-                worst,
-                _amp2_block_norm(
-                    [[grid[r][c][p].blocks[b] for c in range(2)] for r in range(2)]
-                ),
-            )
-    return worst
-
-
-def pair_norm_amp2(grid) -> float:
-    """Amplified norm of a 2x2 grid of pair-model vectors."""
-    worst = 0.0
-    ncomps = len(grid[0][0].comps)
-    for e in range(ncomps):
-        nblocks = len(grid[0][0].comps[e].blocks)
-        for b in range(nblocks):
-            worst = max(
-                worst,
-                _amp2_block_norm(
-                    [[grid[r][c].comps[e].blocks[b] for c in range(2)] for r in range(2)]
-                ),
-            )
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Structural maps
-
-
-def eta_map(arg, ctx):
-    """The unit map x |-> x (x) 1 in model coordinates.
-
-    For a module vector over A with a cover: returns the restriction family
-    (x|F_i)_i.  For a family over the per-set modules with a pair model:
-    returns the pair vector with component (i, j) equal to z_i|F_ij.
-    """
-    if isinstance(arg, ModuleVector) and isinstance(ctx, ClosedCover):
-        return tuple(restrict_vector(arg, F) for F in ctx.sets)
-    if isinstance(ctx, PairTensorModel):
-        parts = tuple(arg)
-        comps = tuple(
-            ModuleVector(space, tuple(parts[i].block(k) for k in space.algebra.labels))
-            for (i, _), space in zip(ctx.entries, ctx.spaces)
-        )
-        return PairTensorVector(ctx, comps)
-    raise InvalidInputError("eta_map expects (vector, cover) or (family, pair model)")
-
-
-def phi_embed(model: PairTensorModel, i: int, j: int, v: ModuleVector) -> PairTensorVector:
-    """Place a vector of Z_i|F_ij at component (i, j), zero elsewhere."""
-    t = model.zero()
-    idx = model.index[(i, j)]
-    space = model.spaces[idx]
-    if v.module.mult != space.mult or v.module.algebra.labels != space.algebra.labels:
-        raise InvalidInputError("vector does not live in Z_i restricted to the overlap")
-    comps = list(t.comps)
-    comps[idx] = v
-    return PairTensorVector(model, tuple(comps))
-
-
-def delta_map(datum, parts) -> PairTensorVector:
-    """Component (i, j) = zeta_ij(z_j|F_ij); the comultiplication of the datum."""
-    model = pair_model(datum)
-    comps = []
-    for (i, j), space in zip(model.entries, model.spaces):
-        blocks = tuple(
-            datum.zeta_block(i, j, k) @ parts[j].block(k)
-            for k in space.algebra.labels
-        )
-        comps.append(ModuleVector(space, blocks))
-    return PairTensorVector(model, tuple(comps))
-
-
-def epsilon_map(t: PairTensorVector):
-    """Diagonal extraction: component i of the output is t_(i,i)."""
-    model = t.model
-    parts = []
-    for i, Z in enumerate(model.modules):
-        if (i, i) not in model.index:  # empty cover set: Z_i is zero
-            parts.append(Z.zero_vector())
-            continue
-        d = t.comp(i, i)
-        parts.append(ModuleVector(Z, tuple(d.block(k) for k in Z.algebra.labels)))
-    return tuple(parts)
-
-
-_TRIPLE_KINDS = ("eta_tensor_id", "id_tensor_etaB", "delta_tensor_id")
-
-
-def lift_to_triple(kind: str, datum, t: PairTensorVector,
-                   tm: TripleTensorModel) -> TripleTensorVector:
-    """One-leg amplifications of eta and delta from the pair to the triple
-    model tm, which the caller builds once with triple_model(datum)."""
-    if kind not in _TRIPLE_KINDS:
-        raise InvalidInputError(f"unknown lift kind {kind!r}; expected one of {_TRIPLE_KINDS}")
-    comps = []
-    for (i, j, l), space in zip(tm.entries, tm.spaces):
-        labels = space.algebra.labels
-        if kind == "eta_tensor_id":
-            blocks = tuple(t.comp(i, l).block(k) for k in labels)
-        elif kind == "id_tensor_etaB":
-            blocks = tuple(t.comp(i, j).block(k) for k in labels)
-        else:
-            w = t.comp(j, l)
-            blocks = tuple(datum.zeta_block(i, j, k) @ w.block(k) for k in labels)
-        comps.append(ModuleVector(space, blocks))
-    return TripleTensorVector(tm, tuple(comps))
-
-
-def pair_right_act(t: PairTensorVector, b: AlgebraElement) -> PairTensorVector:
-    """Right B-action on the pair model: component (i, j) acted on by b_j|F_ij."""
-    comps = []
-    for (_, j), c in zip(t.model.entries, t.comps):
-        sub = c.module.algebra  # A|F_ij
-        bj = AlgebraElement(sub, tuple(b.block((j, k)) for k in sub.labels))
-        comps.append(right_act(c, bj))
-    return PairTensorVector(t.model, tuple(comps))
-
-
-def pair_from_family_and_b(model: PairTensorModel, parts, b: AlgebraElement) -> PairTensorVector:
-    """Model vector of the elementary tensor z (x) b for z given as a family."""
-    return pair_right_act(eta_map(parts, model), b)
-
-
-def family_right_act(parts, b: AlgebraElement, B) -> tuple:
-    """Right action of a sum-algebra element on a family: z_i acted by b_i."""
-    return tuple(
-        right_act(p, B.component(b, i)) for i, p in enumerate(parts)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Coordinates and matrices of the structural maps
+# Coordinates
 
 
 def family_coords(parts) -> np.ndarray:
@@ -314,24 +107,6 @@ def family_from_coords(modules, u) -> tuple:
         parts.append(from_coords(mod, u[ofs:ofs + mod.dim]))
         ofs += mod.dim
     return tuple(parts)
-
-
-def pair_coords(t: PairTensorVector) -> np.ndarray:
-    arrs = [coords(c) for c in t.comps]
-    return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
-
-
-def pair_from_coords(model: PairTensorModel, u) -> PairTensorVector:
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    comps = []
-    for space, ofs in zip(model.spaces, model.offsets):
-        comps.append(from_coords(space, u[ofs:ofs + space.dim]))
-    return PairTensorVector(model, tuple(comps))
-
-
-def triple_coords(t: TripleTensorVector) -> np.ndarray:
-    arrs = [coords(c) for c in t.comps]
-    return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
 
 
 def _matrix_of(fn, dom_dim: int, cod_dim: int) -> np.ndarray:
@@ -352,11 +127,18 @@ def _matrix_of(fn, dom_dim: int, cod_dim: int) -> np.ndarray:
 # Each function returns T_k for one label k.  The slots of label k are keyed by
 # tuples of the member sets of k (one set for a family, pairs and triples for
 # the tensor models), in lexicographic order; slot (i, ...) has the size of
-# Z_i at k.
+# Z_i at k.  A map is applied to many vectors at once by stacking their slots
+# of label k as the rows of a (trials, rows, n_k) array.
 
 
 def _slots(members, size: dict, arity: int) -> dict:
     return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
+
+
+def slot_sizes(datum, k, arity: int) -> dict:
+    """Row count of each slot of label k with keys of the given arity."""
+    members = datum.cover.members(k)
+    return _slots(members, {i: datum.mult_at(i, k) for i in members}, arity)
 
 
 def _block_matrix(row_slots: dict, col_slots: dict, terms) -> np.ndarray:
@@ -370,27 +152,76 @@ def _block_matrix(row_slots: dict, col_slots: dict, terms) -> np.ndarray:
     return M
 
 
-def _eta_minus_delta(datum, k, level: int) -> np.ndarray:
-    """T_k of (eta - delta) (x) id^level: slot (i, j, *r) receives slot
-    (i, *r) minus zeta_ij applied to slot (j, *r)."""
+def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndarray:
+    """T_k of unit * (eta (x) id^level) + delta * (delta (x) id^level): slot
+    (i, j, *r) receives unit times slot (i, *r) plus delta times zeta_ij
+    applied to slot (j, *r).  A zero coefficient drops its leg."""
     members = datum.cover.members(k)
     size = {i: datum.mult_at(i, k) for i in members}
     dst = _slots(members, size, level + 2)
     terms = []
     for (i, j, *r) in dst:
-        terms.append(((i, j, *r), (i, *r), np.eye(size[i])))
-        terms.append(((i, j, *r), (j, *r), -datum.zeta_block(i, j, k)))
+        if unit:
+            terms.append(((i, j, *r), (i, *r), unit * np.eye(size[i])))
+        if delta:
+            terms.append(((i, j, *r), (j, *r), delta * datum.zeta_block(i, j, k)))
     return _block_matrix(dst, _slots(members, size, level + 1), terms)
+
+
+def delta_map(datum, k) -> np.ndarray:
+    """T_k of the comultiplication: pair slot (i, j) receives zeta_ij applied
+    to family slot (j)."""
+    return _unit_plus_delta(datum, k, 0, 0.0, 1.0)
+
+
+def epsilon_map(datum, k) -> np.ndarray:
+    """T_k of the counit: family slot (i) receives pair slot (i, i)."""
+    members = datum.cover.members(k)
+    size = {i: datum.mult_at(i, k) for i in members}
+    fam = _slots(members, size, 1)
+    return _block_matrix(fam, _slots(members, size, 2),
+                         [((i,), (i, i), np.eye(size[i])) for i in members])
+
+
+#: lift_to_triple kinds, as the (unit, delta) coefficients of _unit_plus_delta.
+_LIFTS = {"eta_tensor_id": (1.0, 0.0), "delta_tensor_id": (0.0, 1.0)}
+
+
+def lift_to_triple(kind: str, datum, k) -> np.ndarray:
+    """T_k of a one-leg amplification from pair slots to triple slots:
+    eta (x) id sends pair slot (i, l) to triple slot (i, j, l), and
+    delta (x) id sends pair slot (j, l) there through zeta_ij."""
+    if kind not in _LIFTS:
+        raise InvalidInputError(f"unknown lift kind {kind!r}; expected one of {tuple(_LIFTS)}")
+    return _unit_plus_delta(datum, k, 1, *_LIFTS[kind])
 
 
 def eta_minus_delta_matrix(datum, k) -> np.ndarray:
     """T_k of eta - delta: family slots i -> pair slots (i, j)."""
-    return _eta_minus_delta(datum, k, 0)
+    return _unit_plus_delta(datum, k, 0, 1.0, -1.0)
 
 
 def eta_minus_delta_tensor_id_matrix(datum, k) -> np.ndarray:
     """T_k of (eta - delta) (x) id: pair slots (i, l) -> triple slots (i, j, l)."""
-    return _eta_minus_delta(datum, k, 1)
+    return _unit_plus_delta(datum, k, 1, 1.0, -1.0)
+
+
+def family_stack(families, datum, k) -> np.ndarray:
+    """Family slots of label k of each family (z_i), as a (trials, rows, n_k)
+    array: row block i of entry t is z_i's block k."""
+    members = datum.cover.members(k)
+    rows = sum(datum.mult_at(i, k) for i in members)
+    n = datum.algebra.block_dims[datum.algebra.position(k)]
+    out = np.empty((len(families), rows, n), dtype=np.complex128)
+    for t, z in enumerate(families):
+        out[t] = np.concatenate([z[i].block(k) for i in members])
+    return out
+
+
+def split_slots(stack, sizes: dict) -> list:
+    """The row blocks of a (..., rows, n) slot stack, one per slot."""
+    ends = np.cumsum(list(sizes.values()), dtype=int)
+    return [stack[..., e - m:e, :] for e, m in zip(ends, sizes.values())]
 
 
 def image_eta_matrices(X: HilbertModule, cover: ClosedCover, k):
@@ -845,6 +676,26 @@ def _restricted_inner(x: ModuleVector, y: ModuleVector, target: FdCStarAlgebra) 
     return _spread_element(inner_product(x, y), target)
 
 
+def _elementary_coords(model, parts, *bs) -> np.ndarray:
+    """Model coordinates of the elementary tensor z (x) b (x) ... of a family
+    z and elements of B: component (i, j, ...) is z_i * b_j * ..., each
+    restricted to the component's overlap."""
+    arrs = []
+    for entry, space in zip(model.entries, model.spaces):
+        for k in space.algebra.labels:
+            blk = parts[entry[0]].block(k)
+            for idx, b in zip(entry[1:], bs):
+                blk = blk @ b.block((idx, k))
+            arrs.append(blk.reshape(-1))
+    return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
+
+
+def _component(model, u, idx) -> ModuleVector:
+    """Component idx of a pair or triple model vector given by coordinates."""
+    ofs, space = model.offsets[idx], model.spaces[idx]
+    return from_coords(space, u[ofs:ofs + space.dim])
+
+
 def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: int = 0) -> OracleReport:
     """Compare the pair model of Z (x) B with the balanced quotient.
 
@@ -859,7 +710,7 @@ def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: in
     cover = datum.cover
     modules = tuple(datum.modules)
     B = sum_algebra(A, cover)
-    model = pair_model(cover, modules)
+    model = pair_model(datum)
     gbt = generic_balanced_tensor([family_factor(cover, modules, A), b_factor(A, cover)])
     fam_dim = sum(m.dim for m in modules)
 
@@ -868,8 +719,7 @@ def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: in
         out = np.zeros(model.dim, dtype=np.complex128)
         for s in range(fam_dim):
             zs = family_from_coords(modules, _unit(fam_dim, s))
-            b = _b_from_coords(B, U[s])
-            out += pair_coords(pair_from_family_and_b(model, zs, b))
+            out += _elementary_coords(model, zs, _b_from_coords(B, U[s]))
         return out
 
     M = _matrix_of(model_map, gbt.plain_dim, model.dim)
@@ -881,11 +731,10 @@ def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: in
     for _ in range(trials):
         u = rng.gauss_vector(gbt.plain_dim)
         v = rng.gauss_vector(gbt.plain_dim)
-        tu = pair_from_coords(model, M @ u)
-        tv = pair_from_coords(model, M @ v)
+        tu, tv = M @ u, M @ v
         for idx, (i, j) in enumerate(model.entries):
             lhs = _zb_pair_form(modules, B, cover, u, v, i, j)
-            rhs = inner_product(tu.comps[idx], tv.comps[idx])
+            rhs = inner_product(_component(model, tu, idx), _component(model, tv, idx))
             worst = max(worst, (lhs - rhs).norm())
     return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
 
@@ -928,16 +777,6 @@ def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: i
     fam_dim = sum(m.dim for m in modules)
     bdim = B.flat.dim
 
-    def mu_of_elementary(zs, b1, b2):
-        comps = []
-        for (i, j, l), space in zip(tm.entries, tm.spaces):  # space = Z_i|F_ijl
-            sub = space.algebra
-            zi = ModuleVector(space, tuple(zs[i].block(k) for k in sub.labels))
-            bj = AlgebraElement(sub, tuple(b1.block((j, k)) for k in sub.labels))
-            bl = AlgebraElement(sub, tuple(b2.block((l, k)) for k in sub.labels))
-            comps.append(right_act(right_act(zi, bj), bl))
-        return TripleTensorVector(tm, tuple(comps))
-
     def model_map(u):
         U = np.asarray(u, dtype=np.complex128).reshape(fam_dim, bdim, bdim)
         out = np.zeros(tm.dim, dtype=np.complex128)
@@ -946,7 +785,7 @@ def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: i
             for t in range(bdim):
                 b1 = _b_from_coords(B, _unit(bdim, t))
                 b2 = _b_from_coords(B, U[s, t])
-                out += triple_coords(mu_of_elementary(zs, b1, b2))
+                out += _elementary_coords(tm, zs, b1, b2)
         return out
 
     M = _matrix_of(model_map, gbt.plain_dim, tm.dim)
@@ -958,15 +797,10 @@ def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: i
     for _ in range(trials):
         u = rng.gauss_vector(gbt.plain_dim)
         v = rng.gauss_vector(gbt.plain_dim)
+        tu, tv = M @ u, M @ v
         for idx, (i, j, l) in enumerate(tm.entries):
             lhs = _zbb_triple_form(modules, B, cover, u, v, i, j, l)
-            tu = M @ u
-            tv = M @ v
-            ofs = tm.offsets[idx]
-            space = tm.spaces[idx]
-            cu = from_coords(space, tu[ofs:ofs + space.dim])
-            cv = from_coords(space, tv[ofs:ofs + space.dim])
-            rhs = inner_product(cu, cv)
+            rhs = inner_product(_component(tm, tu, idx), _component(tm, tv, idx))
             worst = max(worst, (lhs - rhs).norm())
     return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
 

@@ -6,23 +6,44 @@ iteration on M*M, and the gluing kernel dimension from a numpy SVD of the
 Kronecker-expanded overlap constraint, assembled here independently of glue.
 The structural maps of the tensor models are likewise assembled here as whole
 Kronecker-expanded matrices on flat coordinates, the slow path that the
-library's per-label matrices T_k replace.  Bimodule fullness and the glued
-twist, which the library reads in closed form from the normal form, are
-re-derived here by brute force: the rank of the span of all inner products of
-matrix-unit vectors, and the transported left action probed on every matrix
-unit.  The identities of an equivalence bimodule, which the library bounds in
+library's per-label matrices T_k replace, and applied one vector at a time to
+pair and triple model vectors, the object path that the library's stacked
+slot arrays replace in descent_identities_check and suite criterion 3.
+Bimodule fullness and the glued twist, which the library reads in closed
+form from the normal form, are re-derived here by brute force: the rank of
+the span of all inner products of matrix-unit vectors, and the transported
+left action probed on every matrix unit.  The identities of an equivalence bimodule, which the library bounds in
 closed form from each twist's singular values, are sampled here on random
 vectors.  The transition checks of both datum validators, which the library
 takes per label from one stacked tensor, are the per-pair and per-triple
 loops here.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from modglue import morita, numlin, tensor
+from modglue.cstar import AlgebraElement, ClosedCover, sum_algebra
 from modglue.gen import random_element, random_vector
-from modglue.glue import DatumValidation
-from modglue.hmod import inner_product, restrict_module, right_act, vec_norm
+from modglue.errors import InvalidInputError
+from modglue.glue import (
+    EXACT_IDENTITY_TOL,
+    DatumValidation,
+    DescentReport,
+    _tensor_kernel_check,
+    glue,
+    validate_gluing_datum,
+)
+from modglue.hmod import (
+    ModuleVector,
+    coords,
+    inner_product,
+    restrict_module,
+    restrict_vector,
+    right_act,
+    vec_norm,
+)
 from modglue.rng import Rng
 
 
@@ -433,3 +454,222 @@ def pairwise_bimodule_validation(D, tol):
             lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
             coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
     return morita.BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
+
+
+# ---------------------------------------------------------------------------
+# Structural maps on model vectors
+#
+# delta, epsilon and the one-leg lifts applied to one pair or triple model
+# vector at a time, each component a ModuleVector over its restricted space.
+
+
+@dataclass(eq=False)
+class PairTensorVector:
+    model: tensor.PairTensorModel
+    comps: tuple  # ModuleVector per entry, aligned with model.entries
+
+    def comp(self, i, j) -> ModuleVector:
+        return self.comps[self.model.index[(i, j)]]
+
+    def __sub__(self, other):
+        return PairTensorVector(self.model, tuple(a - b for a, b in zip(self.comps, other.comps)))
+
+
+@dataclass(eq=False)
+class TripleTensorVector:
+    model: tensor.TripleTensorModel
+    comps: tuple
+
+    def comp(self, i, j, l) -> ModuleVector:
+        return self.comps[self.model.index[(i, j, l)]]
+
+    def __sub__(self, other):
+        return TripleTensorVector(self.model, tuple(a - b for a, b in zip(self.comps, other.comps)))
+
+
+def zero_pair(model) -> PairTensorVector:
+    return PairTensorVector(model, tuple(s.zero_vector() for s in model.spaces))
+
+
+def pair_space(model, i, j):
+    return model.spaces[model.index[(i, j)]]
+
+
+def family_norm(parts) -> float:
+    return max((vec_norm(p) for p in parts), default=0.0)
+
+
+def pair_norm(t) -> float:
+    return max((vec_norm(c) for c in t.comps), default=0.0)
+
+
+triple_norm = pair_norm
+
+
+def amp2_block_norm(blocks_grid) -> float:
+    """Operator norm of the 2x2 block matrix assembled from four equal shapes."""
+    return numlin.op_norm(np.block([[blocks_grid[0][0], blocks_grid[0][1]],
+                                    [blocks_grid[1][0], blocks_grid[1][1]]]))
+
+
+def _amp2_norm(grid, comps_of) -> float:
+    cells = [[comps_of(grid[r][c]) for c in range(2)] for r in range(2)]
+    return max((
+        amp2_block_norm([[cells[r][c][e].blocks[b] for c in range(2)] for r in range(2)])
+        for e in range(len(cells[0][0]))
+        for b in range(len(cells[0][0][e].blocks))
+    ), default=0.0)
+
+
+def family_norm_amp2(grid) -> float:
+    """Amplified norm of a 2x2 grid of family vectors (same family shape)."""
+    return _amp2_norm(grid, tuple)
+
+
+def pair_norm_amp2(grid) -> float:
+    """Amplified norm of a 2x2 grid of pair-model vectors."""
+    return _amp2_norm(grid, lambda t: t.comps)
+
+
+def pair_coords(t) -> np.ndarray:
+    arrs = [coords(c) for c in t.comps]
+    return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
+
+
+def eta_map(arg, ctx):
+    """The unit map x |-> x (x) 1 in model coordinates: the restriction family
+    (x|F_i)_i of a module vector over a cover, or the pair vector with
+    component (i, j) equal to z_i|F_ij of a family over a pair model."""
+    if isinstance(ctx, ClosedCover):
+        return tuple(restrict_vector(arg, F) for F in ctx.sets)
+    parts = tuple(arg)
+    return PairTensorVector(ctx, tuple(
+        ModuleVector(space, tuple(parts[i].block(k) for k in space.algebra.labels))
+        for (i, _), space in zip(ctx.entries, ctx.spaces)
+    ))
+
+
+def phi_embed(model, i, j, v) -> PairTensorVector:
+    """Place a vector of Z_i|F_ij at component (i, j), zero elsewhere."""
+    idx = model.index[(i, j)]
+    comps = list(zero_pair(model).comps)
+    comps[idx] = v
+    return PairTensorVector(model, tuple(comps))
+
+
+def delta_map(datum, parts) -> PairTensorVector:
+    """Component (i, j) = zeta_ij(z_j|F_ij); the comultiplication of the datum."""
+    model = tensor.pair_model(datum)
+    return PairTensorVector(model, tuple(
+        ModuleVector(space, tuple(datum.zeta_block(i, j, k) @ parts[j].block(k)
+                                  for k in space.algebra.labels))
+        for (i, j), space in zip(model.entries, model.spaces)
+    ))
+
+
+def epsilon_map(t) -> tuple:
+    """Diagonal extraction: component i of the output is t_(i,i)."""
+    model = t.model
+    parts = []
+    for i, Z in enumerate(model.modules):
+        if (i, i) not in model.index:  # empty cover set: Z_i is zero
+            parts.append(Z.zero_vector())
+            continue
+        d = t.comp(i, i)
+        parts.append(ModuleVector(Z, tuple(d.block(k) for k in Z.algebra.labels)))
+    return tuple(parts)
+
+
+TRIPLE_KINDS = ("eta_tensor_id", "id_tensor_etaB", "delta_tensor_id")
+
+
+def lift_to_triple(kind, datum, t, tm) -> TripleTensorVector:
+    """One-leg amplifications of eta and delta from the pair to the triple
+    model tm: component (i, j, l) is t_(i,l), t_(i,j) or zeta_ij t_(j,l)."""
+    if kind not in TRIPLE_KINDS:
+        raise InvalidInputError(f"unknown lift kind {kind!r}")
+    comps = []
+    for (i, j, l), space in zip(tm.entries, tm.spaces):
+        labels = space.algebra.labels
+        if kind == "eta_tensor_id":
+            blocks = tuple(t.comp(i, l).block(k) for k in labels)
+        elif kind == "id_tensor_etaB":
+            blocks = tuple(t.comp(i, j).block(k) for k in labels)
+        else:
+            blocks = tuple(datum.zeta_block(i, j, k) @ t.comp(j, l).block(k) for k in labels)
+        comps.append(ModuleVector(space, blocks))
+    return TripleTensorVector(tm, tuple(comps))
+
+
+def pair_right_act(t, b) -> PairTensorVector:
+    """Right B-action on the pair model: component (i, j) acted on by b_j|F_ij."""
+    comps = []
+    for (_, j), c in zip(t.model.entries, t.comps):
+        sub = c.module.algebra  # A|F_ij
+        comps.append(right_act(c, AlgebraElement(sub, tuple(b.block((j, k)) for k in sub.labels))))
+    return PairTensorVector(t.model, tuple(comps))
+
+
+def pair_from_family_and_b(model, parts, b) -> PairTensorVector:
+    """Model vector of the elementary tensor z (x) b for z given as a family."""
+    return pair_right_act(eta_map(parts, model), b)
+
+
+def family_right_act(parts, b, B) -> tuple:
+    """Right action of a sum-algebra element on a family: z_i acted by b_i."""
+    return tuple(right_act(p, B.component(b, i)) for i, p in enumerate(parts))
+
+
+def family_inner(parts1, parts2, base, cover) -> AlgebraElement:
+    """B-valued inner product of two families, blockwise per (set, label)."""
+    B = sum_algebra(base, cover)
+    return B.assemble([inner_product(x, y) for x, y in zip(parts1, parts2)])
+
+
+def object_descent_report(D, tol, trials, seed) -> DescentReport:
+    """descent_identities_check on model vectors, one trial at a time: the
+    same draws from the same stream, delta, epsilon and the lifts applied to
+    each, and every residual the Hilbert-module norm of a model vector."""
+    rng = Rng(seed)
+    gd = glue(D)
+    tm = tensor.triple_model(D)
+    res_a = res_b = res_b_glued = 0.0
+    for _ in range(trials):
+        z = tuple(random_vector(rng, m) for m in D.modules)
+        t = delta_map(D, z)
+        res_a = max(res_a, family_norm(tuple(a - b for a, b in zip(epsilon_map(t), z))))
+        res_b = max(res_b, triple_norm(
+            lift_to_triple("delta_tensor_id", D, t, tm) - lift_to_triple("eta_tensor_id", D, t, tm)))
+        tg = delta_map(D, gd.embed(random_vector(rng, gd.module)))
+        res_b_glued = max(res_b_glued, triple_norm(
+            lift_to_triple("delta_tensor_id", D, tg, tm) - lift_to_triple("eta_tensor_id", D, tg, tm)))
+    # the kernel identities, as the library takes them
+    kernel_gap = max(
+        (numlin.subspace_gap(numlin.kernel_basis(tensor.eta_minus_delta_matrix(D, k)),
+                             gd.stacked_basis[k])
+         for k in D.algebra.labels),
+        default=0.0,
+    )
+    tensor_dims, tensor_gap = _tensor_kernel_check(gd)
+    return DescentReport(
+        counit=res_a, coassoc=res_b, coassoc_glued=res_b_glued,
+        cocycle_residual=validate_gluing_datum(D, tol).max_residuals["cocycle"],
+        kernel_gap=kernel_gap, tensor_dims=tensor_dims, tensor_gap=tensor_gap,
+        tolerances={"counit": EXACT_IDENTITY_TOL, "coassoc": EXACT_IDENTITY_TOL, "kernel": tol},
+    )
+
+
+def object_delta_isometry_residuals(D, zs, b) -> tuple:
+    """Suite criterion 3's (B-linearity, level-1, level-2) residuals on model
+    vectors: the largest entry of delta(z b) - delta(z) b, and the norm gaps
+    of delta at amplification levels 1 and 2."""
+    B = sum_algebra(D.algebra, D.cover)
+    t = delta_map(D, zs[0])
+    lin = pair_coords(delta_map(D, family_right_act(zs[0], b, B)) - pair_right_act(t, b))
+    grid = [[zs[0], zs[1]], [zs[2], zs[3]]]
+    dgrid = [[delta_map(D, z) for z in row] for row in grid]
+    return (
+        float(np.abs(lin).max(initial=0.0)),
+        abs(pair_norm(t) - family_norm(zs[0])),
+        abs(pair_norm_amp2(dgrid) - family_norm_amp2(grid)),
+    )

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -315,6 +316,54 @@ class TestCli:
                 assert main([command, str(inst)]) == cli.EXIT_INVALID
             assert main(["roundtrip", str(inst)]) == cli.EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize("kind,key", [("gluing", "zeta"), ("bimodule", "nu")])
+    def test_non_identity_diagonal_transition_exits_invalid(self, tmp_path, capsys, kind, key):
+        # both datum kinds refuse a diagonal transition 3 I, far outside
+        # DIAGONAL_IDENTITY_TOL of the identity
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "5", "--kind", kind, "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        e = dict(obj[key][0], j=obj[key][0]["i"])
+        m = len(e["matrix"])
+        e["matrix"] = serial.matrix_to_json(3 * np.eye(m))
+        obj[key].append(e)
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst)]) == cli.EXIT_INVALID
+        assert "diagonal transitions must be the identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,env", [
+        (["validate", "{gluing}", "--tol", "abc"], None),
+        (["validate", "{gluing}"], "abc"),
+        (["validate", "{gluing}", "--tol", "-1"], None),
+        (["validate", "{bimodule}", "--tol", "-1"], None),
+        (["validate", "{gluing}", "--tol", "0"], None),
+        (["validate", "{gluing}", "--tol", "nan"], None),
+        (["glue", "{gluing}"], "inf"),
+        (["descent", "--trials", "-3"], None),
+        (["roundtrip", "--trials", "-1"], None),
+        (["suite", "--trials", "-1"], None),
+        (["suite", "--tol", "abc"], None),
+    ])
+    def test_bad_numbers_exit_invalid(self, tmp_path, monkeypatch, capsys, argv, env):
+        files = {}
+        for kind in ("gluing", "bimodule"):
+            files[kind] = str(tmp_path / f"{kind}.json")
+            assert main(["gen", "--seed", "5", "--kind", kind, "--out", files[kind]]) == 0
+        capsys.readouterr()
+        if env is None:
+            monkeypatch.delenv("MODGLUE_TOL", raising=False)
+        else:
+            monkeypatch.setenv("MODGLUE_TOL", env)
+        assert main([a.format(**files) for a in argv]) == cli.EXIT_INVALID
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and not out.out
+
+    def test_descent_accepts_zero_trials(self):
+        D = gen.random_gluing_instance(GenConfig(seed=3, twist_mode="coherent")).datum
+        rep = descent_identities_check(D, trials=0)
+        assert (rep.counit, rep.coassoc, rep.coassoc_glued) == (0.0, 0.0, 0.0) and rep.passed
+        assert main(["descent", "--trials", "0"]) == 0
+
 
 def test_benchmark_tracer_spans_resolve():
     # the traced benchmark run wraps every (module, attribute) of SPANS; a
@@ -331,3 +380,27 @@ def test_benchmark_tracer_spans_resolve():
             owner = getattr(owner, cls_name)
             assert attr in vars(owner), name
         assert callable(getattr(owner, attr)), name
+
+
+def test_descent_ladder_spans_are_called():
+    # the descent-ladder workload requires each of these spans to be called,
+    # and its per-layer metrics split kernel_basis and subspace_gap time by
+    # their direct caller; a refactor that drops one fails here, in tier-1
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    tree = ast.parse((bench / "test_perfbench.py").read_text())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "LADDER_SPANS")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    D = gen.random_gluing_instance(GenConfig(seed=7, twist_mode="random_unitary")).datum
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        importlib.import_module("modglue.glue").descent_identities_check(D, trials=2)
+    finally:
+        tr.uninstall()
+    for span in spans["descent-ladder"]:
+        assert tr.calls[span] >= 1, span
+    for span in ("numlin.kernel_basis", "numlin.subspace_gap"):
+        assert tr.split[(span, "glue.descent_identities_check")] > 0, span
