@@ -73,21 +73,27 @@ def random_module(rng: Rng, alg: FdCStarAlgebra, cfg: GenConfig, min_mult: int =
     return module(alg, tuple(rng.randint(min_mult, cfg.max_mult) for _ in alg.block_dims))
 
 
+def _gauss_blocks(rng: Rng, shapes) -> tuple:
+    """Complex Gaussian blocks of the given shapes from one draw, split in
+    row-major order: the blocks that drawing them one by one gives."""
+    flat = rng.gauss_matrix(1, sum(m * n for (m, n) in shapes))[0]
+    blocks, ofs = [], 0
+    for (m, n) in shapes:
+        blocks.append(flat[ofs:ofs + m * n].reshape(m, n))
+        ofs += m * n
+    return tuple(blocks)
+
+
 def random_vector(rng: Rng, mod: HilbertModule) -> ModuleVector:
-    return ModuleVector(
-        mod, tuple(rng.gauss_matrix(m, n) for (m, n) in mod.block_shapes())
-    )
+    return ModuleVector(mod, _gauss_blocks(rng, mod.block_shapes()))
 
 
 def random_element(rng: Rng, alg: FdCStarAlgebra) -> AlgebraElement:
-    return AlgebraElement(alg, tuple(rng.gauss_matrix(n, n) for n in alg.block_dims))
+    return AlgebraElement(alg, _gauss_blocks(rng, [(n, n) for n in alg.block_dims]))
 
 
 def random_map(rng: Rng, src: HilbertModule, tgt: HilbertModule) -> AdjointableMap:
-    return module_map(
-        src, tgt,
-        tuple(rng.gauss_matrix(p, m) for p, m in zip(tgt.mult, src.mult)),
-    )
+    return module_map(src, tgt, _gauss_blocks(rng, list(zip(tgt.mult, src.mult))))
 
 
 def random_gluing_datum(

@@ -135,38 +135,45 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
+def transition_stack(members, sizes, block) -> np.ndarray:
+    """One label's transitions as one (s, s, m, m) tensor, m the largest size.
+
+    members are the cover sets owning the label, sizes their multiplicities
+    and block(i, j) the transition matrix from member j to member i, called
+    for i != j only.  Z[a, b] is block(members[a], members[b]) zero-padded,
+    and Z[a, a] is P_a = diag(1, ..., 1, 0, ...) with sizes[a] ones.
+    """
+    s, m = len(members), max(sizes, default=0)
+    Z = np.zeros((s, s, m, m), dtype=np.complex128)
+    for a, (i, m_a) in enumerate(zip(members, sizes)):
+        Z[a, a, :m_a, :m_a] = np.eye(m_a)
+        for b, j in enumerate(members):
+            if b != a:
+                Z[a, b, :m_a, :sizes[b]] = block(i, j)
+    return Z
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def transition_residuals(members, sizes, block):
     """Largest unitarity, involution and cocycle residuals of one label's
     transitions, from one stacked tensor.
 
-    members are the cover sets owning the label, sizes their multiplicities
-    and block(i, j) the transition matrix from member j to member i.  Each
-    transition is zero-padded into Z[a, b] of the (s, s, m, m) tensor, m the
-    largest size, with P_a = diag(1, ..., 1, 0, ...) (m_a ones) on the
-    diagonal; padding preserves every operator norm when unitarity is
-    measured against P_b and P_a instead of I.  Returns (unitary, nonsquare,
-    involutive, cocycle): the largest of ||W*W - I|| and ||WW* - I|| over the
-    square pairs, whether any pair is not square, the largest ||Z_ba - Z_ab*||
-    and the largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c}; the triples
-    with b = a or b = c are exactly 0 and are left out.  The cocycle is taken
-    one first index a at a time, so the extra memory is O(s^2 m^2).  A
-    non-finite residual raises InvalidInputError, with numpy's overflow and
-    invalid-value warnings silenced.
+    members, sizes and block are as for transition_stack, whose Z holds
+    P_a = Z[a, a] on the diagonal; padding preserves every operator norm
+    when unitarity is measured against P_b and P_a instead of I.  Returns
+    (unitary, nonsquare, involutive, cocycle): the largest of ||W*W - I|| and
+    ||WW* - I|| over the square pairs, whether any pair is not square, the
+    largest ||Z_ba - Z_ab*|| and the largest ||Z_ab Z_bc - Z_ac|| over b not
+    in {a, c}; the triples with b = a or b = c are exactly 0 and are left
+    out.  The cocycle is taken one first index a at a time, so the extra
+    memory is O(s^2 m^2).  A non-finite residual raises InvalidInputError,
+    with numpy's overflow and invalid-value warnings silenced.
     """
     s = len(members)
     if s < 2:
         return 0.0, False, 0.0, 0.0
-    m = max(sizes)
-    Z = np.zeros((s, s, m, m), dtype=np.complex128)
-    proj = np.zeros((s, m, m), dtype=np.complex128)
-    for a, (i, m_a) in enumerate(zip(members, sizes)):
-        proj[a, :m_a, :m_a] = np.eye(m_a)
-        Z[a, a] = proj[a]
-        for b, j in enumerate(members):
-            if b != a:
-                Z[a, b, :m_a, :sizes[b]] = block(i, j)
-
+    Z = transition_stack(members, sizes, block)
+    proj = Z[np.arange(s), np.arange(s)]
     off = ~np.eye(s, dtype=bool)
     pa, pb = np.nonzero(off)  # ordered pairs a != b
     size = np.asarray(sizes)

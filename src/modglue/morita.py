@@ -33,6 +33,7 @@ from .glue import (
     make_gluing_datum,
     normalize_transitions,
     transition_residuals,
+    transition_stack,
 )
 from .hmod import HilbertModule, ModuleVector, module
 from .numlin import DEFAULT_TOL
@@ -286,6 +287,17 @@ class BimoduleGluingDatum:
         return self.bimodules[i].twist_at(label)
 
 
+def _is_restriction(sub: FdCStarAlgebra, A: FdCStarAlgebra, F) -> bool:
+    """Whether sub == restrict_algebra(A, F), read from the labels and block
+    dimensions without building the restriction; a label of F outside A
+    raises as restrict_algebra does."""
+    for label in F:
+        A.position(label)
+    keep = [p for p, label in enumerate(A.labels) if label in F]
+    return (sub.labels == tuple(A.labels[p] for p in keep)
+            and sub.block_dims == tuple(A.block_dims[p] for p in keep))
+
+
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
                         cover: ClosedCover, bimodules, nu_entries) -> BimoduleGluingDatum:
     """Normalizing constructor: checks the bimodules, and the transitions
@@ -298,9 +310,9 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     if len(bimodules) != cover.num_sets:
         raise InvalidInputError("one bimodule per cover set required")
     for i, Mi in enumerate(bimodules):
-        if Mi.left_algebra != restrict_algebra(left, cover.sets[i]):
+        if not _is_restriction(Mi.left_algebra, left, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong left algebra")
-        if Mi.right_algebra != restrict_algebra(right, cover.sets[i]):
+        if not _is_restriction(Mi.right_algebra, right, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong right algebra")
 
     def size(i, k):
@@ -455,19 +467,37 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
 # Obstruction scalars
 
 
+def _composite_scalars(D: BimoduleGluingDatum) -> dict:
+    """_scalar_of of every composite nu_ij nu_jl nu_il* at label k, keyed
+    (i, j, l, k).  The triples of label k are all triples of its member sets,
+    so each label's composites come from one stacked tensor, and their
+    residuals from one op_norms call."""
+    out = {}
+    for k in D.left_algebra.labels:
+        members = D.cover.members(k)
+        Z = transition_stack(members, [D.mult_at(i, k) for i in members],
+                             lambda i, j: D.nu_block(i, j, k))
+        a, b, c = np.indices((len(members),) * 3).reshape(3, -1)
+        C = Z[a, b] @ Z[b, c] @ Z[a, c].conj().swapaxes(-1, -2)
+        for t, fr in enumerate(zip(*_scalars_of(C))):
+            out[(members[a[t]], members[b[t]], members[c[t]], k)] = fr
+    return out
+
+
 def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> dict:
     """Unit scalars f[(i,j,l)][k] measuring the failure of the cocycle law.
 
     The composite nu_ij nu_jl nu_il* is a bimodule automorphism of one block,
     hence a scalar; the scalar is extracted as the trace-normalized diagonal
-    with an explicit non-scalarity failure mode.
+    with an explicit non-scalarity failure mode, raised for the first
+    (triple, label) in lexicographic order.
     """
+    scalars = _composite_scalars(D)
     out: dict = {}
     for (i, j, l) in D.cover.triples():
         per_block = {}
         for k in sorted(D.cover.overlap(i, j, l)):
-            C = D.nu_block(i, j, k) @ D.nu_block(j, l, k) @ D.nu_block(i, l, k).conj().T
-            f, r = _scalar_of(C)
+            f, r = scalars[(i, j, l, k)]
             if r > tol:
                 raise ModelViolationError(
                     f"transition composite at ({i},{j},{l}) block {k} is not scalar "
@@ -659,11 +689,18 @@ def _canon_matrix(D1, D2, i: int, k) -> np.ndarray:
 def _scalar_of(C: np.ndarray):
     """Trace-normalized scalar s of a square C and the residual ||C - s I||;
     (1, 0) for an empty C."""
-    m = C.shape[0]
+    (s,), (r,) = _scalars_of(C[None])
+    return s, r
+
+
+def _scalars_of(C: np.ndarray):
+    """_scalar_of of each matrix of a (count, m, m) stack: the scalars, from
+    one trace each, and the residuals, from one op_norms call."""
+    m = C.shape[-1]
     if m == 0:
-        return 1.0 + 0j, 0.0
-    s = complex(np.trace(C) / m)
-    return s, numlin.op_norm(C - s * np.eye(m))
+        return [1.0 + 0j] * len(C), [0.0] * len(C)
+    s = np.array([complex(np.trace(c) / m) for c in C], dtype=np.complex128)
+    return s.tolist(), numlin.op_norms(C - s[:, None, None] * np.eye(m)).tolist()
 
 
 #: _scalar_ratio refuses a quotient Q with ||Q - s I|| above the first or

@@ -13,6 +13,16 @@ z ^= z >> 31 (all mod 2^64).  Uniforms take the top 53 bits shifted into
 (0, 1]; a standard complex Gaussian is sqrt(-ln u1) * exp(2*pi*i*u2).
 Unitaries come from modified Gram-Schmidt on a square complex Gaussian with
 the diagonal phase fixed to be real positive.
+
+A Gaussian matrix is drawn as one block (Steele, Lea & Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014): the state after k
+steps is state + k*GAMMA mod 2^64, so the 2N outputs of an N-entry matrix are
+computed at once in numpy uint64, and their uniforms exactly in float64.
+The entries are then formed one by one from the uniforms as Python floats,
+with the libm (math) ln, cos and sin: numpy's own differ from libm in the
+last bit on a fraction of inputs.  The stream, and every array drawn from
+it, is bit for bit that of the scalar generator, one output at a time, kept
+as the reference in tests/oracles.py (ScalarRng).
 """
 
 from __future__ import annotations
@@ -25,6 +35,10 @@ _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+
+# The same constants as numpy uint64 scalars, for the array form of the stream.
+_GAMMA, _MIX1, _MIX2, _ONE = (np.uint64(c) for c in (GAMMA, MIX1, MIX2, 1))
+_S11, _S27, _S30, _S31 = (np.uint64(c) for c in (11, 27, 30, 31))
 
 
 class Rng:
@@ -57,17 +71,35 @@ class Rng:
 
     def complex_gauss(self) -> complex:
         """Standard complex Gaussian (E|z|^2 = 1)."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-math.log(u1))
-        return complex(r * math.cos(2 * math.pi * u2), r * math.sin(2 * math.pi * u2))
+        return complex(self.gauss_matrix(1, 1)[0, 0])
 
     def gauss_matrix(self, m: int, n: int) -> np.ndarray:
-        out = np.zeros((m, n), dtype=np.complex128)
-        for r in range(m):
-            for c in range(n):
-                out[r, c] = self.complex_gauss()
-        return out
+        """m x n standard complex Gaussians in row-major order: entry t is
+        sqrt(-ln u1) * exp(2*pi*i*u2) for the uniforms of the stream's
+        outputs 2t + 1 and 2t + 2."""
+        u = self._uniforms(2 * m * n).tolist()
+        sqrt, log, cos, sin, two_pi = math.sqrt, math.log, math.cos, math.sin, 2 * math.pi
+        out = [complex(r * cos(two_pi * u2), r * sin(two_pi * u2))
+               for u1, u2 in zip(u[0::2], u[1::2]) for r in (sqrt(-log(u1)),)]
+        return np.array(out, dtype=np.complex128).reshape(m, n)
+
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The uniforms of the next count outputs, computed at once: output
+        k of the stream mixes state + k*GAMMA."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.uint64(self.state)
+        self.state = (self.state + count * GAMMA) & _MASK
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        z >>= _S11
+        z += _ONE
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
 
     def gauss_vector(self, n: int) -> np.ndarray:
         return self.gauss_matrix(1, n).reshape(-1) if n else np.zeros(0, dtype=np.complex128)

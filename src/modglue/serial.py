@@ -9,6 +9,7 @@ diagonal transitions are always the identity.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -26,19 +27,40 @@ from .morita import (
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
+    M = np.asarray(M, dtype=np.complex128)
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
+def _is_pair(z) -> bool:
+    """Whether z is [re, im]: two JSON numbers, ints or floats (true/false,
+    Python bools, are not)."""
+    try:
+        return len(z) == 2 and {type(x) for x in z} <= {int, float}
+    except TypeError:
+        return False
 
 
 def matrix_from_json(data, shape) -> np.ndarray:
-    M = np.zeros(shape, dtype=np.complex128)
+    """Matrix of the given shape from rows of [re, im] pairs.  Any other
+    entry is a FormatError naming the first one.  The entries are checked
+    as one flat list, by the set of their lengths and the set of their
+    values' types, and converted as one array."""
     if len(data) != shape[0]:
         raise FormatError(f"matrix has {len(data)} rows, expected {shape[0]}")
     for r, row in enumerate(data):
         if len(row) != shape[1]:
             raise FormatError(f"matrix row {r} has {len(row)} entries, expected {shape[1]}")
-        for c, z in enumerate(row):
-            M[r, c] = complex(z[0], z[1])
-    return M
+    entries = list(itertools.chain.from_iterable(data))
+    try:
+        values = list(itertools.chain.from_iterable(entries))
+        pairs = set(map(len, entries)) <= {2} and set(map(type, values)) <= {int, float}
+    except TypeError:  # an entry that is no list
+        pairs = False
+    if not pairs:
+        t, z = next((t, z) for t, z in enumerate(entries) if not _is_pair(z))
+        r, c = divmod(t, shape[1])
+        raise FormatError(f"matrix entry ({r}, {c}) is {z!r}, not a [re, im] pair of numbers")
+    return np.array(values, dtype=np.float64).view(np.complex128).reshape(shape)
 
 
 def algebra_to_json(A: FdCStarAlgebra) -> dict:
@@ -205,7 +227,7 @@ def parse_instance(obj):
             return bimodule_datum_from_json(obj)
     except (FormatError, InvalidInputError):
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {kind} instance: {exc}") from exc
     raise FormatError(f"unknown instance kind {kind!r}")
 

@@ -31,6 +31,7 @@ from .cstar import (
     sum_algebra,
 )
 from .errors import InvalidInputError
+from .glue import transition_stack
 from .hmod import (
     HilbertModule,
     ModuleVector,
@@ -129,43 +130,73 @@ def _matrix_of(fn, dom_dim: int, cod_dim: int) -> np.ndarray:
 # the tensor models), in lexicographic order; slot (i, ...) has the size of
 # Z_i at k.  A map is applied to many vectors at once by stacking their slots
 # of label k as the rows of a (trials, rows, n_k) array.
-
-
-def _slots(members, size: dict, arity: int) -> dict:
-    return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
+#
+# T_k is assembled by _place from index arithmetic on the slot keys: with s
+# members, a key of arity p is the base-s number of its member positions, and
+# each leg of a map places one block in every row slot at once.  The per-slot
+# term lists it replaces, tests/oracles.py's block_matrix, are the reference.
 
 
 def slot_sizes(datum, k, arity: int) -> dict:
     """Row count of each slot of label k with keys of the given arity."""
     members = datum.cover.members(k)
-    return _slots(members, {i: datum.mult_at(i, k) for i in members}, arity)
+    size = {i: datum.mult_at(i, k) for i in members}
+    return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
 
 
-def _block_matrix(row_slots: dict, col_slots: dict, terms) -> np.ndarray:
-    """Dense matrix over keyed row and column slots, stacked in dict order;
-    terms are (row key, column key, block) triples, summed in place."""
-    row_ofs = dict(zip(row_slots, np.cumsum([0, *row_slots.values()])))
-    col_ofs = dict(zip(col_slots, np.cumsum([0, *col_slots.values()])))
-    M = np.zeros((sum(row_slots.values()), sum(col_slots.values())), dtype=np.complex128)
-    for r, c, blk in terms:
-        M[row_ofs[r]:row_ofs[r] + blk.shape[0], col_ofs[c]:col_ofs[c] + blk.shape[1]] += blk
-    return M
+def _unpadded(sizes, m: int) -> np.ndarray:
+    """Mask of the rows of slots of the given sizes, each padded to m rows,
+    that lie inside their slot."""
+    return (np.arange(m) < np.asarray(sizes)[:, None]).reshape(-1)
+
+
+def _place(row_sizes: list, col_sizes: list, legs) -> np.ndarray:
+    """Dense matrix over row and column slots of the given sizes, stacked in
+    order.
+
+    Each leg (cols, blocks) adds blocks[t] (or one block, broadcast) to row
+    slot t at column slot cols[t], for every row slot t.  Slots are
+    zero-padded to the largest size while the legs add, one after another,
+    and padded rows and columns, present where sizes differ, are dropped at
+    the end.  Adding with += keeps the arithmetic of summing terms into
+    zeros: a slot pair that two legs name holds (0 + first) + second, and a
+    -0.0 entry of a block comes out +0.0.
+    """
+    mr, mc = max(row_sizes, default=0), max(col_sizes, default=0)
+    P = np.zeros((len(row_sizes), mr, len(col_sizes), mc), dtype=np.complex128)
+    rows = np.arange(len(row_sizes))
+    for cols, blocks in legs:
+        P[rows, :, cols, :] += blocks
+    P = P.reshape(len(row_sizes) * mr, len(col_sizes) * mc)
+    if min(row_sizes, default=mr) < mr:
+        P = P[_unpadded(row_sizes, mr)]
+    if min(col_sizes, default=mc) < mc:
+        P = P[:, _unpadded(col_sizes, mc)]
+    return P
 
 
 def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndarray:
     """T_k of unit * (eta (x) id^level) + delta * (delta (x) id^level): slot
     (i, j, *r) receives unit times slot (i, *r) plus delta times zeta_ij
-    applied to slot (j, *r).  A zero coefficient drops its leg."""
+    applied to slot (j, *r).  A zero coefficient drops its leg.
+
+    With s members and R = s^level, row slot t = (a, b, r) in base s has
+    a * R + r = (t // sR) * R + t % R and b * R + r = t % sR as its two
+    column slots, and (a, b) = t // R picks zeta_ab.
+    """
     members = datum.cover.members(k)
-    size = {i: datum.mult_at(i, k) for i in members}
-    dst = _slots(members, size, level + 2)
-    terms = []
-    for (i, j, *r) in dst:
-        if unit:
-            terms.append(((i, j, *r), (i, *r), unit * np.eye(size[i])))
-        if delta:
-            terms.append(((i, j, *r), (j, *r), delta * datum.zeta_block(i, j, k)))
-    return _block_matrix(dst, _slots(members, size, level + 1), terms)
+    sizes = [datum.mult_at(i, k) for i in members]
+    s = len(members)
+    R = s ** level
+    t = np.arange(s * s * R)
+    legs = []
+    if unit:
+        legs.append((t // (s * R) * R + t % R, unit * np.eye(max(sizes, default=0))))
+    if delta:
+        Z = transition_stack(members, sizes, lambda i, j: datum.zeta_block(i, j, k))
+        legs.append((t % (s * R), (delta * Z).reshape(s * s, *Z.shape[2:])[t // R]))
+    return _place([m for m in sizes for _ in range(s * R)],
+                  [m for m in sizes for _ in range(R)], legs)
 
 
 def delta_map(datum, k) -> np.ndarray:
@@ -177,10 +208,10 @@ def delta_map(datum, k) -> np.ndarray:
 def epsilon_map(datum, k) -> np.ndarray:
     """T_k of the counit: family slot (i) receives pair slot (i, i)."""
     members = datum.cover.members(k)
-    size = {i: datum.mult_at(i, k) for i in members}
-    fam = _slots(members, size, 1)
-    return _block_matrix(fam, _slots(members, size, 2),
-                         [((i,), (i, i), np.eye(size[i])) for i in members])
+    sizes = [datum.mult_at(i, k) for i in members]
+    s = len(sizes)
+    return _place(sizes, [m for m in sizes for _ in range(s)],
+                  [(np.arange(s) * (s + 1), np.eye(max(sizes, default=0)))])
 
 
 #: lift_to_triple kinds, as the (unit, delta) coefficients of _unit_plus_delta.
@@ -232,14 +263,12 @@ def image_eta_matrices(X: HilbertModule, cover: ClosedCover, k):
     pair slots whose difference has the unit's image as kernel: slot (i, j)
     equal to t_j, resp. t_i.
     """
-    members = cover.members(k)
+    s = len(cover.members(k))
     m = X.mult[X.algebra.position(k)]
-    size = dict.fromkeys(members, m)
-    fam, pair = _slots(members, size, 1), _slots(members, size, 2)
-    eye = np.eye(m)
-    M_unit = _block_matrix(fam, {(): m}, [(key, (), eye) for key in fam])
-    M_eta_id = _block_matrix(pair, fam, [((i, j), (j,), eye) for (i, j) in pair])
-    M_id_etaB = _block_matrix(pair, fam, [((i, j), (i,), eye) for (i, j) in pair])
+    fam, pair, eye, t = [m] * s, [m] * (s * s), np.eye(m), np.arange(s * s)
+    M_unit = _place(fam, [m], [(np.zeros(s, dtype=int), eye)])
+    M_eta_id = _place(pair, fam, [(t % s, eye)])
+    M_id_etaB = _place(pair, fam, [(t // s, eye)])
     return M_unit, M_eta_id, M_id_etaB
 
 
@@ -253,16 +282,15 @@ def glued_tensor_subspace_basis(glued, k) -> np.ndarray:
     factor the columns for one l are E_k's, orthonormal, and columns for
     different l have disjoint supports: they are the basis as they stand.
     """
-    D = glued.datum
-    members = D.cover.members(k)
-    size = {i: D.mult_at(i, k) for i in members}
     E = glued.stacked_basis[k]
-    ofs = {i: o for (i, o, _) in glued.layout[k]}
-    pair = _slots(members, size, 2)
-    dom = _slots(members, dict.fromkeys(members, E.shape[1]), 1)
-    return _block_matrix(
-        pair, dom, [((i, l), (l,), E[ofs[i]:ofs[i] + size[i]]) for (i, l) in pair]
-    )
+    sizes = [m_i for (_, _, m_i) in glued.layout[k]]
+    s = len(sizes)
+    rows = np.zeros((s, max(sizes, default=0), E.shape[1]), dtype=np.complex128)
+    for a, (_, ofs, m_i) in enumerate(glued.layout[k]):
+        rows[a, :m_i] = E[ofs:ofs + m_i]
+    t = np.arange(s * s)
+    return _place([m for m in sizes for _ in range(s)], [E.shape[1]] * s,
+                  [(t % s, rows[t // s])])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ left action probed on every matrix unit.  The identities of an equivalence bimod
 closed form from each twist's singular values, are sampled here on random
 vectors.  The transition checks of both datum validators, which the library
 takes per label from one stacked tensor, are the per-pair and per-triple
-loops here.
+loops here, and so are the obstruction scalars.  The per-label matrices T_k,
+which the library places leg by leg with index arithmetic, are summed here
+one slot pair at a time (block_matrix), and the Gaussian draws, which the
+library computes as one splitmix block, come one entry at a time from
+ScalarRng.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,7 @@ import numpy as np
 from modglue import morita, numlin, tensor
 from modglue.cstar import AlgebraElement, ClosedCover, sum_algebra
 from modglue.gen import random_element, random_vector
-from modglue.errors import InvalidInputError
+from modglue.errors import InvalidInputError, ModelViolationError
 from modglue.glue import (
     EXACT_IDENTITY_TOL,
     DatumValidation,
@@ -44,7 +50,7 @@ from modglue.hmod import (
     right_act,
     vec_norm,
 )
-from modglue.rng import Rng
+from modglue.rng import _MASK, GAMMA, MIX1, MIX2, Rng
 
 
 def row_reduction_rank(M, tol=1e-10):
@@ -268,6 +274,93 @@ def flat_glued_tensor_subspace_basis(gd):
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     return u[:, s > 1e-10 * s[0]]
+
+
+# ---------------------------------------------------------------------------
+# Per-slot builders of the per-label matrices T_k
+#
+# The library places each leg of T_k for all slots at once by index
+# arithmetic; here every slot pair is a term of its own, summed in place
+# into a zero matrix one term after another.
+
+
+def _slots(members, size, arity):
+    return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
+
+
+def block_matrix(row_slots, col_slots, terms):
+    """Dense matrix over keyed row and column slots, stacked in dict order;
+    terms are (row key, column key, block) triples, summed in place."""
+    row_ofs = dict(zip(row_slots, np.cumsum([0, *row_slots.values()])))
+    col_ofs = dict(zip(col_slots, np.cumsum([0, *col_slots.values()])))
+    M = np.zeros((sum(row_slots.values()), sum(col_slots.values())), dtype=np.complex128)
+    for r, c, blk in terms:
+        M[row_ofs[r]:row_ofs[r] + blk.shape[0], col_ofs[c]:col_ofs[c] + blk.shape[1]] += blk
+    return M
+
+
+def blockwise_unit_plus_delta(D, k, level, unit, delta):
+    """T_k of unit * (eta (x) id^level) + delta * (delta (x) id^level)."""
+    members = D.cover.members(k)
+    size = {i: D.mult_at(i, k) for i in members}
+    dst = _slots(members, size, level + 2)
+    terms = []
+    for (i, j, *r) in dst:
+        if unit:
+            terms.append(((i, j, *r), (i, *r), unit * np.eye(size[i])))
+        if delta:
+            terms.append(((i, j, *r), (j, *r), delta * D.zeta_block(i, j, k)))
+    return block_matrix(dst, _slots(members, size, level + 1), terms)
+
+
+def blockwise_epsilon_map(D, k):
+    members = D.cover.members(k)
+    size = {i: D.mult_at(i, k) for i in members}
+    return block_matrix(_slots(members, size, 1), _slots(members, size, 2),
+                        [((i,), (i, i), np.eye(size[i])) for i in members])
+
+
+def blockwise_image_eta_matrices(X, cover, k):
+    members = cover.members(k)
+    m = X.mult[X.algebra.position(k)]
+    size = dict.fromkeys(members, m)
+    fam, pair = _slots(members, size, 1), _slots(members, size, 2)
+    eye = np.eye(m)
+    return (
+        block_matrix(fam, {(): m}, [(key, (), eye) for key in fam]),
+        block_matrix(pair, fam, [((i, j), (j,), eye) for (i, j) in pair]),
+        block_matrix(pair, fam, [((i, j), (i,), eye) for (i, j) in pair]),
+    )
+
+
+def blockwise_glued_tensor_subspace_basis(gd, k):
+    D = gd.datum
+    members = D.cover.members(k)
+    size = {i: D.mult_at(i, k) for i in members}
+    E = gd.stacked_basis[k]
+    ofs = {i: o for (i, o, _) in gd.layout[k]}
+    pair = _slots(members, size, 2)
+    dom = _slots(members, dict.fromkeys(members, E.shape[1]), 1)
+    return block_matrix(
+        pair, dom, [((i, l), (l,), E[ofs[i]:ofs[i] + size[i]]) for (i, l) in pair]
+    )
+
+
+def blockwise_builders(D, k):
+    """The library's T_k of label k, keyed by builder, with its per-slot
+    reference: (library, oracle) pairs."""
+    return {
+        "delta_map": (tensor.delta_map(D, k), blockwise_unit_plus_delta(D, k, 0, 0.0, 1.0)),
+        "epsilon_map": (tensor.epsilon_map(D, k), blockwise_epsilon_map(D, k)),
+        "eta_tensor_id": (tensor.lift_to_triple("eta_tensor_id", D, k),
+                          blockwise_unit_plus_delta(D, k, 1, 1.0, 0.0)),
+        "delta_tensor_id": (tensor.lift_to_triple("delta_tensor_id", D, k),
+                            blockwise_unit_plus_delta(D, k, 1, 0.0, 1.0)),
+        "eta_minus_delta": (tensor.eta_minus_delta_matrix(D, k),
+                            blockwise_unit_plus_delta(D, k, 0, 1.0, -1.0)),
+        "eta_minus_delta_tensor_id": (tensor.eta_minus_delta_tensor_id_matrix(D, k),
+                                      blockwise_unit_plus_delta(D, k, 1, 1.0, -1.0)),
+    }
 
 
 def kernel(M, tol=1e-10):
@@ -673,3 +766,89 @@ def object_delta_isometry_residuals(D, zs, b) -> tuple:
         abs(pair_norm(t) - family_norm(zs[0])),
         abs(pair_norm_amp2(dgrid) - family_norm_amp2(grid)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Obstruction scalars, one composite at a time
+
+
+def looped_obstruction_2cocycle(D, tol):
+    """morita.obstruction_2cocycle one (triple, label) at a time: the trace-
+    normalized scalar f of each composite C and ||C - f I|| from one SVD."""
+    out = {}
+    for (i, j, l) in D.cover.triples():
+        per_block = {}
+        for k in sorted(D.cover.overlap(i, j, l)):
+            C = D.nu_block(i, j, k) @ D.nu_block(j, l, k) @ D.nu_block(i, l, k).conj().T
+            m = C.shape[0]
+            f = complex(np.trace(C) / m) if m else 1.0 + 0j
+            r = numlin.op_norm(C - f * np.eye(m)) if m else 0.0
+            if r > tol:
+                raise ModelViolationError(
+                    f"transition composite at ({i},{j},{l}) block {k} is not scalar "
+                    f"(residual {r:.3e}); a transition is not a bimodule map",
+                    residual=r,
+                )
+            per_block[k] = (f, r)
+        out[(i, j, l)] = per_block
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The random stream, one output at a time
+
+
+class ScalarRng:
+    """modglue.rng.Rng as it was before Gaussian blocks were drawn as one
+    array: every entry takes two scalar splitmix steps and one
+    complex_gauss."""
+
+    def __init__(self, seed: int):
+        self.state = int(seed) & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GAMMA) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * MIX2) & _MASK
+        return (z ^ (z >> 31)) & _MASK
+
+    def uniform(self) -> float:
+        return ((self.next_u64() >> 11) + 1) * (2.0 ** -53)
+
+    def randint(self, lo: int, hi: int) -> int:
+        if hi < lo:
+            raise ValueError("empty range")
+        span = hi - lo + 1
+        return lo + self.next_u64() % span
+
+    def complex_gauss(self) -> complex:
+        u1 = self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-math.log(u1))
+        return complex(r * math.cos(2 * math.pi * u2), r * math.sin(2 * math.pi * u2))
+
+    def gauss_matrix(self, m: int, n: int) -> np.ndarray:
+        out = np.zeros((m, n), dtype=np.complex128)
+        for r in range(m):
+            for c in range(n):
+                out[r, c] = self.complex_gauss()
+        return out
+
+    def unit_scalar(self) -> complex:
+        phase = 2 * math.pi * self.uniform()
+        return complex(math.cos(phase), math.sin(phase))
+
+    def unitary(self, m: int) -> np.ndarray:
+        if m == 0:
+            return np.zeros((0, 0), dtype=np.complex128)
+        G = self.gauss_matrix(m, m)
+        Q = np.zeros((m, m), dtype=np.complex128)
+        for c in range(m):
+            v = G[:, c].copy()
+            for p in range(c):
+                v -= np.vdot(Q[:, p], v) * Q[:, p]
+            for p in range(c):
+                v -= np.vdot(Q[:, p], v) * Q[:, p]
+            Q[:, c] = v / np.linalg.norm(v)
+        return Q

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modglue import gen, morita, serial
 from modglue.errors import InvalidInputError
 from modglue.gen import GenConfig
 from modglue.glue import validate_gluing_datum
+from modglue.hmod import module
 from modglue.rng import Rng
+
+import oracles
 
 
 class TestRng:
@@ -38,6 +43,42 @@ class TestRng:
         r = Rng(10)
         vals = {r.randint(2, 5) for _ in range(200)}
         assert vals == {2, 3, 4, 5}
+
+
+def same_array(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+SHAPES = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), shapes=st.lists(SHAPES, max_size=5),
+       m=st.integers(min_value=0, max_value=9))
+@example(seed=0, shapes=[(0, 4), (4, 0), (0, 0), (1, 1)], m=0)
+@example(seed=2**64 - 1, shapes=[(9, 9)], m=9)  # the state wraps mod 2^64
+def test_gaussian_draws_equal_the_scalar_stream(seed, shapes, m):
+    fast, slow = Rng(seed), oracles.ScalarRng(seed)
+    for (r, c) in shapes:
+        assert same_array(fast.gauss_matrix(r, c), slow.gauss_matrix(r, c))
+    assert same_array(fast.unitary(m), slow.unitary(m))
+    assert complex(fast.complex_gauss()) == slow.complex_gauss()
+    assert fast.state == slow.state
+    # gen draws all blocks of an object in one call, split row-major
+    A = gen.random_algebra(Rng(seed), GenConfig(seed=0))
+    src = module(A, tuple((m + k) % 4 for k in range(A.num_blocks)))
+    tgt = module(A, tuple(range(A.num_blocks)))
+    draws = [
+        (gen.random_vector(fast, tgt).blocks,
+         tuple(slow.gauss_matrix(p, n) for p, n in tgt.block_shapes())),
+        (gen.random_element(fast, A).blocks,
+         tuple(slow.gauss_matrix(n, n) for n in A.block_dims)),
+        (gen.random_map(fast, src, tgt).blocks,
+         tuple(slow.gauss_matrix(p, q) for p, q in zip(tgt.mult, src.mult))),
+    ]
+    for got, want in draws:
+        assert len(got) == len(want) and all(map(same_array, got, want))
+    assert fast.state == slow.state
 
 
 class TestInstances:

@@ -631,3 +631,72 @@ def test_validation_draws_no_random_samples(monkeypatch, algebras):
     assert validate_bimodule_datum(D).required_ok()
     gb = glue_bimodules(D)
     assert gb.bimodule is not None and gb.validation.passed
+
+
+def bits(x):
+    """Exact bit pattern of a float or complex, -0.0 apart from 0.0."""
+    z = complex(x)
+    return z.real.hex(), z.imag.hex()
+
+
+def obstruction_outcome(fn, D, tol):
+    try:
+        return fn(D, tol)
+    except ModelViolationError as err:
+        return str(err), bits(err.residual)
+
+
+def phase_datum(seed, theta):
+    """Bimodule datum over three full sets with phases (1, 1, e^{i theta})."""
+    cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=3, kind="bimodule",
+                    twist_mode="prescribed_phases",
+                    phases=((0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, np.cos(theta), np.sin(theta))))
+    return gen.random_instance(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(DATUM_MODES + ("phases",)),
+       seed=st.integers(min_value=0, max_value=10**6),
+       theta=st.floats(min_value=0.0, max_value=2 * np.pi))
+@example(mode="phases", seed=0, theta=np.pi)  # (1, 1, -1)
+@example(mode="non_bimodule", seed=1, theta=0.0)  # three sets, not scalar: refused
+def test_stacked_obstruction_scalars_equal_the_looped_oracle(mode, seed, theta):
+    D = phase_datum(seed, theta) if mode == "phases" else bimodule_datum(mode, seed)
+    tol = morita.DEFAULT_TOL
+    # every composite's scalar and residual, bit for bit
+    want = {(i, j, l, k): fr
+            for (i, j, l), per in oracles.looped_obstruction_2cocycle(D, np.inf).items()
+            for k, fr in per.items()}
+    got = morita._composite_scalars(D)
+    assert set(got) == set(want)
+    assert all(bits(got[key][0]) == bits(f) and bits(got[key][1]) == bits(r)
+               for key, (f, r) in want.items())
+    # the same scalars, or the same error for the first failing composite
+    got = obstruction_outcome(obstruction_2cocycle, D, tol)
+    want = obstruction_outcome(oracles.looped_obstruction_2cocycle, D, tol)
+    if isinstance(want, dict):
+        want = {t: {k: f for k, (f, _) in per.items()} for t, per in want.items()}
+        assert {t: {k: bits(f) for k, f in per.items()} for t, per in got.items()} == \
+            {t: {k: bits(f) for k, f in per.items()} for t, per in want.items()}
+    else:
+        assert got == want
+    if (mode, seed) == ("non_bimodule", 1):
+        assert got[0].startswith("transition composite at (0,1,2) block 0 is not scalar")
+
+
+@pytest.mark.parametrize("side,left_dims,right_dims", [
+    ("left", (3, 2), (2, 2)),  # block 2 of the left algebra has dimension 1
+    ("left", (3,), (2,)),  # block 2 is missing
+    ("right", (3, 1), (2, 1)),  # block 2 of the right algebra has dimension 2
+])
+def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_dims, right_dims):
+    left, right = algebra((2, 3, 1)), algebra((1, 2, 2))
+    cov = cover(3, [{0, 1}, {1, 2}])
+    D = random_bimodule_datum(Rng(62), left, right, cov, GenConfig(seed=62))
+    labels = (1, 2)[:len(left_dims)]
+    bad = EquivalenceBimodule(algebra(left_dims, labels), algebra(right_dims, labels),
+                              tuple(np.eye(n) for n in left_dims))
+    entries = [(i, j, k, W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    with pytest.raises(InvalidInputError, match=f"^bimodule 1 has wrong {side} algebra$"):
+        morita.make_bimodule_datum(left, right, cov, (D.bimodules[0], bad), entries)
+    assert morita.make_bimodule_datum(left, right, cov, D.bimodules, entries).bimodules == D.bimodules

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from modglue import gen, numlin, tensor
 from modglue.cstar import AlgebraElement, algebra, cover, restrict_algebra, sum_algebra
-from modglue.errors import InvalidInputError
+from modglue.errors import InvalidInputError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import (
     _tensor_kernel_check,
@@ -650,3 +650,60 @@ def test_descent_and_criterion_3_build_no_model_objects(monkeypatch):
     for mode in ("coherent", "random_unitary", "empty_set"):
         descent_identities_check(descent_datum(mode, 5), trials=2, seed=5)
     assert criterion_3_delta_isometry(trials=3).passed
+
+
+def mixed_datum(seed):
+    """Two or three full cover sets whose modules have independent
+    multiplicities, joined by Gaussian (non-square, non-unitary) transitions
+    with some entries -0.0."""
+    rng = Rng(seed)
+    cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=2, max_mult=3)
+    A = gen.random_algebra(rng, cfg)
+    cov = cover(A.num_blocks, [set(A.labels)] * rng.randint(2, 3))
+    modules = tuple(gen.random_module(rng, A, cfg) for _ in cov.sets)
+    entries = []
+    for i in range(cov.num_sets):
+        for j in range(i + 1, cov.num_sets):
+            for k in A.labels:
+                G = rng.gauss_matrix(modules[i].mult[k], modules[j].mult[k])
+                entries.append((i, j, k, np.where(G.real > 0.5, complex(-0.0, -0.0), G)))
+    return make_gluing_datum(A, cov, modules, entries)
+
+
+def builder_datum(mode, seed):
+    """A datum of one family of the T_k builder comparisons: the descent
+    families, mixed multiplicities, or a single cover set."""
+    if mode == "mixed":
+        return mixed_datum(seed)
+    if mode == "single":
+        rng = Rng(seed)
+        cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=2, max_mult=3)
+        A = gen.random_algebra(rng, cfg)
+        return make_gluing_datum(A, cover(A.num_blocks, [set(A.labels)]),
+                                 (gen.random_module(rng, A, cfg),), [])
+    return descent_datum(mode, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(DESCENT_MODES + ["mixed", "single"]),
+       seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="prescribed_phases", seed=0)  # (1, 1, -1)
+@example(mode="mixed", seed=5)  # mixed sizes and -0.0 entries
+def test_placed_t_k_equals_the_per_slot_builder_bit_for_bit(mode, seed):
+    D = builder_datum(mode, seed)
+    X = module(D.algebra, tuple(range(1, D.algebra.num_blocks + 1)))
+    try:
+        gd = glue(D)
+    except RankAmbiguityError:
+        gd = None
+    for k in D.algebra.labels:
+        pairs = oracles.blockwise_builders(D, k)
+        pairs.update(zip(("M_unit", "M_eta_id", "M_id_etaB"), zip(
+            tensor.image_eta_matrices(X, D.cover, k),
+            oracles.blockwise_image_eta_matrices(X, D.cover, k))))
+        if gd is not None:
+            pairs["glued_basis"] = (tensor.glued_tensor_subspace_basis(gd, k),
+                                    oracles.blockwise_glued_tensor_subspace_basis(gd, k))
+        for name, (got, want) in pairs.items():
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name

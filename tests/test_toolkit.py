@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -66,6 +67,37 @@ class TestSerialization:
         for (i, j), entries in D.zeta.items():
             for k, M in entries.items():
                 assert np.allclose(D2.zeta_block(i, j, k), M)
+
+
+#: sha256 of the concatenated `modglue gen --kind K --mode M` files for seeds
+#: 0-4 (prescribed_phases with the (1, 1, -1) witness phases).  They pin the
+#: random stream and the file format together: a changed draw, draw order or
+#: float rendering changes them.  Computed with numpy's OpenBLAS build on
+#: x86-64 Linux; another BLAS or libm may change the last bits of a unitary.
+GEN_SHA256 = {
+    ("gluing", "coherent"): "713a62cbb4b6ebd206ea41a8a9941fd7d881314917ef0a961b5c102a0a970594",
+    ("gluing", "random_unitary"): "ba9f76238d88ad45bd5576c42ac835d20aeefd613f83b1f2c5e97e3305e8b137",
+    ("gluing", "prescribed_phases"): "41bb7b23073d0127f4213a5cc611599b2060793dc45f60f9605a346278d1c742",
+    ("bimodule", "coherent"): "b07b1c5983320723fc4aa2e43f9d4cbc12580b0966d0b8dd8ed5b7ee5207cbe4",
+    ("bimodule", "random_unitary"): "0d1823d4eb3af4e88c68874e28d41fe066bd44f98ec449acc12e5d42edb7caf2",
+    ("bimodule", "prescribed_phases"): "66896bff6653c895f3a0e1adfa5aea84d782731ec5b5e4ccee16008c91f0d107",
+    ("module", "coherent"): "b08d60c0cd2e984e7334ed63bbf9634515a55a2ad60256e873eda1521af2b676",
+    ("module", "random_unitary"): "b08d60c0cd2e984e7334ed63bbf9634515a55a2ad60256e873eda1521af2b676",
+    ("module", "prescribed_phases"): "287996ea6e29bc3121562f54d71985e1cec9601fba3ebf8a94691a03dead70ad",
+}
+
+
+@pytest.mark.parametrize("kind,mode", list(GEN_SHA256))
+def test_gen_output_is_pinned(tmp_path, kind, mode):
+    h = hashlib.sha256()
+    out = tmp_path / "inst.json"
+    for seed in range(5):
+        argv = ["gen", "--seed", str(seed), "--kind", kind, "--mode", mode, "--out", str(out)]
+        if mode == "prescribed_phases":
+            argv += ["--phases", "[[0, 1, 1.0, 0.0], [1, 2, 1.0, 0.0], [0, 2, -1.0, 0.0]]"]
+        assert main(argv) == 0
+        h.update(out.read_bytes())
+    assert h.hexdigest() == GEN_SHA256[(kind, mode)]
 
 
 class TestCli:
@@ -299,6 +331,30 @@ class TestCli:
         bim.write_text(json.dumps(obj))
         assert main(["validate", str(bim)]) == cli.EXIT_INVALID
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key", [("gluing", "zeta"), ("bimodule", "nu")])
+    @pytest.mark.parametrize("entry", [[1.0, 0.0, 5.0], [1.0], [True, 0.0], [0.0, False],
+                                       "1", None, [[1.0, 0.0]]])
+    def test_malformed_complex_entry_exits_parse(self, tmp_path, capsys, kind, key, entry):
+        # a complex entry is a list of exactly two numbers, booleans excluded
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "3", "--kind", kind, "--mode", "random_unitary",
+                     "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        obj[key][0]["matrix"][0][0] = entry
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst)]) == cli.EXIT_PARSE
+        assert "matrix entry (0, 0)" in capsys.readouterr().err
+
+    def test_integer_entry_beyond_float_range_exits_parse(self, tmp_path, capsys):
+        # a JSON integer too large for a float used to escape as a traceback
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "3", "--mode", "random_unitary", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        obj["zeta"][0]["matrix"][0][0] = [10 ** 400, 0]
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst)]) == cli.EXIT_PARSE
+        assert "too large" in capsys.readouterr().err
 
     def test_overflowing_datum_exit_codes(self, tmp_path):
         # transitions scaled by 1e200: every judged residual or kernel is
