@@ -69,17 +69,28 @@ class GluingDatum:
         return self.zeta[(i, j)][label]
 
 
+def check_set_indices(cover: ClosedCover, i: int, j: int, k) -> None:
+    """Refuse a transition entry (i, j, k) whose i or j names no cover set;
+    a negative index would otherwise alias a set from the end."""
+    if not (0 <= i < cover.num_sets and 0 <= j < cover.num_sets):
+        raise InvalidInputError(
+            f"transition ({i}, {j}) at block {k} names a set outside 0..{cover.num_sets - 1}"
+        )
+
+
 def normalize_transitions(cover: ClosedCover, entries, size) -> dict:
     """Checked transition dict {(i, j): {label: matrix}} of a datum.
 
     entries is an iterable of (i, j, label, matrix) and size(i, label) the
-    multiplicity of set i at the label.  Each matrix must have shape
+    multiplicity of set i at the label.  i and j must name cover sets, as
+    check_set_indices requires.  Each matrix must have shape
     (size(i, label), size(j, label)) on a label of the overlap; a pair given
     in only one direction gets the adjoint as its mirror, and a diagonal entry
     must lie within DIAGONAL_IDENTITY_TOL of the identity and is dropped.
     """
     out: dict = {}
     for (i, j, k, M) in entries:
+        check_set_indices(cover, i, j, k)
         if k not in cover.overlap(i, j):
             raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
         M = numlin.as_cmatrix(M, (size(i, k), size(j, k)))
@@ -163,11 +174,9 @@ def transition_residuals(members, sizes, block):
     when unitarity is measured against P_b and P_a instead of I.  Returns
     (unitary, nonsquare, involutive, cocycle): the largest of ||W*W - I|| and
     ||WW* - I|| over the square pairs, whether any pair is not square, the
-    largest ||Z_ba - Z_ab*|| and the largest ||Z_ab Z_bc - Z_ac|| over b not
-    in {a, c}; the triples with b = a or b = c are exactly 0 and are left
-    out.  The cocycle is taken one first index a at a time, so the extra
-    memory is O(s^2 m^2).  A non-finite residual raises InvalidInputError,
-    with numpy's overflow and invalid-value warnings silenced.
+    largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A non-finite residual
+    raises InvalidInputError, with numpy's overflow and invalid-value
+    warnings silenced.
     """
     s = len(members)
     if s < 2:
@@ -187,11 +196,33 @@ def transition_residuals(members, sizes, block):
     involutive = numlin.op_norms(
         Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
     ).max(initial=0.0)
+    return float(unitary), not square.all(), float(involutive), cocycle_residual(Z)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cocycle_residual(Z) -> float:
+    """Largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c} of one label's
+    transition_stack Z; the triples with b = a or b = c are exactly 0 and
+    are left out.  It is taken one first index a at a time, so the extra
+    memory is O(s^2 m^2).  A non-finite residual raises InvalidInputError."""
+    s = len(Z)
+    off = ~np.eye(s, dtype=bool)
     cocycle = 0.0
     for a in range(s):
         b, c = np.nonzero(off & (np.arange(s) != a)[:, None])  # b not in {a, c}
         cocycle = max(cocycle, numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
-    return float(unitary), not square.all(), float(involutive), float(cocycle)
+    return float(cocycle)
+
+
+def _datum_cocycle_residual(D: GluingDatum) -> float:
+    """The cocycle residual that validate_gluing_datum reports, alone."""
+    worst = 0.0
+    for k in D.algebra.labels:
+        members = D.cover.members(k)
+        Z = transition_stack(members, [D.mult_at(i, k) for i in members],
+                             lambda i, j: D.zeta_block(i, j, k))
+        worst = max(worst, cocycle_residual(Z))
+    return worst
 
 
 def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumValidation:
@@ -589,12 +620,16 @@ def descent_identities_check(
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
     rng = Rng(seed)
     gd = glue(D)
-    cocycle_residual = validate_gluing_datum(D, tol).max_residuals["cocycle"]
+    cocycle = _datum_cocycle_residual(D)
 
-    draws, glued = [], []
-    for _ in range(trials):
-        draws.append(tuple(gen.random_vector(rng, m) for m in D.modules))
-        glued.append(gd.embed(gen.random_vector(rng, gd.module)))
+    # Every block of every trial from one draw, in the stream order of
+    # drawing each trial's family and then its glued vector one by one.
+    item = (*D.modules, gd.module)
+    blocks = iter(gen._gauss_blocks(rng, [b for m in item for b in m.block_shapes()] * trials))
+    vectors = [[ModuleVector(m, tuple(next(blocks) for _ in m.block_shapes())) for m in item]
+               for _ in range(trials)]
+    draws = [tuple(v[:-1]) for v in vectors]
+    glued = [gd.embed(v[-1]) for v in vectors]
     counit, coassoc, coassoc_glued = [], [], []
     for k in D.algebra.labels:
         Z = tensor.family_stack(draws + glued, D, k)
@@ -621,7 +656,7 @@ def descent_identities_check(
         counit=res_a,
         coassoc=res_b,
         coassoc_glued=res_b_glued,
-        cocycle_residual=cocycle_residual,
+        cocycle_residual=cocycle,
         kernel_gap=kernel_gap,
         tensor_dims=tensor_dims,
         tensor_gap=tensor_gap,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover, restrict_algebra
 from .errors import FormatError, InvalidInputError
-from .glue import GluingDatum, make_gluing_datum
+from .glue import GluingDatum, check_set_indices, make_gluing_datum
 from .hmod import HilbertModule, module
 from .morita import (
     BimoduleGluingDatum,
@@ -79,22 +79,36 @@ def cover_from_json(obj, prim_size: int) -> ClosedCover:
     return cover(prim_size, [frozenset(int(k) for k in s) for s in obj["sets"]])
 
 
+def _transitions_to_json(zeta: dict) -> list:
+    """Transition entries of a datum's {(i, j): {label: matrix}}, pairs with
+    i > j left out: mirrors are implied."""
+    return [
+        {"i": i, "j": j, "k": int(k), "matrix": matrix_to_json(zeta[(i, j)][k])}
+        for (i, j) in sorted(zeta) if i <= j
+        for k in sorted(zeta[(i, j)])
+    ]
+
+
+def _transitions_from_json(entries, cov: ClosedCover, size) -> list:
+    """(i, j, label, matrix) of each transition entry, size(i, label) the
+    multiplicity of set i at the label; i and j are checked to name cover
+    sets before size reads them."""
+    out = []
+    for e in entries:
+        i, j, k = int(e["i"]), int(e["j"]), int(e["k"])
+        check_set_indices(cov, i, j, k)
+        out.append((i, j, k, matrix_from_json(e["matrix"], (size(i, k), size(j, k)))))
+    return out
+
+
 def gluing_to_json(D: GluingDatum) -> dict:
-    out = {
+    return {
         "kind": "gluing",
         "algebra": algebra_to_json(D.algebra),
         "cover": cover_to_json(D.cover),
         "modules": [{"mult": [int(m) for m in mod.mult]} for mod in D.modules],
-        "zeta": [],
+        "zeta": _transitions_to_json(D.zeta),
     }
-    for (i, j) in sorted(D.zeta):
-        if i > j:
-            continue  # mirrors are implied
-        for k in sorted(D.zeta[(i, j)]):
-            out["zeta"].append(
-                {"i": i, "j": j, "k": int(k), "matrix": matrix_to_json(D.zeta[(i, j)][k])}
-            )
-    return out
 
 
 def gluing_from_json(obj) -> GluingDatum:
@@ -107,12 +121,10 @@ def gluing_from_json(obj) -> GluingDatum:
         if len(mult) != sub.num_blocks:
             raise FormatError(f"module {i} multiplicity length mismatch")
         modules.append(module(sub, mult))
-    entries = []
-    for e in obj.get("zeta", []):
-        i, j, k = int(e["i"]), int(e["j"]), int(e["k"])
-        mi = modules[i].mult[modules[i].algebra.position(k)]
-        mj = modules[j].mult[modules[j].algebra.position(k)]
-        entries.append((i, j, k, matrix_from_json(e["matrix"], (mi, mj))))
+    entries = _transitions_from_json(
+        obj.get("zeta", []), cov,
+        lambda i, k: modules[i].mult[modules[i].algebra.position(k)],
+    )
     return make_gluing_datum(A, cov, tuple(modules), entries)
 
 
@@ -151,7 +163,7 @@ def bimodule_from_json(obj) -> EquivalenceBimodule:
 
 
 def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
-    out = {
+    return {
         "kind": "bimodule_datum",
         "left_blocks": [int(n) for n in D.left_algebra.block_dims],
         "right_blocks": [int(n) for n in D.right_algebra.block_dims],
@@ -159,16 +171,8 @@ def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
         "bimodules": [
             {"twist": [matrix_to_json(u) for u in Mi.twist]} for Mi in D.bimodules
         ],
-        "nu": [],
+        "nu": _transitions_to_json(D.nu),
     }
-    for (i, j) in sorted(D.nu):
-        if i > j:
-            continue
-        for k in sorted(D.nu[(i, j)]):
-            out["nu"].append(
-                {"i": i, "j": j, "k": int(k), "matrix": matrix_to_json(D.nu[(i, j)][k])}
-            )
-    return out
 
 
 def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
@@ -184,12 +188,10 @@ def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
             for t, m in zip(spec["twist"], subL.block_dims)
         )
         bims.append(EquivalenceBimodule(subL, subR, twist))
-    entries = []
-    for e in obj.get("nu", []):
-        i, j, k = int(e["i"]), int(e["j"]), int(e["k"])
-        mi = bims[i].mult[bims[i].left_algebra.position(k)]
-        mj = bims[j].mult[bims[j].left_algebra.position(k)]
-        entries.append((i, j, k, matrix_from_json(e["matrix"], (mi, mj))))
+    entries = _transitions_from_json(
+        obj.get("nu", []), cov,
+        lambda i, k: bims[i].mult[bims[i].left_algebra.position(k)],
+    )
     return make_bimodule_datum(left, right, cov, tuple(bims), entries)
 
 

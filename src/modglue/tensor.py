@@ -27,7 +27,6 @@ from .cstar import (
     ClosedCover,
     FdCStarAlgebra,
     restrict_algebra,
-    restrict_element,
     sum_algebra,
 )
 from .errors import InvalidInputError
@@ -41,55 +40,37 @@ from .hmod import (
     restrict_module,
     right_act,
 )
+from .rng import Rng
 
 # ---------------------------------------------------------------------------
 # Pair and triple models
 
 
 @dataclass(eq=False)
-class PairTensorModel:
-    """Component spaces Z_i|F_ij for ordered pairs with nonempty overlap."""
+class TensorModel:
+    """Component spaces Z_i|F_ij (pair model) or Z_i|F_ijl (triple model), one
+    per entry: the ordered pairs, resp. triples, of sets with nonempty overlap."""
 
     cover: ClosedCover
     modules: tuple  # Z_i over A|F_i
+    entries: tuple  # (i, j) or (i, j, l), lexicographic
 
     def __post_init__(self):
-        self.entries = tuple(self.cover.pairs(include_diagonal=True))
         self.index = {e: n for n, e in enumerate(self.entries)}
         self.spaces = tuple(
-            restrict_module(self.modules[i], self.cover.overlap(i, j))
-            for (i, j) in self.entries
+            restrict_module(self.modules[e[0]], self.cover.overlap(*e)) for e in self.entries
         )
         dims = [s.dim for s in self.spaces]
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.dim = int(self.offsets[-1])
 
 
-@dataclass(eq=False)
-class TripleTensorModel:
-    """Component spaces Z_i|F_ijl for ordered triples with nonempty overlap."""
-
-    cover: ClosedCover
-    modules: tuple
-
-    def __post_init__(self):
-        self.entries = tuple(self.cover.triples())
-        self.index = {e: n for n, e in enumerate(self.entries)}
-        self.spaces = tuple(
-            restrict_module(self.modules[i], self.cover.overlap(i, j, l))
-            for (i, j, l) in self.entries
-        )
-        dims = [s.dim for s in self.spaces]
-        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self.dim = int(self.offsets[-1])
+def pair_model(datum) -> TensorModel:
+    return TensorModel(datum.cover, tuple(datum.modules), tuple(datum.cover.pairs()))
 
 
-def pair_model(datum) -> PairTensorModel:
-    return PairTensorModel(datum.cover, tuple(datum.modules))
-
-
-def triple_model(datum) -> TripleTensorModel:
-    return TripleTensorModel(datum.cover, tuple(datum.modules))
+def triple_model(datum) -> TensorModel:
+    return TensorModel(datum.cover, tuple(datum.modules), tuple(datum.cover.triples()))
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +89,6 @@ def family_from_coords(modules, u) -> tuple:
         parts.append(from_coords(mod, u[ofs:ofs + mod.dim]))
         ofs += mod.dim
     return tuple(parts)
-
-
-def _matrix_of(fn, dom_dim: int, cod_dim: int) -> np.ndarray:
-    M = np.zeros((cod_dim, dom_dim), dtype=np.complex128)
-    for s in range(dom_dim):
-        e = np.zeros(dom_dim, dtype=np.complex128)
-        e[s] = 1.0
-        M[:, s] = fn(e)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +441,6 @@ class GenericBalancedTensor:
     def relation_rank(self) -> int:
         return self.relation_basis.shape[1]
 
-    def project(self, u) -> np.ndarray:
-        """Coordinates of the class of a plain tensor in the complement basis."""
-        return self.complement.conj().T @ np.asarray(u, dtype=np.complex128)
-
-    def represent(self, q) -> np.ndarray:
-        return self.complement @ np.asarray(q, dtype=np.complex128)
-
 
 #: generic_balanced_tensor drops relation columns of norm at most this; the
 #: factors built here give 0/1 differences, so a nonzero column has norm >= 1.
@@ -528,6 +493,15 @@ def _slot_matrix(dims, s, M) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Oracle agreement checks
+#
+# Each check hands one harness, _oracle_check, the factors of the plain
+# tensor, the basis objects of its legs and the model's map on elementary
+# tensors.  Leg 0 is a family of module vectors (one module for X (x) B and
+# Y (x) A|F_j), the other legs are algebras.  Column c of the model matrix M
+# holds the model coordinates of the elementary tensor of basis objects with
+# plain index c; the relation and dimension checks read M alone.  The
+# inner-product check evaluates the defining form of each model component
+# from the module's inner product and the algebra legs alone.
 
 
 @dataclass
@@ -548,144 +522,79 @@ class OracleReport:
         )
 
 
-def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = 1e-9,
-                     trials: int = 10, seed: int = 0) -> OracleReport:
-    """Compare the direct-sum model of X (x) B against the balanced quotient."""
-    from .rng import Rng
+@dataclass(eq=False)
+class _Component:
+    """One component of a model, laid out in model coordinates in the order
+    given: its space, the algebra T its form takes values in, the family part
+    i whose inner product <z_i|w_i> enters the form, and the map L from the
+    coordinates of the algebra legs to T."""
 
-    A = X.algebra
-    B = sum_algebra(A, cover)
-    gbt = generic_balanced_tensor([module_factor(X), b_factor(A, cover)])
-    psi = psi_iso(X, cover)
-    fam_dim = sum(m.dim for m in psi.summands)
+    space: HilbertModule
+    target: FdCStarAlgebra
+    part: int
+    leg_map: object  # coordinate row -> AlgebraElement over target
 
-    def model_map(u):
-        U = np.asarray(u, dtype=np.complex128).reshape(X.dim, B.flat.dim)
-        out = np.zeros(fam_dim, dtype=np.complex128)
-        for s in range(X.dim):
-            xs = from_coords(X, _unit(X.dim, s))
-            b = _b_from_coords(B, U[s])
-            out += family_coords(psi.apply(xs, b))
-        return out
 
-    M = _matrix_of(model_map, gbt.plain_dim, fam_dim)
+def _oracle_check(factors, legs, elementary, components, tol, trials, seed) -> OracleReport:
+    """Compare a model of a balanced tensor product with the generic quotient.
+
+    elementary(z, *bs) gives the model coordinates of the elementary tensor
+    of basis objects z, b, ... of the legs.  Per trial, plain vectors u and v
+    are drawn in that order, and each component compares
+    sum_{s,t} L(U_s)* <z_s|z_t> L(V_t), with U_s and V_t the coordinates of u
+    and v at leg-0 index s and t, against the inner product of the
+    component's parts of M u and M v, both in T.
+    """
+    gbt = generic_balanced_tensor(factors)
+    offsets = np.cumsum([0] + [c.space.dim for c in components])
+    M = np.zeros((int(offsets[-1]), gbt.plain_dim), dtype=np.complex128)
+    for col, basis in enumerate(itertools.product(*legs)):
+        M[:, col] = elementary(*basis)
     rel_res = numlin.op_norm(M @ gbt.relation_basis)
     model_dim = numlin.rank(M)
 
+    zs = legs[0]
+    mids = [[[_spread_element(inner_product(z[c.part], w[c.part]), c.target) for w in zs]
+             for z in zs] for c in components]
+    rows = (len(zs), int(np.prod([len(leg) for leg in legs[1:]])))
     rng = Rng(seed)
     worst = 0.0
     for _ in range(trials):
         u = rng.gauss_vector(gbt.plain_dim)
         v = rng.gauss_vector(gbt.plain_dim)
-        lhs = _xb_oracle_inner(X, B, u, v)
-        pu = family_from_coords(psi.summands, M @ u)
-        pv = family_from_coords(psi.summands, M @ v)
-        rhs = _family_inner_b(pu, pv, B)
-        worst = max(worst, (lhs - rhs).norm())
+        tu, tv = M @ u, M @ v
+        for c, mid, lo, hi in zip(components, mids, offsets, offsets[1:]):
+            lu = [c.leg_map(row).adjoint() for row in u.reshape(rows)]
+            lv = [c.leg_map(row) for row in v.reshape(rows)]
+            lhs = c.target.zero()
+            for s, a in enumerate(lu):
+                for t, b in enumerate(lv):
+                    lhs = lhs + a * mid[s][t] * b
+            rhs = inner_product(from_coords(c.space, tu[lo:hi]), from_coords(c.space, tv[lo:hi]))
+            worst = max(worst, (lhs - _spread_element(rhs, c.target)).norm())
     return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
 
 
-def _unit(dim, s):
-    e = np.zeros(dim, dtype=np.complex128)
-    e[s] = 1.0
-    return e
+def _family_basis(modules) -> list:
+    """The coordinate basis of a module family, in family coordinate order:
+    each basis vector of one module, with zero in the others."""
+    zeros = tuple(m.zero_vector() for m in modules)
+    return [zeros[:a] + (x,) + zeros[a + 1:]
+            for a, m in enumerate(modules) for x in m.basis_vectors()]
 
 
-def _b_from_coords(B, u) -> AlgebraElement:
-    blocks, ofs = [], 0
-    for n in B.flat.block_dims:
-        blocks.append(u[ofs:ofs + n * n].reshape(n, n))
-        ofs += n * n
-    return AlgebraElement(B.flat, tuple(blocks))
-
-
-def _family_inner_b(parts1, parts2, B) -> AlgebraElement:
-    per_set = [inner_product(x, y) for x, y in zip(parts1, parts2)]
-    return B.assemble(per_set)
-
-
-def _xb_oracle_inner(X, B, u, v) -> AlgebraElement:
-    """<u|v> on X (x) B from the defining formula b* <x|x'> b', sesquilinearly."""
-    U = np.asarray(u).reshape(X.dim, B.flat.dim)
-    V = np.asarray(v).reshape(X.dim, B.flat.dim)
-    out = B.flat.zero()
-    for s in range(X.dim):
-        xs = from_coords(X, _unit(X.dim, s))
-        for t in range(X.dim):
-            xt = from_coords(X, _unit(X.dim, t))
-            a = inner_product(xs, xt)  # in A
-            eta_a = _eta_on_flat(a, B)
-            bu = _b_from_coords(B, U[s])
-            bv = _b_from_coords(B, V[t])
-            out = out + bu.adjoint() * eta_a * bv
-    return out
-
-
-def _eta_on_flat(a: AlgebraElement, B) -> AlgebraElement:
-    return AlgebraElement(B.flat, tuple(a.block(k) for (_, k) in B.flat.labels))
-
-
-def nu_oracle_check(Y: HilbertModule, base: FdCStarAlgebra, F_j, tol: float = 1e-9,
-                    trials: int = 10, seed: int = 0) -> OracleReport:
-    """Compare the restriction model of Y (x) A|F_j with the balanced quotient."""
-    from .rng import Rng
-
-    F_j = frozenset(F_j)
-    sub_j = restrict_algebra(base, F_j)
-    gbt = generic_balanced_tensor(
-        [module_factor(Y, middle=base), algebra_summand_factor(base, F_j)]
-    )
-    nu = nu_iso(Y, base, F_j)
-
-    def model_map(u):
-        U = np.asarray(u, dtype=np.complex128).reshape(Y.dim, sub_j.dim)
-        out = np.zeros(nu.target.dim, dtype=np.complex128)
-        for s in range(Y.dim):
-            ys = from_coords(Y, _unit(Y.dim, s))
-            a = _element_from_coords(sub_j, U[s])
-            out += coords(nu.apply(ys, a))
-        return out
-
-    M = _matrix_of(model_map, gbt.plain_dim, nu.target.dim)
-    rel_res = numlin.op_norm(M @ gbt.relation_basis)
-    model_dim = numlin.rank(M)
-
-    rng = Rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.gauss_vector(gbt.plain_dim)
-        v = rng.gauss_vector(gbt.plain_dim)
-        lhs = _ya_oracle_inner(Y, sub_j, u, v)
-        yu = from_coords(nu.target, M @ u)
-        yv = from_coords(nu.target, M @ v)
-        rhs = _restricted_inner(yu, yv, sub_j)
-        worst = max(worst, (lhs - rhs).norm())
-    return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
+def _basis(alg: FdCStarAlgebra) -> list:
+    """The matrix units of an algebra, in coordinate order."""
+    return [unit for *_, unit in alg.matrix_units()]
 
 
 def _element_from_coords(alg: FdCStarAlgebra, u) -> AlgebraElement:
+    """The element with coordinates u: each block row-major, block after block."""
     blocks, ofs = [], 0
     for n in alg.block_dims:
-        blocks.append(np.asarray(u[ofs:ofs + n * n]).reshape(n, n))
+        blocks.append(u[ofs:ofs + n * n].reshape(n, n))
         ofs += n * n
     return AlgebraElement(alg, tuple(blocks))
-
-
-def _ya_oracle_inner(Y, sub_j, u, v) -> AlgebraElement:
-    """<u|v> on Y (x) A|F_j: a* (<y|y'> restricted) a', valued in A|F_j."""
-    U = np.asarray(u).reshape(Y.dim, sub_j.dim)
-    V = np.asarray(v).reshape(Y.dim, sub_j.dim)
-    out = sub_j.zero()
-    for s in range(Y.dim):
-        ys = from_coords(Y, _unit(Y.dim, s))
-        for t in range(Y.dim):
-            yt = from_coords(Y, _unit(Y.dim, t))
-            ip = inner_product(ys, yt)  # over Y's algebra
-            mid = _spread_element(ip, sub_j)
-            au = _element_from_coords(sub_j, U[s])
-            av = _element_from_coords(sub_j, V[t])
-            out = out + au.adjoint() * mid * av
-    return out
 
 
 def _spread_element(a: AlgebraElement, target: FdCStarAlgebra) -> AlgebraElement:
@@ -700,8 +609,14 @@ def _spread_element(a: AlgebraElement, target: FdCStarAlgebra) -> AlgebraElement
     return AlgebraElement(target, tuple(blocks))
 
 
-def _restricted_inner(x: ModuleVector, y: ModuleVector, target: FdCStarAlgebra) -> AlgebraElement:
-    return _spread_element(inner_product(x, y), target)
+def _leg(b: AlgebraElement, j: int, target: FdCStarAlgebra) -> AlgebraElement:
+    """The component b_j of an element of B, read on the labels of target."""
+    return AlgebraElement(target, tuple(b.block((j, k)) for k in target.labels))
+
+
+def _b_leg(B, j: int, target: FdCStarAlgebra):
+    """L for one B leg: coordinates of b |-> b_j read on the labels of target."""
+    return lambda w: _leg(_element_from_coords(B.flat, w), j, target)
 
 
 def _elementary_coords(model, parts, *bs) -> np.ndarray:
@@ -718,10 +633,37 @@ def _elementary_coords(model, parts, *bs) -> np.ndarray:
     return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
 
 
-def _component(model, u, idx) -> ModuleVector:
-    """Component idx of a pair or triple model vector given by coordinates."""
-    ofs, space = model.offsets[idx], model.spaces[idx]
-    return from_coords(space, u[ofs:ofs + space.dim])
+def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = 1e-9,
+                     trials: int = 10, seed: int = 0) -> OracleReport:
+    """Compare the direct-sum model of X (x) B against the balanced quotient:
+    component i is X|F_i, with the form b_i* <x|x'> b'_i in A|F_i."""
+    A = X.algebra
+    B = sum_algebra(A, cover)
+    psi = psi_iso(X, cover)
+    return _oracle_check(
+        [module_factor(X), b_factor(A, cover)],
+        [_family_basis((X,)), _basis(B.flat)],
+        lambda x, b: family_coords(psi.apply(x[0], b)),
+        [_Component(Xi, Xi.algebra, 0, _b_leg(B, i, Xi.algebra))
+         for i, Xi in enumerate(psi.summands)],
+        tol, trials, seed,
+    )
+
+
+def nu_oracle_check(Y: HilbertModule, base: FdCStarAlgebra, F_j, tol: float = 1e-9,
+                    trials: int = 10, seed: int = 0) -> OracleReport:
+    """Compare the restriction model Y|F_ij of Y (x) A|F_j with the balanced
+    quotient, with the form a* <y|y'> a' in A|F_j."""
+    F_j = frozenset(F_j)
+    nu = nu_iso(Y, base, F_j)
+    sub_j = nu.summand_j
+    return _oracle_check(
+        [module_factor(Y, middle=base), algebra_summand_factor(base, F_j)],
+        [_family_basis((Y,)), _basis(sub_j)],
+        lambda y, a: coords(nu.apply(y[0], a)),
+        [_Component(nu.target, sub_j, 0, lambda w: _element_from_coords(sub_j, w))],
+        tol, trials, seed,
+    )
 
 
 def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: int = 0) -> OracleReport:
@@ -729,161 +671,43 @@ def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: in
 
     Dimension and relation agreement certify that the pair projections
     realize the quotient bijectively; the inner-product check compares the
-    pair-algebra-valued form computed from Z's structure alone against the
-    componentwise inner products of the model.
+    form (b_j* <z_i|w_i> c_j)|F_ij, computed from Z's structure alone, with
+    the componentwise inner products of the model.
     """
-    from .rng import Rng
-
-    A = datum.algebra
-    cover = datum.cover
-    modules = tuple(datum.modules)
+    A, cover = datum.algebra, datum.cover
     B = sum_algebra(A, cover)
     model = pair_model(datum)
-    gbt = generic_balanced_tensor([family_factor(cover, modules, A), b_factor(A, cover)])
-    fam_dim = sum(m.dim for m in modules)
-
-    def model_map(u):
-        U = np.asarray(u, dtype=np.complex128).reshape(fam_dim, B.flat.dim)
-        out = np.zeros(model.dim, dtype=np.complex128)
-        for s in range(fam_dim):
-            zs = family_from_coords(modules, _unit(fam_dim, s))
-            out += _elementary_coords(model, zs, _b_from_coords(B, U[s]))
-        return out
-
-    M = _matrix_of(model_map, gbt.plain_dim, model.dim)
-    rel_res = numlin.op_norm(M @ gbt.relation_basis)
-    model_dim = numlin.rank(M)
-
-    rng = Rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.gauss_vector(gbt.plain_dim)
-        v = rng.gauss_vector(gbt.plain_dim)
-        tu, tv = M @ u, M @ v
-        for idx, (i, j) in enumerate(model.entries):
-            lhs = _zb_pair_form(modules, B, cover, u, v, i, j)
-            rhs = inner_product(_component(model, tu, idx), _component(model, tv, idx))
-            worst = max(worst, (lhs - rhs).norm())
-    return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
-
-
-def _zb_pair_form(modules, B, cover, u, v, i, j) -> AlgebraElement:
-    """(i,j)-component of the pair-algebra form on Z (x) B, from Z's inner
-    product and restriction only: (b_j* <z_i|w_i> c_j)|F_ij, sesquilinear."""
-    fam_dim = sum(m.dim for m in modules)
-    F = cover.overlap(i, j)
-    target = restrict_algebra(modules[i].algebra, F & frozenset(modules[i].algebra.labels))
-    U = np.asarray(u).reshape(fam_dim, B.flat.dim)
-    V = np.asarray(v).reshape(fam_dim, B.flat.dim)
-    out = target.zero()
-    for s in range(fam_dim):
-        zs = family_from_coords(modules, _unit(fam_dim, s))
-        for t in range(fam_dim):
-            zt = family_from_coords(modules, _unit(fam_dim, t))
-            ip = inner_product(zs[i], zt[i])  # over A|F_i
-            bu = _b_from_coords(B, U[s])
-            bv = _b_from_coords(B, V[t])
-            bu_j = B.component(bu, j)
-            bv_j = B.component(bv, j)
-            term = bu_j.adjoint() * _spread_element(ip, bu_j.algebra) * bv_j
-            out = out + _spread_element(restrict_element(term, F & frozenset(bu_j.algebra.labels)), target)
-    return out
+    return _oracle_check(
+        [family_factor(cover, model.modules, A), b_factor(A, cover)],
+        [_family_basis(model.modules), _basis(B.flat)],
+        lambda z, b: _elementary_coords(model, z, b),
+        [_Component(space, space.algebra, i, _b_leg(B, j, space.algebra))
+         for (i, j), space in zip(model.entries, model.spaces)],
+        tol, trials, seed,
+    )
 
 
 def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: int = 0) -> OracleReport:
-    """Compare the triple model of Z (x) B (x) B with the balanced quotient."""
-    from .rng import Rng
-
-    A = datum.algebra
-    cover = datum.cover
-    modules = tuple(datum.modules)
+    """Compare the triple model of Z (x) B (x) B with the balanced quotient:
+    component (i, j, l) has the form with L(b (x) b') = (b_j b'_l)|F_ijl."""
+    A, cover = datum.algebra, datum.cover
     B = sum_algebra(A, cover)
     tm = triple_model(datum)
-    gbt = generic_balanced_tensor(
-        [family_factor(cover, modules, A), b_factor(A, cover), b_factor(A, cover)]
+    bs = _basis(B.flat)
+
+    def double_leg(j, l, T):
+        def L(w):
+            out = T.zero()
+            for b, row in zip(bs, w.reshape(len(bs), len(bs))):
+                out = out + _leg(b, j, T) * _leg(_element_from_coords(B.flat, row), l, T)
+            return out
+        return L
+
+    return _oracle_check(
+        [family_factor(cover, tm.modules, A), b_factor(A, cover), b_factor(A, cover)],
+        [_family_basis(tm.modules), bs, bs],
+        lambda z, b1, b2: _elementary_coords(tm, z, b1, b2),
+        [_Component(space, space.algebra, i, double_leg(j, l, space.algebra))
+         for (i, j, l), space in zip(tm.entries, tm.spaces)],
+        tol, trials, seed,
     )
-    fam_dim = sum(m.dim for m in modules)
-    bdim = B.flat.dim
-
-    def model_map(u):
-        U = np.asarray(u, dtype=np.complex128).reshape(fam_dim, bdim, bdim)
-        out = np.zeros(tm.dim, dtype=np.complex128)
-        for s in range(fam_dim):
-            zs = family_from_coords(modules, _unit(fam_dim, s))
-            for t in range(bdim):
-                b1 = _b_from_coords(B, _unit(bdim, t))
-                b2 = _b_from_coords(B, U[s, t])
-                out += _elementary_coords(tm, zs, b1, b2)
-        return out
-
-    M = _matrix_of(model_map, gbt.plain_dim, tm.dim)
-    rel_res = numlin.op_norm(M @ gbt.relation_basis)
-    model_dim = numlin.rank(M)
-
-    rng = Rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.gauss_vector(gbt.plain_dim)
-        v = rng.gauss_vector(gbt.plain_dim)
-        tu, tv = M @ u, M @ v
-        for idx, (i, j, l) in enumerate(tm.entries):
-            lhs = _zbb_triple_form(modules, B, cover, u, v, i, j, l)
-            rhs = inner_product(_component(tm, tu, idx), _component(tm, tv, idx))
-            worst = max(worst, (lhs - rhs).norm())
-    return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
-
-
-def _zbb_triple_form(modules, B, cover, u, v, i, j, l) -> AlgebraElement:
-    F = cover.overlap(i, j, l)
-    target = restrict_algebra(modules[i].algebra, F & frozenset(modules[i].algebra.labels))
-    return _zbb_triple_form_factored(modules, B, cover, u, v, i, j, l, target)
-
-
-def _zbb_triple_form_factored(modules, B, cover, u, v, i, j, l, target) -> AlgebraElement:
-    """Factored evaluation: group coordinates as (z, b, b') and contract the
-    two B legs per pair of z-basis indices."""
-    fam_dim = sum(m.dim for m in modules)
-    bdim = B.flat.dim
-    F = frozenset(target.labels)
-    U = np.asarray(u).reshape(fam_dim, bdim * bdim)
-    V = np.asarray(v).reshape(fam_dim, bdim * bdim)
-    out = target.zero()
-    for s in range(fam_dim):
-        zs = family_from_coords(modules, _unit(fam_dim, s))
-        for t in range(fam_dim):
-            zt = family_from_coords(modules, _unit(fam_dim, t))
-            mid = _spread_element(inner_product(zs[i], zt[i]), target)
-            bu = _double_b_combo(B, U[s], j, l, F)
-            bv = _double_b_combo(B, V[t], j, l, F)
-            # <b (x) b' | mid | c (x) c'> = b'* b* mid c c' with all factors
-            # restricted to the triple overlap
-            out = out + bu.adjoint() * mid * bv
-    return out
-
-
-def _double_b_combo(B, w, j, l, F) -> AlgebraElement:
-    """The element sum_{t,q} w[t*bdim+q] (b_t)_j (b_q)_l restricted to F.
-
-    Multiplication happens inside the restriction of the base algebra, where
-    both set components live after restriction.
-    """
-    bdim = B.flat.dim
-    target = None
-    acc = None
-    for t in range(bdim):
-        col = w[t * bdim:(t + 1) * bdim]
-        if not np.any(col):
-            continue
-        bt = B.component(_b_from_coords(B, _unit(bdim, t)), j)
-        bq = B.component(_b_from_coords(B, np.asarray(col)), l)
-        bt_r = restrict_element(bt, F & frozenset(bt.algebra.labels))
-        bq_r = restrict_element(bq, F & frozenset(bq.algebra.labels))
-        if target is None:
-            target = restrict_algebra(B.base, F)
-            acc = target.zero()
-        prod = _spread_element(bt_r, target) * _spread_element(bq_r, target)
-        acc = acc + prod
-    if acc is None:
-        target = restrict_algebra(B.base, F)
-        acc = target.zero()
-    return acc

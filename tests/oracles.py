@@ -220,7 +220,7 @@ def flat_image_eta(X, cover):
     coordinates, and the maps to pair coordinates with component (i, j) equal
     to t_j|F_ij, resp. t_i|F_ij."""
     modules = tuple(restrict_module(X, F) for F in cover.sets)
-    model = tensor.PairTensorModel(cover, modules)
+    model = tensor.TensorModel(cover, modules, tuple(cover.pairs()))
     fam, pair = family_layout(modules), model_layout(model)
     mod = family_layout((X,))
     M_unit = np.zeros((fam.dim, mod.dim), dtype=np.complex128)
@@ -558,7 +558,7 @@ def pairwise_bimodule_validation(D, tol):
 
 @dataclass(eq=False)
 class PairTensorVector:
-    model: tensor.PairTensorModel
+    model: tensor.TensorModel
     comps: tuple  # ModuleVector per entry, aligned with model.entries
 
     def comp(self, i, j) -> ModuleVector:
@@ -570,7 +570,7 @@ class PairTensorVector:
 
 @dataclass(eq=False)
 class TripleTensorVector:
-    model: tensor.TripleTensorModel
+    model: tensor.TensorModel
     comps: tuple
 
     def comp(self, i, j, l) -> ModuleVector:

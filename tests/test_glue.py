@@ -84,6 +84,15 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             make_gluing_datum(A, cov, (Z, Z), [])
 
+    @pytest.mark.parametrize("i,j", [(-2, 1), (0, -1), (2, 1), (0, 2)])
+    def test_out_of_range_set_index_rejected(self, i, j):
+        # -2 and -1 would alias sets 0 and 1 by Python indexing
+        A = algebra((1,))
+        cov = cover(1, [{0}, {0}])
+        Z = module(restrict_algebra(A, {0}), (1,))
+        with pytest.raises(InvalidInputError, match=r"names a set outside 0\.\.1"):
+            make_gluing_datum(A, cov, (Z, Z), [(0, 1, 0, np.eye(1)), (i, j, 0, np.eye(1))])
+
 
 class TestPullApart:
     def test_forced_shapes(self):

@@ -424,6 +424,34 @@ class TestModelOracles:
         rep = tensor.triple_model_oracle_check(twisted_datum, trials=2)
         assert rep.passed
 
+    @pytest.mark.parametrize("wrong", ["psi_scaled", "nu_without_action", "pair_scaled",
+                                       "triple_swapped_b_legs"])
+    def test_oracle_catches_a_wrong_model(self, monkeypatch, coherent_datum, wrong):
+        # perturb the model side of each check; the balanced quotient and
+        # the defining form stay as they are
+        model_of = tensor._elementary_coords
+        if wrong == "psi_scaled":
+            apply = tensor.PsiIso.apply
+            monkeypatch.setattr(tensor.PsiIso, "apply",
+                                lambda self, x, b: tuple(2 * p for p in apply(self, x, b)))
+            A = algebra((2, 1))
+            rep = tensor.psi_oracle_check(module(A, (1, 2)), cover(2, [{0, 1}, {1}]), trials=2)
+        elif wrong == "nu_without_action":
+            monkeypatch.setattr(tensor.NuIso, "apply", lambda self, y, a: ModuleVector(
+                self.target, tuple(y.block(k) for k in self.target.algebra.labels)))
+            A = algebra((2, 2))
+            Y = module(restrict_algebra(A, {0, 1}), (1, 2))
+            rep = tensor.nu_oracle_check(Y, A, {0, 1}, trials=2)
+        elif wrong == "pair_scaled":
+            monkeypatch.setattr(tensor, "_elementary_coords",
+                                lambda model, parts, *bs: 2 * model_of(model, parts, *bs))
+            rep = tensor.pair_model_oracle_check(coherent_datum, trials=2)
+        else:
+            monkeypatch.setattr(tensor, "_elementary_coords", lambda model, parts, *bs: model_of(
+                model, parts, *bs[::-1]))
+            rep = tensor.triple_model_oracle_check(coherent_datum, trials=2)
+        assert not rep.passed, rep
+
     def test_point_separation(self, coherent_datum):
         # the joint kernel of all pair projections is zero by construction:
         # components are the coordinates themselves
@@ -642,8 +670,7 @@ def test_descent_and_criterion_3_build_no_model_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a tensor model object")
 
-    for cls in (tensor.PairTensorModel, tensor.TripleTensorModel):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(tensor.TensorModel, "__post_init__", refuse)
     for cls in (oracles.PairTensorVector, oracles.TripleTensorVector):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert not any(hasattr(tensor, name) for name in ("PairTensorVector", "TripleTensorVector"))

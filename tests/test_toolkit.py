@@ -387,6 +387,26 @@ class TestCli:
         assert main(["validate", str(inst)]) == cli.EXIT_INVALID
         assert "diagonal transitions must be the identity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,key,command", [("gluing", "zeta", "glue"),
+                                                  ("bimodule", "nu", "morita-glue")])
+    @pytest.mark.parametrize("field,shift", [("i", -1), ("j", -1), ("i", 1), ("j", 1)])
+    def test_out_of_range_transition_set_exits_invalid(self, tmp_path, capsys, kind, key,
+                                                       command, field, shift):
+        # a copy of a listed transition whose i or j is moved outside
+        # 0..num_sets-1; a negative index used to alias a set from the end
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "5", "--kind", kind, "--mode", "random_unitary",
+                     "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        n = len(obj["cover"]["sets"])
+        e = dict(obj[key][0])
+        e[field] += shift * n
+        obj[key].append(e)
+        inst.write_text(json.dumps(obj))
+        for cmd in ("validate", command):
+            assert main([cmd, str(inst)]) == cli.EXIT_INVALID
+            assert f"names a set outside 0..{n - 1}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,env", [
         (["validate", "{gluing}", "--tol", "abc"], None),
         (["validate", "{gluing}"], "abc"),
