@@ -9,7 +9,10 @@ multiplication, and the left action is a' . x = (u_k a'_k u_k*) x for a
 stored unitary twist u_k.  Every bimodule isomorphism between normal forms is
 left multiplication by a scalar multiple of v u*, which turns most of the
 category theory here into closed-form scalar bookkeeping with explicit
-residual checks.
+residual checks.  A datum's transition nu_ij is a bimodule map iff
+v_i* nu_ij v_j is a scalar c_ij, so the datum-level dual, tensor product,
+conjugation and isomorphism are arithmetic on the scalars c, which
+transition_cochain reads once per datum.
 """
 
 from __future__ import annotations
@@ -322,6 +325,40 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     return BimoduleGluingDatum(left, right, cover, bimodules, nu)
 
 
+def transition_cochain(D: BimoduleGluingDatum) -> dict:
+    """(i, j, label) -> (c, r) for every transition nu_ij of D, i != j: the
+    trace-normalized scalar c of v_i* nu_ij v_j, v the member twists, and its
+    residual r = ||v_i* nu_ij v_j - c I||, which vanishes iff nu_ij is the
+    bimodule map c v_i v_j*.  One _scalars_of call per label."""
+    out = {}
+    for k in D.left_algebra.labels:
+        pairs = [(i, j) for (i, j), per in D.nu.items() if k in per]
+        if not pairs:
+            continue
+        C = np.stack([D.twist_at(i, k).conj().T @ D.nu[(i, j)][k] @ D.twist_at(j, k)
+                      for (i, j) in pairs])
+        out.update(((i, j, k), cr) for (i, j), cr in zip(pairs, zip(*_scalars_of(C))))
+    return out
+
+
+def _bimodule_scalars(D: BimoduleGluingDatum, tol: float, what: str) -> dict:
+    """(i, j, label) -> c of transition_cochain for i < j, in sorted order;
+    the first transition in that order whose residual exceeds tol raises
+    ModelViolationError, what naming it in the message."""
+    out = {}
+    for (i, j, k), (c, r) in sorted(transition_cochain(D).items()):
+        if i >= j:
+            continue
+        if r > tol:
+            raise ModelViolationError(
+                f"{what} ({i},{j}) block {k} is not a bimodule unitary "
+                f"(residual {r:.3e})",
+                residual=r,
+            )
+        out[(i, j, k)] = c
+    return out
+
+
 @dataclass
 class BimoduleDatumValidation:
     bimodules_ok: bool
@@ -343,11 +380,11 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
     Unitarity, involution and the cocycle are checked label by label with
     glue.transition_residuals: the transitions are unitary iff every one is
     square with unitarity residual at most tol.  The bimodule-map residual
-    stays a loop over pairs.
+    is the largest residual of transition_cochain.
     """
     bims_ok = all(validate_bimodule(Mi, tol).passed for Mi in D.bimodules)
     unit = True
-    bire = invo = coc = 0.0
+    invo = coc = 0.0
     for k in D.left_algebra.labels:
         members = D.cover.members(k)
         unitary, nonsquare, involutive, cocycle = transition_residuals(
@@ -357,11 +394,7 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
         unit = unit and not nonsquare and unitary <= tol
         invo = max(invo, involutive)
         coc = max(coc, cocycle)
-    for (i, j) in D.cover.pairs(include_diagonal=False):
-        for k in sorted(D.cover.overlap(i, j)):
-            W = D.nu_block(i, j, k)
-            _, r = _scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
-            bire = max(bire, r)
+    bire = max((r for _, r in transition_cochain(D).values()), default=0.0)
     return BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
 
 
@@ -443,24 +476,23 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
     of one map differ by an isometry.  V is the K_r of largest Frobenius
     norm, divided by its root-mean-square singular value.  The residual is
     the largest of ||V*V - 1||, the non-scalarity of each V* K_i, and
-    |sum_i |c_i|^2 - 1| over the trace-normalized scalars c_i of V* K_i.
+    |sum_i |c_i|^2 - 1| over the trace-normalized scalars c_i of V* K_i,
+    all of them from one _scalars_of call.
     """
     E = gd.stacked_basis[k]
     m = E.shape[1]
     if m == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-    K = [E[ofs:ofs + m_i].conj().T @ D.twist_at(i, k) for (i, ofs, m_i) in gd.layout[k]]
+    K = np.stack([E[ofs:ofs + m_i].conj().T @ D.twist_at(i, k)
+                  for (i, ofs, m_i) in gd.layout[k]])
     norms = [np.linalg.norm(Ki) for Ki in K]
     r = int(np.argmax(norms))
     c_r = norms[r] / np.sqrt(m)
     V = K[r] / c_r if c_r > 0 else K[r]
     res = numlin.op_norm(V.conj().T @ V - np.eye(m))
-    weight = 0.0
-    for Ki in K:
-        c, nonscalar = _scalar_of(V.conj().T @ Ki)
-        res = max(res, nonscalar)
-        weight += abs(c) ** 2
-    return V, max(res, abs(weight - 1.0))
+    c, nonscalar = _scalars_of(V.conj().T @ K)
+    weight = sum(abs(ci) ** 2 for ci in c)
+    return V, max(res, *nonscalar, abs(weight - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +546,11 @@ def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> di
 
 
 def dual_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleGluingDatum:
-    """Dualize each local bimodule; transitions become conjugated scalars."""
+    """Dualize each local bimodule; the transition scalars are conjugated,
+    the dual twists being the identity."""
     bims = tuple(dual_bimodule(Mi) for Mi in D.bimodules)
-    entries = []
-    for (i, j) in D.cover.pairs(include_diagonal=False):
-        if i >= j:
-            continue
-        for k in sorted(D.cover.overlap(i, j)):
-            W = D.nu_block(i, j, k)
-            s, r = _scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
-            if r > tol:
-                raise ModelViolationError(
-                    f"transition ({i},{j}) block {k} is not a bimodule unitary "
-                    f"(residual {r:.3e})",
-                    residual=r,
-                )
-            n = D.right_algebra.block_dims[D.right_algebra.position(k)]
-            entries.append((i, j, k, np.conj(s) * np.eye(n, dtype=np.complex128)))
+    entries = [(i, j, k, np.conj(c) * _identity(D.right_algebra, k))
+               for (i, j, k), c in _bimodule_scalars(D, tol, "transition").items()]
     return make_bimodule_datum(
         D.right_algebra, D.left_algebra, D.cover, bims, entries
     )
@@ -540,8 +560,8 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
                  tol: float = DEFAULT_TOL) -> BimoduleGluingDatum:
     """Setwise balanced tensor product of two composable bimodule data.
 
-    The induced transition at (i, j) is s * W1, where s is the scalar of W2
-    against the canonical transition between the twists of the right factor.
+    The induced transition at (i, j) is s * W1, where s is D2's transition
+    scalar: tensor_bimodules keeps the left factor's twist.
     """
     if D1.cover != D2.cover:
         raise InvalidInputError("data live over different covers")
@@ -550,21 +570,8 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
     bims = tuple(
         tensor_bimodules(M1, M2) for M1, M2 in zip(D1.bimodules, D2.bimodules)
     )
-    entries = []
-    for (i, j) in D1.cover.pairs(include_diagonal=False):
-        if i >= j:
-            continue
-        for k in sorted(D1.cover.overlap(i, j)):
-            W1 = D1.nu_block(i, j, k)
-            W2 = D2.nu_block(i, j, k)
-            s, r = _scalar_of(D2.twist_at(i, k).conj().T @ W2 @ D2.twist_at(j, k))
-            if r > tol:
-                raise ModelViolationError(
-                    f"right-factor transition ({i},{j}) block {k} is not a "
-                    f"bimodule unitary (residual {r:.3e})",
-                    residual=r,
-                )
-            entries.append((i, j, k, s * W1))
+    entries = [(i, j, k, s * D1.nu_block(i, j, k))
+               for (i, j, k), s in _bimodule_scalars(D2, tol, "right-factor transition").items()]
     return make_bimodule_datum(
         D1.left_algebra, D2.right_algebra, D1.cover, bims, entries
     )
@@ -573,15 +580,28 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
 def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
                      tol: float = DEFAULT_TOL) -> BimoduleGluingDatum:
     """Conjugate a self-equivalence datum over the left algebra into one over
-    the right algebra: setwise dual(N) (x) M (x) N.
+    the right algebra: setwise dual(N) (x) M (x) N, which in normal form has
+    identity twists and transitions conj(c_D) c_M c_D I.
 
-    D need not satisfy the cocycle; its obstruction scalars cancel between
-    the dual leg and the direct leg, so the output is coherent whenever Mdat
-    is.
+    D's transitions are checked before Mdat's.  D need not satisfy the
+    cocycle; its obstruction scalars cancel between the dual leg and the
+    direct leg, so the output is coherent whenever Mdat is.
     """
     if Mdat.left_algebra != D.left_algebra or Mdat.right_algebra != D.left_algebra:
         raise InvalidInputError("Mdat must be a self-equivalence datum over D's left algebra")
-    return datum_tensor(datum_tensor(dual_datum(D, tol), Mdat, tol), D, tol)
+    c_D = _bimodule_scalars(D, tol, "transition")
+    if Mdat.cover != D.cover:
+        raise InvalidInputError("data live over different covers")
+    c_M = _bimodule_scalars(Mdat, tol, "right-factor transition")
+    B = D.right_algebra
+    bims = tuple(identity_bimodule(N.right_algebra) for N in D.bimodules)
+    entries = [(i, j, k, c * (c_M[(i, j, k)] * (np.conj(c) * _identity(B, k))))
+               for (i, j, k), c in c_D.items()]
+    return make_bimodule_datum(B, B, D.cover, bims, entries)
+
+
+def _identity(alg: FdCStarAlgebra, label) -> np.ndarray:
+    return np.eye(alg.block_dims[alg.position(label)], dtype=np.complex128)
 
 
 def datum_morphism_residual(src: BimoduleGluingDatum, tgt: BimoduleGluingDatum,
@@ -634,8 +654,7 @@ def picard_conjugate_morphism(D: BimoduleGluingDatum,
                     f"(residual {r:.3e})",
                     residual=r,
                 )
-            n = D.right_algebra.block_dims[D.right_algebra.position(k)]
-            blocks.append(s * np.eye(n, dtype=np.complex128))
+            blocks.append(s * _identity(D.right_algebra, k))
         out.append(tuple(blocks))
     return tuple(out)
 
@@ -644,10 +663,11 @@ def bimodule_data_isomorphic(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
                              tol: float = DEFAULT_TOL):
     """Witness isomorphism of bimodule gluing data, or None.
 
-    Per set, candidates are scalar multiples of the canonical twist
-    comparison; the scalars are fixed per block by propagating the
-    intertwining constraint from the lowest set containing the block, then
-    every pair is re-verified.
+    Per set, candidates are scalar multiples lambda_i v2_i v1_i* of the
+    canonical twist comparison.  The intertwining constraint at (i, root),
+    root the lowest set containing the block, reads lambda_i c1 = c2
+    lambda_root in the transition scalars, so lambda_root = 1 and
+    lambda_i = c2[i, root] / c1[i, root]; then every pair is re-verified.
     """
     if (D1.left_algebra != D2.left_algebra or D1.right_algebra != D2.right_algebra
             or D1.cover != D2.cover):
@@ -656,24 +676,21 @@ def bimodule_data_isomorphic(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
         if M1.mult != M2.mult:
             return None
     cov = D1.cover
+    c1, c2 = transition_cochain(D1), transition_cochain(D2)
 
     lam = {}  # (i, label) -> scalar
-    for k in range(cov.prim_size):
-        members = cov.members(k)
-        root = members[0]
+    for k in D1.left_algebra.labels:
+        root, *rest = cov.members(k)
         lam[(root, k)] = 1.0 + 0j
-        for i in members[1:]:
-            # alpha_i nu1_{i,root} = nu2_{i,root} alpha_root with alpha = lam * C
-            q = _scalar_ratio(
-                _canon_matrix(D1, D2, i, k), D1.nu_block(i, root, k),
-                D2.nu_block(i, root, k), _canon_matrix(D1, D2, root, k),
-            )
-            if q is None:
+        for i in rest:
+            (s1, _), (s2, _) = c1[(i, root, k)], c2[(i, root, k)]
+            if abs(s1) < _SCALAR_ZERO_TOL:
                 return None
-            lam[(i, k)] = q * lam[(root, k)]
+            lam[(i, k)] = s2 / s1
 
     witnesses = tuple(
-        tuple(lam[(i, k)] * _canon_matrix(D1, D2, i, k) for k in sorted(cov.sets[i]))
+        tuple(lam[(i, k)] * (D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T)
+              for k in sorted(cov.sets[i]))
         for i in range(cov.num_sets)
     )
     if datum_morphism_residual(D1, D2, witnesses) > tol:
@@ -681,9 +698,9 @@ def bimodule_data_isomorphic(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
     return witnesses
 
 
-def _canon_matrix(D1, D2, i: int, k) -> np.ndarray:
-    """Canonical bimodule unitary N1_i -> N2_i at one block: v2 v1*."""
-    return D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T
+#: bimodule_data_isomorphic divides by c1 and refuses |c1| below this;
+#: absolute, as a bimodule unitary has |c1| = 1.
+_SCALAR_ZERO_TOL = 1e-12
 
 
 def _scalar_of(C: np.ndarray):
@@ -701,24 +718,6 @@ def _scalars_of(C: np.ndarray):
         return [1.0 + 0j] * len(C), [0.0] * len(C)
     s = np.array([complex(np.trace(c) / m) for c in C], dtype=np.complex128)
     return s.tolist(), numlin.op_norms(C - s[:, None, None] * np.eye(m)).tolist()
-
-
-#: _scalar_ratio refuses a quotient Q with ||Q - s I|| above the first or
-#: |s| below the second; absolute, as a scalar unitary quotient has |s| = 1.
-_SCALAR_RESIDUAL_TOL = 1e-8
-_SCALAR_ZERO_TOL = 1e-12
-
-
-def _scalar_ratio(Ci, nu1, nu2, Cr):
-    """Scalar q with Ci^{-1} nu2 Cr = q nu1 (None if the quotient is not scalar)."""
-    m = Ci.shape[0]
-    if m == 0:
-        return 1.0 + 0j
-    Q = Ci.conj().T @ nu2 @ Cr @ nu1.conj().T
-    s, r = _scalar_of(Q)
-    if r > _SCALAR_RESIDUAL_TOL or abs(s) < _SCALAR_ZERO_TOL:
-        return None
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,24 @@ from .glue import (
     pull_apart_map,
 )
 from .hmod import (
-    apply_map,
     compose,
     map_norm,
     module,
     restrict_module,
     unitary_residual,
-    vec_norm,
 )
 from .rng import Rng
 from .serial import Report
+
+#: Tolerance of criterion 9's two isomorphism tests, tensor compatibility
+#: and the inverse up to isomorphism; fixed, as the criterion's tol judges
+#: only the cocycle residual.
+PICARD_ISO_TOL = 1e-9
+
+#: Tolerance at which criterion 11's obstruction_2cocycle calls refuse a
+#: composite that is not scalar; fixed, as the criterion's tol judges only
+#: the coboundary and invariance residuals.
+CECH_OBSTRUCTION_TOL = 1e-8
 
 
 def criterion_1_round_trip_phi(trials: int = 200, tol: float = 1e-9, base_seed: int = 100) -> Report:
@@ -271,7 +279,7 @@ def criterion_8_morita_round_trip(trials: int = 100, tol: float = 1e-9, base_see
             break
         phi = phi_map(gb.glued, M.right_module())
         worst = max(worst, unitary_residual(phi))
-        worst = max(worst, _phi_bimodule_residual(M, gb.bimodule, phi, rng))
+        worst = max(worst, morita.bimodule_morphism_residual(M, gb.bimodule, phi.blocks))
 
         # converse: P(G(D)) ~ D for a coherent bimodule datum
         D = morita.random_bimodule_datum(rng, left, right, cov, cfg)
@@ -287,23 +295,6 @@ def criterion_8_morita_round_trip(trials: int = 100, tol: float = 1e-9, base_see
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,
         {"trials": trials, "witnesses_found": ok},
     )
-
-
-def _phi_bimodule_residual(M, Mg, phi, rng: Rng) -> float:
-    """How far Phi is from a map of bimodules: left actions and left inners."""
-    worst = 0.0
-    Xr = M.right_module()
-    for _ in range(4):
-        x = gen.random_vector(rng, Xr)
-        y = gen.random_vector(rng, Xr)
-        ap = gen.random_element(rng, M.left_algebra)
-        lhs = apply_map(phi, morita.left_act(M, ap, x))
-        rhs = morita.left_act(Mg, ap, apply_map(phi, x))
-        worst = max(worst, vec_norm(lhs - rhs))
-        li = morita.left_inner(M, x, y)
-        li2 = morita.left_inner(Mg, apply_map(phi, x), apply_map(phi, y))
-        worst = max(worst, (li - li2).norm())
-    return worst
 
 
 def criterion_9_picard(trials: int = 100, tol: float = 1e-10, base_seed: int = 900) -> Report:
@@ -332,10 +323,10 @@ def criterion_9_picard(trials: int = 100, tol: float = 1e-10, base_seed: int = 9
         rhs = morita.datum_tensor(
             morita.picard_conjugate(D, Ma), morita.picard_conjugate(D, Mb)
         )
-        ok = ok and morita.bimodule_data_isomorphic(lhs, rhs, 1e-9) is not None
+        ok = ok and morita.bimodule_data_isomorphic(lhs, rhs, PICARD_ISO_TOL) is not None
 
         back = morita.picard_conjugate(morita.dual_datum(D), out)
-        ok = ok and morita.bimodule_data_isomorphic(back, Ma, 1e-9) is not None
+        ok = ok and morita.bimodule_data_isomorphic(back, Ma, PICARD_ISO_TOL) is not None
 
         M = morita.random_bimodule(rng, right, right)
         ok = ok and morita.bimodules_isomorphic(M, morita.identity_bimodule(right)) is not None
@@ -413,7 +404,7 @@ def criterion_11_cech(trials: int = 30, tol: float = 1e-10, base_seed: int = 110
         # four sets, all containing every block: every quadruple overlaps
         cov = cover(K, [frozenset(range(K))] * 4)
         D = morita.random_bimodule_datum(rng, left, right, cov, cfg)
-        f = morita.obstruction_2cocycle(D, 1e-8)
+        f = morita.obstruction_2cocycle(D, CECH_OBSTRUCTION_TOL)
         for i in range(4):
             for j in range(4):
                 for l in range(4):
@@ -436,7 +427,7 @@ def criterion_11_cech(trials: int = 30, tol: float = 1e-10, base_seed: int = 110
                         (i, j, k, g[(i, k)] * D.nu_block(i, j, k) * np.conj(g[(j, k)]))
                     )
         D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
-        f2 = morita.obstruction_2cocycle(D2, 1e-8)
+        f2 = morita.obstruction_2cocycle(D2, CECH_OBSTRUCTION_TOL)
         for key, per_block in f.items():
             for k, val in per_block.items():
                 worst = max(worst, abs(val - f2[key][k]))

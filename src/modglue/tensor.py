@@ -82,15 +82,6 @@ def family_coords(parts) -> np.ndarray:
     return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
 
 
-def family_from_coords(modules, u) -> tuple:
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    parts, ofs = [], 0
-    for mod in modules:
-        parts.append(from_coords(mod, u[ofs:ofs + mod.dim]))
-        ofs += mod.dim
-    return tuple(parts)
-
-
 # ---------------------------------------------------------------------------
 # Per-label matrices of the structural maps
 #

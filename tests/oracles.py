@@ -16,7 +16,11 @@ left action probed on every matrix unit.  The identities of an equivalence bimod
 closed form from each twist's singular values, are sampled here on random
 vectors.  The transition checks of both datum validators, which the library
 takes per label from one stacked tensor, are the per-pair and per-triple
-loops here, and so are the obstruction scalars.  The per-label matrices T_k,
+loops here, and so are the obstruction scalars.  The datum-level dual,
+tensor product, conjugate and isomorphism test, which the library derives
+from each transition's scalar read once, are the matrix-level versions
+here, and criterion 8's bimodule-map check on Phi, which the library takes
+in closed form, is sampled here.  The per-label matrices T_k,
 which the library places leg by leg with index arithmetic, are summed here
 one slot pair at a time (block_matrix), and the Gaussian draws, which the
 library computes as one splitmix block, come one entry at a time from
@@ -43,6 +47,7 @@ from modglue.glue import (
 )
 from modglue.hmod import (
     ModuleVector,
+    apply_map,
     coords,
     inner_product,
     restrict_module,
@@ -547,6 +552,144 @@ def pairwise_bimodule_validation(D, tol):
             lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
             coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
     return morita.BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
+
+
+# ---------------------------------------------------------------------------
+# Datum-level Morita operations, one transition matrix at a time
+#
+# morita reads each transition's scalar once, in transition_cochain, and
+# builds the dual, the tensor product, the conjugate and the isomorphism
+# witness from the scalars.  These are the matrix-level versions it
+# replaced: each extracts every scalar again with morita._scalar_of, and the
+# conjugate is built through two intermediate tensor products.
+
+_SCALAR_RESIDUAL_TOL = 1e-8
+_SCALAR_ZERO_TOL = 1e-12
+
+
+def matrix_dual_datum(D, tol=morita.DEFAULT_TOL):
+    bims = tuple(morita.dual_bimodule(Mi) for Mi in D.bimodules)
+    entries = []
+    for (i, j) in D.cover.pairs(include_diagonal=False):
+        if i >= j:
+            continue
+        for k in sorted(D.cover.overlap(i, j)):
+            W = D.nu_block(i, j, k)
+            s, r = morita._scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
+            if r > tol:
+                raise ModelViolationError(
+                    f"transition ({i},{j}) block {k} is not a bimodule unitary "
+                    f"(residual {r:.3e})",
+                    residual=r,
+                )
+            n = D.right_algebra.block_dims[D.right_algebra.position(k)]
+            entries.append((i, j, k, np.conj(s) * np.eye(n, dtype=np.complex128)))
+    return morita.make_bimodule_datum(
+        D.right_algebra, D.left_algebra, D.cover, bims, entries
+    )
+
+
+def matrix_datum_tensor(D1, D2, tol=morita.DEFAULT_TOL):
+    if D1.cover != D2.cover:
+        raise InvalidInputError("data live over different covers")
+    if D1.right_algebra != D2.left_algebra:
+        raise InvalidInputError("middle algebras do not match")
+    bims = tuple(
+        morita.tensor_bimodules(M1, M2) for M1, M2 in zip(D1.bimodules, D2.bimodules)
+    )
+    entries = []
+    for (i, j) in D1.cover.pairs(include_diagonal=False):
+        if i >= j:
+            continue
+        for k in sorted(D1.cover.overlap(i, j)):
+            W1 = D1.nu_block(i, j, k)
+            W2 = D2.nu_block(i, j, k)
+            s, r = morita._scalar_of(D2.twist_at(i, k).conj().T @ W2 @ D2.twist_at(j, k))
+            if r > tol:
+                raise ModelViolationError(
+                    f"right-factor transition ({i},{j}) block {k} is not a "
+                    f"bimodule unitary (residual {r:.3e})",
+                    residual=r,
+                )
+            entries.append((i, j, k, s * W1))
+    return morita.make_bimodule_datum(
+        D1.left_algebra, D2.right_algebra, D1.cover, bims, entries
+    )
+
+
+def matrix_picard_conjugate(D, Mdat, tol=morita.DEFAULT_TOL):
+    if Mdat.left_algebra != D.left_algebra or Mdat.right_algebra != D.left_algebra:
+        raise InvalidInputError("Mdat must be a self-equivalence datum over D's left algebra")
+    return matrix_datum_tensor(
+        matrix_datum_tensor(matrix_dual_datum(D, tol), Mdat, tol), D, tol)
+
+
+def _canon_matrix(D1, D2, i, k):
+    """Canonical bimodule unitary N1_i -> N2_i at one block: v2 v1*."""
+    return D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T
+
+
+def _scalar_ratio(Ci, nu1, nu2, Cr):
+    """Scalar q with Ci^{-1} nu2 Cr = q nu1, None if the quotient
+    Ci* nu2 Cr nu1* is not scalar; the quotient assumes Ci and nu1 unitary."""
+    m = Ci.shape[0]
+    if m == 0:
+        return 1.0 + 0j
+    Q = Ci.conj().T @ nu2 @ Cr @ nu1.conj().T
+    s, r = morita._scalar_of(Q)
+    if r > _SCALAR_RESIDUAL_TOL or abs(s) < _SCALAR_ZERO_TOL:
+        return None
+    return s
+
+
+def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
+    if (D1.left_algebra != D2.left_algebra or D1.right_algebra != D2.right_algebra
+            or D1.cover != D2.cover):
+        return None
+    for M1, M2 in zip(D1.bimodules, D2.bimodules):
+        if M1.mult != M2.mult:
+            return None
+    cov = D1.cover
+    lam = {}
+    for k in range(cov.prim_size):
+        members = cov.members(k)
+        root = members[0]
+        lam[(root, k)] = 1.0 + 0j
+        for i in members[1:]:
+            # alpha_i nu1_{i,root} = nu2_{i,root} alpha_root with alpha = lam * C
+            q = _scalar_ratio(
+                _canon_matrix(D1, D2, i, k), D1.nu_block(i, root, k),
+                D2.nu_block(i, root, k), _canon_matrix(D1, D2, root, k),
+            )
+            if q is None:
+                return None
+            lam[(i, k)] = q * lam[(root, k)]
+    witnesses = tuple(
+        tuple(lam[(i, k)] * _canon_matrix(D1, D2, i, k) for k in sorted(cov.sets[i]))
+        for i in range(cov.num_sets)
+    )
+    if morita.datum_morphism_residual(D1, D2, witnesses) > tol:
+        return None
+    return witnesses
+
+
+def sampled_phi_bimodule_residual(M, Mg, phi, rng):
+    """How far Phi: M -> Mg is from a map of bimodules, sampled: left actions
+    and left inner products on 4 draws of x, y and a', the sampling that
+    suite criterion 8 replaced with morita.bimodule_morphism_residual."""
+    worst = 0.0
+    Xr = M.right_module()
+    for _ in range(4):
+        x = random_vector(rng, Xr)
+        y = random_vector(rng, Xr)
+        ap = random_element(rng, M.left_algebra)
+        lhs = apply_map(phi, morita.left_act(M, ap, x))
+        rhs = morita.left_act(Mg, ap, apply_map(phi, x))
+        worst = max(worst, vec_norm(lhs - rhs))
+        li = morita.left_inner(M, x, y)
+        li2 = morita.left_inner(Mg, apply_map(phi, x), apply_map(phi, y))
+        worst = max(worst, (li - li2).norm())
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError, ModelViolationError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import phi_map
-from modglue.hmod import apply_map, inner_product, unitary_residual, vec_norm
+from modglue.hmod import AdjointableMap, apply_map, inner_product, unitary_residual, vec_norm
 from modglue.morita import (
     EquivalenceBimodule,
     bimodule_data_isomorphic,
@@ -700,3 +700,146 @@ def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_
     with pytest.raises(InvalidInputError, match=f"^bimodule 1 has wrong {side} algebra$"):
         morita.make_bimodule_datum(left, right, cov, (D.bimodules[0], bad), entries)
     assert morita.make_bimodule_datum(left, right, cov, D.bimodules, entries).bimodules == D.bimodules
+
+
+# ---------------------------------------------------------------------------
+# Datum operations on transition scalars against the matrix-level oracles
+
+COCHAIN_MODES = ("coherent", "random_unitary", "phases", "scaled_transition", "non_bimodule")
+
+
+def self_datum(alg, cov, mode, rng):
+    """A self-equivalence datum over alg and cov: coherent, random-unitary
+    scalars times the canonical transitions, or random unitary transitions,
+    which are no bimodule maps on blocks of dimension >= 2."""
+    M = random_bimodule_datum(rng, alg, alg, cov, GenConfig(
+        seed=0, twist_mode="random_unitary" if mode == "random_unitary" else "coherent"))
+    if mode != "non_bimodule":
+        return M
+    entries = [(i, j, k, rng.unitary(M.mult_at(i, k)))
+               for (i, j) in cov.pairs(include_diagonal=False) if i < j
+               for k in sorted(cov.overlap(i, j))]
+    return morita.make_bimodule_datum(alg, alg, cov, M.bimodules, entries)
+
+
+def regauged(D, rng, rephase=False):
+    """D under fresh member twists u_i and unit scalars g_i per block, with
+    transitions g_i (u_i v_i*) nu_ij (v_j u_j*) conj(g_j): isomorphic to D
+    through x |-> g_i u_i v_i* x.  rephase multiplies nu_ij and nu_ji by one
+    more random unit scalar and its conjugate instead, which on a block with
+    three or more sets generally changes the obstruction class."""
+    cov = D.cover
+    bims = tuple(random_bimodule(rng, M.left_algebra, M.right_algebra) for M in D.bimodules)
+    g = {(i, k): rng.unit_scalar() for i in range(cov.num_sets) for k in cov.sets[i]}
+    phase = {key: rng.unit_scalar() for key in g}
+    entries = []
+    for (i, j) in cov.pairs(include_diagonal=False):
+        for k in sorted(cov.overlap(i, j)):
+            Ci = bims[i].twist_at(k) @ D.twist_at(i, k).conj().T
+            Cj = bims[j].twist_at(k) @ D.twist_at(j, k).conj().T
+            if not rephase:
+                s = g[(i, k)] * np.conj(g[(j, k)])
+            else:
+                s = phase[(i, k)] if i < j else np.conj(phase[(j, k)])
+            entries.append((i, j, k, s * Ci @ D.nu_block(i, j, k) @ Cj.conj().T))
+    return morita.make_bimodule_datum(D.left_algebra, D.right_algebra, cov, bims, entries)
+
+
+def operation_outcome(fn, *args):
+    """fn(*args), or (message without its residual, residual) if it raises
+    ModelViolationError."""
+    try:
+        return fn(*args)
+    except ModelViolationError as err:
+        return str(err).split(" (residual ")[0], err.residual
+
+
+def assert_same_outcome(got, want):
+    """The same error and residual, or the same datum, bit for bit: each
+    scalar comes from the same product v_i* nu_ij v_j and is applied in the
+    same order as in the oracle."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got[0]
+    assert (got.left_algebra, got.right_algebra, got.cover) == \
+        (want.left_algebra, want.right_algebra, want.cover)
+    for Mg, Mw in zip(got.bimodules, want.bimodules):
+        assert all(np.array_equal(u, v) for u, v in zip(Mg.twist, Mw.twist))
+    assert {key: set(per) for key, per in got.nu.items()} == \
+        {key: set(per) for key, per in want.nu.items()}
+    for key, per in want.nu.items():
+        for k, W in per.items():
+            assert np.array_equal(got.nu[key][k], W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(COCHAIN_MODES),
+       self_mode=st.sampled_from(("coherent", "random_unitary", "non_bimodule")),
+       seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="phases", self_mode="coherent", seed=0)  # (1, 1, -1)
+@example(mode="non_bimodule", self_mode="non_bimodule", seed=0)  # D refused before M
+@example(mode="coherent", self_mode="non_bimodule", seed=1)  # M refused
+@example(mode="scaled_transition", self_mode="random_unitary", seed=0)
+def test_cochain_operations_match_the_matrix_oracles(mode, self_mode, seed):
+    D = phase_datum(seed, np.pi) if mode == "phases" else bimodule_datum(mode, seed)
+    rng = Rng(seed ^ 0xC0C)
+    S = self_datum(D.left_algebra, D.cover, self_mode, rng)
+    T = self_datum(D.right_algebra, D.cover, self_mode, rng)
+    tol = morita.DEFAULT_TOL
+    for fn, oracle, args in (
+        (dual_datum, oracles.matrix_dual_datum, (D, tol)),
+        (datum_tensor, oracles.matrix_datum_tensor, (S, D, tol)),
+        (datum_tensor, oracles.matrix_datum_tensor, (D, T, tol)),
+        (picard_conjugate, oracles.matrix_picard_conjugate, (D, S, tol)),
+    ):
+        assert_same_outcome(operation_outcome(fn, *args), operation_outcome(oracle, *args))
+
+    unitary = validate_bimodule_datum(D).transitions_unitary
+    for D2, known_isomorphic in ((D, True), (regauged(D, rng), True),
+                                 (regauged(D, rng, True), False)):
+        got = bimodule_data_isomorphic(D, D2, tol)
+        if got is not None:
+            assert morita.datum_morphism_residual(D, D2, got) <= tol
+        if unitary:
+            want = oracles.matrix_bimodule_data_isomorphic(D, D2, tol)
+            assert (got is None) == (want is None)
+        if known_isomorphic:
+            # the scalars solve lambda_i c1 = c2 lambda_root exactly, so an
+            # isomorphism of the form lambda_i v2_i v1_i* is found even when
+            # the transitions are not unitary, which the oracle's quotient
+            # nu2 nu1* assumes
+            assert got is not None
+
+
+def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
+    D = bimodule_datum("random_unitary", 14)
+    S = self_datum(D.left_algebra, D.cover, "coherent", Rng(4))
+    assert len(D.nu) == 6
+
+    def refuse(*args):
+        raise AssertionError("per-transition scalar extraction")
+
+    monkeypatch.setattr(morita, "_scalar_of", refuse)
+    dual_datum(D)
+    datum_tensor(S, D)
+    picard_conjugate(D, S)
+    assert validate_bimodule_datum(D).required_ok()
+    gb = glue_bimodules(bimodule_datum("coherent", 14))
+    assert gb.bimodule is not None
+
+
+def test_criterion_8_bimodule_check_matches_the_sampled_oracle():
+    # Phi of a glued pull-apart is a bimodule map; composed with a unitary
+    # that is not scalar against the twists it is not, and both checks see it
+    left, right = algebra((2, 3, 1)), algebra((1, 2, 2))
+    rng = Rng(80)
+    M = random_bimodule(rng, left, right)
+    gb = glue_bimodules(pull_apart_bimodule(M, cover(3, [{0, 1}, {1, 2}, {0}])))
+    phi = phi_map(gb.glued, M.right_module())
+    assert morita.bimodule_morphism_residual(M, gb.bimodule, phi.blocks) <= 1e-12
+    assert oracles.sampled_phi_bimodule_residual(M, gb.bimodule, phi, Rng(81)) <= 1e-12
+    bent = AdjointableMap(phi.source, phi.target,
+                          tuple(rng.unitary(len(b)) @ b for b in phi.blocks))
+    assert morita.bimodule_morphism_residual(M, gb.bimodule, bent.blocks) > 1e-3
+    assert oracles.sampled_phi_bimodule_residual(M, gb.bimodule, bent, Rng(81)) > 1e-3

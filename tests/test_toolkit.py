@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from modglue import cli, gen, morita, serial, suite
-from modglue.cstar import algebra
+from modglue.cstar import algebra, cover
 from modglue.cli import main
-from modglue.errors import NotAModuleMapError, NotAMorphismError
+from modglue.errors import ModelViolationError, NotAModuleMapError, NotAMorphismError
 from modglue.gen import GenConfig
 from modglue.glue import descent_identities_check, glue, make_gluing_datum
+from modglue.rng import Rng
 
+import oracles
 from test_glue import phase_witness
 
 
@@ -220,6 +222,34 @@ class TestCli:
         d_file.write_text(serial.canonical_dumps(serial.bimodule_datum_to_json(D)))
         assert main(["picard-conjugate", str(d_file), str(d_file), "--tol", "1e-30"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["tol"] == 1e-30
+
+    @pytest.mark.parametrize("corrupt,what", [
+        ("datum", "transition"), ("self_datum", "right-factor transition"),
+    ])
+    def test_picard_conjugate_names_a_transition_that_is_no_bimodule_map(
+            self, tmp_path, capsys, corrupt, what):
+        # one unitary transition at pair (1,2), block 1, is made no bimodule
+        # map; the command exits 1 naming it, with the oracle's message
+        A = algebra((2, 3))
+        cov = cover(2, [{0, 1}] * 3)
+        data = {
+            "datum": morita.random_bimodule_datum(
+                Rng(90), A, algebra((1, 2)), cov, GenConfig(seed=90, twist_mode="random_unitary")),
+            "self_datum": morita.random_bimodule_datum(
+                Rng(91), A, A, cov, GenConfig(seed=91, twist_mode="coherent")),
+        }
+        bad = data[corrupt]
+        bad.nu[(1, 2)][1] = np.eye(3)[[1, 0, 2]] @ bad.nu[(1, 2)][1]
+        bad.nu[(2, 1)][1] = bad.nu[(1, 2)][1].conj().T
+        files = []
+        for name, D in data.items():
+            files.append(tmp_path / f"{name}.json")
+            files[-1].write_text(serial.canonical_dumps(serial.bimodule_datum_to_json(D)))
+        with pytest.raises(ModelViolationError) as err:
+            oracles.matrix_picard_conjugate(data["datum"], data["self_datum"])
+        assert str(err.value).startswith(f"{what} (1,2) block 1 is not a bimodule unitary")
+        assert main(["picard-conjugate", *map(str, files)]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_descent_runs_the_trials_asked_for(self, monkeypatch):
         seen = []
