@@ -110,11 +110,12 @@ def cmd_validate(args) -> int:
         ))
     elif isinstance(obj, BimoduleGluingDatum):
         v = morita.validate_bimodule_datum(obj, args.tol)
+        residuals = {"unitary": v.unitary, "transitions_bimodule": v.transitions_bimodule,
+                     "involutive": v.involutive, "bimodules": v.bimodules}
         reports.append(Report(
-            "validate_bimodule_datum", v.required_ok(args.tol),
-            max(v.transitions_bimodule, v.involutive),
+            "validate_bimodule_datum", v.required_ok(args.tol), max(residuals.values()),
             args.tol, args.file, time.time() - t0,
-            {"cocycle_residual": v.cocycle},
+            {"cocycle_residual": v.cocycle, "residuals": residuals},
         ))
     elif isinstance(obj, EquivalenceBimodule):
         v = morita.validate_bimodule(obj, args.tol)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numlin
 from .errors import InvalidInputError
+from .numlin import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def eta_embed(A: FdCStarAlgebra, cov: ClosedCover, a: AlgebraElement) -> Algebra
     return AlgebraElement(B.flat, tuple(a.block(k) for (_, k) in B.flat.labels))
 
 
-def image_of_eta_characterization(b: AlgebraElement, cov: ClosedCover, tol: float = 1e-9) -> bool:
+def image_of_eta_characterization(b: AlgebraElement, cov: ClosedCover, tol: float = DEFAULT_TOL) -> bool:
     """True iff the duplicated blocks of b agree across cover sets within tol.
 
     Characterizes the image of the diagonal embedding: b = (b_i) comes from A

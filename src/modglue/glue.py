@@ -169,34 +169,38 @@ def transition_residuals(members, sizes, block):
     """Largest unitarity, involution and cocycle residuals of one label's
     transitions, from one stacked tensor.
 
-    members, sizes and block are as for transition_stack, whose Z holds
-    P_a = Z[a, a] on the diagonal; padding preserves every operator norm
-    when unitarity is measured against P_b and P_a instead of I.  Returns
-    (unitary, nonsquare, involutive, cocycle): the largest of ||W*W - I|| and
-    ||WW* - I|| over the square pairs, whether any pair is not square, the
-    largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A non-finite residual
-    raises InvalidInputError, with numpy's overflow and invalid-value
-    warnings silenced.
+    members, sizes and block are as for transition_stack.  Returns
+    (unitary, nonsquare, involutive, cocycle): the largest unitarity defect
+    over the square pairs, each at its own size, whether any pair is not
+    square, the largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A
+    non-finite residual raises InvalidInputError, with numpy's overflow and
+    invalid-value warnings silenced.
     """
     s = len(members)
     if s < 2:
         return 0.0, False, 0.0, 0.0
     Z = transition_stack(members, sizes, block)
-    proj = Z[np.arange(s), np.arange(s)]
     off = ~np.eye(s, dtype=bool)
     pa, pb = np.nonzero(off)  # ordered pairs a != b
     size = np.asarray(sizes)
     square = size[pa] == size[pb]
-    sa, sb = pa[square], pb[square]
-    W = Z[sa, sb]
-    WH = W.conj().swapaxes(-1, -2)
-    unitary = numlin.op_norms(
-        np.concatenate([WH @ W - proj[sb], W @ WH - proj[sa]])
-    ).max(initial=0.0)
+    sa = pa[square]
+    unitary = numlin.unitarity_defects(Z[sa, pb[square]], size[sa]).max(initial=0.0)
     involutive = numlin.op_norms(
         Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
     ).max(initial=0.0)
     return float(unitary), not square.all(), float(involutive), cocycle_residual(Z)
+
+
+def datum_transition_residuals(labels, cover, mult_at, block) -> tuple:
+    """transition_residuals of every label, each entry maximized over the
+    labels; block(i, j, k) is the transition at label k."""
+    worst = (0.0, False, 0.0, 0.0)
+    for k in labels:
+        members = cover.members(k)
+        worst = tuple(map(max, worst, transition_residuals(
+            members, [mult_at(i, k) for i in members], lambda i, j: block(i, j, k))))
+    return worst
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -230,19 +234,13 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
-    The transitions are checked label by label with transition_residuals; a
+    The transitions are checked with datum_transition_residuals; a
     transition that is not square counts as unitarity residual 1.
     """
-    res = {"unitary": 0.0, "identity": 0.0, "involutive": 0.0, "cocycle": 0.0}
-    for k in D.algebra.labels:
-        members = D.cover.members(k)
-        unitary, nonsquare, involutive, cocycle = transition_residuals(
-            members, [D.mult_at(i, k) for i in members],
-            lambda i, j: D.zeta_block(i, j, k),
-        )
-        res["unitary"] = max(res["unitary"], unitary, 1.0 if nonsquare else 0.0)
-        res["involutive"] = max(res["involutive"], involutive)
-        res["cocycle"] = max(res["cocycle"], cocycle)
+    unitary, nonsquare, involutive, cocycle = datum_transition_residuals(
+        D.algebra.labels, D.cover, D.mult_at, D.zeta_block)
+    res = {"unitary": max(unitary, 1.0 if nonsquare else 0.0), "identity": 0.0,
+           "involutive": involutive, "cocycle": cocycle}
     # Diagonal entries are identities by construction; report 0 unless a raw
     # datum was built without the normalizing constructor.
     for (i, j), entries in D.zeta.items():
@@ -525,32 +523,22 @@ def epsilon_iso(D: GluingDatum, tol: float = DEFAULT_TOL) -> EpsilonResult:
             if d != 0:
                 deficit[(i, k)] = d
 
-    maps = []
     unitary_res = 0.0
-    for i in range(D.cover.num_sets):
-        F = D.cover.sets[i]
-        src = restrict_module(gd.module, F)
-        tgt = D.modules[i]
-        blocks = []
-        for k in src.algebra.labels:
-            E = gd.stacked_basis[k]
-            c = gd.member_count(k)
-            ofs = {ii: o for (ii, o, _) in gd.layout[k]}[i]
-            m_i = D.mult_at(i, k)
-            blk = np.sqrt(c) * E[ofs:ofs + m_i, :]
-            blocks.append(blk)
-            if blk.shape[0] == blk.shape[1] and blk.shape[0] > 0:
-                unitary_res = max(
-                    unitary_res,
-                    numlin.op_norm(blk.conj().T @ blk - np.eye(blk.shape[1])),
-                    numlin.op_norm(blk @ blk.conj().T - np.eye(blk.shape[0])),
-                )
-        maps.append(AdjointableMap(src, tgt, tuple(blocks)))
+    blocks = [[] for _ in D.cover.sets]  # per set, one block per label of F_i
+    for k in D.algebra.labels:
+        E = np.sqrt(gd.member_count(k)) * gd.stacked_basis[k]
+        for (i, ofs, m_i) in gd.layout[k]:
+            blk = E[ofs:ofs + m_i]
+            blocks[i].append(blk)
+            if m_i == E.shape[1]:
+                unitary_res = max(unitary_res, float(numlin.unitarity_defects(blk[None])[0]))
+    maps = tuple(AdjointableMap(restrict_module(gd.module, F), Z_i, tuple(b))
+                 for F, Z_i, b in zip(D.cover.sets, D.modules, blocks))
 
     if deficit:
         return EpsilonResult(gd, None, unitary_res, float("inf"), deficit)
 
-    morphism = GlueMorphism(pull_apart(gd.module, D.cover), D, tuple(maps))
+    morphism = GlueMorphism(pull_apart(gd.module, D.cover), D, maps)
     return EpsilonResult(
         gd, morphism, unitary_res, morphism_residual(morphism), deficit
     )

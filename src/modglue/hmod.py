@@ -16,6 +16,7 @@ import numpy as np
 from . import numlin
 from .cstar import AlgebraElement, FdCStarAlgebra, restrict_algebra
 from .errors import InvalidInputError, NotAModuleMapError
+from .numlin import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -238,21 +239,10 @@ def is_unitary_module_map(alpha: AdjointableMap, tol: float) -> bool:
 
 
 def unitary_residual(alpha: AdjointableMap) -> float:
-    """Largest deviation of any block from unitarity; inf on non-square blocks."""
-    worst = 0.0
-    for T in alpha.blocks:
-        p, m = T.shape
-        if p != m:
-            return float("inf")
-        if m == 0:
-            continue
-        eye = np.eye(m)
-        worst = max(
-            worst,
-            numlin.op_norm(T.conj().T @ T - eye),
-            numlin.op_norm(T @ T.conj().T - eye),
-        )
-    return worst
+    """Largest unitarity defect of any block; inf on non-square blocks."""
+    if any(T.shape[0] != T.shape[1] for T in alpha.blocks):
+        return float("inf")
+    return max((float(numlin.unitarity_defects(T[None])[0]) for T in alpha.blocks), default=0.0)
 
 
 def coords(x: ModuleVector) -> np.ndarray:
@@ -272,7 +262,7 @@ def from_coords(mod: HilbertModule, u) -> ModuleVector:
     return vector(mod, blocks)
 
 
-def module_map_from_linear(L, X: HilbertModule, Y: HilbertModule, tol: float = 1e-9) -> AdjointableMap:
+def module_map_from_linear(L, X: HilbertModule, Y: HilbertModule, tol: float = DEFAULT_TOL) -> AdjointableMap:
     """Recover the blockwise left-multiplication form of a linear map, or reject.
 
     L is a callable ModuleVector -> ModuleVector on coordinates.  The block

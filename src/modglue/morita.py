@@ -32,10 +32,10 @@ from .errors import InvalidInputError, ModelViolationError
 from .glue import (
     GluingDatum,
     GluedModule,
+    datum_transition_residuals,
     glue,
     make_gluing_datum,
     normalize_transitions,
-    transition_residuals,
     transition_stack,
 )
 from .hmod import HilbertModule, ModuleVector, module
@@ -118,8 +118,8 @@ _TWIST_RANK_TOL = numlin.DEFAULT_RANK_TOL ** 0.5
 class BimoduleValidation:
     """Closed-form validation of a normal-form equivalence bimodule.
 
-    Per block k with twist u, singular values s and P = uu*, the unitarity
-    defect d_k = max |s^2 - 1| equals ||u*u - I|| = ||uu* - I||, and:
+    Per block k with twist u, largest singular value s_max, P = uu* and
+    unitarity defect d_k = ||u*u - I|| (numlin.unitarity_defects):
 
     - left_linearity is max_k d_k s_max^2, the exact sup over unit a', x, y
       of ||_A'<a'x|y> - a' _A'<x|y>||, since
@@ -165,9 +165,8 @@ def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL) -> Bimod
     defect, margin = {}, {}
     imp = lin = 0.0
     for lab, u in zip(M.left_algebra.labels, M.twist):
-        s = numlin.singular_values(u)
-        d = float(np.abs(s * s - 1.0).max())
-        top = float(s[0]) ** 2
+        (d,), (s,) = numlin.unitarity_defects(u[None], return_singular_values=True)
+        d, top = float(d), float(s[0]) ** 2
         defect[lab] = d
         margin[lab] = numlin.rank_margin(s, u.shape[1], _TWIST_RANK_TOL)
         imp = max(imp, d * (top + 1.0))
@@ -247,11 +246,8 @@ def bimodule_morphism_residual(M: EquivalenceBimodule, N: EquivalenceBimodule, W
     """How far x |-> W_k x is from a bimodule map M -> N preserving both
     inner products (exact formulas, no sampling)."""
     worst = 0.0
-    for pos, lab in enumerate(M.left_algebra.labels):
-        m = M.mult[pos]
-        Wk = W[pos]
-        u, v = M.twist[pos], N.twist[pos]
-        worst = max(worst, numlin.op_norm(Wk.conj().T @ Wk - np.eye(m)))
+    for Wk, u, v in zip(W, M.twist, N.twist):
+        worst = max(worst, float(numlin.unitarity_defects(Wk[None])[0]))
         # intertwine left actions: W (u a u*) = (v a v*) W for all a
         # equivalently v* W u central, i.e. scalar
         worst = max(worst, _scalar_of(v.conj().T @ Wk @ u)[1])
@@ -366,6 +362,8 @@ class BimoduleDatumValidation:
     transitions_bimodule: float  # residual against scalar * v_i v_j*
     involutive: float
     cocycle: float
+    unitary: float  # largest transition unitarity defect, 1.0 if one is not square
+    bimodules: float  # largest member max(imprimitivity, left_linearity)
 
     def required_ok(self, tol: float = DEFAULT_TOL) -> bool:
         return (
@@ -377,25 +375,20 @@ class BimoduleDatumValidation:
 def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleDatumValidation:
     """Check the member bimodules and the transitions.
 
-    Unitarity, involution and the cocycle are checked label by label with
-    glue.transition_residuals: the transitions are unitary iff every one is
-    square with unitarity residual at most tol.  The bimodule-map residual
-    is the largest residual of transition_cochain.
+    Unitarity, involution and the cocycle are checked with
+    glue.datum_transition_residuals: the transitions are unitary iff every
+    one is square with unitarity defect at most tol.  The bimodule-map
+    residual is the largest residual of transition_cochain.
     """
-    bims_ok = all(validate_bimodule(Mi, tol).passed for Mi in D.bimodules)
-    unit = True
-    invo = coc = 0.0
-    for k in D.left_algebra.labels:
-        members = D.cover.members(k)
-        unitary, nonsquare, involutive, cocycle = transition_residuals(
-            members, [D.mult_at(i, k) for i in members],
-            lambda i, j: D.nu_block(i, j, k),
-        )
-        unit = unit and not nonsquare and unitary <= tol
-        invo = max(invo, involutive)
-        coc = max(coc, cocycle)
+    members = [validate_bimodule(Mi, tol) for Mi in D.bimodules]
+    unitary, nonsquare, involutive, cocycle = datum_transition_residuals(
+        D.left_algebra.labels, D.cover, D.mult_at, D.nu_block)
     bire = max((r for _, r in transition_cochain(D).values()), default=0.0)
-    return BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
+    return BimoduleDatumValidation(
+        all(v.passed for v in members), not nonsquare and unitary <= tol, bire,
+        involutive, cocycle, max(unitary, 1.0 if nonsquare else 0.0),
+        max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0),
+    )
 
 
 def pull_apart_bimodule(M: EquivalenceBimodule, cover: ClosedCover) -> BimoduleGluingDatum:
@@ -475,7 +468,7 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
     unitary V iff K_i = c_i V with sum_i |c_i|^2 = 1, since two Kraus forms
     of one map differ by an isometry.  V is the K_r of largest Frobenius
     norm, divided by its root-mean-square singular value.  The residual is
-    the largest of ||V*V - 1||, the non-scalarity of each V* K_i, and
+    the largest of V's unitarity defect, the non-scalarity of each V* K_i, and
     |sum_i |c_i|^2 - 1| over the trace-normalized scalars c_i of V* K_i,
     all of them from one _scalars_of call.
     """
@@ -489,7 +482,7 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
     r = int(np.argmax(norms))
     c_r = norms[r] / np.sqrt(m)
     V = K[r] / c_r if c_r > 0 else K[r]
-    res = numlin.op_norm(V.conj().T @ V - np.eye(m))
+    res = float(numlin.unitarity_defects(V[None])[0])
     c, nonscalar = _scalars_of(V.conj().T @ K)
     weight = sum(abs(ci) ** 2 for ci in c)
     return V, max(res, *nonscalar, abs(weight - 1.0))

@@ -4,7 +4,8 @@ Every rank, kernel and subspace decision in the package funnels through the
 SVD-based routines here, so a single threshold convention governs all of them:
 a singular value sigma counts as zero iff sigma <= tol * sigma_max.  Callers
 that must not round a near-threshold decision either way test its margin
-against RANK_GAP_FACTOR.
+against RANK_GAP_FACTOR.  Every unitarity check in the package likewise reads
+its residual from unitarity_defects.
 """
 
 from __future__ import annotations
@@ -52,20 +53,50 @@ def op_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _stack_singular_values(S: np.ndarray) -> np.ndarray:
+    """Descending singular values of each matrix of a (..., rows, cols)
+    complex128 stack, from one batched SVD; like as_cmatrix it rejects
+    NaN/Inf.  An empty stack or empty matrices take no SVD."""
+    if S.ndim < 2:
+        raise InvalidInputError(f"expected a stack of matrices, got ndim={S.ndim}")
+    if S.size and not np.isfinite(S).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    if S.size == 0:
+        return np.zeros(S.shape[:-2] + (min(S.shape[-2:]),))
+    return np.linalg.svd(S, compute_uv=False)
+
+
 def op_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a (..., rows, cols) stack.
 
     Entry by entry equal to op_norm, from one batched SVD; like as_cmatrix it
     rejects NaN/Inf, and empty matrices (and an empty stack) give 0.
     """
+    s = _stack_singular_values(np.asarray(stack, dtype=np.complex128))
+    return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def unitarity_defects(stack, sizes=None, return_singular_values: bool = False):
+    """Unitarity defect max |s^2 - 1| = ||W*W - I|| = ||WW* - I|| of each W
+    of a (count, m, m) stack, s its singular values, from one batched SVD.
+
+    With sizes, W_t counts only its leading sizes[t] singular values, so zero
+    padding adds nothing.  Input is checked as op_norms checks it and must be
+    square; an overflowing defect raises InvalidInputError, with numpy's
+    warnings silenced.  With return_singular_values, returns (defects, s).
+    """
     S = np.asarray(stack, dtype=np.complex128)
-    if S.ndim < 2:
-        raise InvalidInputError(f"expected a stack of matrices, got ndim={S.ndim}")
-    if S.size and not np.isfinite(S).all():
-        raise InvalidInputError("matrix has non-finite entries")
-    if S.size == 0:
-        return np.zeros(S.shape[:-2])
-    return np.linalg.svd(S, compute_uv=False)[..., 0]
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise InvalidInputError(f"expected a stack of square matrices, got shape {S.shape}")
+    s = _stack_singular_values(S)
+    dev = np.abs(s * s - 1.0)
+    if sizes is not None:
+        dev[np.arange(S.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
+    d = dev.max(axis=1, initial=0.0)
+    if not np.isfinite(d).all():
+        raise InvalidInputError("unitarity defect is not finite")
+    return (d, s) if return_singular_values else d
 
 
 def op_norm_maxima(groups) -> list:
@@ -156,20 +187,11 @@ def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def is_unitary(M, tol: float) -> bool:
-    """True iff M is square and both M*M and MM* are within tol of the identity."""
+    """True iff M is square with unitarity defect at most tol."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     M = as_cmatrix(M)
-    m, n = M.shape
-    if m != n:
-        return False
-    if n == 0:
-        return True
-    eye = np.eye(n)
-    return (
-        op_norm(M.conj().T @ M - eye) <= tol
-        and op_norm(M @ M.conj().T - eye) <= tol
-    )
+    return M.shape[0] == M.shape[1] and bool(unitarity_defects(M[None])[0] <= tol)
 
 
 def subspace_gap(B1, B2) -> float:

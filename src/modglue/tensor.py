@@ -40,6 +40,7 @@ from .hmod import (
     restrict_module,
     right_act,
 )
+from .numlin import DEFAULT_TOL
 from .rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -624,7 +625,7 @@ def _elementary_coords(model, parts, *bs) -> np.ndarray:
     return np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.complex128)
 
 
-def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = 1e-9,
+def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = DEFAULT_TOL,
                      trials: int = 10, seed: int = 0) -> OracleReport:
     """Compare the direct-sum model of X (x) B against the balanced quotient:
     component i is X|F_i, with the form b_i* <x|x'> b'_i in A|F_i."""
@@ -641,7 +642,7 @@ def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = 1e-9,
     )
 
 
-def nu_oracle_check(Y: HilbertModule, base: FdCStarAlgebra, F_j, tol: float = 1e-9,
+def nu_oracle_check(Y: HilbertModule, base: FdCStarAlgebra, F_j, tol: float = DEFAULT_TOL,
                     trials: int = 10, seed: int = 0) -> OracleReport:
     """Compare the restriction model Y|F_ij of Y (x) A|F_j with the balanced
     quotient, with the form a* <y|y'> a' in A|F_j."""
@@ -657,7 +658,7 @@ def nu_oracle_check(Y: HilbertModule, base: FdCStarAlgebra, F_j, tol: float = 1e
     )
 
 
-def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: int = 0) -> OracleReport:
+def pair_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 10, seed: int = 0) -> OracleReport:
     """Compare the pair model of Z (x) B with the balanced quotient.
 
     Dimension and relation agreement certify that the pair projections
@@ -678,7 +679,7 @@ def pair_model_oracle_check(datum, tol: float = 1e-9, trials: int = 10, seed: in
     )
 
 
-def triple_model_oracle_check(datum, tol: float = 1e-9, trials: int = 6, seed: int = 0) -> OracleReport:
+def triple_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 6, seed: int = 0) -> OracleReport:
     """Compare the triple model of Z (x) B (x) B with the balanced quotient:
     component (i, j, l) has the form with L(b (x) b') = (b_j b'_l)|F_ijl."""
     A, cover = datum.algebra, datum.cover

@@ -24,7 +24,8 @@ in closed form, is sampled here.  The per-label matrices T_k,
 which the library places leg by leg with index arithmetic, are summed here
 one slot pair at a time (block_matrix), and the Gaussian draws, which the
 library computes as one splitmix block, come one entry at a time from
-ScalarRng.
+ScalarRng.  Unitarity, which the library reads as max |s^2 - 1| over the
+singular values, is measured here from the products U*U and UU*.
 """
 
 import itertools
@@ -414,8 +415,8 @@ def span_fullness(M):
 def sampled_bimodule_validation(M, tol):
     """validate_bimodule by sampling, the slow path its closed form replaces:
     the four identities of an equivalence bimodule on 8 draws of random
-    vectors x, y, z and a random element a', unitarity by numlin.is_unitary
-    and fullness by span_fullness.  Returns (passed, residuals): passed
+    vectors x, y, z and a random element a', unitarity by
+    product_unitarity_residual and fullness by span_fullness.  Returns (passed, residuals): passed
     judges the raw residuals at tol, and residuals maps each identity to its
     largest sampled residual divided by the product of its inputs' norms."""
     rng = Rng(7)
@@ -445,7 +446,7 @@ def sampled_bimodule_validation(M, tol):
                (inner_product(act(M, ap, x), y) - inner_product(x, act(M, ap.adjoint(), y))).norm(),
                na, nx, ny)
     full_left, full_right = span_fullness(M)
-    unitary = all(numlin.is_unitary(u, tol) for u in M.twist)
+    unitary = all(product_unitarity_residual(u) <= tol for u in M.twist)
     return unitary and full_left and full_right and raw <= tol, res
 
 
@@ -497,6 +498,13 @@ def probed_glued_twists(D, gd):
 # Per-pair transition checks
 
 
+def product_unitarity_residual(U) -> float:
+    """max(||U*U - I||, ||UU* - I||) of a square U, from the two products:
+    the form that numlin.unitarity_defects replaces."""
+    eye = np.eye(U.shape[0])
+    return max(numlin.op_norm(U.conj().T @ U - eye), numlin.op_norm(U @ U.conj().T - eye))
+
+
 def pairwise_gluing_validation(D, tol):
     """validate_gluing_datum with one SVD per (pair, label) and per
     (triple, label)."""
@@ -504,15 +512,8 @@ def pairwise_gluing_validation(D, tol):
     for (i, j) in D.cover.pairs(include_diagonal=False):
         for k in sorted(D.cover.overlap(i, j)):
             U = D.zeta_block(i, j, k)
-            m = U.shape[0]
-            if U.shape[0] != U.shape[1]:
-                res["unitary"] = max(res["unitary"], 1.0)
-            else:
-                res["unitary"] = max(
-                    res["unitary"],
-                    numlin.op_norm(U.conj().T @ U - np.eye(m)),
-                    numlin.op_norm(U @ U.conj().T - np.eye(m)),
-                )
+            res["unitary"] = max(res["unitary"], 1.0 if U.shape[0] != U.shape[1]
+                                 else product_unitarity_residual(U))
             res["involutive"] = max(
                 res["involutive"],
                 numlin.op_norm(D.zeta_block(j, i, k) - U.conj().T),
@@ -535,15 +536,17 @@ def pairwise_gluing_validation(D, tol):
 
 
 def pairwise_bimodule_validation(D, tol):
-    """validate_bimodule_datum with numlin.is_unitary per (pair, label) and
-    one SVD per (triple, label)."""
-    bims_ok = all(morita.validate_bimodule(Mi, tol).passed for Mi in D.bimodules)
+    """validate_bimodule_datum with product_unitarity_residual per (pair,
+    label) and one SVD per (triple, label)."""
+    members = [morita.validate_bimodule(Mi, tol) for Mi in D.bimodules]
     unit = True
-    bire = invo = coc = 0.0
+    defect = bire = invo = coc = 0.0
     for (i, j) in D.cover.pairs(include_diagonal=False):
         for k in sorted(D.cover.overlap(i, j)):
             W = D.nu_block(i, j, k)
-            unit = unit and numlin.is_unitary(W, tol)
+            d = 1.0 if W.shape[0] != W.shape[1] else product_unitarity_residual(W)
+            unit = unit and W.shape[0] == W.shape[1] and d <= tol
+            defect = max(defect, d)
             _, r = morita._scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             bire = max(bire, r)
             invo = max(invo, numlin.op_norm(D.nu_block(j, i, k) - W.conj().T))
@@ -551,7 +554,9 @@ def pairwise_bimodule_validation(D, tol):
         for k in sorted(D.cover.overlap(i, j, l)):
             lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
             coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
-    return morita.BimoduleDatumValidation(bims_ok, unit, bire, invo, coc)
+    return morita.BimoduleDatumValidation(
+        all(v.passed for v in members), unit, bire, invo, coc, defect,
+        max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0))
 
 
 # ---------------------------------------------------------------------------

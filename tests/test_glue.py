@@ -493,15 +493,18 @@ def transition_datum(mode, seed, theta):
 @example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1)
 @example(mode="mixed_mult", seed=13, theta=0.0)  # padded: equal up to rounding
 def test_stacked_validation_matches_the_pairwise_oracle(mode, seed, theta):
+    # the unitarity defect comes from singular values, the oracle's from
+    # the products U*U and UU*: equal up to rounding; the other residuals
+    # are bit for bit unless padding occurs
     D, uniform = transition_datum(mode, seed, theta)
     tol = DEFAULT_TOL
     v, w = validate_gluing_datum(D, tol), pairwise_gluing_validation(D, tol)
     assert (v.unitary, v.identity, v.involutive, v.cocycle) == (
         w.unitary, w.identity, w.involutive, w.cocycle)
-    if uniform:
-        assert v.max_residuals == w.max_residuals  # bit for bit
-    else:
-        for key, r in w.max_residuals.items():
+    for key, r in w.max_residuals.items():
+        if uniform and key != "unitary":
+            assert v.max_residuals[key] == r
+        else:
             assert abs(v.max_residuals[key] - r) <= 1e-12 * max(1.0, r)
 
 

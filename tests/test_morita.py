@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,8 +10,15 @@ from modglue import gen, morita, numlin
 from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError, ModelViolationError, RankAmbiguityError
 from modglue.gen import GenConfig
-from modglue.glue import phi_map
-from modglue.hmod import AdjointableMap, apply_map, inner_product, unitary_residual, vec_norm
+from modglue.glue import epsilon_iso, phi_map, validate_gluing_datum
+from modglue.hmod import (
+    AdjointableMap,
+    apply_map,
+    identity_map,
+    inner_product,
+    unitary_residual,
+    vec_norm,
+)
 from modglue.morita import (
     EquivalenceBimodule,
     bimodule_data_isomorphic,
@@ -596,10 +604,13 @@ def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
 @example(mode="scaled_transition", seed=0)
 def test_stacked_validation_matches_the_pairwise_oracle(mode, seed):
     # bimodule multiplicities are the left block dimensions, so every
-    # label's transitions are square and no padding occurs: bit for bit
+    # label's transitions are square and no padding occurs: bit for bit,
+    # except the unitarity defect, which the oracle takes from the products
     D = phases_datum() if mode == "phases" else bimodule_datum(mode, seed)
     tol = morita.DEFAULT_TOL
-    assert validate_bimodule_datum(D, tol) == oracles.pairwise_bimodule_validation(D, tol)
+    v, w = validate_bimodule_datum(D, tol), oracles.pairwise_bimodule_validation(D, tol)
+    assert abs(v.unitary - w.unitary) <= 1e-12 * max(1.0, w.unitary)
+    assert dataclasses.replace(v, unitary=w.unitary) == w
 
 
 def test_overflowing_transitions_are_invalid_input():
@@ -631,6 +642,43 @@ def test_validation_draws_no_random_samples(monkeypatch, algebras):
     assert validate_bimodule_datum(D).required_ok()
     gb = glue_bimodules(D)
     assert gb.bimodule is not None and gb.validation.passed
+
+
+def test_every_unitarity_check_reads_the_one_defect(monkeypatch, algebras):
+    # with numlin.unitarity_defects reporting 1e6, every check that judges
+    # unitarity must fail; one that formed its own products would still pass
+    left, right = algebras
+    cov = cover(3, [{0, 1}, {1, 2}])
+    D = random_bimodule_datum(Rng(58), left, right, cov,
+                              GenConfig(seed=58, twist_mode="coherent"))
+    G = morita.underlying_right_datum(D)
+    M = D.bimodules[0]
+    ident = identity_map(M.right_module())
+    tol = morita.DEFAULT_TOL
+
+    def verdicts():
+        return {
+            "validate_gluing_datum": validate_gluing_datum(G, tol).required_ok,
+            "validate_bimodule_datum": validate_bimodule_datum(D, tol).required_ok(tol),
+            "validate_bimodule": validate_bimodule(M, tol).passed,
+            "is_unitary": numlin.is_unitary(ident.blocks[0], tol),
+            "unitary_residual": unitary_residual(ident) <= tol,
+            "epsilon_iso": epsilon_iso(G, tol).unitary_residual <= tol,
+            "bimodule_morphism_residual":
+                morita.bimodule_morphism_residual(M, M, ident.blocks) <= tol,
+            "glue_bimodules": glue_bimodules(D, tol).bimodule is not None,
+        }
+
+    assert all(verdicts().values())
+    real = numlin.unitarity_defects
+
+    def broken(stack, sizes=None, return_singular_values=False):
+        d, s = real(stack, sizes, return_singular_values=True)
+        d = np.full_like(d, 1e6)
+        return (d, s) if return_singular_values else d
+
+    monkeypatch.setattr(numlin, "unitarity_defects", broken)
+    assert not any(verdicts().values()), verdicts()
 
 
 def bits(x):

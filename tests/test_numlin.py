@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modglue import numlin
 from modglue.errors import InvalidInputError
 
-from oracles import power_iteration_top_singular, row_reduction_rank
+from oracles import power_iteration_top_singular, product_unitarity_residual, row_reduction_rank
 
 RNG = np.random.default_rng(20240817)
 
@@ -120,6 +122,80 @@ class TestIsUnitary:
 
     def test_empty_is_unitary(self):
         assert numlin.is_unitary(np.zeros((0, 0)), 1e-12)
+
+
+UNITARITY_KINDS = ("unitary", "perturbed", "gaussian", "rank_deficient")
+
+
+def unitarity_case(kind, m, rng):
+    """An m x m matrix: a unitary, a unitary plus a 1e-12-sized Gaussian, a
+    Gaussian, or a unitary with its last singular value set to 0."""
+    G = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    if kind == "gaussian":
+        return G
+    Q = np.linalg.qr(G)[0] if m else G
+    if kind == "perturbed":
+        return Q + 1e-12 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    if kind == "rank_deficient":
+        return Q @ np.diag([1.0] * (m - 1) + [0.0] * min(m, 1))
+    return Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.sampled_from(UNITARITY_KINDS), st.integers(min_value=0, max_value=5)),
+                   min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(cases=[("unitary", 0), ("unitary", 1), ("rank_deficient", 1), ("gaussian", 3)], seed=0)
+def test_unitarity_defects_match_the_product_form(cases, seed):
+    # each matrix alone, and all of them zero-padded into one stack with
+    # their sizes, against max(||U*U - I||, ||UU* - I||); scaled by 1e200
+    # the stack overflows and is refused without a warning
+    rng = np.random.default_rng(seed)
+    mats = [unitarity_case(kind, m, rng) for kind, m in cases]
+    sizes = [len(U) for U in mats]
+    stack = np.zeros((len(mats), max(sizes), max(sizes)), dtype=np.complex128)
+    for t, U in enumerate(mats):
+        stack[t, :sizes[t], :sizes[t]] = U
+    padded = numlin.unitarity_defects(stack, sizes)
+    for t, (U, (kind, m)) in enumerate(zip(mats, cases)):
+        r = product_unitarity_residual(U)
+        for d in (numlin.unitarity_defects(U[None])[0], padded[t]):
+            assert abs(d - r) <= 1e-12 * max(1.0, r)
+        if kind in ("unitary", "perturbed") or m == 0:
+            assert r <= 1e-10 and numlin.is_unitary(U, 1e-9)
+        elif kind == "rank_deficient":
+            assert abs(r - 1.0) <= 1e-12 and not numlin.is_unitary(U, 1e-9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if stack.any():
+            with pytest.raises(InvalidInputError):
+                numlin.unitarity_defects(1e200 * stack, sizes)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestUnitarityDefects:
+    def test_empty_matrices_and_stack(self):
+        assert numlin.unitarity_defects(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+        assert numlin.unitarity_defects(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_returns_the_singular_values_of_its_svd(self):
+        U = 2.0 * np.eye(2)
+        d, s = numlin.unitarity_defects(U[None], return_singular_values=True)
+        assert d.tolist() == [3.0] and s.tolist() == [[2.0, 2.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        stack = np.stack([np.eye(2), np.eye(2)]).astype(np.complex128)
+        stack[1, 0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            numlin.unitarity_defects(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (3, 3)])
+    def test_rejects_a_stack_that_is_not_square_matrices(self, shape):
+        with pytest.raises(InvalidInputError):
+            numlin.unitarity_defects(np.zeros(shape))
 
 
 @settings(max_examples=40, deadline=None)

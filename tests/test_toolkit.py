@@ -169,6 +169,27 @@ class TestCli:
         }
         assert record["details"]["rank_margin"]["0"][1] is None
 
+    @pytest.mark.parametrize("doubled,expected", [("transition", 3.0), ("twist", 15.0)])
+    def test_validate_bimodule_datum_reports_its_largest_required_residual(
+            self, tmp_path, capsys, doubled, expected):
+        # two sets over M_2 / C, identity twists and transition: a doubled
+        # transition has unitarity defect 3, a doubled member twist 2 I has
+        # imprimitivity 3 (4 + 1) = 15; either fails the report
+        left, right, cov = algebra((2,)), algebra((1,)), cover(1, [{0}, {0}])
+        eye = np.eye(2, dtype=np.complex128)
+        twists = [eye, 2.0 * eye if doubled == "twist" else eye]
+        bims = [morita.EquivalenceBimodule(left, right, (u,)) for u in twists]
+        W = 2.0 * eye if doubled == "transition" else eye
+        D = morita.make_bimodule_datum(left, right, cov, bims, [(0, 1, 0, W)])
+        inst, rep = tmp_path / "bd.json", tmp_path / "rep.jsonl"
+        inst.write_text(serial.canonical_dumps(serial.bimodule_datum_to_json(D)))
+        assert main(["validate", str(inst), "--out", str(rep)]) == 2
+        record = json.loads(rep.read_text())
+        assert record["pass"] is False
+        assert abs(record["max_residual"] - expected) < 1e-12
+        assert record["max_residual"] == max(record["details"]["residuals"].values())
+        assert capsys.readouterr().out.startswith("FAIL validate_bimodule_datum residual=")
+
     def test_roundtrip_on_seeds(self):
         assert main(["roundtrip", "--trials", "3"]) == 0
 
