@@ -194,7 +194,7 @@ def cmd_roundtrip(args) -> int:
                 time.time() - t0, {"glued_mult": list(phi.glued.module.mult)},
             ))
         elif isinstance(obj, GluingDatum):
-            eps = epsilon_iso(obj, args.tol)
+            eps = epsilon_iso(obj)
             res = max(eps.unitary_residual, eps.intertwine_residual)
             ok = eps.morphism is not None and res <= args.tol
             reports.append(Report(

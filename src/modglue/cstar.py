@@ -145,6 +145,17 @@ def restrict_algebra(A: FdCStarAlgebra, F) -> FdCStarAlgebra:
     )
 
 
+def is_restriction(sub: FdCStarAlgebra, A: FdCStarAlgebra, F) -> bool:
+    """Whether sub == restrict_algebra(A, F), read from the labels and block
+    dimensions without building the restriction; a label of F outside A
+    raises as restrict_algebra does."""
+    for label in F:
+        A.position(label)
+    keep = [p for p, label in enumerate(A.labels) if label in F]
+    return (sub.labels == tuple(A.labels[p] for p in keep)
+            and sub.block_dims == tuple(A.block_dims[p] for p in keep))
+
+
 def restrict_element(a: AlgebraElement, F) -> AlgebraElement:
     """Quotient map onto the restricted algebra: delete blocks outside F."""
     sub = restrict_algebra(a.algebra, F)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .cstar import ClosedCover, FdCStarAlgebra, restrict_algebra
+from .cstar import ClosedCover, FdCStarAlgebra, is_restriction
 from .errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
 from .hmod import (
     AdjointableMap,
@@ -37,10 +37,10 @@ from .numlin import DEFAULT_TOL
 #: of suite criterion 4 (isometries applied to unit-scale Gaussian vectors).
 EXACT_IDENTITY_TOL = 1e-12
 
-#: How far from the identity, in operator norm, make_gluing_datum and
-#: morita.make_bimodule_datum let a diagonal transition lie before rejecting
-#: the datum.  It is absolute: a diagonal entry is compared with I, which has
-#: norm 1.
+#: How far from the identity, in operator norm, make_gluing_datum lets a
+#: diagonal transition lie before rejecting the datum; a bimodule datum's
+#: transitions pass through it too, as its right gluing datum's.  It is
+#: absolute: a diagonal entry is compared with I, which has norm 1.
 DIAGONAL_IDENTITY_TOL = 1e-12
 
 
@@ -123,8 +123,7 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
     if len(modules) != cover.num_sets:
         raise InvalidInputError("one module per cover set required")
     for i, mod in enumerate(modules):
-        expected = restrict_algebra(alg, cover.sets[i])
-        if mod.algebra != expected:
+        if not is_restriction(mod.algebra, alg, cover.sets[i]):
             raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
 
     def size(i, k):
@@ -146,43 +145,45 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
-def transition_stack(members, sizes, block) -> np.ndarray:
-    """One label's transitions as one (s, s, m, m) tensor, m the largest size.
+def transition_stack(D: GluingDatum, k) -> np.ndarray:
+    """Label k's transitions as one (s, s, m, m) tensor, s the number of
+    cover sets owning k and m their largest multiplicity there.
 
-    members are the cover sets owning the label, sizes their multiplicities
-    and block(i, j) the transition matrix from member j to member i, called
-    for i != j only.  Z[a, b] is block(members[a], members[b]) zero-padded,
-    and Z[a, a] is P_a = diag(1, ..., 1, 0, ...) with sizes[a] ones.
+    Z[a, b] is D.zeta_block(members[a], members[b], k) zero-padded, members
+    = D.cover.members(k), and Z[a, a] is P_a = diag(1, ..., 1, 0, ...) with
+    as many ones as member a's multiplicity.
     """
+    members = D.cover.members(k)
+    sizes = [D.mult_at(i, k) for i in members]
     s, m = len(members), max(sizes, default=0)
     Z = np.zeros((s, s, m, m), dtype=np.complex128)
     for a, (i, m_a) in enumerate(zip(members, sizes)):
         Z[a, a, :m_a, :m_a] = np.eye(m_a)
         for b, j in enumerate(members):
             if b != a:
-                Z[a, b, :m_a, :sizes[b]] = block(i, j)
+                Z[a, b, :m_a, :sizes[b]] = D.zeta[(i, j)][k]
     return Z
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def transition_residuals(members, sizes, block):
-    """Largest unitarity, involution and cocycle residuals of one label's
-    transitions, from one stacked tensor.
+def transition_residuals(D: GluingDatum, k):
+    """Largest unitarity, involution and cocycle residuals of label k's
+    transitions, from its transition_stack.
 
-    members, sizes and block are as for transition_stack.  Returns
-    (unitary, nonsquare, involutive, cocycle): the largest unitarity defect
-    over the square pairs, each at its own size, whether any pair is not
-    square, the largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A
+    Returns (unitary, nonsquare, involutive, cocycle): the largest unitarity
+    defect over the square pairs, each at its own size, whether any pair is
+    not square, the largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A
     non-finite residual raises InvalidInputError, with numpy's overflow and
     invalid-value warnings silenced.
     """
+    members = D.cover.members(k)
     s = len(members)
     if s < 2:
         return 0.0, False, 0.0, 0.0
-    Z = transition_stack(members, sizes, block)
+    Z = transition_stack(D, k)
     off = ~np.eye(s, dtype=bool)
     pa, pb = np.nonzero(off)  # ordered pairs a != b
-    size = np.asarray(sizes)
+    size = np.array([D.mult_at(i, k) for i in members])
     square = size[pa] == size[pb]
     sa = pa[square]
     unitary = numlin.unitarity_defects(Z[sa, pb[square]], size[sa]).max(initial=0.0)
@@ -190,17 +191,6 @@ def transition_residuals(members, sizes, block):
         Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
     ).max(initial=0.0)
     return float(unitary), not square.all(), float(involutive), cocycle_residual(Z)
-
-
-def datum_transition_residuals(labels, cover, mult_at, block) -> tuple:
-    """transition_residuals of every label, each entry maximized over the
-    labels; block(i, j, k) is the transition at label k."""
-    worst = (0.0, False, 0.0, 0.0)
-    for k in labels:
-        members = cover.members(k)
-        worst = tuple(map(max, worst, transition_residuals(
-            members, [mult_at(i, k) for i in members], lambda i, j: block(i, j, k))))
-    return worst
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -220,13 +210,8 @@ def cocycle_residual(Z) -> float:
 
 def _datum_cocycle_residual(D: GluingDatum) -> float:
     """The cocycle residual that validate_gluing_datum reports, alone."""
-    worst = 0.0
-    for k in D.algebra.labels:
-        members = D.cover.members(k)
-        Z = transition_stack(members, [D.mult_at(i, k) for i in members],
-                             lambda i, j: D.zeta_block(i, j, k))
-        worst = max(worst, cocycle_residual(Z))
-    return worst
+    return max((cocycle_residual(transition_stack(D, k)) for k in D.algebra.labels),
+               default=0.0)
 
 
 def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumValidation:
@@ -234,11 +219,13 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
-    The transitions are checked with datum_transition_residuals; a
+    The transitions are checked label by label with transition_residuals; a
     transition that is not square counts as unitarity residual 1.
     """
-    unitary, nonsquare, involutive, cocycle = datum_transition_residuals(
-        D.algebra.labels, D.cover, D.mult_at, D.zeta_block)
+    unitary, nonsquare, involutive, cocycle = 0.0, False, 0.0, 0.0
+    for k in D.algebra.labels:
+        unitary, nonsquare, involutive, cocycle = map(
+            max, (unitary, nonsquare, involutive, cocycle), transition_residuals(D, k))
     res = {"unitary": max(unitary, 1.0 if nonsquare else 0.0), "identity": 0.0,
            "involutive": involutive, "cocycle": cocycle}
     # Diagonal entries are identities by construction; report 0 unless a raw
@@ -512,7 +499,7 @@ class EpsilonResult:
     dimension_deficit: dict
 
 
-def epsilon_iso(D: GluingDatum, tol: float = DEFAULT_TOL) -> EpsilonResult:
+def epsilon_iso(D: GluingDatum) -> EpsilonResult:
     """Per cover set, the embedding followed by the i-th component projection."""
     gd = glue(D)
     deficit = {}

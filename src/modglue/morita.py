@@ -26,19 +26,22 @@ from .cstar import (
     AlgebraElement,
     ClosedCover,
     FdCStarAlgebra,
+    is_restriction,
     restrict_algebra,
 )
 from .errors import InvalidInputError, ModelViolationError
 from .glue import (
     GluingDatum,
     GluedModule,
-    datum_transition_residuals,
+    GlueMorphism,
     glue,
     make_gluing_datum,
-    normalize_transitions,
+    morphism_residual,
+    pull_apart,
     transition_stack,
+    validate_gluing_datum,
 )
-from .hmod import HilbertModule, ModuleVector, module
+from .hmod import AdjointableMap, HilbertModule, ModuleVector, module
 from .numlin import DEFAULT_TOL
 from .rng import Rng
 
@@ -263,44 +266,45 @@ def bimodule_morphism_residual(M: EquivalenceBimodule, N: EquivalenceBimodule, W
 class BimoduleGluingDatum:
     """Per-set equivalence bimodules plus bimodule-unitary transitions.
 
-    nu maps ordered pairs (i, j) to {label: matrix}; each matrix acts by left
-    multiplication N_j|F_ij -> N_i|F_ij and must intertwine both actions,
-    which pins it to a unit scalar times v_i v_j* blockwise.
+    right is the gluing datum of the members' right modules, and its zeta
+    holds the transitions nu: (i, j) -> {label: matrix}.  Each matrix acts
+    by left multiplication N_j|F_ij -> N_i|F_ij and must intertwine both
+    actions, which pins it to a unit scalar times v_i v_j* blockwise.  Label
+    k has size n'_k in every member, so every transition is square.
+    right_algebra, cover, nu, mult_at and nu_block read through to right.
     """
 
     left_algebra: FdCStarAlgebra
-    right_algebra: FdCStarAlgebra
-    cover: ClosedCover
+    right: GluingDatum
     bimodules: tuple  # EquivalenceBimodule over restricted pairs, one per set
-    nu: dict  # (i, j) -> {label: ndarray}
+
+    @property
+    def right_algebra(self) -> FdCStarAlgebra:
+        return self.right.algebra
+
+    @property
+    def cover(self) -> ClosedCover:
+        return self.right.cover
+
+    @property
+    def nu(self) -> dict:
+        return self.right.zeta
 
     def mult_at(self, i: int, label) -> int:
-        return self.bimodules[i].mult[self.bimodules[i].left_algebra.position(label)]
+        return self.right.mult_at(i, label)
 
     def nu_block(self, i: int, j: int, label) -> np.ndarray:
-        if i == j:
-            return np.eye(self.mult_at(i, label), dtype=np.complex128)
-        return self.nu[(i, j)][label]
+        return self.right.zeta_block(i, j, label)
 
     def twist_at(self, i: int, label) -> np.ndarray:
         return self.bimodules[i].twist_at(label)
 
 
-def _is_restriction(sub: FdCStarAlgebra, A: FdCStarAlgebra, F) -> bool:
-    """Whether sub == restrict_algebra(A, F), read from the labels and block
-    dimensions without building the restriction; a label of F outside A
-    raises as restrict_algebra does."""
-    for label in F:
-        A.position(label)
-    keep = [p for p, label in enumerate(A.labels) if label in F]
-    return (sub.labels == tuple(A.labels[p] for p in keep)
-            and sub.block_dims == tuple(A.block_dims[p] for p in keep))
-
-
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
                         cover: ClosedCover, bimodules, nu_entries) -> BimoduleGluingDatum:
-    """Normalizing constructor: checks the bimodules, and the transitions
-    (i, j, label, matrix) as glue.normalize_transitions does."""
+    """Normalizing constructor: checks the bimodules, then builds the right
+    gluing datum of their right modules with glue.make_gluing_datum, which
+    checks the transitions (i, j, label, matrix)."""
     bimodules = tuple(bimodules)
     if left.labels != right.labels:
         raise InvalidInputError("algebras must share labels")
@@ -309,16 +313,13 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     if len(bimodules) != cover.num_sets:
         raise InvalidInputError("one bimodule per cover set required")
     for i, Mi in enumerate(bimodules):
-        if not _is_restriction(Mi.left_algebra, left, cover.sets[i]):
+        if not is_restriction(Mi.left_algebra, left, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong left algebra")
-        if not _is_restriction(Mi.right_algebra, right, cover.sets[i]):
+        if not is_restriction(Mi.right_algebra, right, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong right algebra")
-
-    def size(i, k):
-        return bimodules[i].mult[bimodules[i].left_algebra.position(k)]
-
-    nu = normalize_transitions(cover, nu_entries, size)
-    return BimoduleGluingDatum(left, right, cover, bimodules, nu)
+    modules = tuple(Mi.right_module() for Mi in bimodules)
+    return BimoduleGluingDatum(left, make_gluing_datum(right, cover, modules, nu_entries),
+                               bimodules)
 
 
 def transition_cochain(D: BimoduleGluingDatum) -> dict:
@@ -375,41 +376,28 @@ class BimoduleDatumValidation:
 def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleDatumValidation:
     """Check the member bimodules and the transitions.
 
-    Unitarity, involution and the cocycle are checked with
-    glue.datum_transition_residuals: the transitions are unitary iff every
-    one is square with unitarity defect at most tol.  The bimodule-map
-    residual is the largest residual of transition_cochain.
+    Unitarity, involution and the cocycle are those of
+    glue.validate_gluing_datum on the right gluing datum D.right; every
+    transition is square, so they are unitary iff each unitarity defect is
+    at most tol.  The bimodule-map residual is the largest residual of
+    transition_cochain.
     """
     members = [validate_bimodule(Mi, tol) for Mi in D.bimodules]
-    unitary, nonsquare, involutive, cocycle = datum_transition_residuals(
-        D.left_algebra.labels, D.cover, D.mult_at, D.nu_block)
+    right = validate_gluing_datum(D.right, tol)
+    res = right.max_residuals
     bire = max((r for _, r in transition_cochain(D).values()), default=0.0)
     return BimoduleDatumValidation(
-        all(v.passed for v in members), not nonsquare and unitary <= tol, bire,
-        involutive, cocycle, max(unitary, 1.0 if nonsquare else 0.0),
+        all(v.passed for v in members), right.unitary, bire,
+        res["involutive"], res["cocycle"], res["unitary"],
         max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0),
     )
 
 
 def pull_apart_bimodule(M: EquivalenceBimodule, cover: ClosedCover) -> BimoduleGluingDatum:
+    """The canonical datum of a bimodule: the pull-apart of its right module,
+    with the restricted twists."""
     bims = tuple(restrict_bimodule(M, F) for F in cover.sets)
-    entries = []
-    for (i, j) in cover.pairs(include_diagonal=False):
-        if i < j:
-            for k in sorted(cover.overlap(i, j)):
-                m = M.mult[M.left_algebra.position(k)]
-                entries.append((i, j, k, np.eye(m, dtype=np.complex128)))
-    return make_bimodule_datum(M.left_algebra, M.right_algebra, cover, bims, entries)
-
-
-def underlying_right_datum(D: BimoduleGluingDatum) -> GluingDatum:
-    """Forget the left structure: the right modules with the same transitions."""
-    modules = tuple(Mi.right_module() for Mi in D.bimodules)
-    entries = []
-    for (i, j), blocks in D.nu.items():
-        for k, W in blocks.items():
-            entries.append((i, j, k, W))
-    return make_gluing_datum(D.right_algebra, D.cover, modules, entries)
+    return BimoduleGluingDatum(M.left_algebra, pull_apart(M.right_module(), cover), bims)
 
 
 @dataclass
@@ -435,7 +423,7 @@ def glue_bimodules(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> GluedBim
     most tol leaves V's unitarity defect d at most tol, but the imprimitivity
     bound d (s_max^2 + 1) can exceed tol.
     """
-    gd = glue(underlying_right_datum(D))
+    gd = glue(D.right)
     left = D.left_algebra
     deficit = {}
     for pos, k in enumerate(left.labels):
@@ -500,8 +488,7 @@ def _composite_scalars(D: BimoduleGluingDatum) -> dict:
     out = {}
     for k in D.left_algebra.labels:
         members = D.cover.members(k)
-        Z = transition_stack(members, [D.mult_at(i, k) for i in members],
-                             lambda i, j: D.nu_block(i, j, k))
+        Z = transition_stack(D.right, k)
         a, b, c = np.indices((len(members),) * 3).reshape(3, -1)
         C = Z[a, b] @ Z[b, c] @ Z[a, c].conj().swapaxes(-1, -2)
         for t, fr in enumerate(zip(*_scalars_of(C))):
@@ -600,23 +587,14 @@ def _identity(alg: FdCStarAlgebra, label) -> np.ndarray:
 def datum_morphism_residual(src: BimoduleGluingDatum, tgt: BimoduleGluingDatum,
                             witnesses) -> float:
     """How far a per-set family of block matrices is from a morphism of
-    bimodule gluing data: each map must be a bimodule unitary and the family
-    must intertwine the transitions."""
-    worst = 0.0
-    cov = src.cover
-    for i in range(cov.num_sets):
-        worst = max(
-            worst,
-            bimodule_morphism_residual(src.bimodules[i], tgt.bimodules[i], witnesses[i]),
-        )
-    for (i, j) in cov.pairs(include_diagonal=False):
-        for k in sorted(cov.overlap(i, j)):
-            Wi = witnesses[i][sorted(cov.sets[i]).index(k)]
-            Wj = witnesses[j][sorted(cov.sets[j]).index(k)]
-            lhs = Wi @ src.nu_block(i, j, k)
-            rhs = tgt.nu_block(i, j, k) @ Wj
-            worst = max(worst, numlin.op_norm(lhs - rhs))
-    return worst
+    bimodule gluing data: each map must be a bimodule unitary, and the family
+    must intertwine the transitions, as glue.morphism_residual measures on
+    the right gluing data."""
+    worst = max((bimodule_morphism_residual(M, N, W)
+                 for M, N, W in zip(src.bimodules, tgt.bimodules, witnesses)), default=0.0)
+    maps = tuple(AdjointableMap(Z, Y, tuple(W))
+                 for Z, Y, W in zip(src.right.modules, tgt.right.modules, witnesses))
+    return max(worst, morphism_residual(GlueMorphism(src.right, tgt.right, maps)))
 
 
 def picard_conjugate_morphism(D: BimoduleGluingDatum,

@@ -157,7 +157,7 @@ def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndar
     if unit:
         legs.append((t // (s * R) * R + t % R, unit * np.eye(max(sizes, default=0))))
     if delta:
-        Z = transition_stack(members, sizes, lambda i, j: datum.zeta_block(i, j, k))
+        Z = transition_stack(datum, k)
         legs.append((t % (s * R), (delta * Z).reshape(s * s, *Z.shape[2:])[t // R]))
     return _place([m for m in sizes for _ in range(s * R)],
                   [m for m in sizes for _ in range(R)], legs)

@@ -25,7 +25,9 @@ which the library places leg by leg with index arithmetic, are summed here
 one slot pair at a time (block_matrix), and the Gaussian draws, which the
 library computes as one splitmix block, come one entry at a time from
 ScalarRng.  Unitarity, which the library reads as max |s^2 - 1| over the
-singular values, is measured here from the products U*U and UU*.
+singular values, is measured here from the products U*U and UU*.  A
+bimodule datum's right gluing datum, which the library stores, is rebuilt
+here from the member bimodules and the transitions.
 """
 
 import itertools
@@ -44,6 +46,7 @@ from modglue.glue import (
     DescentReport,
     _tensor_kernel_check,
     glue,
+    make_gluing_datum,
     validate_gluing_datum,
 )
 from modglue.hmod import (
@@ -676,6 +679,60 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
     if morita.datum_morphism_residual(D1, D2, witnesses) > tol:
         return None
     return witnesses
+
+
+# ---------------------------------------------------------------------------
+# A bimodule datum's right gluing datum, rebuilt
+#
+# morita keeps a bimodule datum as its right gluing datum D.right plus the
+# member bimodules.  These are the paths that stored datum replaced: the
+# right datum rebuilt from the right modules and the transitions, the
+# pull-apart built through make_bimodule_datum, and the morphism residual's
+# own loop over pairs and labels.
+
+
+def rebuilt_right_datum(D):
+    """Forget the left structure: the right modules with the same transitions."""
+    modules = tuple(Mi.right_module() for Mi in D.bimodules)
+    entries = []
+    for (i, j), blocks in D.nu.items():
+        for k, W in blocks.items():
+            entries.append((i, j, k, W))
+    return make_gluing_datum(D.right_algebra, D.cover, modules, entries)
+
+
+def entrywise_pull_apart_bimodule(M, cover):
+    """morita.pull_apart_bimodule through make_bimodule_datum, from identity
+    transitions for i < j."""
+    bims = tuple(morita.restrict_bimodule(M, F) for F in cover.sets)
+    entries = []
+    for (i, j) in cover.pairs(include_diagonal=False):
+        if i < j:
+            for k in sorted(cover.overlap(i, j)):
+                m = M.mult[M.left_algebra.position(k)]
+                entries.append((i, j, k, np.eye(m, dtype=np.complex128)))
+    return morita.make_bimodule_datum(M.left_algebra, M.right_algebra, cover, bims, entries)
+
+
+def pairwise_datum_morphism_residual(src, tgt, witnesses):
+    """morita.datum_morphism_residual with the intertwining residual taken
+    one (pair, label) at a time, each witness block found by its position in
+    the sorted cover set."""
+    worst = 0.0
+    cov = src.cover
+    for i in range(cov.num_sets):
+        worst = max(
+            worst,
+            morita.bimodule_morphism_residual(src.bimodules[i], tgt.bimodules[i], witnesses[i]),
+        )
+    for (i, j) in cov.pairs(include_diagonal=False):
+        for k in sorted(cov.overlap(i, j)):
+            Wi = witnesses[i][sorted(cov.sets[i]).index(k)]
+            Wj = witnesses[j][sorted(cov.sets[j]).index(k)]
+            lhs = Wi @ src.nu_block(i, j, k)
+            rhs = tgt.nu_block(i, j, k) @ Wj
+            worst = max(worst, numlin.op_norm(lhs - rhs))
+    return worst
 
 
 def sampled_phi_bimodule_residual(M, Mg, phi, rng):

@@ -93,6 +93,22 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match=r"names a set outside 0\.\.1"):
             make_gluing_datum(A, cov, (Z, Z), [(0, 1, 0, np.eye(1)), (i, j, 0, np.eye(1))])
 
+    @pytest.mark.parametrize("dims,labels", [
+        ((3, 2), (1, 2)),  # block 2 of A has dimension 1
+        ((3,), (1,)),  # block 2 is missing
+        ((2, 3, 1), (0, 1, 2)),  # block 0 lies outside cover set 1
+    ])
+    def test_module_over_the_wrong_restriction_rejected(self, dims, labels):
+        X = module(algebra((2, 3, 1)), (1, 2, 2))
+        cov = cover(3, [{0, 1}, {1, 2}])
+        D = pull_apart(X, cov)
+        bad = module(algebra(dims, labels), (1,) * len(dims))
+        with pytest.raises(InvalidInputError,
+                           match="^module 1 is not over A restricted to cover set 1$"):
+            make_gluing_datum(X.algebra, cov, (D.modules[0], bad), [])
+        entries = [(i, j, k, U) for (i, j), per in D.zeta.items() for k, U in per.items()]
+        assert make_gluing_datum(X.algebra, cov, D.modules, entries).modules == D.modules
+
 
 class TestPullApart:
     def test_forced_shapes(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import warnings
 
 import numpy as np
@@ -45,6 +46,8 @@ from modglue.morita import (
 from modglue.rng import Rng
 
 import oracles
+
+glue_module = importlib.import_module("modglue.glue")  # modglue.glue is the function
 
 
 @pytest.fixture
@@ -651,7 +654,7 @@ def test_every_unitarity_check_reads_the_one_defect(monkeypatch, algebras):
     cov = cover(3, [{0, 1}, {1, 2}])
     D = random_bimodule_datum(Rng(58), left, right, cov,
                               GenConfig(seed=58, twist_mode="coherent"))
-    G = morita.underlying_right_datum(D)
+    G = D.right
     M = D.bimodules[0]
     ident = identity_map(M.right_module())
     tol = morita.DEFAULT_TOL
@@ -663,7 +666,7 @@ def test_every_unitarity_check_reads_the_one_defect(monkeypatch, algebras):
             "validate_bimodule": validate_bimodule(M, tol).passed,
             "is_unitary": numlin.is_unitary(ident.blocks[0], tol),
             "unitary_residual": unitary_residual(ident) <= tol,
-            "epsilon_iso": epsilon_iso(G, tol).unitary_residual <= tol,
+            "epsilon_iso": epsilon_iso(G).unitary_residual <= tol,
             "bimodule_morphism_residual":
                 morita.bimodule_morphism_residual(M, M, ident.blocks) <= tol,
             "glue_bimodules": glue_bimodules(D, tol).bimodule is not None,
@@ -875,6 +878,78 @@ def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
     assert validate_bimodule_datum(D).required_ok()
     gb = glue_bimodules(bimodule_datum("coherent", 14))
     assert gb.bimodule is not None
+
+
+def assert_same_gluing_datum(got, want):
+    """The same algebra, cover and modules, and the same transition keys
+    with bit-identical matrices."""
+    assert (got.algebra, got.cover, got.modules) == (want.algebra, want.cover, want.modules)
+    assert {key: set(per) for key, per in got.zeta.items()} == \
+        {key: set(per) for key, per in want.zeta.items()}
+    for key, per in want.zeta.items():
+        for k, W in per.items():
+            assert np.array_equal(got.zeta[key][k], W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(DATUM_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="pull_apart", seed=0)
+@example(mode="scaled_twist", seed=0)
+def test_right_datum_matches_the_rebuilt_oracles(mode, seed):
+    D = bimodule_datum(mode, seed)
+    assert_same_gluing_datum(D.right, oracles.rebuilt_right_datum(D))
+    rng = Rng(seed ^ 0xB1)
+    M = random_bimodule(rng, D.left_algebra, D.right_algebra)
+    got = pull_apart_bimodule(M, D.cover)
+    want = oracles.entrywise_pull_apart_bimodule(M, D.cover)
+    assert_same_outcome(got, want)
+    assert_same_gluing_datum(got.right, want.right)
+    # the intertwining residual on the right data is the pair loop's, bit for
+    # bit, on found witnesses (or the canonical comparisons where none is
+    # found) and on the same witnesses rotated by random unitaries
+    tol = morita.DEFAULT_TOL
+    for D2 in (D, regauged(D, rng)):
+        wit = bimodule_data_isomorphic(D, D2, tol) or tuple(
+            tuple(D2.twist_at(i, k) @ D.twist_at(i, k).conj().T for k in sorted(F))
+            for i, F in enumerate(D.cover.sets))
+        bent = tuple(tuple(rng.unitary(len(W)) @ W for W in per) for per in wit)
+        for w in (wit, bent):
+            assert bits(morita.datum_morphism_residual(D, D2, w)) == \
+                bits(oracles.pairwise_datum_morphism_residual(D, D2, w))
+
+
+def test_bimodule_datum_is_checked_and_glued_without_a_rebuilt_gluing_datum(monkeypatch, algebras):
+    left, right = algebras
+    D = random_bimodule_datum(Rng(58), left, right, cover(3, [{0, 1}, {1, 2}]),
+                              GenConfig(seed=58, twist_mode="coherent"))
+
+    def refuse(*args):
+        raise AssertionError("a gluing datum rebuilt from the members")
+
+    monkeypatch.setattr(glue_module, "make_gluing_datum", refuse)
+    monkeypatch.setattr(morita, "make_gluing_datum", refuse)
+    assert validate_bimodule_datum(D).required_ok()
+    gb = glue_bimodules(D)
+    assert gb.bimodule is not None and gb.validation.passed
+
+
+def test_in_place_transition_edits_reach_the_right_datum(algebras):
+    left, right = algebras
+    D = random_bimodule_datum(Rng(61), left, right, cover(3, [{0, 1, 2}] * 2),
+                              GenConfig(seed=61, twist_mode="coherent"))
+    assert validate_bimodule_datum(D).required_ok()
+    assert glue_bimodules(D).bimodule is not None
+    # swap two rows of nu_01 at block 0: still unitary, no longer a bimodule map
+    k = 0
+    swap = np.eye(D.mult_at(0, k), dtype=np.complex128)
+    swap[[0, 1]] = swap[[1, 0]]
+    D.nu[(0, 1)][k] = swap @ D.nu[(0, 1)][k]
+    D.nu[(1, 0)][k] = D.nu[(0, 1)][k].conj().T
+    assert D.right.zeta_block(0, 1, k) is D.nu[(0, 1)][k]
+    assert D.right.zeta_block(1, 0, k) is D.nu[(1, 0)][k]
+    assert validate_bimodule_datum(D).transitions_bimodule > 1e-3
+    gb = glue_bimodules(D)
+    assert gb.bimodule is None and gb.left_action_residual > 1e-3
 
 
 def test_criterion_8_bimodule_check_matches_the_sampled_oracle():
