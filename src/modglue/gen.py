@@ -48,6 +48,10 @@ class GenConfig:
             raise InvalidInputError(f"twist_mode must be one of {TWIST_MODES}")
         if self.kind not in KINDS:
             raise InvalidInputError(f"kind must be one of {KINDS}")
+        for (i, j, _, _) in self.phases:
+            if not (0 <= i < self.max_cover_sets and 0 <= j < self.max_cover_sets) or i == j:
+                raise InvalidInputError(
+                    f"phase ({i}, {j}) must join two distinct cover sets in 0..{self.max_cover_sets - 1}")
 
 
 def random_algebra(rng: Rng, cfg: GenConfig) -> FdCStarAlgebra:

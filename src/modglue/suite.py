@@ -48,6 +48,11 @@ PICARD_ISO_TOL = 1e-9
 #: the coboundary and invariance residuals.
 CECH_OBSTRUCTION_TOL = 1e-8
 
+#: Default tol of the cocycle-type residuals of criteria 9 and 11: the
+#: conjugate datum's cocycle residual, and the obstruction scalars'
+#: coboundary identity and invariance under coboundary twists.
+COCYCLE_TOL = 1e-10
+
 
 def criterion_1_round_trip_phi(trials: int = 200, tol: float = DEFAULT_TOL, base_seed: int = 100) -> Report:
     """Phi: X -> G(P(X)) is unitary and natural on random adjointable maps."""
@@ -231,7 +236,7 @@ def criterion_6_image_eta(trials: int = 100, tol: float = DEFAULT_TOL, base_seed
     )
 
 
-def criterion_7_degeneracy_witness(tol: float = 1e-12) -> Report:
+def criterion_7_degeneracy_witness(tol: float = EXACT_IDENTITY_TOL) -> Report:
     """The phases (1, 1, -1) over one 1-dimensional block glue to zero, and
     the matching bimodule obstruction scalar is -1."""
     t0 = time.time()
@@ -297,7 +302,7 @@ def criterion_8_morita_round_trip(trials: int = 100, tol: float = DEFAULT_TOL, b
     )
 
 
-def criterion_9_picard(trials: int = 100, tol: float = 1e-10, base_seed: int = 900) -> Report:
+def criterion_9_picard(trials: int = 100, tol: float = COCYCLE_TOL, base_seed: int = 900) -> Report:
     """Conjugation by a twisted datum: cocycle cancellation, tensor
     compatibility, inverse up to isomorphism, and the trivial Picard group."""
     t0 = time.time()
@@ -389,7 +394,7 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
     )
 
 
-def criterion_11_cech(trials: int = 30, tol: float = 1e-10, base_seed: int = 1100) -> Report:
+def criterion_11_cech(trials: int = 30, tol: float = COCYCLE_TOL, base_seed: int = 1100) -> Report:
     """Obstruction scalars satisfy the coboundary identity on 4-set covers
     and are invariant under coboundary twists."""
     t0 = time.time()

@@ -320,13 +320,22 @@ def nu_iso(Y: HilbertModule, base: FdCStarAlgebra, F_j) -> NuIso:
 
 @dataclass(eq=False)
 class TensorFactor:
-    """A coordinate space with matrix-valued actions of its neighbour algebras."""
+    """A coordinate space of matrix blocks with the actions of its neighbour
+    algebras.
 
-    dim: int
+    Each piece (rows, cols, left_label, right_label) is a rows x cols block,
+    flattened row-major after the pieces before it.  Block left_label of the
+    left algebra multiplies it from the left, block right_label of the right
+    algebra from the right; a label is None where no algebra acts.
+    """
+
+    pieces: tuple
     left_algebra: FdCStarAlgebra = None
     right_algebra: FdCStarAlgebra = None
-    left_mat: object = None  # AlgebraElement -> (dim, dim) ndarray
-    right_mat: object = None
+
+    @property
+    def dim(self) -> int:
+        return sum(rows * cols for rows, cols, _, _ in self.pieces)
 
 
 def module_factor(X: HilbertModule, middle: FdCStarAlgebra = None) -> TensorFactor:
@@ -335,79 +344,45 @@ def module_factor(X: HilbertModule, middle: FdCStarAlgebra = None) -> TensorFact
     The middle algebra defaults to the module's own; a larger algebra whose
     labels contain the module's acts through restriction.
     """
-    middle = middle or X.algebra
-
-    def right_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = []
-        for lab, m in zip(X.algebra.labels, X.mult):
-            ak = a.block(lab)
-            blocks.append(np.kron(np.eye(m), ak.T))
-        return _block_diag(blocks, X.dim)
-
-    return TensorFactor(X.dim, right_algebra=middle, right_mat=right_mat)
+    return family_factor(None, (X,), middle or X.algebra)
 
 
 def family_factor(cover: ClosedCover, modules, base: FdCStarAlgebra) -> TensorFactor:
-    """A per-set module family as a left leg with the base algebra acting."""
-    modules = tuple(modules)
-    dim = sum(m.dim for m in modules)
-
-    def right_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = []
-        for mod in modules:
-            for lab, m in zip(mod.algebra.labels, mod.mult):
-                blocks.append(np.kron(np.eye(m), a.block(lab).T))
-        return _block_diag(blocks, dim)
-
-    return TensorFactor(dim, right_algebra=base, right_mat=right_mat)
+    """A per-set module family as a left leg with the base algebra acting:
+    one piece per module block, in family coordinate order."""
+    pieces = []
+    for mod in modules:
+        pieces += [(m, n, None, lab)
+                   for lab, m, n in zip(mod.algebra.labels, mod.mult, mod.algebra.block_dims)]
+    return TensorFactor(tuple(pieces), right_algebra=base)
 
 
 def algebra_summand_factor(base: FdCStarAlgebra, F) -> TensorFactor:
     """A restriction A|F as a two-sided leg for the base algebra."""
     sub = restrict_algebra(base, F)
-    dim = sub.dim
-
-    def left_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = [np.kron(a.block(lab), np.eye(n)) for lab, n in zip(sub.labels, sub.block_dims)]
-        return _block_diag(blocks, dim)
-
-    def right_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = [np.kron(np.eye(n), a.block(lab).T) for lab, n in zip(sub.labels, sub.block_dims)]
-        return _block_diag(blocks, dim)
-
-    return TensorFactor(dim, left_algebra=base, right_algebra=base,
-                        left_mat=left_mat, right_mat=right_mat)
+    return TensorFactor(tuple((n, n, lab, lab) for lab, n in zip(sub.labels, sub.block_dims)),
+                        base, base)
 
 
 def b_factor(base: FdCStarAlgebra, cover: ClosedCover) -> TensorFactor:
     """The sum algebra B as a two-sided leg for the base algebra."""
     B = sum_algebra(base, cover)
-    dim = B.flat.dim
-
-    def left_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = [
-            np.kron(a.block(k), np.eye(n))
-            for (i, k), n in zip(B.flat.labels, B.flat.block_dims)
-        ]
-        return _block_diag(blocks, dim)
-
-    def right_mat(a: AlgebraElement) -> np.ndarray:
-        blocks = [
-            np.kron(np.eye(n), a.block(k).T)
-            for (i, k), n in zip(B.flat.labels, B.flat.block_dims)
-        ]
-        return _block_diag(blocks, dim)
-
-    return TensorFactor(dim, left_algebra=base, right_algebra=base,
-                        left_mat=left_mat, right_mat=right_mat)
+    return TensorFactor(tuple((n, n, k, k) for (_, k), n in zip(B.flat.labels, B.flat.block_dims)),
+                        base, base)
 
 
-def _block_diag(blocks, dim) -> np.ndarray:
-    M = np.zeros((dim, dim), dtype=np.complex128)
+def _action(factor: TensorFactor, a: AlgebraElement, side: str) -> np.ndarray:
+    """The matrix of a acting on the factor's coordinates from the given side,
+    "left" or "right": a_k (x) I on a piece with label k on that side, resp.
+    I (x) a_k^T, and zero on a piece with no label there."""
+    M = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
     ofs = 0
-    for b in blocks:
-        d = b.shape[0]
-        M[ofs:ofs + d, ofs:ofs + d] = b
+    for rows, cols, left, right in factor.pieces:
+        d = rows * cols
+        if side == "left" and left is not None:
+            M[ofs:ofs + d, ofs:ofs + d] = np.kron(a.block(left), np.eye(cols))
+        elif side == "right" and right is not None:
+            M[ofs:ofs + d, ofs:ofs + d] = np.kron(np.eye(rows), a.block(right).T)
         ofs += d
     return M
 
@@ -422,7 +397,6 @@ class GenericBalancedTensor:
 
     factors: tuple
     plain_dim: int
-    relation_basis: np.ndarray
     complement: np.ndarray
 
     @property
@@ -431,7 +405,7 @@ class GenericBalancedTensor:
 
     @property
     def relation_rank(self) -> int:
-        return self.relation_basis.shape[1]
+        return self.plain_dim - self.dim
 
 
 #: generic_balanced_tensor drops relation columns of norm at most this; the
@@ -440,7 +414,13 @@ _RELATION_COLUMN_TOL = 1e-14
 
 
 def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> GenericBalancedTensor:
-    """Span the relations x*a (x) y - x (x) a*y in every slot and quotient them out."""
+    """Span the relations x*a (x) y - x (x) a*y in every slot and quotient them out.
+
+    A slot's relations, one block of columns per matrix unit a of its middle
+    algebra, are formed on the two factors it touches; after its zero
+    columns are dropped, they are amplified by the identity on the other
+    factors.  The complement is the kernel of the relations' adjoint.
+    """
     factors = tuple(factors)
     if len(factors) < 2:
         raise InvalidInputError("need at least two tensor factors")
@@ -457,30 +437,17 @@ def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> Ge
             or mid.block_dims != right.left_algebra.block_dims
         ):
             raise InvalidInputError(f"factors {s} and {s + 1} do not share a middle algebra")
-        for _, _, _, unit in mid.matrix_units():
-            R = left.right_mat(unit)
-            L = right.left_mat(unit)
-            A1 = _slot_matrix(dims, s, R)
-            A2 = _slot_matrix(dims, s + 1, L)
-            diff = A1 - A2
-            norms = np.linalg.norm(diff, axis=0)
-            keep = diff[:, norms > _RELATION_COLUMN_TOL]
-            if keep.size:
-                rel_cols.append(keep)
-    if rel_cols:
-        rel = np.hstack(rel_cols)
-    else:
-        rel = np.zeros((plain, 0), dtype=np.complex128)
-    relation_basis = numlin.orth_basis(rel, tol)
-    complement = numlin.kernel_basis(rel.conj().T, tol)
-    return GenericBalancedTensor(factors, plain, relation_basis, complement)
-
-
-def _slot_matrix(dims, s, M) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for idx, d in enumerate(dims):
-        out = np.kron(out, M if idx == s else np.eye(d))
-    return out
+        # one empty block of columns, for a middle algebra with no blocks
+        local = [np.zeros((dims[s] * dims[s + 1], 0), dtype=np.complex128)]
+        for *_, unit in mid.matrix_units():
+            local.append(np.kron(_action(left, unit, "right"), np.eye(dims[s + 1]))
+                         - np.kron(np.eye(dims[s]), _action(right, unit, "left")))
+        local = np.hstack(local)
+        local = local[:, np.linalg.norm(local, axis=0) > _RELATION_COLUMN_TOL]
+        pre, post = int(np.prod(dims[:s])), int(np.prod(dims[s + 2:]))
+        rel_cols.append(np.kron(np.eye(pre), np.kron(local, np.eye(post))))
+    complement = numlin.kernel_basis(np.hstack(rel_cols).conj().T, tol)
+    return GenericBalancedTensor(factors, plain, complement)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +509,8 @@ def _oracle_check(factors, legs, elementary, components, tol, trials, seed) -> O
     M = np.zeros((int(offsets[-1]), gbt.plain_dim), dtype=np.complex128)
     for col, basis in enumerate(itertools.product(*legs)):
         M[:, col] = elementary(*basis)
-    rel_res = numlin.op_norm(M @ gbt.relation_basis)
+    K = gbt.complement
+    rel_res = numlin.op_norm(M - (M @ K) @ K.conj().T)
     model_dim = numlin.rank(M)
 
     zs = legs[0]

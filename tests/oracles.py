@@ -27,7 +27,10 @@ library computes as one splitmix block, come one entry at a time from
 ScalarRng.  Unitarity, which the library reads as max |s^2 - 1| over the
 singular values, is measured here from the products U*U and UU*.  A
 bimodule datum's right gluing datum, which the library stores, is rebuilt
-here from the member bimodules and the transitions.
+here from the member bimodules and the transitions.  The balanced-tensor
+quotient, which the library forms slot by slot from factors given as matrix
+pieces, expands every relation to the plain tensor here, from action
+closures, and takes the relation span and its complement from two SVDs.
 """
 
 import itertools
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modglue import morita, numlin, tensor
-from modglue.cstar import AlgebraElement, ClosedCover, sum_algebra
+from modglue.cstar import AlgebraElement, ClosedCover, FdCStarAlgebra, restrict_algebra, sum_algebra
 from modglue.gen import random_element, random_vector
 from modglue.errors import InvalidInputError, ModelViolationError
 from modglue.glue import (
@@ -997,6 +1000,117 @@ def looped_obstruction_2cocycle(D, tol):
             per_block[k] = (f, r)
         out[(i, j, l)] = per_block
     return out
+
+
+# ---------------------------------------------------------------------------
+# The balanced-tensor quotient, one Kronecker product per matrix unit
+#
+# tensor.generic_balanced_tensor reads each factor as a list of matrix pieces
+# and forms a slot's relations on the two factors it touches.  Here each
+# factor carries its actions as closures, every relation is expanded to the
+# whole plain tensor with one Kronecker product per factor, and the relation
+# span and its complement each take an SVD of their own.
+
+
+@dataclass(eq=False)
+class ClosureFactor:
+    """A coordinate space with matrix-valued actions of its neighbour algebras."""
+
+    dim: int
+    left_algebra: FdCStarAlgebra = None
+    right_algebra: FdCStarAlgebra = None
+    left_mat: object = None  # AlgebraElement -> (dim, dim) ndarray
+    right_mat: object = None
+
+
+def _block_diag(blocks, dim) -> np.ndarray:
+    M = np.zeros((dim, dim), dtype=np.complex128)
+    ofs = 0
+    for b in blocks:
+        d = b.shape[0]
+        M[ofs:ofs + d, ofs:ofs + d] = b
+        ofs += d
+    return M
+
+
+def closure_family_factor(modules, base) -> ClosureFactor:
+    """A per-set module family (one module for X (x) B and Y (x) A|F_j) as a
+    left leg with the base algebra acting from the right."""
+    modules = tuple(modules)
+    dim = sum(m.dim for m in modules)
+
+    def right_mat(a):
+        blocks = []
+        for mod in modules:
+            for lab, m in zip(mod.algebra.labels, mod.mult):
+                blocks.append(np.kron(np.eye(m), a.block(lab).T))
+        return _block_diag(blocks, dim)
+
+    return ClosureFactor(dim, right_algebra=base, right_mat=right_mat)
+
+
+def _two_sided_factor(base, labels, block_dims) -> ClosureFactor:
+    dim = sum(n * n for n in block_dims)
+
+    def left_mat(a):
+        return _block_diag([np.kron(a.block(lab), np.eye(n)) for lab, n in zip(labels, block_dims)], dim)
+
+    def right_mat(a):
+        return _block_diag([np.kron(np.eye(n), a.block(lab).T) for lab, n in zip(labels, block_dims)], dim)
+
+    return ClosureFactor(dim, base, base, left_mat, right_mat)
+
+
+def closure_algebra_summand_factor(base, F) -> ClosureFactor:
+    """A restriction A|F as a two-sided leg for the base algebra."""
+    sub = restrict_algebra(base, F)
+    return _two_sided_factor(base, sub.labels, sub.block_dims)
+
+
+def closure_b_factor(base, cover) -> ClosureFactor:
+    """The sum algebra B as a two-sided leg for the base algebra."""
+    B = sum_algebra(base, cover)
+    return _two_sided_factor(base, [k for (_, k) in B.flat.labels], B.flat.block_dims)
+
+
+@dataclass(eq=False)
+class KronBalancedTensor:
+    plain_dim: int
+    relation_basis: np.ndarray
+    complement: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.complement.shape[1]
+
+    @property
+    def relation_rank(self) -> int:
+        return self.relation_basis.shape[1]
+
+
+def _slot_matrix(dims, s, M) -> np.ndarray:
+    out = np.eye(1, dtype=np.complex128)
+    for idx, d in enumerate(dims):
+        out = np.kron(out, M if idx == s else np.eye(d))
+    return out
+
+
+def kron_balanced_tensor(factors, tol=numlin.DEFAULT_RANK_TOL) -> KronBalancedTensor:
+    """Span the relations x*a (x) y - x (x) a*y in every slot, each matrix
+    unit's expanded to the plain tensor on its own, and quotient them out."""
+    factors = tuple(factors)
+    dims = [f.dim for f in factors]
+    plain = int(np.prod(dims))
+    rel_cols = []
+    for s in range(len(factors) - 1):
+        for *_, unit in factors[s].right_algebra.matrix_units():
+            diff = (_slot_matrix(dims, s, factors[s].right_mat(unit))
+                    - _slot_matrix(dims, s + 1, factors[s + 1].left_mat(unit)))
+            keep = diff[:, np.linalg.norm(diff, axis=0) > tensor._RELATION_COLUMN_TOL]
+            if keep.size:
+                rel_cols.append(keep)
+    rel = np.hstack(rel_cols) if rel_cols else np.zeros((plain, 0), dtype=np.complex128)
+    return KronBalancedTensor(plain, numlin.orth_basis(rel, tol), numlin.kernel_basis(rel.conj().T, tol))
 
 
 # ---------------------------------------------------------------------------

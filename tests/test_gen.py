@@ -122,6 +122,14 @@ class TestInstances:
             GenConfig(seed=0, twist_mode="bogus")
         with pytest.raises(InvalidInputError):
             GenConfig(seed=0, kind="bogus")
+        # a phase names two distinct sets inside the max_cover_sets cap
+        for phase in ((0, 9, 1.0, 0.0), (0, 4, 1.0, 0.0), (-1, 1, 1.0, 0.0), (0, 0, -1.0, 0.0)):
+            with pytest.raises(InvalidInputError):
+                GenConfig(seed=0, twist_mode="prescribed_phases", phases=(phase,))
+        with pytest.raises(InvalidInputError):
+            GenConfig(seed=0, max_cover_sets=2, twist_mode="prescribed_phases",
+                      phases=((0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0)))
+        GenConfig(seed=0, twist_mode="prescribed_phases", phases=((3, 0, 1.0, 0.0),))
 
     def test_random_unitary_mode_breaks_cocycle_generically(self):
         # over many seeds, essentially every instance with a triple overlap on

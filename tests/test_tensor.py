@@ -269,11 +269,7 @@ class TestGenericBalancedTensor:
         # C^{2x1} (x)_{M_1} C^{1x3} has dimension 6
         M1 = algebra((1,))
         left = module(M1, (2,))
-
-        def left_mat(a):
-            return a.blocks[0][0, 0] * np.eye(3)
-
-        right = tensor.TensorFactor(3, left_algebra=M1, left_mat=left_mat)
+        right = tensor.TensorFactor(((1, 3, 0, None),), left_algebra=M1)
         gbt = tensor.generic_balanced_tensor([tensor.module_factor(left), right])
         assert gbt.plain_dim == 6 and gbt.dim == 6
 
@@ -293,6 +289,63 @@ class TestGenericBalancedTensor:
                 [tensor.module_factor(module(A, (1,))),
                  tensor.algebra_summand_factor(B, {0})]
             )
+
+
+#: Criterion 10's bound on the plain tensor dimension of a check.
+ORACLE_DIM_CAP = 200
+
+
+def oracle_chains(kind, seed, mults):
+    """Library and closure factor chains of one of criterion 10's four checks
+    (psi, nu, pair, triple), drawn as criterion 10 draws its instances, from
+    the first seed at or after the given one whose plain dimension fits the
+    criterion's cap.  mults "drawn" keeps the drawn multiplicities, zeros
+    included; "zero_mult" sets label 0's to zero and the others to at least
+    one; "all_zero" makes every multiplicity zero (plain dimension 0)."""
+    while True:
+        cfg = GenConfig(seed=seed, max_blocks=2, max_block_dim=2, max_cover_sets=3, max_mult=2)
+        rng = Rng(seed)
+        A = gen.random_algebra(rng, cfg)
+        cov = gen.random_cover(rng, A, cfg)
+        X = gen.random_module(rng, A, cfg)
+        if mults == "zero_mult":
+            X = module(A, (0,) + tuple(max(m, 1) for m in X.mult[1:]))
+        elif mults == "all_zero":
+            X = module(A, (0,) * A.num_blocks)
+        family = tuple(restrict_module(X, F) for F in cov.sets)
+        if kind == "psi":
+            chains = ([tensor.module_factor(X), tensor.b_factor(A, cov)],
+                      [oracles.closure_family_factor((X,), A), oracles.closure_b_factor(A, cov)])
+        elif kind == "nu":
+            Y, F = restrict_module(X, cov.sets[0]), cov.sets[-1]
+            chains = ([tensor.module_factor(Y, middle=A), tensor.algebra_summand_factor(A, F)],
+                      [oracles.closure_family_factor((Y,), A),
+                       oracles.closure_algebra_summand_factor(A, F)])
+        else:
+            legs = 1 if kind == "pair" else 2
+            chains = ([tensor.family_factor(cov, family, A)] + [tensor.b_factor(A, cov)] * legs,
+                      [oracles.closure_family_factor(family, A)]
+                      + [oracles.closure_b_factor(A, cov)] * legs)
+        if np.prod([f.dim for f in chains[0]]) <= ORACLE_DIM_CAP:
+            return chains
+        seed += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["psi", "nu", "pair", "triple"]),
+       mults=st.sampled_from(["drawn", "zero_mult", "all_zero"]),
+       seed=st.integers(min_value=0, max_value=10**6))
+@example(kind="triple", mults="all_zero", seed=0)
+@example(kind="pair", mults="zero_mult", seed=1000)
+def test_balanced_tensor_matches_the_kron_oracle(kind, mults, seed):
+    chain, closures = oracle_chains(kind, seed, mults)
+    got = tensor.generic_balanced_tensor(chain)
+    want = oracles.kron_balanced_tensor(closures)
+    assert ((got.plain_dim, got.dim, got.relation_rank)
+            == (want.plain_dim, want.dim, want.relation_rank))
+    if mults == "all_zero":
+        assert got.plain_dim == 0
+    assert numlin.subspace_gap(got.complement, want.complement) <= 1e-12
 
 
 class TestPsiNu:

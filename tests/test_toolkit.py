@@ -470,6 +470,7 @@ class TestCli:
         (["roundtrip", "--trials", "-1"], None),
         (["suite", "--trials", "-1"], None),
         (["suite", "--tol", "abc"], None),
+        (["gen", "--mode", "prescribed_phases", "--phases", "[[0,9,1,0]]"], None),
     ])
     def test_bad_numbers_exit_invalid(self, tmp_path, monkeypatch, capsys, argv, env):
         files = {}
