@@ -10,6 +10,7 @@ pair transition independently and generically breaks it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .cstar import AlgebraElement, ClosedCover, FdCStarAlgebra, algebra, cover
 from .errors import InvalidInputError
 from .glue import GluingDatum, make_gluing_datum
 from .hmod import AdjointableMap, HilbertModule, ModuleVector, module, module_map
+from .numlin import DEFAULT_TOL
 from .rng import Rng
 
 TWIST_MODES = ("coherent", "random_unitary", "prescribed_phases")
@@ -48,10 +50,17 @@ class GenConfig:
             raise InvalidInputError(f"twist_mode must be one of {TWIST_MODES}")
         if self.kind not in KINDS:
             raise InvalidInputError(f"kind must be one of {KINDS}")
-        for (i, j, _, _) in self.phases:
+        pairs = set()
+        for (i, j, re, im) in self.phases:
             if not (0 <= i < self.max_cover_sets and 0 <= j < self.max_cover_sets) or i == j:
                 raise InvalidInputError(
                     f"phase ({i}, {j}) must join two distinct cover sets in 0..{self.max_cover_sets - 1}")
+            if not abs(math.hypot(re, im) - 1.0) <= DEFAULT_TOL:  # NaN and inf fail too
+                raise InvalidInputError(
+                    f"phase ({i}, {j}) must be a unit complex number, got {complex(re, im)}")
+            if frozenset((i, j)) in pairs:
+                raise InvalidInputError(f"phase ({i}, {j}) joins a pair of sets listed before")
+            pairs.add(frozenset((i, j)))
 
 
 def random_algebra(rng: Rng, cfg: GenConfig) -> FdCStarAlgebra:

@@ -48,10 +48,12 @@ DIAGONAL_IDENTITY_TOL = 1e-12
 class GluingDatum:
     """Per-set Hilbert modules plus unitary transitions on overlap blocks.
 
+    Every cover set owning label k gives it the same multiplicity m_k, as
+    make_gluing_datum requires: no unitary joins different multiplicities.
     zeta maps ordered pairs (i, j), i != j with nonempty overlap, to a dict
-    {label k: matrix of shape m_i(k) x m_j(k)}.  Diagonal transitions are the
-    identity and are not stored.  The cocycle condition is a validated
-    property, not a constructor requirement, so twisted data are representable.
+    {label k: m_k x m_k matrix}.  Diagonal transitions are the identity and
+    are not stored.  The cocycle condition is a validated property, not a
+    constructor requirement, so twisted data are representable.
     """
 
     algebra: FdCStarAlgebra
@@ -62,6 +64,10 @@ class GluingDatum:
     def mult_at(self, i: int, label) -> int:
         mod = self.modules[i]
         return mod.mult[mod.algebra.position(label)]
+
+    def label_mult(self, label) -> int:
+        """m_k, the label's multiplicity in each of the (one or more) sets owning it."""
+        return self.mult_at(self.cover.members(label)[0], label)
 
     def zeta_block(self, i: int, j: int, label) -> np.ndarray:
         if i == j:
@@ -112,7 +118,8 @@ def normalize_transitions(cover: ClosedCover, entries, size) -> dict:
 
 
 def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_entries) -> GluingDatum:
-    """Normalizing constructor: checks shapes and fills mirror transitions.
+    """Normalizing constructor: checks that the sets owning a label agree on
+    its multiplicity, checks shapes and fills mirror transitions.
 
     zeta_entries is an iterable of (i, j, label, matrix), normalized by
     normalize_transitions.
@@ -126,10 +133,15 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
         if not is_restriction(mod.algebra, alg, cover.sets[i]):
             raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
 
-    def size(i, k):
-        return modules[i].mult[modules[i].algebra.position(k)]
-
-    return GluingDatum(alg, cover, modules, normalize_transitions(cover, zeta_entries, size))
+    D = GluingDatum(alg, cover, modules, {})
+    for k in alg.labels:
+        sizes = {i: D.mult_at(i, k) for i in cover.members(k)}
+        if len(set(sizes.values())) > 1:
+            per_set = ", ".join(f"set {i}: {m}" for i, m in sizes.items())
+            raise InvalidInputError(f"block {k} has different multiplicities on the cover sets "
+                                    f"owning it ({per_set}); no unitary joins them")
+    D.zeta = normalize_transitions(cover, zeta_entries, D.mult_at)
+    return D
 
 
 @dataclass
@@ -146,23 +158,14 @@ class DatumValidation:
 
 
 def transition_stack(D: GluingDatum, k) -> np.ndarray:
-    """Label k's transitions as one (s, s, m, m) tensor, s the number of
-    cover sets owning k and m their largest multiplicity there.
-
-    Z[a, b] is D.zeta_block(members[a], members[b], k) zero-padded, members
-    = D.cover.members(k), and Z[a, a] is P_a = diag(1, ..., 1, 0, ...) with
-    as many ones as member a's multiplicity.
+    """Label k's transitions as one (s, s, m, m) array, s the number of cover
+    sets owning k and m = D.label_mult(k): Z[a, b] is
+    D.zeta_block(members[a], members[b], k), members = D.cover.members(k).
     """
     members = D.cover.members(k)
-    sizes = [D.mult_at(i, k) for i in members]
-    s, m = len(members), max(sizes, default=0)
-    Z = np.zeros((s, s, m, m), dtype=np.complex128)
-    for a, (i, m_a) in enumerate(zip(members, sizes)):
-        Z[a, a, :m_a, :m_a] = np.eye(m_a)
-        for b, j in enumerate(members):
-            if b != a:
-                Z[a, b, :m_a, :sizes[b]] = D.zeta[(i, j)][k]
-    return Z
+    s, m = len(members), D.label_mult(k)
+    return np.array([[D.zeta_block(i, j, k) for j in members] for i in members],
+                    dtype=np.complex128).reshape(s, s, m, m)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -170,27 +173,21 @@ def transition_residuals(D: GluingDatum, k):
     """Largest unitarity, involution and cocycle residuals of label k's
     transitions, from its transition_stack.
 
-    Returns (unitary, nonsquare, involutive, cocycle): the largest unitarity
-    defect over the square pairs, each at its own size, whether any pair is
-    not square, the largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A
-    non-finite residual raises InvalidInputError, with numpy's overflow and
-    invalid-value warnings silenced.
+    Returns (unitary, involutive, cocycle): the largest unitarity defect, the
+    largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A non-finite residual
+    raises InvalidInputError, with numpy's overflow and invalid-value
+    warnings silenced.
     """
-    members = D.cover.members(k)
-    s = len(members)
+    s = len(D.cover.members(k))
     if s < 2:
-        return 0.0, False, 0.0, 0.0
+        return 0.0, 0.0, 0.0
     Z = transition_stack(D, k)
-    off = ~np.eye(s, dtype=bool)
-    pa, pb = np.nonzero(off)  # ordered pairs a != b
-    size = np.array([D.mult_at(i, k) for i in members])
-    square = size[pa] == size[pb]
-    sa = pa[square]
-    unitary = numlin.unitarity_defects(Z[sa, pb[square]], size[sa]).max(initial=0.0)
+    pa, pb = np.nonzero(~np.eye(s, dtype=bool))  # ordered pairs a != b
+    unitary = numlin.unitarity_defects(Z[pa, pb]).max(initial=0.0)
     involutive = numlin.op_norms(
         Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
     ).max(initial=0.0)
-    return float(unitary), not square.all(), float(involutive), cocycle_residual(Z)
+    return float(unitary), float(involutive), cocycle_residual(Z)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -219,15 +216,13 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
-    The transitions are checked label by label with transition_residuals; a
-    transition that is not square counts as unitarity residual 1.
+    The transitions are checked label by label with transition_residuals.
     """
-    unitary, nonsquare, involutive, cocycle = 0.0, False, 0.0, 0.0
+    unitary, involutive, cocycle = 0.0, 0.0, 0.0
     for k in D.algebra.labels:
-        unitary, nonsquare, involutive, cocycle = map(
-            max, (unitary, nonsquare, involutive, cocycle), transition_residuals(D, k))
-    res = {"unitary": max(unitary, 1.0 if nonsquare else 0.0), "identity": 0.0,
-           "involutive": involutive, "cocycle": cocycle}
+        unitary, involutive, cocycle = map(
+            max, (unitary, involutive, cocycle), transition_residuals(D, k))
+    res = {"unitary": unitary, "identity": 0.0, "involutive": involutive, "cocycle": cocycle}
     # Diagonal entries are identities by construction; report 0 unless a raw
     # datum was built without the normalizing constructor.
     for (i, j), entries in D.zeta.items():
@@ -357,11 +352,7 @@ class GluedModule:
         g = self.module.zero_vector()
         for pos, k in enumerate(self.module.algebra.labels):
             E = self.stacked_basis[k]
-            n = self.module.algebra.block_dims[pos]
-            rows = sum(m for (_, _, m) in self.layout[k])
-            stacked = np.zeros((rows, n), dtype=np.complex128)
-            for (i, ofs, m_i) in self.layout[k]:
-                stacked[ofs:ofs + m_i] = parts[i].block(k)
+            stacked = np.concatenate([parts[i].block(k) for (i, _, _) in self.layout[k]])
             scale = np.sqrt(self.member_count(k))
             g.blocks[pos][:, :] = (E.conj().T @ stacked) / scale
         return g
@@ -389,25 +380,13 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
     margins = {}
     for k in A.labels:
         members = D.cover.members(k)
-        sizes = [D.mult_at(i, k) for i in members]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        total = int(offsets[-1])
-        rows = []
-        for a, i in enumerate(members):
-            for b, j in enumerate(members):
-                if i == j:
-                    continue
-                row = np.zeros((sizes[a], total), dtype=np.complex128)
-                row[:, offsets[a]:offsets[a + 1]] = np.eye(sizes[a])
-                row[:, offsets[b]:offsets[b + 1]] -= D.zeta_block(i, j, k)
-                rows.append(row)
-        C = (
-            np.vstack(rows)
-            if rows
-            else np.zeros((0, total), dtype=np.complex128)
-        )
+        c, m = len(members), D.label_mult(k)
+        # one row slot z_a - zeta_ab z_b per ordered pair a != b
+        pa, pb = np.nonzero(~np.eye(c, dtype=bool))
+        C = numlin.place_blocks(len(pa), c, (m, m),
+                                [(pa, np.eye(m)), (pb, -transition_stack(D, k)[pa, pb])])
         E, s = numlin.kernel_basis(C, tol, return_singular_values=True)
-        kept, dropped = numlin.rank_margin(s, total, tol)
+        kept, dropped = numlin.rank_margin(s, C.shape[1], tol)
         if (kept is not None and kept < numlin.RANK_GAP_FACTOR) or (
             dropped is not None and dropped > 1 / numlin.RANK_GAP_FACTOR
         ):
@@ -427,9 +406,7 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
         mult.append(E.shape[1])
         stacked_basis[k] = E
         margins[k] = (kept, dropped)
-        layout[k] = tuple(
-            (i, int(offsets[a]), sizes[a]) for a, i in enumerate(members)
-        )
+        layout[k] = tuple((i, a * m, m) for a, i in enumerate(members))
     glued = HilbertModule(A, tuple(mult))
     return GluedModule(D, glued, stacked_basis, layout, margins)
 
@@ -447,12 +424,9 @@ def glue_morphism(m: GlueMorphism, tol: float = DEFAULT_TOL) -> AdjointableMap:
     blocks = []
     for k in m.source.algebra.labels:
         Es, Et = gs.stacked_basis[k], gt.stacked_basis[k]
-        rows_t = sum(mm for (_, _, mm) in gt.layout[k])
-        Dalpha = np.zeros((rows_t, Es.shape[0]), dtype=np.complex128)
-        src_ofs = {i: ofs for (i, ofs, _) in gs.layout[k]}
-        for (i, ofs_t, m_t) in gt.layout[k]:
-            blk = m.maps[i].block(k)
-            Dalpha[ofs_t:ofs_t + m_t, src_ofs[i]:src_ofs[i] + blk.shape[1]] = blk
+        Dalpha = np.zeros((Et.shape[0], Es.shape[0]), dtype=np.complex128)
+        for (i, ofs_s, m_s), (_, ofs_t, m_t) in zip(gs.layout[k], gt.layout[k]):
+            Dalpha[ofs_t:ofs_t + m_t, ofs_s:ofs_s + m_s] = m.maps[i].block(k)
         blocks.append(Et.conj().T @ Dalpha @ Es)
     return module_map(gs.module, gt.module, blocks)
 
@@ -473,7 +447,7 @@ def phi_map(gd: GluedModule, X: HilbertModule) -> AdjointableMap:
         E = gd.stacked_basis[k]
         c = gd.member_count(k)
         m = X.mult[pos]
-        S = np.vstack([np.eye(m, dtype=np.complex128)] * c) if c else np.zeros((0, m))
+        S = np.vstack([np.eye(m, dtype=np.complex128)] * c)
         blocks.append((E.conj().T @ S) / np.sqrt(c))
     return module_map(X, gd.module, blocks)
 
@@ -503,22 +477,17 @@ def epsilon_iso(D: GluingDatum) -> EpsilonResult:
     """Per cover set, the embedding followed by the i-th component projection."""
     gd = glue(D)
     deficit = {}
-    for k in D.algebra.labels:
-        g = gd.module.mult[gd.module.algebra.position(k)]
-        for i in D.cover.members(k):
-            d = D.mult_at(i, k) - g
-            if d != 0:
-                deficit[(i, k)] = d
-
     unitary_res = 0.0
     blocks = [[] for _ in D.cover.sets]  # per set, one block per label of F_i
-    for k in D.algebra.labels:
-        E = np.sqrt(gd.member_count(k)) * gd.stacked_basis[k]
-        for (i, ofs, m_i) in gd.layout[k]:
-            blk = E[ofs:ofs + m_i]
+    for k, g in zip(D.algebra.labels, gd.module.mult):
+        members, m = D.cover.members(k), D.label_mult(k)
+        W = np.sqrt(len(members)) * gd.stacked_basis[k].reshape(len(members), m, g)
+        for i, blk in zip(members, W):
             blocks[i].append(blk)
-            if m_i == E.shape[1]:
-                unitary_res = max(unitary_res, float(numlin.unitarity_defects(blk[None])[0]))
+        if m != g:
+            deficit.update({(i, k): m - g for i in members})
+        else:
+            unitary_res = max(unitary_res, float(numlin.unitarity_defects(W).max()))
     maps = tuple(AdjointableMap(restrict_module(gd.module, F), Z_i, tuple(b))
                  for F, Z_i, b in zip(D.cover.sets, D.modules, blocks))
 

@@ -46,6 +46,13 @@ from .numlin import DEFAULT_TOL
 from .rng import Rng
 
 
+def check_twist_count(twist, left: FdCStarAlgebra) -> None:
+    """Refuse a twist list that does not hold one twist per left block."""
+    if len(twist) != left.num_blocks:
+        raise InvalidInputError(f"bimodule has {len(twist)} twists for the "
+                                f"{left.num_blocks} blocks of its left algebra")
+
+
 @dataclass(eq=False)
 class EquivalenceBimodule:
     """Normal-form equivalence bimodule over (left_algebra, right_algebra)."""
@@ -57,6 +64,7 @@ class EquivalenceBimodule:
     def __post_init__(self):
         if self.left_algebra.labels != self.right_algebra.labels:
             raise InvalidInputError("left and right algebras must share labels")
+        check_twist_count(self.twist, self.left_algebra)
         self.twist = tuple(
             numlin.as_cmatrix(u, (m, m))
             for u, m in zip(self.twist, self.left_algebra.block_dims)
@@ -363,7 +371,7 @@ class BimoduleDatumValidation:
     transitions_bimodule: float  # residual against scalar * v_i v_j*
     involutive: float
     cocycle: float
-    unitary: float  # largest transition unitarity defect, 1.0 if one is not square
+    unitary: float  # largest transition unitarity defect
     bimodules: float  # largest member max(imprimitivity, left_linearity)
 
     def required_ok(self, tol: float = DEFAULT_TOL) -> bool:
@@ -377,9 +385,9 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
     """Check the member bimodules and the transitions.
 
     Unitarity, involution and the cocycle are those of
-    glue.validate_gluing_datum on the right gluing datum D.right; every
-    transition is square, so they are unitary iff each unitarity defect is
-    at most tol.  The bimodule-map residual is the largest residual of
+    glue.validate_gluing_datum on the right gluing datum D.right, so the
+    transitions are unitary iff each unitarity defect is at most tol.  The
+    bimodule-map residual is the largest residual of
     transition_cochain.
     """
     members = [validate_bimodule(Mi, tol) for Mi in D.bimodules]

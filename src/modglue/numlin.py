@@ -77,26 +77,40 @@ def op_norms(stack) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def unitarity_defects(stack, sizes=None, return_singular_values: bool = False):
+def unitarity_defects(stack, return_singular_values: bool = False):
     """Unitarity defect max |s^2 - 1| = ||W*W - I|| = ||WW* - I|| of each W
     of a (count, m, m) stack, s its singular values, from one batched SVD.
 
-    With sizes, W_t counts only its leading sizes[t] singular values, so zero
-    padding adds nothing.  Input is checked as op_norms checks it and must be
-    square; an overflowing defect raises InvalidInputError, with numpy's
-    warnings silenced.  With return_singular_values, returns (defects, s).
+    Input is checked as op_norms checks it and must be square; an
+    overflowing defect raises InvalidInputError, with numpy's warnings
+    silenced.  With return_singular_values, returns (defects, s).
     """
     S = np.asarray(stack, dtype=np.complex128)
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
         raise InvalidInputError(f"expected a stack of square matrices, got shape {S.shape}")
     s = _stack_singular_values(S)
-    dev = np.abs(s * s - 1.0)
-    if sizes is not None:
-        dev[np.arange(S.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
-    d = dev.max(axis=1, initial=0.0)
+    d = np.abs(s * s - 1.0).max(axis=1, initial=0.0)
     if not np.isfinite(d).all():
         raise InvalidInputError("unitarity defect is not finite")
     return (d, s) if return_singular_values else d
+
+
+def place_blocks(rows: int, cols: int, shape, legs) -> np.ndarray:
+    """Dense matrix of rows x cols slots, each block of the given shape,
+    stacked in order.
+
+    Each leg (cols, blocks) adds blocks[t] (or one block, broadcast) to row
+    slot t at column slot cols[t], for every row slot t.  Adding with +=
+    keeps the arithmetic of summing terms into zeros: a slot pair that two
+    legs name holds (0 + first) + second, and a -0.0 entry of a block comes
+    out +0.0.
+    """
+    r, c = shape
+    P = np.zeros((rows, r, cols, c), dtype=np.complex128)
+    t = np.arange(rows)
+    for col, blocks in legs:
+        P[t, :, col, :] += blocks
+    return P.reshape(rows * r, cols * c)
 
 
 def op_norm_maxima(groups) -> list:

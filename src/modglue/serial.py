@@ -22,6 +22,7 @@ from .hmod import HilbertModule, module
 from .morita import (
     BimoduleGluingDatum,
     EquivalenceBimodule,
+    check_twist_count,
     make_bimodule_datum,
 )
 
@@ -156,6 +157,7 @@ def bimodule_to_json(M: EquivalenceBimodule) -> dict:
 def bimodule_from_json(obj) -> EquivalenceBimodule:
     left = algebra(tuple(int(n) for n in obj["left_blocks"]))
     right = algebra(tuple(int(n) for n in obj["right_blocks"]))
+    check_twist_count(obj["twist"], left)
     twist = tuple(
         matrix_from_json(t, (m, m)) for t, m in zip(obj["twist"], left.block_dims)
     )
@@ -183,6 +185,7 @@ def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
     for i, spec in enumerate(obj["bimodules"]):
         subL = restrict_algebra(left, cov.sets[i])
         subR = restrict_algebra(right, cov.sets[i])
+        check_twist_count(spec["twist"], subL)
         twist = tuple(
             matrix_from_json(t, (m, m))
             for t, m in zip(spec["twist"], subL.block_dims)

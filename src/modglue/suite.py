@@ -325,9 +325,7 @@ def criterion_9_picard(trials: int = 100, tol: float = COCYCLE_TOL, base_seed: i
         worst = max(worst, morita.validate_bimodule_datum(out).cocycle)
 
         lhs = morita.picard_conjugate(D, morita.datum_tensor(Ma, Mb))
-        rhs = morita.datum_tensor(
-            morita.picard_conjugate(D, Ma), morita.picard_conjugate(D, Mb)
-        )
+        rhs = morita.datum_tensor(out, morita.picard_conjugate(D, Mb))
         ok = ok and morita.bimodule_data_isomorphic(lhs, rhs, PICARD_ISO_TOL) is not None
 
         back = morita.picard_conjugate(morita.dual_datum(D), out)

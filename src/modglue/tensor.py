@@ -40,7 +40,7 @@ from .hmod import (
     restrict_module,
     right_act,
 )
-from .numlin import DEFAULT_TOL
+from .numlin import DEFAULT_TOL, place_blocks
 from .rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -91,52 +91,21 @@ def family_coords(parts) -> np.ndarray:
 # multiplicity indices only; its kernel is the direct sum of ker T_k (x) C^{n_k}.
 # Each function returns T_k for one label k.  The slots of label k are keyed by
 # tuples of the member sets of k (one set for a family, pairs and triples for
-# the tensor models), in lexicographic order; slot (i, ...) has the size of
-# Z_i at k.  A map is applied to many vectors at once by stacking their slots
-# of label k as the rows of a (trials, rows, n_k) array.
+# the tensor models), in lexicographic order; every slot has m_k rows, the
+# label's multiplicity.  A map is applied to many vectors at once by stacking
+# their slots of label k as the rows of a (trials, rows, n_k) array.
 #
-# T_k is assembled by _place from index arithmetic on the slot keys: with s
-# members, a key of arity p is the base-s number of its member positions, and
-# each leg of a map places one block in every row slot at once.  The per-slot
-# term lists it replaces, tests/oracles.py's block_matrix, are the reference.
+# T_k is assembled by numlin.place_blocks from index arithmetic on the slot
+# keys: with s members, a key of arity p is the base-s number of its member
+# positions, and each leg of a map places one block in every row slot at
+# once.  The per-slot term lists it replaces, tests/oracles.py's
+# block_matrix, are the reference.
 
 
 def slot_sizes(datum, k, arity: int) -> dict:
     """Row count of each slot of label k with keys of the given arity."""
     members = datum.cover.members(k)
-    size = {i: datum.mult_at(i, k) for i in members}
-    return {key: size[key[0]] for key in itertools.product(members, repeat=arity)}
-
-
-def _unpadded(sizes, m: int) -> np.ndarray:
-    """Mask of the rows of slots of the given sizes, each padded to m rows,
-    that lie inside their slot."""
-    return (np.arange(m) < np.asarray(sizes)[:, None]).reshape(-1)
-
-
-def _place(row_sizes: list, col_sizes: list, legs) -> np.ndarray:
-    """Dense matrix over row and column slots of the given sizes, stacked in
-    order.
-
-    Each leg (cols, blocks) adds blocks[t] (or one block, broadcast) to row
-    slot t at column slot cols[t], for every row slot t.  Slots are
-    zero-padded to the largest size while the legs add, one after another,
-    and padded rows and columns, present where sizes differ, are dropped at
-    the end.  Adding with += keeps the arithmetic of summing terms into
-    zeros: a slot pair that two legs name holds (0 + first) + second, and a
-    -0.0 entry of a block comes out +0.0.
-    """
-    mr, mc = max(row_sizes, default=0), max(col_sizes, default=0)
-    P = np.zeros((len(row_sizes), mr, len(col_sizes), mc), dtype=np.complex128)
-    rows = np.arange(len(row_sizes))
-    for cols, blocks in legs:
-        P[rows, :, cols, :] += blocks
-    P = P.reshape(len(row_sizes) * mr, len(col_sizes) * mc)
-    if min(row_sizes, default=mr) < mr:
-        P = P[_unpadded(row_sizes, mr)]
-    if min(col_sizes, default=mc) < mc:
-        P = P[:, _unpadded(col_sizes, mc)]
-    return P
+    return dict.fromkeys(itertools.product(members, repeat=arity), datum.label_mult(k))
 
 
 def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndarray:
@@ -148,19 +117,16 @@ def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndar
     a * R + r = (t // sR) * R + t % R and b * R + r = t % sR as its two
     column slots, and (a, b) = t // R picks zeta_ab.
     """
-    members = datum.cover.members(k)
-    sizes = [datum.mult_at(i, k) for i in members]
-    s = len(members)
+    s, m = len(datum.cover.members(k)), datum.label_mult(k)
     R = s ** level
     t = np.arange(s * s * R)
     legs = []
     if unit:
-        legs.append((t // (s * R) * R + t % R, unit * np.eye(max(sizes, default=0))))
+        legs.append((t // (s * R) * R + t % R, unit * np.eye(m)))
     if delta:
         Z = transition_stack(datum, k)
-        legs.append((t % (s * R), (delta * Z).reshape(s * s, *Z.shape[2:])[t // R]))
-    return _place([m for m in sizes for _ in range(s * R)],
-                  [m for m in sizes for _ in range(R)], legs)
+        legs.append((t % (s * R), (delta * Z).reshape(s * s, m, m)[t // R]))
+    return place_blocks(s * s * R, s * R, (m, m), legs)
 
 
 def delta_map(datum, k) -> np.ndarray:
@@ -171,11 +137,8 @@ def delta_map(datum, k) -> np.ndarray:
 
 def epsilon_map(datum, k) -> np.ndarray:
     """T_k of the counit: family slot (i) receives pair slot (i, i)."""
-    members = datum.cover.members(k)
-    sizes = [datum.mult_at(i, k) for i in members]
-    s = len(sizes)
-    return _place(sizes, [m for m in sizes for _ in range(s)],
-                  [(np.arange(s) * (s + 1), np.eye(max(sizes, default=0)))])
+    s, m = len(datum.cover.members(k)), datum.label_mult(k)
+    return place_blocks(s, s * s, (m, m), [(np.arange(s) * (s + 1), np.eye(m))])
 
 
 #: lift_to_triple kinds, as the (unit, delta) coefficients of _unit_plus_delta.
@@ -205,7 +168,7 @@ def family_stack(families, datum, k) -> np.ndarray:
     """Family slots of label k of each family (z_i), as a (trials, rows, n_k)
     array: row block i of entry t is z_i's block k."""
     members = datum.cover.members(k)
-    rows = sum(datum.mult_at(i, k) for i in members)
+    rows = len(members) * datum.label_mult(k)
     n = datum.algebra.block_dims[datum.algebra.position(k)]
     out = np.empty((len(families), rows, n), dtype=np.complex128)
     for t, z in enumerate(families):
@@ -229,10 +192,10 @@ def image_eta_matrices(X: HilbertModule, cover: ClosedCover, k):
     """
     s = len(cover.members(k))
     m = X.mult[X.algebra.position(k)]
-    fam, pair, eye, t = [m] * s, [m] * (s * s), np.eye(m), np.arange(s * s)
-    M_unit = _place(fam, [m], [(np.zeros(s, dtype=int), eye)])
-    M_eta_id = _place(pair, fam, [(t % s, eye)])
-    M_id_etaB = _place(pair, fam, [(t // s, eye)])
+    eye, t = np.eye(m), np.arange(s * s)
+    M_unit = place_blocks(s, 1, (m, m), [(np.zeros(s, dtype=int), eye)])
+    M_eta_id = place_blocks(s * s, s, (m, m), [(t % s, eye)])
+    M_id_etaB = place_blocks(s * s, s, (m, m), [(t // s, eye)])
     return M_unit, M_eta_id, M_id_etaB
 
 
@@ -247,14 +210,9 @@ def glued_tensor_subspace_basis(glued, k) -> np.ndarray:
     different l have disjoint supports: they are the basis as they stand.
     """
     E = glued.stacked_basis[k]
-    sizes = [m_i for (_, _, m_i) in glued.layout[k]]
-    s = len(sizes)
-    rows = np.zeros((s, max(sizes, default=0), E.shape[1]), dtype=np.complex128)
-    for a, (_, ofs, m_i) in enumerate(glued.layout[k]):
-        rows[a, :m_i] = E[ofs:ofs + m_i]
+    s, m, g = glued.member_count(k), glued.datum.label_mult(k), E.shape[1]
     t = np.arange(s * s)
-    return _place([m for m in sizes for _ in range(s)], [E.shape[1]] * s,
-                  [(t % s, rows[t // s])])
+    return place_blocks(s * s, s, (m, g), [(t % s, E.reshape(s, m, g)[t // s])])
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +302,10 @@ def module_factor(X: HilbertModule, middle: FdCStarAlgebra = None) -> TensorFact
     The middle algebra defaults to the module's own; a larger algebra whose
     labels contain the module's acts through restriction.
     """
-    return family_factor(None, (X,), middle or X.algebra)
+    return family_factor((X,), middle or X.algebra)
 
 
-def family_factor(cover: ClosedCover, modules, base: FdCStarAlgebra) -> TensorFactor:
+def family_factor(modules, base: FdCStarAlgebra) -> TensorFactor:
     """A per-set module family as a left leg with the base algebra acting:
     one piece per module block, in family coordinate order."""
     pieces = []
@@ -638,7 +596,7 @@ def pair_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 10, s
     B = sum_algebra(A, cover)
     model = pair_model(datum)
     return _oracle_check(
-        [family_factor(cover, model.modules, A), b_factor(A, cover)],
+        [family_factor(model.modules, A), b_factor(A, cover)],
         [_family_basis(model.modules), _basis(B.flat)],
         lambda z, b: _elementary_coords(model, z, b),
         [_Component(space, space.algebra, i, _b_leg(B, j, space.algebra))
@@ -664,7 +622,7 @@ def triple_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 6, 
         return L
 
     return _oracle_check(
-        [family_factor(cover, tm.modules, A), b_factor(A, cover), b_factor(A, cover)],
+        [family_factor(tm.modules, A), b_factor(A, cover), b_factor(A, cover)],
         [_family_basis(tm.modules), bs, bs],
         lambda z, b1, b2: _elementary_coords(tm, z, b1, b2),
         [_Component(space, space.algebra, i, double_leg(j, l, space.algebra))

@@ -130,6 +130,16 @@ class TestInstances:
             GenConfig(seed=0, max_cover_sets=2, twist_mode="prescribed_phases",
                       phases=((0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0)))
         GenConfig(seed=0, twist_mode="prescribed_phases", phases=((3, 0, 1.0, 0.0),))
+        # a phase is a finite unit complex number, and a pair of sets takes
+        # at most one, in either orientation
+        for phases in (((0, 1, 2.0, 0.0),), ((0, 1, 1e308, 1e308),),
+                       ((0, 1, float("nan"), 0.0),), ((0, 1, 0.0, float("inf")),),
+                       ((0, 1, 0.0, 1.0), (0, 1, 0.0, 1.0)),
+                       ((0, 1, 0.0, 1.0), (1, 0, 0.0, 1.0))):
+            with pytest.raises(InvalidInputError):
+                GenConfig(seed=0, twist_mode="prescribed_phases", phases=phases)
+        GenConfig(seed=0, twist_mode="prescribed_phases",
+                  phases=((0, 1, 0.6, 0.8), (1, 2, 1.0, 0.0), (2, 0, 0.0, -1.0)))
 
     def test_random_unitary_mode_breaks_cocycle_generically(self):
         # over many seeds, essentially every instance with a triple overlap on

@@ -457,18 +457,16 @@ def test_glued_module_records_the_rank_margin():
 
 
 TRANSITION_MODES = ("coherent", "random_unitary", "prescribed_phases", "zero_mult",
-                    "single_member", "scaled", "mixed_mult")
+                    "single_member", "scaled")
 
 
 def transition_datum(mode, seed, theta):
     """A datum for the transition checks: a family of oracle_datum, one whose
-    labels each have one member set except label 0, which every set owns,
+    labels each have one member set except label 0, which every set owns, or
     random-unitary transitions each scaled by its own factor (neither unitary
-    nor involutive), or per-set multiplicities drawn independently in 0..3,
-    so that some transitions are not square.  Returns (datum, uniform), with
-    uniform False iff some label's members differ in multiplicity."""
-    if mode not in ("single_member", "scaled", "mixed_mult"):
-        return oracle_datum(mode, seed, theta), True
+    nor involutive)."""
+    if mode not in ("single_member", "scaled"):
+        return oracle_datum(mode, seed, theta)
     rng = Rng(seed)
     cfg = GenConfig(seed=seed, max_blocks=4, max_block_dim=2, twist_mode="random_unitary")
     A = gen.random_algebra(rng, cfg)
@@ -477,27 +475,12 @@ def transition_datum(mode, seed, theta):
         sets = [{0} for _ in range(N)]
         for k in A.labels[1:]:
             sets[rng.randint(0, N - 1)].add(k)
-        return gen.random_gluing_datum(rng, A, cover(A.num_blocks, sets), cfg), True
+        return gen.random_gluing_datum(rng, A, cover(A.num_blocks, sets), cfg)
     cov = gen.random_cover(rng, A, cfg)
-    if mode == "scaled":
-        D = gen.random_gluing_datum(rng, A, cov, cfg)
-        entries = [(i, j, k, (1.0 + rng.uniform()) * U)
-                   for (i, j), per in D.zeta.items() for k, U in per.items()]
-        return make_gluing_datum(A, cov, D.modules, entries), True
-    modules = tuple(
-        module(restrict_algebra(A, F), tuple(rng.randint(0, 3) for _ in F))
-        for F in cov.sets
-    )
-    def mult(i, k):
-        return modules[i].mult[modules[i].algebra.position(k)]
-    entries = []
-    for (i, j) in cov.pairs(include_diagonal=False):
-        if i < j:
-            for k in sorted(cov.overlap(i, j)):
-                U = rng.unitary(max(mult(i, k), mult(j, k)))
-                entries.append((i, j, k, U[:mult(i, k), :mult(j, k)]))
-    uniform = all(len({mult(i, k) for i in cov.members(k)}) <= 1 for k in A.labels)
-    return make_gluing_datum(A, cov, modules, entries), uniform
+    D = gen.random_gluing_datum(rng, A, cov, cfg)
+    entries = [(i, j, k, (1.0 + rng.uniform()) * U)
+               for (i, j), per in D.zeta.items() for k, U in per.items()]
+    return make_gluing_datum(A, cov, D.modules, entries)
 
 
 @settings(max_examples=80, deadline=None)
@@ -507,34 +490,30 @@ def transition_datum(mode, seed, theta):
     theta=st.floats(min_value=0.0, max_value=2 * np.pi),
 )
 @example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1)
-@example(mode="mixed_mult", seed=13, theta=0.0)  # padded: equal up to rounding
 def test_stacked_validation_matches_the_pairwise_oracle(mode, seed, theta):
     # the unitarity defect comes from singular values, the oracle's from
     # the products U*U and UU*: equal up to rounding; the other residuals
-    # are bit for bit unless padding occurs
-    D, uniform = transition_datum(mode, seed, theta)
+    # are bit for bit
+    D = transition_datum(mode, seed, theta)
     tol = DEFAULT_TOL
     v, w = validate_gluing_datum(D, tol), pairwise_gluing_validation(D, tol)
     assert (v.unitary, v.identity, v.involutive, v.cocycle) == (
         w.unitary, w.identity, w.involutive, w.cocycle)
     for key, r in w.max_residuals.items():
-        if uniform and key != "unitary":
+        if key != "unitary":
             assert v.max_residuals[key] == r
         else:
             assert abs(v.max_residuals[key] - r) <= 1e-12 * max(1.0, r)
 
 
 def test_mixed_multiplicities_are_checked():
-    # a 2 x 1 isometry and its adjoint: not unitary, but exactly involutive,
-    # and the cocycle zeta_01 zeta_10 - I = diag(0, -1) has norm 1
+    # no unitary joins multiplicities 2 and 1: the 2 x 1 isometry of such a
+    # datum is refused with the label and each owning set's multiplicity
     A = algebra((1,))
     cov = cover(1, [{0}, {0}])
     mods = (module(A, (2,)), module(A, (1,)))
-    D = make_gluing_datum(A, cov, mods, [(0, 1, 0, np.array([[1.0], [0.0]]))])
-    v = validate_gluing_datum(D)
-    assert v.max_residuals == {"unitary": 1.0, "identity": 0.0,
-                               "involutive": 0.0, "cocycle": 1.0}
-    assert v == pairwise_gluing_validation(D, DEFAULT_TOL)
+    with pytest.raises(InvalidInputError, match=r"block 0 .*\(set 0: 2, set 1: 1\)"):
+        make_gluing_datum(A, cov, mods, [(0, 1, 0, np.array([[1.0], [0.0]]))])
 
 
 def test_overflowing_transitions_are_invalid_input():

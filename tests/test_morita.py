@@ -96,6 +96,16 @@ class TestValidate:
         assert M.mult == M.left_algebra.block_dims
         assert validate_bimodule(M).passed
 
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_twist_count_must_match_the_blocks(self, algebras, count):
+        # one twist per block: a short list used to leave blocks without a
+        # twist, and a long one lost its extra twists to the zip
+        left, right = algebras
+        twists = [np.eye(m) for m in left.block_dims] + [np.eye(1)]
+        with pytest.raises(InvalidInputError, match=f"{count} twists for the 3 blocks"):
+            EquivalenceBimodule(left, right, tuple(twists[:count]))
+        assert EquivalenceBimodule(left, right, tuple(twists[:3])).twist[2].shape == (1, 1)
+
     def test_passed_judges_residuals_at_the_given_tol(self):
         # (1 + eps) times a signed permutation has unitarity defect
         # d = 2 eps + eps^2 in (tol / 2, tol]: the twist counts as unitary,
@@ -675,8 +685,8 @@ def test_every_unitarity_check_reads_the_one_defect(monkeypatch, algebras):
     assert all(verdicts().values())
     real = numlin.unitarity_defects
 
-    def broken(stack, sizes=None, return_singular_values=False):
-        d, s = real(stack, sizes, return_singular_values=True)
+    def broken(stack, return_singular_values=False):
+        d, s = real(stack, return_singular_values=True)
         d = np.full_like(d, 1e6)
         return (d, s) if return_singular_values else d
 

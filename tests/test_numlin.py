@@ -149,30 +149,23 @@ def unitarity_case(kind, m, rng):
 )
 @example(cases=[("unitary", 0), ("unitary", 1), ("rank_deficient", 1), ("gaussian", 3)], seed=0)
 def test_unitarity_defects_match_the_product_form(cases, seed):
-    # each matrix alone, and all of them zero-padded into one stack with
-    # their sizes, against max(||U*U - I||, ||UU* - I||); scaled by 1e200
-    # the stack overflows and is refused without a warning
+    # each matrix alone against max(||U*U - I||, ||UU* - I||); scaled by
+    # 1e200 a nonzero matrix overflows and is refused without a warning
     rng = np.random.default_rng(seed)
-    mats = [unitarity_case(kind, m, rng) for kind, m in cases]
-    sizes = [len(U) for U in mats]
-    stack = np.zeros((len(mats), max(sizes), max(sizes)), dtype=np.complex128)
-    for t, U in enumerate(mats):
-        stack[t, :sizes[t], :sizes[t]] = U
-    padded = numlin.unitarity_defects(stack, sizes)
-    for t, (U, (kind, m)) in enumerate(zip(mats, cases)):
+    for kind, m in cases:
+        U = unitarity_case(kind, m, rng)
         r = product_unitarity_residual(U)
-        for d in (numlin.unitarity_defects(U[None])[0], padded[t]):
-            assert abs(d - r) <= 1e-12 * max(1.0, r)
+        assert abs(numlin.unitarity_defects(U[None])[0] - r) <= 1e-12 * max(1.0, r)
         if kind in ("unitary", "perturbed") or m == 0:
             assert r <= 1e-10 and numlin.is_unitary(U, 1e-9)
         elif kind == "rank_deficient":
             assert abs(r - 1.0) <= 1e-12 and not numlin.is_unitary(U, 1e-9)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if stack.any():
-            with pytest.raises(InvalidInputError):
-                numlin.unitarity_defects(1e200 * stack, sizes)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if U.any():
+                with pytest.raises(InvalidInputError):
+                    numlin.unitarity_defects(1e200 * U[None])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestUnitarityDefects:

@@ -323,7 +323,7 @@ def oracle_chains(kind, seed, mults):
                        oracles.closure_algebra_summand_factor(A, F)])
         else:
             legs = 1 if kind == "pair" else 2
-            chains = ([tensor.family_factor(cov, family, A)] + [tensor.b_factor(A, cov)] * legs,
+            chains = ([tensor.family_factor(family, A)] + [tensor.b_factor(A, cov)] * legs,
                       [oracles.closure_family_factor(family, A)]
                       + [oracles.closure_b_factor(A, cov)] * legs)
         if np.prod([f.dim for f in chains[0]]) <= ORACLE_DIM_CAP:
@@ -733,26 +733,26 @@ def test_descent_and_criterion_3_build_no_model_objects(monkeypatch):
 
 
 def mixed_datum(seed):
-    """Two or three full cover sets whose modules have independent
-    multiplicities, joined by Gaussian (non-square, non-unitary) transitions
-    with some entries -0.0."""
+    """Two or three full cover sets sharing one module, multiplicities drawn
+    once per label, joined by Gaussian (non-unitary) transitions with some
+    entries -0.0."""
     rng = Rng(seed)
     cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=2, max_mult=3)
     A = gen.random_algebra(rng, cfg)
     cov = cover(A.num_blocks, [set(A.labels)] * rng.randint(2, 3))
-    modules = tuple(gen.random_module(rng, A, cfg) for _ in cov.sets)
+    X = gen.random_module(rng, A, cfg)
     entries = []
     for i in range(cov.num_sets):
         for j in range(i + 1, cov.num_sets):
             for k in A.labels:
-                G = rng.gauss_matrix(modules[i].mult[k], modules[j].mult[k])
+                G = rng.gauss_matrix(X.mult[k], X.mult[k])
                 entries.append((i, j, k, np.where(G.real > 0.5, complex(-0.0, -0.0), G)))
-    return make_gluing_datum(A, cov, modules, entries)
+    return make_gluing_datum(A, cov, (X,) * cov.num_sets, entries)
 
 
 def builder_datum(mode, seed):
     """A datum of one family of the T_k builder comparisons: the descent
-    families, mixed multiplicities, or a single cover set."""
+    families, Gaussian transitions with -0.0 entries, or a single cover set."""
     if mode == "mixed":
         return mixed_datum(seed)
     if mode == "single":
@@ -768,7 +768,7 @@ def builder_datum(mode, seed):
 @given(mode=st.sampled_from(DESCENT_MODES + ["mixed", "single"]),
        seed=st.integers(min_value=0, max_value=10**6))
 @example(mode="prescribed_phases", seed=0)  # (1, 1, -1)
-@example(mode="mixed", seed=5)  # mixed sizes and -0.0 entries
+@example(mode="mixed", seed=5)  # Gaussian transitions and -0.0 entries
 def test_placed_t_k_equals_the_per_slot_builder_bit_for_bit(mode, seed):
     D = builder_datum(mode, seed)
     X = module(D.algebra, tuple(range(1, D.algebra.num_blocks + 1)))

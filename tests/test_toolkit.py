@@ -486,6 +486,49 @@ class TestCli:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and not out.out
 
+    @pytest.mark.parametrize("case,commands,message", [
+        ("mixed_mult", ("validate", "glue", "descent", "roundtrip"),
+         "block 0 has different multiplicities on the cover sets owning it "
+         "(set 0: 2, set 1: 1)"),
+        ("missing_twist", ("validate", "morita-glue", "obstruction"),
+         "bimodule has 1 twists for the 2 blocks of its left algebra"),
+        ("extra_twist", ("validate", "morita-glue", "obstruction"),
+         "bimodule has 4 twists for the 3 blocks of its left algebra"),
+        ("non_unit_phase", ("gen",), "phase (0, 1) must be a unit complex number"),
+        ("repeated_phase", ("gen",), "phase (1, 0) joins a pair of sets listed before"),
+    ])
+    def test_refused_inputs_exit_invalid(self, tmp_path, capsys, case, commands, message):
+        # each input is refused where it is read, with one error line
+        inst = tmp_path / "inst.json"
+        if case == "mixed_mult":
+            # block 0 has multiplicity 2 in set 0 and 1 in set 1: no
+            # transition between them is unitary
+            inst.write_text(json.dumps({
+                "kind": "gluing", "algebra": {"blocks": [1]}, "cover": {"sets": [[0], [0]]},
+                "modules": [{"mult": [2]}, {"mult": [1]}],
+                "zeta": [{"i": 0, "j": 1, "k": 0, "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}],
+            }))
+        elif case.endswith("twist"):
+            # member 0 has two twists at seed 0 and three at seed 3
+            seed = 0 if case == "missing_twist" else 3
+            assert main(["gen", "--kind", "bimodule", "--seed", str(seed), "--out", str(inst)]) == 0
+            obj = json.loads(inst.read_text())
+            twist = obj["bimodules"][0]["twist"]
+            if case == "extra_twist":
+                twist.append(twist[0])
+            else:
+                twist.pop()
+            inst.write_text(json.dumps(obj))
+        phases = "[[0,1,2,0]]" if case == "non_unit_phase" else "[[0,1,0,1],[1,0,0,1]]"
+        capsys.readouterr()
+        for command in commands:
+            argv = ([command, "--seed", "3", "--mode", "prescribed_phases", "--phases", phases]
+                    if command == "gen" else [command, str(inst)])
+            assert main(argv) == cli.EXIT_INVALID
+            out = capsys.readouterr()
+            assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
+            assert not out.out
+
     def test_descent_accepts_zero_trials(self):
         D = gen.random_gluing_instance(GenConfig(seed=3, twist_mode="coherent")).datum
         rep = descent_identities_check(D, trials=0)
