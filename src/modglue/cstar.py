@@ -12,6 +12,7 @@ restriction strictly associative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,6 +197,11 @@ class ClosedCover:
     def members(self, label) -> tuple:
         """Indices i with label in F_i, ascending."""
         return tuple(i for i, s in enumerate(self.sets) if label in s)
+
+    @cached_property
+    def member_positions(self) -> dict:
+        """label -> {i: the position of i in members(label)}, for every label."""
+        return {k: {i: a for a, i in enumerate(self.members(k))} for k in range(self.prim_size)}
 
     def pairs(self, include_diagonal=True):
         """Ordered pairs (i, j) with nonempty overlap, lexicographic."""

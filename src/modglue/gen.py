@@ -180,13 +180,8 @@ def twist_by_coboundary(rng: Rng, datum: GluingDatum) -> GluingDatum:
     for i in range(cov.num_sets):
         for k in sorted(cov.sets[i]):
             V[(i, k)] = rng.unitary(datum.mult_at(i, k))
-    entries = []
-    for (i, j) in cov.pairs(include_diagonal=False):
-        if i < j:
-            for k in sorted(cov.overlap(i, j)):
-                entries.append(
-                    (i, j, k, V[(i, k)] @ datum.zeta_block(i, j, k) @ V[(j, k)].conj().T)
-                )
+    entries = [(i, j, k, V[(i, k)] @ U @ V[(j, k)].conj().T)
+               for (i, j, k, U) in datum.entries() if i < j]
     return make_gluing_datum(datum.algebra, cov, datum.modules, entries)
 
 

@@ -12,6 +12,7 @@ the abstract ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,16 +51,17 @@ class GluingDatum:
 
     Every cover set owning label k gives it the same multiplicity m_k, as
     make_gluing_datum requires: no unitary joins different multiplicities.
-    zeta maps ordered pairs (i, j), i != j with nonempty overlap, to a dict
-    {label k: m_k x m_k matrix}.  Diagonal transitions are the identity and
-    are not stored.  The cocycle condition is a validated property, not a
+    zeta maps each label k to its transition stack, one complex128 array Z of
+    shape (s, s, m_k, m_k) over members = cover.members(k), s = len(members):
+    Z[a, b] is zeta_ij : Z_j -> Z_i at k for i, j = members[a], members[b],
+    and Z[a, a] = I.  The cocycle condition is a validated property, not a
     constructor requirement, so twisted data are representable.
     """
 
     algebra: FdCStarAlgebra
     cover: ClosedCover
     modules: tuple  # HilbertModule over A|F_i, one per cover set
-    zeta: dict  # (i, j) -> {label: ndarray}
+    zeta: dict  # label -> (s, s, m, m) transition stack
 
     def mult_at(self, i: int, label) -> int:
         mod = self.modules[i]
@@ -67,12 +69,20 @@ class GluingDatum:
 
     def label_mult(self, label) -> int:
         """m_k, the label's multiplicity in each of the (one or more) sets owning it."""
-        return self.mult_at(self.cover.members(label)[0], label)
+        return self.zeta[label].shape[-1]
 
     def zeta_block(self, i: int, j: int, label) -> np.ndarray:
-        if i == j:
-            return np.eye(self.mult_at(i, label), dtype=np.complex128)
-        return self.zeta[(i, j)][label]
+        slot = self.cover.member_positions[label]
+        return self.zeta[label][slot[i], slot[j]]
+
+    def entries(self):
+        """(i, j, label, matrix) of every transition between two distinct
+        sets, ordered by (i, j, label); each matrix is a view into zeta."""
+        for i, Fi in enumerate(self.cover.sets):
+            for j, Fj in enumerate(self.cover.sets):
+                if i != j:
+                    for k in sorted(Fi & Fj):
+                        yield i, j, k, self.zeta_block(i, j, k)
 
 
 def check_set_indices(cover: ClosedCover, i: int, j: int, k) -> None:
@@ -84,37 +94,44 @@ def check_set_indices(cover: ClosedCover, i: int, j: int, k) -> None:
         )
 
 
-def normalize_transitions(cover: ClosedCover, entries, size) -> dict:
-    """Checked transition dict {(i, j): {label: matrix}} of a datum.
+def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
+    """Checked transition stacks {label: Z} of a datum, as GluingDatum.zeta.
 
-    entries is an iterable of (i, j, label, matrix) and size(i, label) the
-    multiplicity of set i at the label.  i and j must name cover sets, as
-    check_set_indices requires.  Each matrix must have shape
-    (size(i, label), size(j, label)) on a label of the overlap; a pair given
-    in only one direction gets the adjoint as its mirror, and a diagonal entry
-    must lie within DIAGONAL_IDENTITY_TOL of the identity and is dropped.
+    entries is an iterable of (i, j, label, matrix) and mult[label] = m_k.  i
+    and j must name cover sets, as check_set_indices requires.  Each matrix
+    must have shape (m_k, m_k) on a label of the overlap.  A diagonal entry
+    must lie within DIAGONAL_IDENTITY_TOL of the identity, and Z[a, a] is I.
+    A pair given in only one direction gets the adjoint as its mirror; of the
+    pairs given in neither, the first (i, j, label), i < j, is refused.
     """
-    out: dict = {}
+    slots = cover.member_positions
+    zeta = {}
+    for k, slot in slots.items():
+        s, m = len(slot), mult[k]
+        zeta[k] = np.zeros((s, s, m, m), dtype=np.complex128)
+        zeta[k].reshape(s * s, m, m)[::s + 1] = np.eye(m)  # Z[a, a] = I
+    given = set()
     for (i, j, k, M) in entries:
         check_set_indices(cover, i, j, k)
-        if k not in cover.overlap(i, j):
+        slot = slots.get(k, {})
+        if i not in slot or j not in slot:
             raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
-        M = numlin.as_cmatrix(M, (size(i, k), size(j, k)))
+        M = numlin.as_cmatrix(M, (mult[k], mult[k]))
         if i == j:
             if numlin.op_norm(M - np.eye(len(M))) > DIAGONAL_IDENTITY_TOL:
                 raise InvalidInputError("diagonal transitions must be the identity")
             continue
-        out.setdefault((i, j), {})[k] = M
+        zeta[k][slot[i], slot[j]] = M
+        if (j, i, k) not in given:
+            zeta[k][slot[j], slot[i]] = M.conj().T
+        given.add((i, j, k))
 
-    for (i, j) in cover.pairs(include_diagonal=False):
-        for k in sorted(cover.overlap(i, j)):
-            have = (i, j) in out and k in out[(i, j)]
-            mirror = (j, i) in out and k in out[(j, i)]
-            if not have and not mirror:
-                raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
-            if not have:
-                out.setdefault((i, j), {})[k] = out[(j, i)][k].conj().T
-    return out
+    missing = [(i, j, k) for k, slot in slots.items() for (i, j) in itertools.combinations(slot, 2)
+               if (i, j, k) not in given and (j, i, k) not in given]
+    if missing:
+        i, j, k = min(missing)
+        raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
+    return zeta
 
 
 def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_entries) -> GluingDatum:
@@ -122,7 +139,7 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
     its multiplicity, checks shapes and fills mirror transitions.
 
     zeta_entries is an iterable of (i, j, label, matrix), normalized by
-    normalize_transitions.
+    normalize_transitions into one transition stack per label.
     """
     modules = tuple(modules)
     if cover.prim_size != alg.num_blocks:
@@ -134,13 +151,15 @@ def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_ent
             raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
 
     D = GluingDatum(alg, cover, modules, {})
+    mult = {}
     for k in alg.labels:
         sizes = {i: D.mult_at(i, k) for i in cover.members(k)}
-        if len(set(sizes.values())) > 1:
+        mult[k], *others = set(sizes.values())
+        if others:
             per_set = ", ".join(f"set {i}: {m}" for i, m in sizes.items())
             raise InvalidInputError(f"block {k} has different multiplicities on the cover sets "
                                     f"owning it ({per_set}); no unitary joins them")
-    D.zeta = normalize_transitions(cover, zeta_entries, D.mult_at)
+    D.zeta = normalize_transitions(cover, zeta_entries, mult)
     return D
 
 
@@ -157,31 +176,20 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
-def transition_stack(D: GluingDatum, k) -> np.ndarray:
-    """Label k's transitions as one (s, s, m, m) array, s the number of cover
-    sets owning k and m = D.label_mult(k): Z[a, b] is
-    D.zeta_block(members[a], members[b], k), members = D.cover.members(k).
-    """
-    members = D.cover.members(k)
-    s, m = len(members), D.label_mult(k)
-    return np.array([[D.zeta_block(i, j, k) for j in members] for i in members],
-                    dtype=np.complex128).reshape(s, s, m, m)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def transition_residuals(D: GluingDatum, k):
     """Largest unitarity, involution and cocycle residuals of label k's
-    transitions, from its transition_stack.
+    transition stack D.zeta[k].
 
     Returns (unitary, involutive, cocycle): the largest unitarity defect, the
     largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A non-finite residual
     raises InvalidInputError, with numpy's overflow and invalid-value
     warnings silenced.
     """
-    s = len(D.cover.members(k))
+    Z = D.zeta[k]
+    s = len(Z)
     if s < 2:
         return 0.0, 0.0, 0.0
-    Z = transition_stack(D, k)
     pa, pb = np.nonzero(~np.eye(s, dtype=bool))  # ordered pairs a != b
     unitary = numlin.unitarity_defects(Z[pa, pb]).max(initial=0.0)
     involutive = numlin.op_norms(
@@ -193,7 +201,7 @@ def transition_residuals(D: GluingDatum, k):
 @np.errstate(over="ignore", invalid="ignore")
 def cocycle_residual(Z) -> float:
     """Largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c} of one label's
-    transition_stack Z; the triples with b = a or b = c are exactly 0 and
+    transition stack Z; the triples with b = a or b = c are exactly 0 and
     are left out.  It is taken one first index a at a time, so the extra
     memory is O(s^2 m^2).  A non-finite residual raises InvalidInputError."""
     s = len(Z)
@@ -207,7 +215,7 @@ def cocycle_residual(Z) -> float:
 
 def _datum_cocycle_residual(D: GluingDatum) -> float:
     """The cocycle residual that validate_gluing_datum reports, alone."""
-    return max((cocycle_residual(transition_stack(D, k)) for k in D.algebra.labels),
+    return max((cocycle_residual(D.zeta[k]) for k in D.algebra.labels),
                default=0.0)
 
 
@@ -216,28 +224,15 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
-    The transitions are checked label by label with transition_residuals.
+    The transitions are checked label by label with transition_residuals;
+    the identity residual is 0, as every stack has Z[a, a] = I.
     """
     unitary, involutive, cocycle = 0.0, 0.0, 0.0
     for k in D.algebra.labels:
         unitary, involutive, cocycle = map(
             max, (unitary, involutive, cocycle), transition_residuals(D, k))
     res = {"unitary": unitary, "identity": 0.0, "involutive": involutive, "cocycle": cocycle}
-    # Diagonal entries are identities by construction; report 0 unless a raw
-    # datum was built without the normalizing constructor.
-    for (i, j), entries in D.zeta.items():
-        if i == j:
-            for k, U in entries.items():
-                res["identity"] = max(
-                    res["identity"], numlin.op_norm(U - np.eye(U.shape[0]))
-                )
-    return DatumValidation(
-        unitary=res["unitary"] <= tol,
-        identity=res["identity"] <= tol,
-        involutive=res["involutive"] <= tol,
-        cocycle=res["cocycle"] <= tol,
-        max_residuals=res,
-    )
+    return DatumValidation(**{key: r <= tol for key, r in res.items()}, max_residuals=res)
 
 
 def pull_apart(X: HilbertModule, cover: ClosedCover) -> GluingDatum:
@@ -249,12 +244,12 @@ def pull_apart(X: HilbertModule, cover: ClosedCover) -> GluingDatum:
     if cover.prim_size != X.algebra.num_blocks:
         raise InvalidInputError("cover does not match module algebra")
     modules = tuple(restrict_module(X, F) for F in cover.sets)
-    entries = []
-    for (i, j) in cover.pairs(include_diagonal=False):
-        for k in sorted(cover.overlap(i, j)):
-            m = X.mult[X.algebra.position(k)]
-            entries.append((i, j, k, np.eye(m, dtype=np.complex128)))
-    return make_gluing_datum(X.algebra, cover, modules, entries)
+    zeta = {}
+    for k, m in zip(X.algebra.labels, X.mult):
+        s = len(cover.members(k))
+        zeta[k] = np.empty((s, s, m, m), dtype=np.complex128)
+        zeta[k][...] = np.eye(m)
+    return GluingDatum(X.algebra, cover, modules, zeta)
 
 
 @dataclass(eq=False)
@@ -277,14 +272,10 @@ class GlueMorphism:
 def morphism_residual(m: GlueMorphism) -> float:
     """Largest violation of alpha_i|F_ij o zeta_ij = omega_ij o alpha_j|F_ij."""
     worst = 0.0
-    Dz, Dw = m.source, m.target
-    for (i, j) in Dz.cover.pairs(include_diagonal=False):
-        for k in sorted(Dz.cover.overlap(i, j)):
-            ai = m.maps[i].block(k)
-            aj = m.maps[j].block(k)
-            lhs = ai @ Dz.zeta_block(i, j, k)
-            rhs = Dw.zeta_block(i, j, k) @ aj
-            worst = max(worst, numlin.op_norm(lhs - rhs))
+    for (i, j, k, Z) in m.source.entries():
+        lhs = m.maps[i].block(k) @ Z
+        rhs = m.target.zeta_block(i, j, k) @ m.maps[j].block(k)
+        worst = max(worst, numlin.op_norm(lhs - rhs))
     return worst
 
 
@@ -331,10 +322,7 @@ class GluedModule:
         """Realize a glued vector as a compatible family (z_i) in prod Z_i."""
         if g.module.mult != self.module.mult:
             raise InvalidInputError("vector does not live in the glued module")
-        arrays = [
-            [np.zeros(s, dtype=np.complex128) for s in m.block_shapes()]
-            for m in self.datum.modules
-        ]
+        arrays = [[None] * m.algebra.num_blocks for m in self.datum.modules]
         for pos, k in enumerate(self.module.algebra.labels):
             E = self.stacked_basis[k]
             scale = np.sqrt(self.member_count(k))
@@ -384,7 +372,7 @@ def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
         # one row slot z_a - zeta_ab z_b per ordered pair a != b
         pa, pb = np.nonzero(~np.eye(c, dtype=bool))
         C = numlin.place_blocks(len(pa), c, (m, m),
-                                [(pa, np.eye(m)), (pb, -transition_stack(D, k)[pa, pb])])
+                                [(pa, np.eye(m)), (pb, -D.zeta[k][pa, pb])])
         E, s = numlin.kernel_basis(C, tol, return_singular_values=True)
         kept, dropped = numlin.rank_margin(s, C.shape[1], tol)
         if (kept is not None and kept < numlin.RANK_GAP_FACTOR) or (

@@ -17,6 +17,7 @@ transition_cochain reads once per datum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .glue import (
     make_gluing_datum,
     morphism_residual,
     pull_apart,
-    transition_stack,
     validate_gluing_datum,
 )
 from .hmod import AdjointableMap, HilbertModule, ModuleVector, module
@@ -46,10 +46,11 @@ from .numlin import DEFAULT_TOL
 from .rng import Rng
 
 
-def check_twist_count(twist, left: FdCStarAlgebra) -> None:
-    """Refuse a twist list that does not hold one twist per left block."""
+def check_twist_count(twist, left: FdCStarAlgebra, name: str = "bimodule") -> None:
+    """Refuse a twist list that does not hold one twist per left block,
+    naming the bimodule as name ("bimodule 0" for a datum's member 0)."""
     if len(twist) != left.num_blocks:
-        raise InvalidInputError(f"bimodule has {len(twist)} twists for the "
+        raise InvalidInputError(f"{name} has {len(twist)} twists for the "
                                 f"{left.num_blocks} blocks of its left algebra")
 
 
@@ -275,10 +276,10 @@ class BimoduleGluingDatum:
     """Per-set equivalence bimodules plus bimodule-unitary transitions.
 
     right is the gluing datum of the members' right modules, and its zeta
-    holds the transitions nu: (i, j) -> {label: matrix}.  Each matrix acts
-    by left multiplication N_j|F_ij -> N_i|F_ij and must intertwine both
-    actions, which pins it to a unit scalar times v_i v_j* blockwise.  Label
-    k has size n'_k in every member, so every transition is square.
+    holds the transitions: nu[k] = right.zeta[k] is label k's (s, s, n'_k,
+    n'_k) transition stack over cover.members(k).  Each transition acts by
+    left multiplication N_j|F_ij -> N_i|F_ij and must intertwine both
+    actions, which pins it to a unit scalar times v_i v_j* blockwise.
     right_algebra, cover, nu, mult_at and nu_block read through to right.
     """
 
@@ -337,12 +338,14 @@ def transition_cochain(D: BimoduleGluingDatum) -> dict:
     bimodule map c v_i v_j*.  One _scalars_of call per label."""
     out = {}
     for k in D.left_algebra.labels:
-        pairs = [(i, j) for (i, j), per in D.nu.items() if k in per]
+        members, Z = D.cover.members(k), D.nu[k]
+        pairs = list(itertools.permutations(range(len(members)), 2))
         if not pairs:
             continue
-        C = np.stack([D.twist_at(i, k).conj().T @ D.nu[(i, j)][k] @ D.twist_at(j, k)
-                      for (i, j) in pairs])
-        out.update(((i, j, k), cr) for (i, j), cr in zip(pairs, zip(*_scalars_of(C))))
+        v = [D.twist_at(i, k) for i in members]
+        C = np.stack([v[a].conj().T @ Z[a, b] @ v[b] for (a, b) in pairs])
+        out.update(((members[a], members[b], k), cr)
+                   for (a, b), cr in zip(pairs, zip(*_scalars_of(C))))
     return out
 
 
@@ -495,8 +498,7 @@ def _composite_scalars(D: BimoduleGluingDatum) -> dict:
     residuals from one op_norms call."""
     out = {}
     for k in D.left_algebra.labels:
-        members = D.cover.members(k)
-        Z = transition_stack(D.right, k)
+        members, Z = D.cover.members(k), D.nu[k]
         a, b, c = np.indices((len(members),) * 3).reshape(3, -1)
         C = Z[a, b] @ Z[b, c] @ Z[a, c].conj().swapaxes(-1, -2)
         for t, fr in enumerate(zip(*_scalars_of(C))):

@@ -28,8 +28,8 @@ from .morita import (
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=np.complex128)
-    return np.stack([M.real, M.imag], axis=-1).tolist()
+    """Rows of [re, im] pairs, read from the complex128 entries as float pairs."""
+    return np.ascontiguousarray(M, dtype=np.complex128)[..., None].view(np.float64).tolist()
 
 
 def _is_pair(z) -> bool:
@@ -80,14 +80,11 @@ def cover_from_json(obj, prim_size: int) -> ClosedCover:
     return cover(prim_size, [frozenset(int(k) for k in s) for s in obj["sets"]])
 
 
-def _transitions_to_json(zeta: dict) -> list:
-    """Transition entries of a datum's {(i, j): {label: matrix}}, pairs with
-    i > j left out: mirrors are implied."""
-    return [
-        {"i": i, "j": j, "k": int(k), "matrix": matrix_to_json(zeta[(i, j)][k])}
-        for (i, j) in sorted(zeta) if i <= j
-        for k in sorted(zeta[(i, j)])
-    ]
+def _transitions_to_json(D: GluingDatum) -> list:
+    """Transition entries of a gluing datum with i < j, in D.entries() order:
+    mirrors and the identities on the diagonal are implied."""
+    return [{"i": i, "j": j, "k": int(k), "matrix": matrix_to_json(M)}
+            for (i, j, k, M) in D.entries() if i < j]
 
 
 def _transitions_from_json(entries, cov: ClosedCover, size) -> list:
@@ -108,7 +105,7 @@ def gluing_to_json(D: GluingDatum) -> dict:
         "algebra": algebra_to_json(D.algebra),
         "cover": cover_to_json(D.cover),
         "modules": [{"mult": [int(m) for m in mod.mult]} for mod in D.modules],
-        "zeta": _transitions_to_json(D.zeta),
+        "zeta": _transitions_to_json(D),
     }
 
 
@@ -173,7 +170,7 @@ def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
         "bimodules": [
             {"twist": [matrix_to_json(u) for u in Mi.twist]} for Mi in D.bimodules
         ],
-        "nu": _transitions_to_json(D.nu),
+        "nu": _transitions_to_json(D.right),
     }
 
 
@@ -185,7 +182,7 @@ def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
     for i, spec in enumerate(obj["bimodules"]):
         subL = restrict_algebra(left, cov.sets[i])
         subR = restrict_algebra(right, cov.sets[i])
-        check_twist_count(spec["twist"], subL)
+        check_twist_count(spec["twist"], subL, f"bimodule {i}")
         twist = tuple(
             matrix_from_json(t, (m, m))
             for t, m in zip(spec["twist"], subL.block_dims)

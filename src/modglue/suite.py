@@ -422,13 +422,8 @@ def criterion_11_cech(trials: int = 30, tol: float = COCYCLE_TOL, base_seed: int
                             worst = max(worst, abs(val - 1.0))
         # coboundary invariance
         g = {(i, k): rng.unit_scalar() for i in range(4) for k in range(K)}
-        entries = []
-        for (i, j) in cov.pairs(include_diagonal=False):
-            if i < j:
-                for k in sorted(cov.overlap(i, j)):
-                    entries.append(
-                        (i, j, k, g[(i, k)] * D.nu_block(i, j, k) * np.conj(g[(j, k)]))
-                    )
+        entries = [(i, j, k, g[(i, k)] * W * np.conj(g[(j, k)]))
+                   for (i, j, k, W) in D.right.entries() if i < j]
         D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
         f2 = morita.obstruction_2cocycle(D2, CECH_OBSTRUCTION_TOL)
         for key, per_block in f.items():

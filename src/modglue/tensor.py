@@ -30,7 +30,6 @@ from .cstar import (
     sum_algebra,
 )
 from .errors import InvalidInputError
-from .glue import transition_stack
 from .hmod import (
     HilbertModule,
     ModuleVector,
@@ -124,8 +123,7 @@ def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndar
     if unit:
         legs.append((t // (s * R) * R + t % R, unit * np.eye(m)))
     if delta:
-        Z = transition_stack(datum, k)
-        legs.append((t % (s * R), (delta * Z).reshape(s * s, m, m)[t // R]))
+        legs.append((t % (s * R), (delta * datum.zeta[k]).reshape(s * s, m, m)[t // R]))
     return place_blocks(s * s * R, s * R, (m, m), legs)
 
 

@@ -27,7 +27,9 @@ library computes as one splitmix block, come one entry at a time from
 ScalarRng.  Unitarity, which the library reads as max |s^2 - 1| over the
 singular values, is measured here from the products U*U and UU*.  A
 bimodule datum's right gluing datum, which the library stores, is rebuilt
-here from the member bimodules and the transitions.  The balanced-tensor
+here from the member bimodules and the transitions, and the pull-apart's
+identity transition stacks, which the library tiles directly, are built
+here through make_gluing_datum from one identity entry per pair.  The balanced-tensor
 quotient, which the library forms slot by slot from factors given as matrix
 pieces, expands every relation to the plain tensor here, from action
 closures, and takes the relation span and its complement from two SVDs.
@@ -524,10 +526,10 @@ def pairwise_gluing_validation(D, tol):
                 res["involutive"],
                 numlin.op_norm(D.zeta_block(j, i, k) - U.conj().T),
             )
-    for (i, j), entries in D.zeta.items():
-        if i == j:
-            for k, U in entries.items():
-                res["identity"] = max(res["identity"], numlin.op_norm(U - np.eye(U.shape[0])))
+    for i, F in enumerate(D.cover.sets):
+        for k in sorted(F):
+            U = D.zeta_block(i, i, k)
+            res["identity"] = max(res["identity"], numlin.op_norm(U - np.eye(U.shape[0])))
     for (i, j, l) in D.cover.triples():
         for k in sorted(D.cover.overlap(i, j, l)):
             lhs = D.zeta_block(i, j, k) @ D.zeta_block(j, l, k)
@@ -697,11 +699,19 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
 def rebuilt_right_datum(D):
     """Forget the left structure: the right modules with the same transitions."""
     modules = tuple(Mi.right_module() for Mi in D.bimodules)
+    return make_gluing_datum(D.right_algebra, D.cover, modules, D.right.entries())
+
+
+def entrywise_pull_apart(X, cover):
+    """glue.pull_apart through make_gluing_datum, from one identity
+    transition per ordered pair of distinct sets and label of their overlap."""
+    modules = tuple(restrict_module(X, F) for F in cover.sets)
     entries = []
-    for (i, j), blocks in D.nu.items():
-        for k, W in blocks.items():
-            entries.append((i, j, k, W))
-    return make_gluing_datum(D.right_algebra, D.cover, modules, entries)
+    for (i, j) in cover.pairs(include_diagonal=False):
+        for k in sorted(cover.overlap(i, j)):
+            m = X.mult[X.algebra.position(k)]
+            entries.append((i, j, k, np.eye(m, dtype=np.complex128)))
+    return make_gluing_datum(X.algebra, cover, modules, entries)
 
 
 def entrywise_pull_apart_bimodule(M, cover):

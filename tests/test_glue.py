@@ -39,6 +39,7 @@ from modglue.rng import Rng
 
 from oracles import (
     constraint_matrix,
+    entrywise_pull_apart,
     flat_glued_subspace_basis,
     kron_kernel_dim,
     pairwise_gluing_validation,
@@ -106,7 +107,7 @@ class TestValidation:
         with pytest.raises(InvalidInputError,
                            match="^module 1 is not over A restricted to cover set 1$"):
             make_gluing_datum(X.algebra, cov, (D.modules[0], bad), [])
-        entries = [(i, j, k, U) for (i, j), per in D.zeta.items() for k, U in per.items()]
+        entries = list(D.entries())
         assert make_gluing_datum(X.algebra, cov, D.modules, entries).modules == D.modules
 
 
@@ -478,8 +479,7 @@ def transition_datum(mode, seed, theta):
         return gen.random_gluing_datum(rng, A, cover(A.num_blocks, sets), cfg)
     cov = gen.random_cover(rng, A, cfg)
     D = gen.random_gluing_datum(rng, A, cov, cfg)
-    entries = [(i, j, k, (1.0 + rng.uniform()) * U)
-               for (i, j), per in D.zeta.items() for k, U in per.items()]
+    entries = [(i, j, k, (1.0 + rng.uniform()) * U) for (i, j, k, U) in D.entries()]
     return make_gluing_datum(A, cov, D.modules, entries)
 
 
@@ -518,7 +518,7 @@ def test_mixed_multiplicities_are_checked():
 
 def test_overflowing_transitions_are_invalid_input():
     D = gen.random_gluing_instance(GenConfig(seed=4, twist_mode="random_unitary")).datum
-    entries = [(i, j, k, 1e200 * U) for (i, j), per in D.zeta.items() for k, U in per.items()]
+    entries = [(i, j, k, 1e200 * U) for (i, j, k, U) in D.entries()]
     assert entries
     big = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
     with warnings.catch_warnings(record=True) as caught:
@@ -550,3 +550,96 @@ def test_glued_subspace_basis_is_orthonormal():
         bases += [gd.stacked_basis[k], tensor.glued_tensor_subspace_basis(gd, k)]
     for B in bases:
         assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
+
+
+# The stored format: one (s, s, m, m) transition stack per label.
+
+FORMAT_MODES = ("coherent", "random_unitary", "prescribed_phases", "zero_mult", "empty_set")
+
+
+def format_datum(mode, seed):
+    """A datum of an oracle_datum family at theta = pi, so (1, 1, -1) for
+    prescribed_phases, or random_unitary with an empty cover set appended."""
+    if mode != "empty_set":
+        return oracle_datum(mode, seed, np.pi)
+    D = oracle_datum("random_unitary", seed, np.pi)
+    cov = cover(D.cover.prim_size, [*D.cover.sets, frozenset()])
+    empty = module(restrict_algebra(D.algebra, set()), ())
+    return make_gluing_datum(D.algebra, cov, (*D.modules, empty), D.entries())
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(FORMAT_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="prescribed_phases", seed=0)
+def test_entries_rebuild_every_stack_bit_for_bit(mode, seed):
+    D = format_datum(mode, seed)
+    entries = list(D.entries())
+    keys = [(i, j, k) for (i, j, k, _) in entries]
+    assert keys == sorted(keys) == sorted(
+        (i, j, k) for (i, j) in D.cover.pairs(include_diagonal=False)
+        for k in D.cover.overlap(i, j))
+    again = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+    assert D.zeta.keys() == again.zeta.keys() == set(D.algebra.labels)
+    for k, Z in D.zeta.items():
+        s, m = len(D.cover.members(k)), D.label_mult(k)
+        assert Z.shape == (s, s, m, m) and Z.dtype == np.complex128
+        assert same_bits(again.zeta[k], Z)
+    # the rebuilt stacks own their values: editing an entry, a view into
+    # D.zeta, leaves them as built
+    built = {k: Z.copy() for k, Z in again.zeta.items()}
+    for (_, _, k, M) in entries:
+        M[...] = np.nan
+    assert all(same_bits(again.zeta[k], Z) for k, Z in built.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(FORMAT_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="prescribed_phases", seed=0)
+def test_one_direction_gets_the_exact_adjoint_and_the_diagonal_is_the_identity(mode, seed):
+    # the generators give each pair once, with i < j
+    D = format_datum(mode, seed)
+    upper = [(i, j, k, M.copy()) for (i, j, k, M) in D.entries() if i < j]
+    got = make_gluing_datum(D.algebra, D.cover, D.modules, upper)
+    for k, Z in got.zeta.items():
+        s, m = len(Z), got.label_mult(k)
+        for a in range(s):
+            assert same_bits(Z[a, a], np.eye(m, dtype=np.complex128))
+            for b in range(a + 1, s):
+                assert same_bits(Z[b, a], Z[a, b].conj().T.copy())
+    for (i, j, k, M) in upper:
+        assert same_bits(got.zeta_block(i, j, k), M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), empty_set=st.booleans())
+def test_pull_apart_stacks_match_the_entrywise_path(seed, empty_set):
+    inst = gen.random_module_instance(GenConfig(seed=seed))
+    cov = inst.cover
+    if empty_set:
+        cov = cover(cov.prim_size, [frozenset(), *cov.sets])
+    got, want = pull_apart(inst.module, cov), entrywise_pull_apart(inst.module, cov)
+    assert (got.algebra, got.cover, got.modules) == (want.algebra, want.cover, want.modules)
+    assert got.zeta.keys() == want.zeta.keys()
+    assert all(same_bits(got.zeta[k], Z) for k, Z in want.zeta.items())
+
+
+def test_missing_transition_names_the_first_pair_in_lexicographic_order():
+    # three sets own both labels; (0, 2) is missing at label 0 and (0, 1) at
+    # label 1, and (1, 2) at label 0 is given in the reverse direction only.
+    # Label by label, (0, 2, 0) would come first; the message names (0, 1, 1).
+    A = algebra((1, 2))
+    cov = cover(2, [{0, 1}] * 3)
+    mods = tuple(module(A, (2, 1)) for _ in range(3))
+    given_pairs = [(0, 1, 0), (2, 1, 0), (0, 2, 1), (1, 2, 1)]
+    entries = [(i, j, k, np.eye(2 if k == 0 else 1)) for (i, j, k) in given_pairs]
+    with pytest.raises(InvalidInputError, match=r"^missing transition for pair \(0,1\) block 1$"):
+        make_gluing_datum(A, cov, mods, entries)
+    entries.append((1, 0, 1, np.eye(1)))
+    with pytest.raises(InvalidInputError, match=r"^missing transition for pair \(0,2\) block 0$"):
+        make_gluing_datum(A, cov, mods, entries)
+    entries.append((0, 2, 0, np.eye(2)))
+    assert make_gluing_datum(A, cov, mods, entries).label_mult(0) == 2

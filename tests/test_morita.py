@@ -330,8 +330,8 @@ class TestObstruction:
         assert m >= 2
         swap = np.eye(m, dtype=np.complex128)
         swap[[0, 1]] = swap[[1, 0]]
-        D.nu[(0, 1)][k] = swap @ D.nu[(0, 1)][k]
-        D.nu[(1, 0)][k] = D.nu[(0, 1)][k].conj().T
+        D.nu[k][0, 1] = swap @ D.nu[k][0, 1]
+        D.nu[k][1, 0] = D.nu[k][0, 1].conj().T
         assert validate_bimodule_datum(D).transitions_bimodule > 1e-3
         with pytest.raises(ModelViolationError):
             dual_datum(D)
@@ -555,7 +555,7 @@ def bimodule_datum(mode, seed):
     if mode == "pull_apart":
         return pull_apart_bimodule(random_bimodule(rng, left, right), cov)
     D = random_bimodule_datum(rng, left, right, cov, cfg)
-    nu = [(i, j, k, W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    nu = list(D.right.entries())
     if mode == "non_bimodule":
         entries = [(i, j, k, rng.unitary(D.mult_at(i, k)))
                    for (i, j) in cov.pairs(include_diagonal=False) if i < j
@@ -628,7 +628,7 @@ def test_stacked_validation_matches_the_pairwise_oracle(mode, seed):
 
 def test_overflowing_transitions_are_invalid_input():
     D = bimodule_datum("random_unitary", 5)
-    entries = [(i, j, k, 1e200 * W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    entries = [(i, j, k, 1e200 * W) for (i, j, k, W) in D.right.entries()]
     assert entries
     big = morita.make_bimodule_datum(D.left_algebra, D.right_algebra, D.cover,
                                      D.bimodules, entries)
@@ -757,7 +757,7 @@ def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_
     labels = (1, 2)[:len(left_dims)]
     bad = EquivalenceBimodule(algebra(left_dims, labels), algebra(right_dims, labels),
                               tuple(np.eye(n) for n in left_dims))
-    entries = [(i, j, k, W) for (i, j), per in D.nu.items() for k, W in per.items()]
+    entries = list(D.right.entries())
     with pytest.raises(InvalidInputError, match=f"^bimodule 1 has wrong {side} algebra$"):
         morita.make_bimodule_datum(left, right, cov, (D.bimodules[0], bad), entries)
     assert morita.make_bimodule_datum(left, right, cov, D.bimodules, entries).bimodules == D.bimodules
@@ -827,11 +827,9 @@ def assert_same_outcome(got, want):
         (want.left_algebra, want.right_algebra, want.cover)
     for Mg, Mw in zip(got.bimodules, want.bimodules):
         assert all(np.array_equal(u, v) for u, v in zip(Mg.twist, Mw.twist))
-    assert {key: set(per) for key, per in got.nu.items()} == \
-        {key: set(per) for key, per in want.nu.items()}
-    for key, per in want.nu.items():
-        for k, W in per.items():
-            assert np.array_equal(got.nu[key][k], W)
+    assert got.nu.keys() == want.nu.keys()
+    for k, Z in want.nu.items():
+        assert np.array_equal(got.nu[k], Z)
 
 
 @settings(max_examples=60, deadline=None)
@@ -876,7 +874,7 @@ def test_cochain_operations_match_the_matrix_oracles(mode, self_mode, seed):
 def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
     D = bimodule_datum("random_unitary", 14)
     S = self_datum(D.left_algebra, D.cover, "coherent", Rng(4))
-    assert len(D.nu) == 6
+    assert len({(i, j) for (i, j, _, _) in D.right.entries()}) == 6
 
     def refuse(*args):
         raise AssertionError("per-transition scalar extraction")
@@ -891,14 +889,12 @@ def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
 
 
 def assert_same_gluing_datum(got, want):
-    """The same algebra, cover and modules, and the same transition keys
-    with bit-identical matrices."""
+    """The same algebra, cover and modules, and the same labels with
+    bit-identical transition stacks."""
     assert (got.algebra, got.cover, got.modules) == (want.algebra, want.cover, want.modules)
-    assert {key: set(per) for key, per in got.zeta.items()} == \
-        {key: set(per) for key, per in want.zeta.items()}
-    for key, per in want.zeta.items():
-        for k, W in per.items():
-            assert np.array_equal(got.zeta[key][k], W)
+    assert got.zeta.keys() == want.zeta.keys()
+    for k, Z in want.zeta.items():
+        assert np.array_equal(got.zeta[k], Z)
 
 
 @settings(max_examples=60, deadline=None)
@@ -953,10 +949,9 @@ def test_in_place_transition_edits_reach_the_right_datum(algebras):
     k = 0
     swap = np.eye(D.mult_at(0, k), dtype=np.complex128)
     swap[[0, 1]] = swap[[1, 0]]
-    D.nu[(0, 1)][k] = swap @ D.nu[(0, 1)][k]
-    D.nu[(1, 0)][k] = D.nu[(0, 1)][k].conj().T
-    assert D.right.zeta_block(0, 1, k) is D.nu[(0, 1)][k]
-    assert D.right.zeta_block(1, 0, k) is D.nu[(1, 0)][k]
+    D.nu[k][0, 1] = swap @ D.nu[k][0, 1]
+    D.nu[k][1, 0] = D.nu[k][0, 1].conj().T
+    assert D.right.zeta[k] is D.nu[k]
     assert validate_bimodule_datum(D).transitions_bimodule > 1e-3
     gb = glue_bimodules(D)
     assert gb.bimodule is None and gb.left_action_residual > 1e-3

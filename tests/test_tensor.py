@@ -677,7 +677,7 @@ def descent_datum(mode, seed):
     D = oracle_datum("random_unitary", seed, np.pi, **caps)
     cov = cover(D.cover.prim_size, [*D.cover.sets, frozenset()])
     empty = module(restrict_algebra(D.algebra, set()), ())
-    entries = [(i, j, k, U) for (i, j), per in D.zeta.items() for k, U in per.items()]
+    entries = list(D.entries())
     return make_gluing_datum(D.algebra, cov, (*D.modules, empty), entries)
 
 

@@ -23,7 +23,10 @@ from test_glue import phase_witness
 
 
 def run_cli(args, env=None):
+    """Run the CLI in a child process on the same modglue copy as this one."""
     e = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    e["PYTHONPATH"] = os.pathsep.join(p for p in (src, e.get("PYTHONPATH")) if p)
     if env:
         e.update(env)
     proc = subprocess.run(
@@ -66,9 +69,8 @@ class TestSerialization:
         # only i<j entries are stored
         assert all(e["i"] < e["j"] for e in obj["zeta"])
         D2 = serial.gluing_from_json(obj)
-        for (i, j), entries in D.zeta.items():
-            for k, M in entries.items():
-                assert np.allclose(D2.zeta_block(i, j, k), M)
+        for (i, j, k, M) in D.entries():
+            assert np.allclose(D2.zeta_block(i, j, k), M)
 
 
 #: sha256 of the concatenated `modglue gen --kind K --mode M` files for seeds
@@ -126,11 +128,9 @@ class TestCli:
     def test_glue_reports_a_failing_datum(self, tmp_path, capsys):
         # one doubled transition: unitarity residual 3, a glue report, exit 2
         D = gen.random_gluing_instance(GenConfig(seed=6, twist_mode="random_unitary")).datum
-        (i, j), per = next(iter(D.zeta.items()))
-        k = next(iter(per))
+        i, j, k, _ = next(D.entries())
         entries = [(a, b, lab, 2.0 * U if (a, b, lab) == (i, j, k) else U)
-                   for (a, b), blocks in D.zeta.items() for lab, U in blocks.items()
-                   if (b, a, lab) != (i, j, k)]
+                   for (a, b, lab, U) in D.entries() if (b, a, lab) != (i, j, k)]
         bad = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
         inst, rep = tmp_path / "bad.json", tmp_path / "rep.jsonl"
         inst.write_text(serial.canonical_dumps(serial.gluing_to_json(bad)))
@@ -260,8 +260,8 @@ class TestCli:
                 Rng(91), A, A, cov, GenConfig(seed=91, twist_mode="coherent")),
         }
         bad = data[corrupt]
-        bad.nu[(1, 2)][1] = np.eye(3)[[1, 0, 2]] @ bad.nu[(1, 2)][1]
-        bad.nu[(2, 1)][1] = bad.nu[(1, 2)][1].conj().T
+        bad.nu[1][1, 2] = np.eye(3)[[1, 0, 2]] @ bad.nu[1][1, 2]
+        bad.nu[1][2, 1] = bad.nu[1][1, 2].conj().T
         files = []
         for name, D in data.items():
             files.append(tmp_path / f"{name}.json")
@@ -491,11 +491,13 @@ class TestCli:
          "block 0 has different multiplicities on the cover sets owning it "
          "(set 0: 2, set 1: 1)"),
         ("missing_twist", ("validate", "morita-glue", "obstruction"),
-         "bimodule has 1 twists for the 2 blocks of its left algebra"),
+         "bimodule 0 has 1 twists for the 2 blocks of its left algebra"),
         ("extra_twist", ("validate", "morita-glue", "obstruction"),
-         "bimodule has 4 twists for the 3 blocks of its left algebra"),
+         "bimodule 0 has 4 twists for the 3 blocks of its left algebra"),
         ("non_unit_phase", ("gen",), "phase (0, 1) must be a unit complex number"),
         ("repeated_phase", ("gen",), "phase (1, 0) joins a pair of sets listed before"),
+        ("lone_missing_twist", ("validate",),
+         "bimodule has 1 twists for the 2 blocks of its left algebra"),
     ])
     def test_refused_inputs_exit_invalid(self, tmp_path, capsys, case, commands, message):
         # each input is refused where it is read, with one error line
@@ -507,6 +509,12 @@ class TestCli:
                 "kind": "gluing", "algebra": {"blocks": [1]}, "cover": {"sets": [[0], [0]]},
                 "modules": [{"mult": [2]}, {"mult": [1]}],
                 "zeta": [{"i": 0, "j": 1, "k": 0, "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}],
+            }))
+        elif case == "lone_missing_twist":
+            # a bimodule file alone: no cover set to name
+            inst.write_text(json.dumps({
+                "kind": "bimodule", "left_blocks": [1, 2], "right_blocks": [1, 1],
+                "twist": [[[[1.0, 0.0]]]],
             }))
         elif case.endswith("twist"):
             # member 0 has two twists at seed 0 and three at seed 3
