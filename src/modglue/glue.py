@@ -85,22 +85,25 @@ class GluingDatum:
                         yield i, j, k, self.zeta_block(i, j, k)
 
 
-def check_set_indices(cover: ClosedCover, i: int, j: int, k) -> None:
-    """Refuse a transition entry (i, j, k) whose i or j names no cover set;
-    a negative index would otherwise alias a set from the end."""
+def check_transition_key(cover: ClosedCover, i: int, j: int, k) -> None:
+    """Refuse a transition entry (i, j, k) whose i or j names no cover set
+    (a negative index would otherwise alias a set from the end), or whose
+    label k is not in the overlap of sets i and j."""
     if not (0 <= i < cover.num_sets and 0 <= j < cover.num_sets):
         raise InvalidInputError(
             f"transition ({i}, {j}) at block {k} names a set outside 0..{cover.num_sets - 1}"
         )
+    if k not in cover.sets[i] or k not in cover.sets[j]:
+        raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
 
 
 def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
     """Checked transition stacks {label: Z} of a datum, as GluingDatum.zeta.
 
-    entries is an iterable of (i, j, label, matrix) and mult[label] = m_k.  i
-    and j must name cover sets, as check_set_indices requires.  Each matrix
-    must have shape (m_k, m_k) on a label of the overlap.  A diagonal entry
-    must lie within DIAGONAL_IDENTITY_TOL of the identity, and Z[a, a] is I.
+    entries is an iterable of (i, j, label, matrix) and mult[label] = m_k.
+    Each key must pass check_transition_key, and each matrix must have shape
+    (m_k, m_k).  A diagonal entry must lie within DIAGONAL_IDENTITY_TOL of
+    the identity, and Z[a, a] is I.
     A pair given in only one direction gets the adjoint as its mirror; of the
     pairs given in neither, the first (i, j, label), i < j, is refused.
     """
@@ -112,10 +115,8 @@ def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
         zeta[k].reshape(s * s, m, m)[::s + 1] = np.eye(m)  # Z[a, a] = I
     given = set()
     for (i, j, k, M) in entries:
-        check_set_indices(cover, i, j, k)
-        slot = slots.get(k, {})
-        if i not in slot or j not in slot:
-            raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
+        check_transition_key(cover, i, j, k)
+        slot = slots[k]
         M = numlin.as_cmatrix(M, (mult[k], mult[k]))
         if i == j:
             if numlin.op_norm(M - np.eye(len(M))) > DIAGONAL_IDENTITY_TOL:
@@ -202,15 +203,12 @@ def transition_residuals(D: GluingDatum, k):
 def cocycle_residual(Z) -> float:
     """Largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c} of one label's
     transition stack Z; the triples with b = a or b = c are exactly 0 and
-    are left out.  It is taken one first index a at a time, so the extra
-    memory is O(s^2 m^2).  A non-finite residual raises InvalidInputError."""
-    s = len(Z)
-    off = ~np.eye(s, dtype=bool)
-    cocycle = 0.0
-    for a in range(s):
-        b, c = np.nonzero(off & (np.arange(s) != a)[:, None])  # b not in {a, c}
-        cocycle = max(cocycle, numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
-    return float(cocycle)
+    are left out.  All triples take one batched product and one op_norms
+    call, so the extra memory is O(s^3 m^2).  A non-finite residual raises
+    InvalidInputError."""
+    off = ~np.eye(len(Z), dtype=bool)
+    a, b, c = np.nonzero(off[:, :, None] & off[None])  # a != b != c
+    return float(numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
 
 
 def _datum_cocycle_residual(D: GluingDatum) -> float:
@@ -503,8 +501,11 @@ class DescentReport:
     coassoc_glued: float  # same, z ranging over embedded glued vectors
     cocycle_residual: float
     kernel_gap: float  # subspace gap between glue kernel and ker(eta - delta)
-    tensor_dims: tuple  # (dim glued (x) B model, dim ker((eta - delta) x id))
-    tensor_gap: float
+    # (dim glued (x) B model, dim ker((eta - delta) x id)); the kernel is
+    # ker(eta - delta) once per pair column slot (i, l), so label k adds
+    # n_k * s_k times the dimension of its ker(eta - delta)
+    tensor_dims: tuple
+    tensor_gap: float  # largest ||T_k B_k||: (eta - delta) x id on the model basis
     tolerances: dict
 
     @property
@@ -544,6 +545,11 @@ def descent_identities_check(
     The random vectors of all trials are drawn first, then each label's
     maps T_k act on their stacked slots at once; every residual is the
     largest operator norm of a slot block, as the Hilbert-module norm is.
+
+    (eta - delta) (x) id is, slot for slot, (eta - delta) on each pair
+    column slot (i, l), so its kernel is ker(eta - delta) once per slot l
+    and takes no SVD of its own: the glued tensor model, with orthonormal
+    basis B_k, is that kernel iff T_k B_k = 0 and the dimensions agree.
     """
     from . import gen, tensor
     from .rng import Rng
@@ -563,26 +569,28 @@ def descent_identities_check(
     draws = [tuple(v[:-1]) for v in vectors]
     glued = [gd.embed(v[-1]) for v in vectors]
     counit, coassoc, coassoc_glued = [], [], []
-    for k in D.algebra.labels:
+    kernel_gap = tensor_gap = 0.0
+    model_dim = ker_dim = 0
+    for k, n in zip(D.algebra.labels, D.algebra.block_dims):
+        s, m = gd.member_count(k), D.label_mult(k)
         Z = tensor.family_stack(draws + glued, D, k)
         t = tensor.delta_map(D, k) @ Z
         back = tensor.epsilon_map(D, k) @ t[:trials] - Z[:trials]
-        counit += tensor.split_slots(back, tensor.slot_sizes(D, k, 1))
+        counit.append(back.reshape(trials * s, m, n))  # every slot has m rows
         lhs = tensor.lift_to_triple("delta_tensor_id", D, k) @ t
         diff = lhs - tensor.lift_to_triple("eta_tensor_id", D, k) @ t
-        for b in tensor.split_slots(diff, tensor.slot_sizes(D, k, 3)):
-            coassoc.append(b[:trials])
-            coassoc_glued.append(b[trials:])
-    res_a, res_b, res_b_glued = numlin.op_norm_maxima([counit, coassoc, coassoc_glued])
+        coassoc.append(diff[:trials].reshape(trials * s ** 3, m, n))
+        coassoc_glued.append(diff[trials:].reshape(trials * s ** 3, m, n))
 
-    # Per label, ker(eta - delta) on the family slots is the span of E_k.
-    kernel_gap = max(
-        (numlin.subspace_gap(numlin.kernel_basis(tensor.eta_minus_delta_matrix(D, k)),
-                             gd.stacked_basis[k])
-         for k in D.algebra.labels),
-        default=0.0,
-    )
-    tensor_dims, tensor_gap = _tensor_kernel_check(gd)
+        # ker(eta - delta) on the family slots is the span of E_k.
+        ker = numlin.kernel_basis(tensor.eta_minus_delta_matrix(D, k))
+        kernel_gap = max(kernel_gap, numlin.subspace_gap(ker, gd.stacked_basis[k]))
+        model = tensor.glued_tensor_subspace_basis(gd, k)
+        model_dim += n * model.shape[1]
+        ker_dim += n * s * ker.shape[1]
+        tensor_gap = max(tensor_gap, numlin.op_norm(
+            tensor.eta_minus_delta_tensor_id_matrix(D, k) @ model))
+    res_a, res_b, res_b_glued = numlin.op_norm_maxima([counit, coassoc, coassoc_glued])
 
     return DescentReport(
         counit=res_a,
@@ -590,16 +598,19 @@ def descent_identities_check(
         coassoc_glued=res_b_glued,
         cocycle_residual=cocycle,
         kernel_gap=kernel_gap,
-        tensor_dims=tensor_dims,
+        tensor_dims=(model_dim, ker_dim),
         tensor_gap=tensor_gap,
         tolerances={"counit": EXACT_IDENTITY_TOL, "coassoc": EXACT_IDENTITY_TOL, "kernel": tol},
     )
 
 
 def _tensor_kernel_check(gd: GluedModule):
-    """Compare ker((eta - delta) (x) id) with the glued tensor model label by
-    label.  Returns ((model dim, kernel dim), largest subspace gap); a label k
-    adds n_k times its dimensions, as T_k (x) I_{n_k} does in flat coordinates.
+    """Compare ker((eta - delta) (x) id), from an SVD of its own, with the
+    glued tensor model label by label: suite criterion 5's route, and the
+    reference for the kernel that descent_identities_check reads from
+    ker(eta - delta).  Returns ((model dim, kernel dim), largest subspace
+    gap); a label k adds n_k times its dimensions, as T_k (x) I_{n_k} does
+    in flat coordinates.
     """
     from . import tensor
 

@@ -117,12 +117,15 @@ def op_norm_maxima(groups) -> list:
     """Largest operator norm in each group of (count, rows, cols) stacks of
     any shapes, 0.0 for a group with no matrix.
 
-    Every matrix is zero-padded to the largest rows and cols, which keeps its
-    singular values, so all of them take one op_norms call.
+    Every matrix is zero-padded to the largest rows and cols of all the
+    groups, which keeps its singular values, so all of them take one
+    op_norms call.  An exactly zero matrix, whose norm is exactly 0.0, is
+    left out of it.
     """
+    rows = max((b.shape[1] for g in groups for b in g), default=0)
+    cols = max((b.shape[2] for g in groups for b in g), default=0)
+    groups = [[b[b.any(axis=(1, 2))] for b in g] for g in groups]
     flat = [b for g in groups for b in g]
-    rows = max((b.shape[1] for b in flat), default=0)
-    cols = max((b.shape[2] for b in flat), default=0)
     ends = np.cumsum([len(b) for b in flat], dtype=int)
     stack = np.zeros((int(ends[-1]) if flat else 0, rows, cols), dtype=np.complex128)
     for b, e in zip(flat, ends):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover, restrict_algebra
 from .errors import FormatError, InvalidInputError
-from .glue import GluingDatum, check_set_indices, make_gluing_datum
+from .glue import GluingDatum, check_transition_key, make_gluing_datum
 from .hmod import HilbertModule, module
 from .morita import (
     BimoduleGluingDatum,
@@ -89,12 +89,12 @@ def _transitions_to_json(D: GluingDatum) -> list:
 
 def _transitions_from_json(entries, cov: ClosedCover, size) -> list:
     """(i, j, label, matrix) of each transition entry, size(i, label) the
-    multiplicity of set i at the label; i and j are checked to name cover
-    sets before size reads them."""
+    multiplicity of set i at the label; each key passes check_transition_key
+    before size reads it."""
     out = []
     for e in entries:
         i, j, k = int(e["i"]), int(e["j"]), int(e["k"])
-        check_set_indices(cov, i, j, k)
+        check_transition_key(cov, i, j, k)
         out.append((i, j, k, matrix_from_json(e["matrix"], (size(i, k), size(j, k)))))
     return out
 

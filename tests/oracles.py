@@ -16,7 +16,9 @@ left action probed on every matrix unit.  The identities of an equivalence bimod
 closed form from each twist's singular values, are sampled here on random
 vectors.  The transition checks of both datum validators, which the library
 takes per label from one stacked tensor, are the per-pair and per-triple
-loops here, and so are the obstruction scalars.  The datum-level dual,
+loops here, and so are the obstruction scalars; the cocycle residual, which
+the library takes from one product over all triples of a label, is also
+taken here one first index at a time.  The datum-level dual,
 tensor product, conjugate and isomorphism test, which the library derives
 from each transition's scalar read once, are the matrix-level versions
 here, and criterion 8's bimodule-map check on Phi, which the library takes
@@ -49,7 +51,6 @@ from modglue.glue import (
     EXACT_IDENTITY_TOL,
     DatumValidation,
     DescentReport,
-    _tensor_kernel_check,
     glue,
     make_gluing_datum,
     validate_gluing_datum,
@@ -513,6 +514,35 @@ def product_unitarity_residual(U) -> float:
     return max(numlin.op_norm(U.conj().T @ U - eye), numlin.op_norm(U @ U.conj().T - eye))
 
 
+def per_index_cocycle_residual(Z) -> float:
+    """cocycle_residual taken one first index a at a time, over b not in
+    {a, c}: the loop that the one batched product over all triples replaces."""
+    s = len(Z)
+    off = ~np.eye(s, dtype=bool)
+    cocycle = 0.0
+    for a in range(s):
+        b, c = np.nonzero(off & (np.arange(s) != a)[:, None])  # b not in {a, c}
+        cocycle = max(cocycle, numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
+    return float(cocycle)
+
+
+def padded_op_norm_maxima(groups) -> list:
+    """op_norm_maxima without leaving out zero matrices: every matrix of
+    every group zero-padded to the largest rows and cols and sent through
+    one op_norms call."""
+    flat = [b for g in groups for b in g]
+    rows = max((b.shape[1] for b in flat), default=0)
+    cols = max((b.shape[2] for b in flat), default=0)
+    padded = [np.pad(b, ((0, 0), (0, rows - b.shape[1]), (0, cols - b.shape[2]))) for b in flat]
+    norms = numlin.op_norms(np.concatenate(padded) if padded else np.zeros((0, rows, cols)))
+    out, start = [], 0
+    for g in groups:
+        stop = start + sum(len(b) for b in g)
+        out.append(float(norms[start:stop].max(initial=0.0)))
+        start = stop
+    return out
+
+
 def pairwise_gluing_validation(D, tol):
     """validate_gluing_datum with one SVD per (pair, label) and per
     (triple, label)."""
@@ -961,7 +991,10 @@ def object_descent_report(D, tol, trials, seed) -> DescentReport:
          for k in D.algebra.labels),
         default=0.0,
     )
-    tensor_dims, tensor_gap = _tensor_kernel_check(gd)
+    # (eta - delta) (x) id in flat coordinates against the flat model basis
+    T1, model = flat_eta_minus_delta_tensor_id(D), flat_glued_tensor_subspace_basis(gd)
+    tensor_dims = (model.shape[1], kernel(T1).shape[1])
+    tensor_gap = numlin.op_norm(T1 @ model)
     return DescentReport(
         counit=res_a, coassoc=res_b, coassoc_glued=res_b_glued,
         cocycle_residual=validate_gluing_datum(D, tol).max_residuals["cocycle"],

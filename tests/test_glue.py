@@ -12,6 +12,7 @@ from modglue.gen import GenConfig
 from modglue.glue import (
     DEFAULT_TOL,
     GlueMorphism,
+    cocycle_residual,
     descent_identities_check,
     epsilon_iso,
     glue,
@@ -43,6 +44,7 @@ from oracles import (
     flat_glued_subspace_basis,
     kron_kernel_dim,
     pairwise_gluing_validation,
+    per_index_cocycle_residual,
     two_svd_multiplicities,
 )
 
@@ -504,6 +506,30 @@ def test_stacked_validation_matches_the_pairwise_oracle(mode, seed, theta):
             assert v.max_residuals[key] == r
         else:
             assert abs(v.max_residuals[key] - r) <= 1e-12 * max(1.0, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(TRANSITION_MODES),
+    s=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(mode="prescribed_phases", s=1, m=2, seed=0)
+@example(mode="zero_mult", s=2, m=0, seed=0)
+@example(mode="coherent", s=3, m=0, seed=0)
+def test_batched_cocycle_residual_equals_the_per_index_loop_bit_for_bit(mode, s, m, seed):
+    # on every label of a datum, and on a Gaussian (s, s, m, m) stack with
+    # -0.0 entries; s = 1 has no triple with b not in {a, c}
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((s, s, m, m)) + 1j * rng.standard_normal((s, s, m, m))
+    G[G.real > 0.5] = complex(-0.0, -0.0)
+    D = transition_datum(mode, seed, np.pi)
+    for Z in (G, *D.zeta.values()):
+        got, want = cocycle_residual(Z), per_index_cocycle_residual(Z)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    if s == 1:
+        assert cocycle_residual(G) == 0.0
 
 
 def test_mixed_multiplicities_are_checked():

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from modglue import numlin
 from modglue.errors import InvalidInputError
 
-from oracles import power_iteration_top_singular, product_unitarity_residual, row_reduction_rank
+from oracles import (
+    padded_op_norm_maxima,
+    power_iteration_top_singular,
+    product_unitarity_residual,
+    row_reduction_rank,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -166,6 +171,48 @@ def test_unitarity_defects_match_the_product_form(cases, seed):
                 with pytest.raises(InvalidInputError):
                     numlin.unitarity_defects(1e200 * U[None])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def maxima_stack(kind, count, rows, cols, rng):
+    """A (count, rows, cols) stack: Gaussian, exactly zero, all -0.0, or
+    Gaussian with every other matrix exactly zero and -0.0 entries."""
+    G = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+    if kind == "zero":
+        return np.zeros_like(G)
+    if kind == "negative_zero":
+        return np.full_like(G, complex(-0.0, -0.0))
+    if kind == "mixed":
+        G[::2] = 0.0
+        G[G.real > 0.5] = complex(-0.0, -0.0)
+    return G
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    groups=st.lists(st.lists(st.tuples(
+        st.sampled_from(["gaussian", "zero", "negative_zero", "mixed"]),
+        st.integers(min_value=0, max_value=3),  # count; 0 as with trials=0
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4)), max_size=3), max_size=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(groups=[[("zero", 2, 3, 2)], [], [("mixed", 3, 2, 4), ("negative_zero", 0, 4, 4)]], seed=0)
+@example(groups=[[("zero", 0, 2, 2)], [("gaussian", 0, 3, 1)]], seed=0)
+def test_op_norm_maxima_equal_the_padded_op_norms_bit_for_bit(groups, seed):
+    # leaving out the exactly zero matrices changes no bit: their norm is
+    # exactly 0.0, and every other matrix keeps its padding
+    rng = np.random.default_rng(seed)
+    stacks = [[maxima_stack(kind, *shape, rng) for kind, *shape in g] for g in groups]
+    got, want = numlin.op_norm_maxima(stacks), padded_op_norm_maxima(stacks)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_op_norm_maxima_refuses_nonfinite_entries():
+    bad = np.zeros((2, 2, 2), dtype=np.complex128)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(InvalidInputError):
+        numlin.op_norm_maxima([[np.zeros((1, 3, 3))], [bad]])
 
 
 class TestUnitarityDefects:

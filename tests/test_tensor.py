@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -715,6 +717,54 @@ def test_stacked_delta_isometry_matches_the_object_oracle(mode, seed):
     want = oracles.object_delta_isometry_residuals(D, zs, b)
     assert all(close(g, w) for g, w in zip(got, want)), (got, want)
     assert max(got) <= 1e-12  # unitary transitions: B-linear and isometric
+
+
+@settings(max_examples=50, deadline=None)
+@given(mode=st.sampled_from(DESCENT_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="prescribed_phases", seed=0)  # (1, 1, -1): glues to zero
+@example(mode="zero_mult", seed=3)
+@example(mode="empty_set", seed=1)
+def test_tensor_kernel_read_from_ker_eta_minus_delta_matches_its_own_svd(mode, seed):
+    # the report's kernel, ker(eta - delta) once per pair column slot, has
+    # the dimension the SVD of (eta - delta) (x) id finds, and the model
+    # lies in that map's kernel
+    D = descent_datum(mode, seed)
+    rep = descent_identities_check(D, trials=1, seed=seed)
+    dims, gap = _tensor_kernel_check(glue(D))
+    assert rep.tensor_dims == dims and dims[0] == dims[1]
+    assert rep.tensor_gap <= 1e-12 and gap <= 1e-12
+
+
+def test_descent_takes_one_kernel_and_one_gap_per_label(monkeypatch):
+    # ker((eta - delta) (x) id) comes from ker(eta - delta): per label, one
+    # kernel_basis call besides glue's own and one subspace_gap call
+    glue_mod = importlib.import_module("modglue.glue")
+    calls = {"kernel_basis": 0, "subspace_gap": 0}
+    in_glue = []
+
+    def counted(name):
+        inner = getattr(numlin, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += not in_glue
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def glue_alone(*args, **kwargs):
+        in_glue.append(True)
+        try:
+            return glue(*args, **kwargs)
+        finally:
+            in_glue.pop()
+
+    for name in calls:
+        monkeypatch.setattr(numlin, name, counted(name))
+    monkeypatch.setattr(glue_mod, "glue", glue_alone)
+    for mode in DESCENT_MODES:
+        D = descent_datum(mode, 5)
+        calls.update(dict.fromkeys(calls, 0))
+        descent_identities_check(D, trials=2, seed=5)
+        assert calls == dict.fromkeys(calls, D.algebra.num_blocks), mode
 
 
 def test_descent_and_criterion_3_build_no_model_objects(monkeypatch):

@@ -498,6 +498,10 @@ class TestCli:
         ("repeated_phase", ("gen",), "phase (1, 0) joins a pair of sets listed before"),
         ("lone_missing_twist", ("validate",),
          "bimodule has 1 twists for the 2 blocks of its left algebra"),
+        ("off_overlap", ("validate", "glue", "descent"),
+         "block 1 is not in the overlap of sets 0, 1"),
+        ("off_overlap_bimodule", ("validate", "morita-glue", "obstruction"),
+         "block 1 is not in the overlap of sets 0, 1"),
     ])
     def test_refused_inputs_exit_invalid(self, tmp_path, capsys, case, commands, message):
         # each input is refused where it is read, with one error line
@@ -510,6 +514,20 @@ class TestCli:
                 "modules": [{"mult": [2]}, {"mult": [1]}],
                 "zeta": [{"i": 0, "j": 1, "k": 0, "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}],
             }))
+        elif case.startswith("off_overlap"):
+            # entry (0, 1) names block 1, which set 0 does not own; it used
+            # to be refused as "label 1 not in algebra"
+            one = [[[1.0, 0.0]]]
+            obj = {"cover": {"sets": [[0], [0, 1]]},
+                   "transitions": [{"i": 0, "j": 1, "k": k, "matrix": one} for k in (0, 1)]}
+            if case == "off_overlap":
+                obj.update(kind="gluing", algebra={"blocks": [1, 1]},
+                           modules=[{"mult": [1]}, {"mult": [1, 1]}], zeta=obj.pop("transitions"))
+            else:
+                obj.update(kind="bimodule_datum", left_blocks=[1, 1], right_blocks=[1, 1],
+                           bimodules=[{"twist": [one]}, {"twist": [one, one]}],
+                           nu=obj.pop("transitions"))
+            inst.write_text(json.dumps(obj))
         elif case == "lone_missing_twist":
             # a bimodule file alone: no cover set to name
             inst.write_text(json.dumps({
