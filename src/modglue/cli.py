@@ -15,6 +15,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import gen, morita, numlin, suite
 from .errors import (
     FormatError,
@@ -263,18 +265,17 @@ def cmd_obstruction(args) -> int:
     if not isinstance(D, BimoduleGluingDatum):
         raise InvalidInputError("obstruction expects a bimodule datum file")
     t0 = time.time()
-    f = morita.obstruction_2cocycle(D, args.tol)
-    scalars = {
-        f"{i},{j},{l},{k}": [val.real, val.imag]
-        for (i, j, l), per in sorted(f.items())
-        for k, val in sorted(per.items())
-    }
-    coherent = all(abs(v - 1.0) <= args.tol for per in f.values() for v in per.values())
+    f = {}  # (i, j, l, label) -> scalar
+    for k, F in morita.obstruction_2cocycle(D, args.tol).items():
+        members = D.cover.members(k)
+        f.update(((members[a], members[b], members[c], k), complex(v))
+                 for (a, b, c), v in np.ndenumerate(F))
+    residuals = [abs(v - 1.0) for v in f.values()]
     report = Report(
-        "obstruction_2cocycle", True,
-        max((abs(v - 1.0) for per in f.values() for v in per.values()), default=0.0),
+        "obstruction_2cocycle", True, max(residuals, default=0.0),
         args.tol, args.file, time.time() - t0,
-        {"scalars": scalars, "coherent": coherent},
+        {"scalars": {f"{i},{j},{l},{k}": [v.real, v.imag] for (i, j, l, k), v in sorted(f.items())},
+         "coherent": all(r <= args.tol for r in residuals)},
     )
     return _emit([report], args.out)
 

@@ -68,6 +68,13 @@ def random_algebra(rng: Rng, cfg: GenConfig) -> FdCStarAlgebra:
     return algebra(tuple(rng.randint(1, cfg.max_block_dim) for _ in range(K)))
 
 
+def random_algebra_pair(rng: Rng, cfg: GenConfig) -> tuple:
+    """A random left algebra, then a right algebra with as many blocks of
+    random dimensions: the two algebras of a random bimodule."""
+    left = random_algebra(rng, cfg)
+    return left, algebra(tuple(rng.randint(1, cfg.max_block_dim) for _ in left.block_dims))
+
+
 def random_cover(rng: Rng, alg: FdCStarAlgebra, cfg: GenConfig) -> ClosedCover:
     """Random subsets, then patch uncovered labels into random sets."""
     K = alg.num_blocks
@@ -126,51 +133,41 @@ def random_gluing_datum(
     profile = module(alg, mult)
     modules = tuple(restrict_module(profile, F) for F in cov.sets)
 
-    entries = []
     if cfg.twist_mode == "coherent":
-        V = {}
-        for i in range(cov.num_sets):
-            for k in sorted(cov.sets[i]):
-                V[(i, k)] = rng.unitary(mult[k])
-        for i in range(cov.num_sets):
-            for j in range(cov.num_sets):
-                if i == j:
-                    continue
-                for k in sorted(cov.overlap(i, j)):
-                    if i < j:
-                        entries.append((i, j, k, V[(i, k)] @ V[(j, k)].conj().T))
-    elif cfg.twist_mode == "random_unitary":
-        for i in range(cov.num_sets):
-            for j in range(i + 1, cov.num_sets):
-                for k in sorted(cov.overlap(i, j)):
-                    entries.append((i, j, k, rng.unitary(mult[k])))
-    else:  # prescribed_phases
-        block = _lowest_common_block(cov, cfg)
-        for i in range(cov.num_sets):
-            for j in range(i + 1, cov.num_sets):
-                for k in sorted(cov.overlap(i, j)):
-                    U = np.eye(mult[k], dtype=np.complex128)
-                    if k == block:
-                        for (pi, pj, re, im) in cfg.phases:
-                            if (pi, pj) == (i, j):
-                                U = complex(re, im) * U
-                            elif (pi, pj) == (j, i):
-                                U = np.conj(complex(re, im)) * U
-                    entries.append((i, j, k, U))
+        V = {(i, k): rng.unitary(mult[k]) for i in range(cov.num_sets) for k in sorted(cov.sets[i])}
+    phase = prescribed_phases(cov, cfg)
+    entries = []
+    for i in range(cov.num_sets):
+        for j in range(i + 1, cov.num_sets):
+            for k in sorted(cov.overlap(i, j)):
+                if cfg.twist_mode == "coherent":
+                    U = V[(i, k)] @ V[(j, k)].conj().T
+                elif cfg.twist_mode == "random_unitary":
+                    U = rng.unitary(mult[k])
+                else:
+                    U = phase.get((i, j, k), 1.0) * np.eye(mult[k], dtype=np.complex128)
+                entries.append((i, j, k, U))
     return make_gluing_datum(alg, cov, modules, entries)
 
 
-def _lowest_common_block(cov: ClosedCover, cfg: GenConfig):
-    """The designated block for prescribed phases: lowest label shared by all
-    pairs mentioned in the phase list (falls back to label 0)."""
-    mentioned = {i for (i, j, _, _) in cfg.phases} | {j for (i, j, _, _) in cfg.phases}
-    if mentioned:
-        shared = None
-        for i in mentioned:
-            shared = cov.sets[i] if shared is None else shared & cov.sets[i]
-        if shared:
-            return min(shared)
-    return 0
+def prescribed_phases(cov: ClosedCover, cfg: GenConfig) -> dict:
+    """(i, j, label) -> the unit scalar that prescribed-phases mode puts on
+    the transition from set j to set i, empty in the other modes.  A phase
+    (i, j, re, im) gives re + i im at (i, j) and its conjugate at (j, i),
+    on the lowest label that every set the phases mention shares (label 0
+    if they share none)."""
+    if cfg.twist_mode != "prescribed_phases":
+        return {}
+    mentioned = [n for (i, j, _, _) in cfg.phases for n in (i, j)]
+    if max(mentioned, default=0) >= cov.num_sets:
+        raise InvalidInputError(f"phases name set {max(mentioned)}, but the cover has "
+                                f"{cov.num_sets} sets")
+    shared = frozenset.intersection(*(cov.sets[n] for n in mentioned)) if mentioned else ()
+    block = min(shared, default=0)
+    out = {}
+    for (i, j, re, im) in cfg.phases:
+        out[(i, j, block)], out[(j, i, block)] = complex(re, im), np.conj(complex(re, im))
+    return out
 
 
 def twist_by_coboundary(rng: Rng, datum: GluingDatum) -> GluingDatum:
@@ -225,17 +222,14 @@ def random_gluing_instance(cfg: GenConfig) -> GluingInstance:
 
 
 def random_bimodule_instance(cfg: GenConfig):
-    """Deferred to avoid a circular import; see morita.random_bimodule_datum."""
+    """Deferred to avoid a circular import, as morita imports gen; see
+    morita.random_bimodule_datum."""
     from . import morita
 
     rng = Rng(cfg.seed)
-    left = random_algebra(rng, cfg)
-    right = algebra(
-        tuple(rng.randint(1, cfg.max_block_dim) for _ in left.block_dims)
-    )
+    left, right = random_algebra_pair(rng, cfg)
     cov = _instance_cover(rng, left, cfg)
-    datum = morita.random_bimodule_datum(rng, left, right, cov, cfg)
-    return datum
+    return morita.random_bimodule_datum(rng, left, right, cov, cfg)
 
 
 def random_instance(cfg: GenConfig):

@@ -31,6 +31,7 @@ from .cstar import (
     restrict_algebra,
 )
 from .errors import InvalidInputError, ModelViolationError
+from .gen import prescribed_phases
 from .glue import (
     GluingDatum,
     GluedModule,
@@ -311,9 +312,10 @@ class BimoduleGluingDatum:
 
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
                         cover: ClosedCover, bimodules, nu_entries) -> BimoduleGluingDatum:
-    """Normalizing constructor: checks the bimodules, then builds the right
-    gluing datum of their right modules with glue.make_gluing_datum, which
-    checks the transitions (i, j, label, matrix)."""
+    """Normalizing constructor: checks the bimodules' left algebras, then
+    builds the right gluing datum of their right modules with
+    glue.make_gluing_datum, which checks the right algebras and the
+    transitions (i, j, label, matrix)."""
     bimodules = tuple(bimodules)
     if left.labels != right.labels:
         raise InvalidInputError("algebras must share labels")
@@ -324,8 +326,6 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     for i, Mi in enumerate(bimodules):
         if not is_restriction(Mi.left_algebra, left, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong left algebra")
-        if not is_restriction(Mi.right_algebra, right, cover.sets[i]):
-            raise InvalidInputError(f"bimodule {i} has wrong right algebra")
     modules = tuple(Mi.right_module() for Mi in bimodules)
     return BimoduleGluingDatum(left, make_gluing_datum(right, cover, modules, nu_entries),
                                bimodules)
@@ -491,43 +491,35 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
 # Obstruction scalars
 
 
-def _composite_scalars(D: BimoduleGluingDatum) -> dict:
-    """_scalar_of of every composite nu_ij nu_jl nu_il* at label k, keyed
-    (i, j, l, k).  The triples of label k are all triples of its member sets,
-    so each label's composites come from one stacked tensor, and their
-    residuals from one op_norms call."""
-    out = {}
+def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> dict:
+    """Unit scalars measuring the failure of the cocycle law: label k ->
+    an (s, s, s) array F over the s sets of cover.members(k), F[a, b, c]
+    the scalar of nu_ij nu_jl nu_il* for (i, j, l) the members at positions
+    (a, b, c).
+
+    The composite is a bimodule automorphism of one block, hence a scalar.
+    Each label's composites come from one stacked tensor, their scalars from
+    the trace-normalized diagonals and their residuals from one op_norms
+    call; the first (i, j, l, label) in lexicographic order whose residual
+    exceeds tol raises ModelViolationError.
+    """
+    out, refused = {}, []
     for k in D.left_algebra.labels:
         members, Z = D.cover.members(k), D.nu[k]
-        a, b, c = np.indices((len(members),) * 3).reshape(3, -1)
-        C = Z[a, b] @ Z[b, c] @ Z[a, c].conj().swapaxes(-1, -2)
-        for t, fr in enumerate(zip(*_scalars_of(C))):
-            out[(members[a[t]], members[b[t]], members[c[t]], k)] = fr
-    return out
-
-
-def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> dict:
-    """Unit scalars f[(i,j,l)][k] measuring the failure of the cocycle law.
-
-    The composite nu_ij nu_jl nu_il* is a bimodule automorphism of one block,
-    hence a scalar; the scalar is extracted as the trace-normalized diagonal
-    with an explicit non-scalarity failure mode, raised for the first
-    (triple, label) in lexicographic order.
-    """
-    scalars = _composite_scalars(D)
-    out: dict = {}
-    for (i, j, l) in D.cover.triples():
-        per_block = {}
-        for k in sorted(D.cover.overlap(i, j, l)):
-            f, r = scalars[(i, j, l, k)]
-            if r > tol:
-                raise ModelViolationError(
-                    f"transition composite at ({i},{j},{l}) block {k} is not scalar "
-                    f"(residual {r:.3e}); a transition is not a bimodule map",
-                    residual=r,
-                )
-            per_block[k] = f
-        out[(i, j, l)] = per_block
+        shape = (len(members),) * 3
+        a, b, c = np.indices(shape).reshape(3, -1)
+        f, r = _scalars_of(Z[a, b] @ Z[b, c] @ Z[a, c].conj().swapaxes(-1, -2))
+        out[k] = np.array(f, dtype=np.complex128).reshape(shape)
+        t = next((t for t, rt in enumerate(r) if rt > tol), None)
+        if t is not None:
+            refused.append((members[a[t]], members[b[t]], members[c[t]], k, r[t]))
+    if refused:
+        i, j, l, k, r = min(refused)
+        raise ModelViolationError(
+            f"transition composite at ({i},{j},{l}) block {k} is not scalar "
+            f"(residual {r:.3e}); a transition is not a bimodule map",
+            residual=r,
+        )
     return out
 
 
@@ -714,7 +706,8 @@ def random_bimodule(rng: Rng, left: FdCStarAlgebra, right: FdCStarAlgebra) -> Eq
 def random_bimodule_datum(rng: Rng, left: FdCStarAlgebra, right: FdCStarAlgebra,
                           cov: ClosedCover, cfg) -> BimoduleGluingDatum:
     """Per-set random twists; transitions are canonical comparisons times
-    scalars chosen by the twist mode."""
+    scalars chosen by the twist mode; prescribed phases are those of
+    gen.prescribed_phases, as in gen.random_gluing_datum."""
     bims = tuple(
         random_bimodule(
             rng,
@@ -723,22 +716,15 @@ def random_bimodule_datum(rng: Rng, left: FdCStarAlgebra, right: FdCStarAlgebra,
         )
         for i in range(cov.num_sets)
     )
+    phase = prescribed_phases(cov, cfg)
     entries = []
     for i in range(cov.num_sets):
         for j in range(i + 1, cov.num_sets):
             for k in sorted(cov.overlap(i, j)):
                 canon = bims[i].twist_at(k) @ bims[j].twist_at(k).conj().T
-                if cfg.twist_mode == "coherent":
-                    s = 1.0 + 0j
-                elif cfg.twist_mode == "random_unitary":
+                if cfg.twist_mode == "random_unitary":
                     s = rng.unit_scalar()
                 else:
-                    s = 1.0 + 0j
-                    block = 0
-                    for (pi, pj, re, im) in cfg.phases:
-                        if (pi, pj) == (i, j) and k == block:
-                            s = complex(re, im)
-                        elif (pi, pj) == (j, i) and k == block:
-                            s = np.conj(complex(re, im))
+                    s = phase.get((i, j, k), 1.0 + 0j)
                 entries.append((i, j, k, s * canon))
     return make_bimodule_datum(left, right, cov, bims, entries)

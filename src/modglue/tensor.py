@@ -92,19 +92,15 @@ def family_coords(parts) -> np.ndarray:
 # tuples of the member sets of k (one set for a family, pairs and triples for
 # the tensor models), in lexicographic order; every slot has m_k rows, the
 # label's multiplicity.  A map is applied to many vectors at once by stacking
-# their slots of label k as the rows of a (trials, rows, n_k) array.
+# their slots of label k as the rows of a (trials, rows, n_k) array, which
+# with s members reshapes to (trials, s, ..., s, m_k, n_k), one axis per key
+# position.
 #
 # T_k is assembled by numlin.place_blocks from index arithmetic on the slot
 # keys: with s members, a key of arity p is the base-s number of its member
 # positions, and each leg of a map places one block in every row slot at
 # once.  The per-slot term lists it replaces, tests/oracles.py's
 # block_matrix, are the reference.
-
-
-def slot_sizes(datum, k, arity: int) -> dict:
-    """Row count of each slot of label k with keys of the given arity."""
-    members = datum.cover.members(k)
-    return dict.fromkeys(itertools.product(members, repeat=arity), datum.label_mult(k))
 
 
 def _unit_plus_delta(datum, k, level: int, unit: float, delta: float) -> np.ndarray:
@@ -172,12 +168,6 @@ def family_stack(families, datum, k) -> np.ndarray:
     for t, z in enumerate(families):
         out[t] = np.concatenate([z[i].block(k) for i in members])
     return out
-
-
-def split_slots(stack, sizes: dict) -> list:
-    """The row blocks of a (..., rows, n) slot stack, one per slot."""
-    ends = np.cumsum(list(sizes.values()), dtype=int)
-    return [stack[..., e - m:e, :] for e, m in zip(ends, sizes.values())]
 
 
 def image_eta_matrices(X: HilbertModule, cover: ClosedCover, k):

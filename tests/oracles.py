@@ -314,6 +314,25 @@ def block_matrix(row_slots, col_slots, terms):
     return M
 
 
+def slot_sizes(datum, k, arity: int) -> dict:
+    """Row count of each slot of label k with keys of the given arity."""
+    members = datum.cover.members(k)
+    return dict.fromkeys(itertools.product(members, repeat=arity), datum.label_mult(k))
+
+
+def split_slots(stack, sizes: dict) -> list:
+    """The row blocks of a (..., rows, n) slot stack, one per slot."""
+    ends = np.cumsum(list(sizes.values()), dtype=int)
+    return [stack[..., e - m:e, :] for e, m in zip(ends, sizes.values())]
+
+
+def slot_right_act(stack, sizes: dict, b, k) -> np.ndarray:
+    """Right action of b in B on the slots of label k, one slot at a time:
+    slot (..., j) is acted on by b's block (j, k)."""
+    slots = split_slots(stack, sizes)
+    return np.concatenate([x @ b.block((key[-1], k)) for key, x in zip(sizes, slots)], axis=-2)
+
+
 def blockwise_unit_plus_delta(D, k, level, unit, delta):
     """T_k of unit * (eta (x) id^level) + delta * (delta (x) id^level)."""
     members = D.cover.members(k)
@@ -1043,6 +1062,17 @@ def looped_obstruction_2cocycle(D, tol):
             per_block[k] = (f, r)
         out[(i, j, l)] = per_block
     return out
+
+
+def looped_coboundary_residual(F) -> float:
+    """suite._coboundary_residual one quadruple of positions at a time:
+    max |f(j,l,m) f(i,l,m)* f(i,j,m) f(i,j,l)* - 1| over the (s, s, s)
+    obstruction array F of one label."""
+    worst = 0.0
+    for i, j, l, m in itertools.product(range(len(F)), repeat=4):
+        val = F[j, l, m] * np.conj(F[i, l, m]) * F[i, j, m] * np.conj(F[i, j, l])
+        worst = max(worst, abs(val - 1.0))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

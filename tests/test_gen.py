@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modglue import gen, morita, serial
+from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError
 from modglue.gen import GenConfig
-from modglue.glue import validate_gluing_datum
+from modglue.glue import glue, validate_gluing_datum
 from modglue.hmod import module
 from modglue.rng import Rng
 
@@ -113,7 +114,29 @@ class TestInstances:
                         phases=((0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, -1.0, 0.0)))
         D = gen.random_instance(cfg)
         f = morita.obstruction_2cocycle(D)
-        assert abs(f[(0, 1, 2)][0] - (-1.0)) < 1e-12
+        assert abs(f[0][0, 1, 2] - (-1.0)) < 1e-12
+
+    def test_both_generators_put_the_phases_on_one_block(self):
+        # sets 1 and 2 own block 1 alone, so the phases twist block 1
+        A = algebra((1, 1))
+        cov = cover(2, [{0, 1}, {1}, {1}])
+        cfg = GenConfig(seed=0, twist_mode="prescribed_phases",
+                        phases=((0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, -1.0, 0.0)))
+        D = gen.random_gluing_datum(Rng(0), A, cov, cfg, mult=(1, 1))
+        assert validate_gluing_datum(D).max_residuals["cocycle"] == 2.0
+        assert glue(D).module.mult == (1, 0)
+        Db = morita.random_bimodule_datum(Rng(0), A, A, cov, cfg)
+        assert abs(morita.obstruction_2cocycle(Db)[1][0, 1, 2] - (-1.0)) < 1e-12
+        assert morita.glue_bimodules(Db).dimension_deficit == {1: 1}
+
+    def test_phases_on_a_set_the_cover_lacks_are_refused(self):
+        A = algebra((1, 1))
+        cov = cover(2, [{0, 1}, {1}])
+        cfg = GenConfig(seed=0, twist_mode="prescribed_phases", phases=((0, 2, -1.0, 0.0),))
+        for make in (lambda: gen.random_gluing_datum(Rng(0), A, cov, cfg, mult=(1, 1)),
+                     lambda: morita.random_bimodule_datum(Rng(0), A, A, cov, cfg)):
+            with pytest.raises(InvalidInputError, match="^phases name set 2, but the cover has 2 sets$"):
+                make()
 
     def test_bounds_validated(self):
         with pytest.raises(InvalidInputError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modglue import gen, morita, numlin
+from modglue import gen, morita, numlin, suite
 from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError, ModelViolationError, RankAmbiguityError
 from modglue.gen import GenConfig
@@ -301,13 +301,13 @@ class TestObstruction:
         D = random_bimodule_datum(Rng(59), left, right, cov,
                                   GenConfig(seed=59, twist_mode="coherent"))
         f = obstruction_2cocycle(D)
-        for per in f.values():
-            for v in per.values():
+        for F in f.values():
+            for v in F.flat:
                 assert abs(v - 1.0) < 1e-12
 
     def test_prescribed_phases_give_minus_one(self):
         f = obstruction_2cocycle(phases_datum())
-        assert abs(f[(0, 1, 2)][0] - (-1.0)) < 1e-12
+        assert abs(f[0][0, 1, 2] - (-1.0)) < 1e-12
 
     def test_scalars_have_unit_modulus(self, algebras):
         left, right = algebras
@@ -315,8 +315,8 @@ class TestObstruction:
         D = random_bimodule_datum(Rng(60), left, right, cov,
                                   GenConfig(seed=60, twist_mode="random_unitary"))
         f = obstruction_2cocycle(D)
-        for per in f.values():
-            for v in per.values():
+        for F in f.values():
+            for v in F.flat:
                 assert abs(abs(v) - 1.0) < 1e-10
 
     def test_non_bimodule_transition_detected(self, algebras):
@@ -346,9 +346,9 @@ class TestObstruction:
             for j in range(4):
                 for l in range(4):
                     for m in range(4):
-                        for k in range(3):
-                            val = (f[(j, l, m)][k] * np.conj(f[(i, l, m)][k])
-                                   * f[(i, j, m)][k] * np.conj(f[(i, j, l)][k]))
+                        for F in f.values():  # every label's members are 0..3
+                            val = (F[j, l, m] * np.conj(F[i, l, m])
+                                   * F[i, j, m] * np.conj(F[i, j, l]))
                             assert abs(val - 1.0) < 1e-10
 
     def test_coboundary_invariance(self, algebras):
@@ -367,9 +367,9 @@ class TestObstruction:
                                     g[(i, k)] * D.nu_block(i, j, k) * np.conj(g[(j, k)])))
         D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
         f2 = obstruction_2cocycle(D2)
-        for key, per in f.items():
-            for k, v in per.items():
-                assert abs(v - f2[key][k]) < 1e-10
+        assert f.keys() == f2.keys()
+        for k, F in f.items():
+            assert np.abs(F - f2[k]).max() < 1e-10
 
 
 class TestPicard:
@@ -468,9 +468,9 @@ class TestPicard:
                                   GenConfig(seed=71, twist_mode="random_unitary"))
         f = obstruction_2cocycle(D)
         f2 = obstruction_2cocycle(datum_tensor(Mdat, D))
-        for key, per in f.items():
-            for k, v in per.items():
-                assert abs(v - f2[key][k]) < 1e-10
+        assert f.keys() == f2.keys()
+        for k, F in f.items():
+            assert np.abs(F - f2[k]).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +700,24 @@ def bits(x):
     return z.real.hex(), z.imag.hex()
 
 
-def obstruction_outcome(fn, D, tol):
+def obstruction_refusal(fn, D, tol):
+    """The message and residual bits of fn's refusal of D at tol, or None."""
     try:
-        return fn(D, tol)
+        fn(D, tol)
     except ModelViolationError as err:
         return str(err), bits(err.residual)
+    return None
+
+
+def obstruction_scalars(D, f):
+    """The per-label arrays of obstruction_2cocycle as the looped oracle's
+    {(i, j, l): {label: scalar}}, each scalar as its bits."""
+    out = {}
+    for k, F in f.items():
+        members = D.cover.members(k)
+        for (a, b, c), v in np.ndenumerate(F):
+            out.setdefault((members[a], members[b], members[c]), {})[k] = bits(v)
+    return out
 
 
 def phase_datum(seed, theta):
@@ -723,26 +736,50 @@ def phase_datum(seed, theta):
 @example(mode="non_bimodule", seed=1, theta=0.0)  # three sets, not scalar: refused
 def test_stacked_obstruction_scalars_equal_the_looped_oracle(mode, seed, theta):
     D = phase_datum(seed, theta) if mode == "phases" else bimodule_datum(mode, seed)
-    tol = morita.DEFAULT_TOL
-    # every composite's scalar and residual, bit for bit
-    want = {(i, j, l, k): fr
-            for (i, j, l), per in oracles.looped_obstruction_2cocycle(D, np.inf).items()
-            for k, fr in per.items()}
-    got = morita._composite_scalars(D)
-    assert set(got) == set(want)
-    assert all(bits(got[key][0]) == bits(f) and bits(got[key][1]) == bits(r)
-               for key, (f, r) in want.items())
-    # the same scalars, or the same error for the first failing composite
-    got = obstruction_outcome(obstruction_2cocycle, D, tol)
-    want = obstruction_outcome(oracles.looped_obstruction_2cocycle, D, tol)
-    if isinstance(want, dict):
-        want = {t: {k: f for k, (f, _) in per.items()} for t, per in want.items()}
-        assert {t: {k: bits(f) for k, f in per.items()} for t, per in got.items()} == \
-            {t: {k: bits(f) for k, f in per.items()} for t, per in want.items()}
-    else:
-        assert got == want
+    # every composite's scalar, bit for bit, at the oracle's (i, j, l) and label
+    want = oracles.looped_obstruction_2cocycle(D, np.inf)
+    assert obstruction_scalars(D, obstruction_2cocycle(D, np.inf)) == \
+        {t: {k: bits(f) for k, (f, _) in per.items()} for t, per in want.items()}
+    # the same error for the first failing composite, or none: at the default
+    # tol and just below the largest residual, which pins its bits and place
+    worst = max(r for per in want.values() for _, r in per.values())
+    for tol in (morita.DEFAULT_TOL, np.nextafter(worst, -np.inf)):
+        assert obstruction_refusal(obstruction_2cocycle, D, tol) == \
+            obstruction_refusal(oracles.looped_obstruction_2cocycle, D, tol)
     if (mode, seed) == ("non_bimodule", 1):
-        assert got[0].startswith("transition composite at (0,1,2) block 0 is not scalar")
+        message, _ = obstruction_refusal(obstruction_2cocycle, D, morita.DEFAULT_TOL)
+        assert message.startswith("transition composite at (0,1,2) block 0 is not scalar")
+
+
+@pytest.mark.parametrize("seed", range(1100, 1106))
+def test_coboundary_broadcast_matches_the_quadruple_loop(seed):
+    # criterion 11's instances: four full sets, random unitary scalars
+    rng = Rng(seed)
+    cfg = GenConfig(seed=seed, max_blocks=2, max_block_dim=2, twist_mode="random_unitary")
+    left, right = gen.random_algebra_pair(rng, cfg)
+    cov = cover(left.num_blocks, [frozenset(range(left.num_blocks))] * 4)
+    f = obstruction_2cocycle(random_bimodule_datum(rng, left, right, cov, cfg))
+    # and unit scalars that are no cocycle, whose residuals are of order 1
+    f["noise"] = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, 3, 3)))
+    for F in f.values():
+        assert abs(suite._coboundary_residual(F) - oracles.looped_coboundary_residual(F)) <= 1e-15
+
+
+def test_obstruction_refuses_the_lexicographically_first_composite():
+    # label 1 fails first at (0, 1, 2) and label 0 only from (1, 2, 3) on:
+    # taking the labels one after another would name (1, 2, 3) block 0
+    alg = algebra((2, 2))
+    cov = cover(2, [{1}, {0, 1}, {0, 1}, {0}])
+    rng = Rng(5)
+    M = random_bimodule_datum(rng, alg, alg, cov, GenConfig(seed=5))
+    entries = [(i, j, k, rng.unitary(2)) for (i, j) in cov.pairs(include_diagonal=False)
+               if i < j for k in sorted(cov.overlap(i, j))]
+    D = morita.make_bimodule_datum(alg, alg, cov, M.bimodules, entries)
+    residuals = oracles.looped_obstruction_2cocycle(D, np.inf)
+    assert residuals[(1, 2, 3)][0][1] > 1e-3 and residuals[(0, 1, 2)][1][1] > 1e-3
+    message, _ = refusal = obstruction_refusal(obstruction_2cocycle, D, morita.DEFAULT_TOL)
+    assert refusal == obstruction_refusal(oracles.looped_obstruction_2cocycle, D, morita.DEFAULT_TOL)
+    assert message.startswith("transition composite at (0,1,2) block 1 is not scalar")
 
 
 @pytest.mark.parametrize("side,left_dims,right_dims", [
@@ -758,7 +795,10 @@ def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_
     bad = EquivalenceBimodule(algebra(left_dims, labels), algebra(right_dims, labels),
                               tuple(np.eye(n) for n in left_dims))
     entries = list(D.right.entries())
-    with pytest.raises(InvalidInputError, match=f"^bimodule 1 has wrong {side} algebra$"):
+    # make_gluing_datum refuses the right modules, naming the set
+    message = {"left": "bimodule 1 has wrong left algebra",
+               "right": "module 1 is not over A restricted to cover set 1"}[side]
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
         morita.make_bimodule_datum(left, right, cov, (D.bimodules[0], bad), entries)
     assert morita.make_bimodule_datum(left, right, cov, D.bimodules, entries).bimodules == D.bimodules
 

@@ -30,7 +30,7 @@ from modglue.hmod import (
 )
 from modglue.numlin import DEFAULT_TOL
 from modglue.rng import Rng
-from modglue.suite import _delta_isometry_residuals, _slot_right_act, criterion_3_delta_isometry
+from modglue.suite import _delta_isometry_residuals, criterion_3_delta_isometry
 
 import oracles
 from test_glue import oracle_datum
@@ -143,7 +143,7 @@ def slot_norms_per_trial(D, stacks, arity):
     """Per trial, the largest operator norm over the slot blocks of every
     label: the Hilbert-module norm of the family, pair or triple vector
     whose label-k slots are stacks[k][t]."""
-    slots = {k: tensor.split_slots(stacks[k], tensor.slot_sizes(D, k, arity))
+    slots = {k: oracles.split_slots(stacks[k], oracles.slot_sizes(D, k, arity))
              for k in D.algebra.labels}
     trials = len(next(iter(stacks.values())))
     return numlin.op_norm_maxima(
@@ -164,9 +164,9 @@ class TestDeltaMap:
         z = tuple(gen.random_vector(Rng(6), m) for m in D.modules)
         for k, Z in stacked_families(D, [z]).items():
             assert not (tensor.eta_minus_delta_matrix(D, k) @ Z).any()
-            fam = dict(zip(tensor.slot_sizes(D, k, 1), tensor.split_slots(Z, tensor.slot_sizes(D, k, 1))))
-            pair = tensor.split_slots(tensor.delta_map(D, k) @ Z, tensor.slot_sizes(D, k, 2))
-            for (i, _), t in zip(tensor.slot_sizes(D, k, 2), pair):
+            fam = dict(zip(oracles.slot_sizes(D, k, 1), oracles.split_slots(Z, oracles.slot_sizes(D, k, 1))))
+            pair = oracles.split_slots(tensor.delta_map(D, k) @ Z, oracles.slot_sizes(D, k, 2))
+            for (i, _), t in zip(oracles.slot_sizes(D, k, 2), pair):
                 assert np.array_equal(t, fam[(i,)])
 
     def test_isometric_for_unitary_transitions(self, coherent_datum):
@@ -193,10 +193,10 @@ class TestDeltaMap:
         b = gen.random_element(rng, B.flat)
         diff = {}
         for k, Z in stacked_families(D, [z]).items():
-            fam, pair = tensor.slot_sizes(D, k, 1), tensor.slot_sizes(D, k, 2)
+            fam, pair = oracles.slot_sizes(D, k, 1), oracles.slot_sizes(D, k, 2)
             delta = tensor.delta_map(D, k)
-            diff[k] = (delta @ _slot_right_act(Z, fam, b, k)
-                       - _slot_right_act(delta @ Z, pair, b, k))
+            diff[k] = (delta @ oracles.slot_right_act(Z, fam, b, k)
+                       - oracles.slot_right_act(delta @ Z, pair, b, k))
         assert max(slot_norms_per_trial(D, diff, 2)) <= 1e-12
 
 
@@ -653,7 +653,7 @@ def test_operations_return_well_formed_records(mode, seed):
     # and label by label: complex128 matrices T_k over the slots of label k,
     # and slot stacks of (trials, rows, n_k)
     for k, n in zip(D.algebra.labels, D.algebra.block_dims):
-        rows = {a: sum(tensor.slot_sizes(D, k, a).values()) for a in (1, 2, 3)}
+        rows = {a: sum(oracles.slot_sizes(D, k, a).values()) for a in (1, 2, 3)}
         maps = {
             (2, 1): [tensor.delta_map(D, k), tensor.eta_minus_delta_matrix(D, k)],
             (1, 2): [tensor.epsilon_map(D, k)],
@@ -665,8 +665,8 @@ def test_operations_return_well_formed_records(mode, seed):
                 assert T.dtype == np.complex128 and T.shape == (rows[r], rows[c])
         Z = tensor.family_stack([z, z], D, k)
         assert Z.dtype == np.complex128 and Z.shape == (2, rows[1], n)
-        slots = tensor.split_slots(Z, tensor.slot_sizes(D, k, 1))
-        assert [x.shape for x in slots] == [(2, m, n) for m in tensor.slot_sizes(D, k, 1).values()]
+        slots = oracles.split_slots(Z, oracles.slot_sizes(D, k, 1))
+        assert [x.shape for x in slots] == [(2, m, n) for m in oracles.slot_sizes(D, k, 1).values()]
 
 
 def descent_datum(mode, seed):
