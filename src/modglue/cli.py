@@ -225,8 +225,7 @@ def cmd_descent(args) -> int:
         fingerprint = f"seed={args.seed};mode={args.mode}"
     rep = descent_identities_check(D, tol=args.tol, trials=args.trials, seed=args.seed)
     report = Report(
-        "descent_identities", rep.passed,
-        max(rep.counit, rep.coassoc_glued, rep.kernel_gap, rep.tensor_gap),
+        "descent_identities", rep.passed, max(r for r, _ in rep.judged),
         args.tol, fingerprint, time.time() - t0,
         {
             "counit": rep.counit,
@@ -236,6 +235,7 @@ def cmd_descent(args) -> int:
             "kernel_gap": rep.kernel_gap,
             "tensor_dims": list(rep.tensor_dims),
             "tensor_gap": rep.tensor_gap,
+            "tolerances": rep.tolerances,
         },
     )
     return _emit([report], args.out)

@@ -17,7 +17,6 @@ transition_cochain reads once per datum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,17 +334,15 @@ def transition_cochain(D: BimoduleGluingDatum) -> dict:
     """(i, j, label) -> (c, r) for every transition nu_ij of D, i != j: the
     trace-normalized scalar c of v_i* nu_ij v_j, v the member twists, and its
     residual r = ||v_i* nu_ij v_j - c I||, which vanishes iff nu_ij is the
-    bimodule map c v_i v_j*.  One _scalars_of call per label."""
+    bimodule map c v_i v_j*.  One product and one _scalars_of call per label."""
     out = {}
     for k in D.left_algebra.labels:
         members, Z = D.cover.members(k), D.nu[k]
-        pairs = list(itertools.permutations(range(len(members)), 2))
-        if not pairs:
-            continue
-        v = [D.twist_at(i, k) for i in members]
-        C = np.stack([v[a].conj().T @ Z[a, b] @ v[b] for (a, b) in pairs])
+        pa, pb = np.nonzero(~np.eye(len(members), dtype=bool))  # ordered pairs a != b
+        V = np.stack([D.twist_at(i, k) for i in members])
+        C = V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb]
         out.update(((members[a], members[b], k), cr)
-                   for (a, b), cr in zip(pairs, zip(*_scalars_of(C))))
+                   for a, b, cr in zip(pa, pb, zip(*_scalars_of(C))))
     return out
 
 
@@ -471,12 +468,11 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
     |sum_i |c_i|^2 - 1| over the trace-normalized scalars c_i of V* K_i,
     all of them from one _scalars_of call.
     """
-    E = gd.stacked_basis[k]
-    m = E.shape[1]
+    R = gd.rows(k)
+    m = R.shape[2]
     if m == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-    K = np.stack([E[ofs:ofs + m_i].conj().T @ D.twist_at(i, k)
-                  for (i, ofs, m_i) in gd.layout[k]])
+    K = R.conj().swapaxes(-1, -2) @ np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
     norms = [np.linalg.norm(Ki) for Ki in K]
     r = int(np.argmax(norms))
     c_r = norms[r] / np.sqrt(m)

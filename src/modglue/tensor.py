@@ -197,10 +197,10 @@ def glued_tensor_subspace_basis(glued, k) -> np.ndarray:
     factor the columns for one l are E_k's, orthonormal, and columns for
     different l have disjoint supports: they are the basis as they stand.
     """
-    E = glued.stacked_basis[k]
-    s, m, g = glued.member_count(k), glued.datum.label_mult(k), E.shape[1]
+    R = glued.rows(k)
+    s = len(R)
     t = np.arange(s * s)
-    return place_blocks(s * s, s, (m, g), [(t % s, E.reshape(s, m, g)[t // s])])
+    return place_blocks(s * s, s, R.shape[1:], [(t % s, R[t // s])])
 
 
 # ---------------------------------------------------------------------------

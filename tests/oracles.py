@@ -35,6 +35,11 @@ here through make_gluing_datum from one identity entry per pair.  The balanced-t
 quotient, which the library forms slot by slot from factors given as matrix
 pieces, expands every relation to the plain tensor here, from action
 closures, and takes the relation span and its complement from two SVDs.
+The embedding, its adjoint, G on morphisms and Phi, which the library reads
+from each label's (s, m_k, g_k) view of E_k and its member stacks, cut and
+place each member's rows at the offsets of glued_layout here, with dense
+zero-filled maps, and the intertwining residual of a family, which the
+library takes per label from one product, is taken one transition at a time.
 """
 
 import itertools
@@ -252,6 +257,70 @@ def flat_image_eta(X, cover):
     return M_unit, M_eta_id, M_id_etaB
 
 
+def glued_layout(gd, k):
+    """(i, a * m_k, m_k) for the member i = cover.members(k)[a]: set i's rows
+    of E_k are rows a * m_k ... (a + 1) * m_k - 1 of the stacked basis."""
+    m = gd.datum.label_mult(k)
+    return tuple((i, a * m, m) for a, i in enumerate(gd.datum.cover.members(k)))
+
+
+def layout_embed(gd, g):
+    """GluedModule.embed, each member's rows cut from E_k g at its offset."""
+    arrays = [[None] * m.algebra.num_blocks for m in gd.datum.modules]
+    for pos, k in enumerate(gd.module.algebra.labels):
+        layout = glued_layout(gd, k)
+        stacked = np.sqrt(len(layout)) * (gd.stacked_basis[k] @ g.blocks[pos])
+        for (i, ofs, m_i) in layout:
+            bpos = gd.datum.modules[i].algebra.position(k)
+            arrays[i][bpos] = stacked[ofs:ofs + m_i]
+    return tuple(ModuleVector(m, tuple(arr)) for m, arr in zip(gd.datum.modules, arrays))
+
+
+def layout_project(gd, parts):
+    """GluedModule.project, the parts stacked in the order of glued_layout."""
+    g = gd.module.zero_vector()
+    for pos, k in enumerate(gd.module.algebra.labels):
+        layout = glued_layout(gd, k)
+        stacked = np.concatenate([parts[i].block(k) for (i, _, _) in layout])
+        g.blocks[pos][:, :] = (gd.stacked_basis[k].conj().T @ stacked) / np.sqrt(len(layout))
+    return g
+
+
+def dense_glue_morphism(m):
+    """The blocks of glue.glue_morphism(m), each Et* D Es with D the dense
+    block-diagonal map that places alpha_i at the offsets of both layouts."""
+    gs, gt = glue(m.source), glue(m.target)
+    blocks = []
+    for k in m.source.algebra.labels:
+        Es, Et = gs.stacked_basis[k], gt.stacked_basis[k]
+        Dalpha = np.zeros((Et.shape[0], Es.shape[0]), dtype=np.complex128)
+        for (i, ofs_s, m_s), (_, ofs_t, m_t) in zip(glued_layout(gs, k), glued_layout(gt, k)):
+            Dalpha[ofs_t:ofs_t + m_t, ofs_s:ofs_s + m_s] = m.maps[i].block(k)
+        blocks.append(Et.conj().T @ Dalpha @ Es)
+    return blocks
+
+
+def stacked_identity_phi_map(gd, X):
+    """The blocks of glue.phi_map(gd, X), each E* S / sqrt(s) with S the s
+    identities stacked."""
+    blocks = []
+    for pos, k in enumerate(X.algebra.labels):
+        c = len(glued_layout(gd, k))
+        S = np.vstack([np.eye(X.mult[pos], dtype=np.complex128)] * c)
+        blocks.append((gd.stacked_basis[k].conj().T @ S) / np.sqrt(c))
+    return blocks
+
+
+def per_entry_morphism_residual(m):
+    """glue.morphism_residual, one transition (i, j, k) at a time."""
+    worst = 0.0
+    for (i, j, k, Z) in m.source.entries():
+        lhs = m.maps[i].block(k) @ Z
+        rhs = m.target.zeta_block(i, j, k) @ m.maps[j].block(k)
+        worst = max(worst, numlin.op_norm(lhs - rhs))
+    return worst
+
+
 def flat_glued_subspace_basis(gd):
     """Orthonormal basis of the embedded glued module in flat family
     coordinates: column c of block n-index t of E_k, spread over the sets."""
@@ -263,7 +332,7 @@ def flat_glued_subspace_basis(gd):
         for col in range(E.shape[1]):
             for t in range(n):
                 v = np.zeros(fam.dim, dtype=np.complex128)
-                for (i, ofs, m_i) in gd.layout[k]:
+                for (i, ofs, m_i) in glued_layout(gd, k):
                     for r in range(m_i):
                         v[fam.offsets[(i, k)] + r * n + t] = E[ofs + r, col]
                 cols.append(v)
@@ -281,9 +350,9 @@ def flat_glued_tensor_subspace_basis(gd):
     M = np.zeros((pair.dim, dom.dim), dtype=np.complex128)
     for (i, l) in model.entries:
         for k in sorted(D.cover.overlap(i, l)):
-            E = gd.stacked_basis[k]
-            ofs = {ii: o for (ii, o, _) in gd.layout[k]}[i]
-            W_i = np.sqrt(gd.member_count(k)) * E[ofs:ofs + D.mult_at(i, k), :]
+            E, layout = gd.stacked_basis[k], glued_layout(gd, k)
+            ofs = {ii: o for (ii, o, _) in layout}[i]
+            W_i = np.sqrt(len(layout)) * E[ofs:ofs + D.mult_at(i, k), :]
             pair.place(M, ((i, l), k), dom, (l, k), W_i)
     if 0 in M.shape:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
@@ -372,7 +441,7 @@ def blockwise_glued_tensor_subspace_basis(gd, k):
     members = D.cover.members(k)
     size = {i: D.mult_at(i, k) for i in members}
     E = gd.stacked_basis[k]
-    ofs = {i: o for (i, o, _) in gd.layout[k]}
+    ofs = {i: o for (i, o, _) in glued_layout(gd, k)}
     pair = _slots(members, size, 2)
     dom = _slots(members, dict.fromkeys(members, E.shape[1]), 1)
     return block_matrix(
@@ -511,7 +580,7 @@ def probed_glued_twists(D, gd):
 
         def rho(a, E=E, k=k):
             diag = np.zeros((E.shape[0], E.shape[0]), dtype=np.complex128)
-            for (i, ofs, m_i) in gd.layout[k]:
+            for (i, ofs, m_i) in glued_layout(gd, k):
                 v = D.twist_at(i, k)
                 diag[ofs:ofs + m_i, ofs:ofs + m_i] = v @ a @ v.conj().T
             return E.conj().T @ diag @ E

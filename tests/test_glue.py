@@ -21,12 +21,14 @@ from modglue.glue import (
     make_gluing_datum,
     morphism_residual,
     phi_iso,
+    phi_map,
     pull_apart,
     pull_apart_map,
     validate_gluing_datum,
 )
 from modglue.cstar import restrict_element
 from modglue.hmod import (
+    AdjointableMap,
     adjoint_of,
     apply_map,
     compose,
@@ -40,11 +42,16 @@ from modglue.rng import Rng
 
 from oracles import (
     constraint_matrix,
+    dense_glue_morphism,
     entrywise_pull_apart,
     flat_glued_subspace_basis,
     kron_kernel_dim,
+    layout_embed,
+    layout_project,
     pairwise_gluing_validation,
+    per_entry_morphism_residual,
     per_index_cocycle_residual,
+    stacked_identity_phi_map,
     two_svd_multiplicities,
 )
 
@@ -205,6 +212,21 @@ class TestGlue:
         gd = glue(D)
         g = gen.random_vector(Rng(5), gd.module)
         assert vec_norm(gd.project(gd.embed(g)) - g) < 1e-12
+
+    def test_embed_and_project_refuse_foreign_input(self):
+        # over C^{3x3} + C the glued multiplicities are the same, but neither
+        # its glued vectors nor their parts live where gd's do
+        cov = cover(2, [{0, 1}, {0}])
+        gd = glue(pull_apart(module(algebra((2, 1)), (1, 2)), cov))
+        other = glue(pull_apart(module(algebra((3, 1)), (1, 2)), cov))
+        assert other.module.mult == gd.module.mult
+        foreign = gen.random_vector(Rng(3), other.module)
+        with pytest.raises(InvalidInputError, match="does not live in the glued module"):
+            gd.embed(foreign)
+        parts = gd.embed(gen.random_vector(Rng(4), gd.module))
+        for bad in (other.embed(foreign), parts[:1], parts + parts[:1], parts[::-1]):
+            with pytest.raises(InvalidInputError, match="one vector per cover set"):
+                gd.project(bad)
 
 
 class TestGlueMorphism:
@@ -651,6 +673,61 @@ def test_pull_apart_stacks_match_the_entrywise_path(seed, empty_set):
     assert (got.algebra, got.cover, got.modules) == (want.algebra, want.cover, want.modules)
     assert got.zeta.keys() == want.zeta.keys()
     assert all(same_bits(got.zeta[k], Z) for k, Z in want.zeta.items())
+
+
+def doubled_datum(D):
+    """D (+) D: each module at twice its multiplicities, each transition
+    diag(Z_ij, Z_ij)."""
+    mods = tuple(module(Z.algebra, tuple(2 * m for m in Z.mult)) for Z in D.modules)
+    entries = [(i, j, k, np.kron(np.eye(2), Z)) for (i, j, k, Z) in D.entries()]
+    return make_gluing_datum(D.algebra, D.cover, mods, entries)
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(FORMAT_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="zero_mult", seed=0)
+@example(mode="empty_set", seed=0)
+def test_member_stacks_match_the_layout_oracles(mode, seed):
+    # morphism_residual, embed and project keep the arithmetic of their
+    # oracles bit for bit; glue_morphism and phi_map sum the members in
+    # another order.  The family [c_k I; d_k I] : D -> D (+) D is a morphism
+    # of non-square maps between data of different multiplicities, and so is
+    # its adjoint; a Gaussian family is none.
+    D = format_datum(mode, seed)
+    D2 = doubled_datum(D)
+    rng = Rng(seed)
+    cd = {k: np.kron(rng.gauss_matrix(2, 1), np.eye(D.label_mult(k))) for k in D.algebra.labels}
+    inclusion = GlueMorphism(D, D2, tuple(
+        AdjointableMap(Z, W, tuple(cd[k] for k in Z.algebra.labels))
+        for Z, W in zip(D.modules, D2.modules)))
+    gaussian = GlueMorphism(D, D2, tuple(
+        gen.random_map(rng, Z, W) for Z, W in zip(D.modules, D2.modules)))
+    for fam in (inclusion, inclusion.adjoint(), gaussian, gaussian.adjoint()):
+        assert bits(morphism_residual(fam)) == bits(per_entry_morphism_residual(fam))
+    try:
+        gd = glue(D)
+    except RankAmbiguityError:
+        return
+    g = gen.random_vector(rng, gd.module)
+    families = (gd.embed(g), tuple(gen.random_vector(rng, Z) for Z in D.modules))
+    for got, want in zip(families[0], layout_embed(gd, g)):
+        assert all(same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
+    for parts in families:
+        got, want = gd.project(parts), layout_project(gd, parts)
+        assert all(same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
+
+    X = module(D.algebra, [D.label_mult(k) for k in D.algebra.labels])
+    pairs = [(glue_morphism(fam).blocks, dense_glue_morphism(fam))
+             for fam in (inclusion, inclusion.adjoint())]
+    pairs.append((phi_map(gd, X).blocks, stacked_identity_phi_map(gd, X)))
+    for got, want in pairs:
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert numlin.op_norm(a - b) <= 1e-14 * max(1.0, numlin.op_norm(b))
 
 
 def test_missing_transition_names_the_first_pair_in_lexicographic_order():

@@ -430,8 +430,8 @@ class TestGluedTensorImage:
                 blocks = []
                 for k in space.algebra.labels:
                     E = gd.stacked_basis[k]
-                    c = gd.member_count(k)
-                    ofs = {ii: o for (ii, o, _) in gd.layout[k]}[i]
+                    c = len(oracles.glued_layout(gd, k))
+                    ofs = {ii: o for (ii, o, _) in oracles.glued_layout(gd, k)}[i]
                     m_i = D.mult_at(i, k)
                     W_i = np.sqrt(c) * E[ofs:ofs + m_i, :]
                     blocks.append(W_i @ gs[l].block(k))

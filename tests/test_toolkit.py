@@ -196,6 +196,27 @@ class TestCli:
     def test_descent_command(self):
         assert main(["descent", "--seed", "3", "--mode", "random_unitary"]) == 0
 
+    def test_descent_fail_line_carries_the_judged_coassociativity(self, tmp_path):
+        # transition (0, 1) at block 3 turned by e^{i 9e-7}: the cocycle
+        # residual 9e-7 is within --tol 1e-6, so the datum counts as coherent
+        # and coassoc, not coassoc_glued, is judged against 1e-12
+        inst, out = tmp_path / "near.json", tmp_path / "rep.jsonl"
+        assert main(["gen", "--seed", "2", "--mode", "coherent", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        phase = np.exp(1j * 9e-7)
+        (e,) = [e for e in obj["zeta"] if (e["i"], e["j"], e["k"]) == (0, 1, 3)]
+        e["matrix"] = [[[(phase * complex(*z)).real, (phase * complex(*z)).imag] for z in row]
+                       for row in e["matrix"]]
+        inst.write_text(json.dumps(obj))
+        args = ["descent", str(inst), "--tol", "1e-6", "--out", str(out)]
+        assert main(args) == cli.EXIT_CHECK_FAILED
+        record = json.loads(out.read_text())
+        details = record["details"]
+        assert details["tolerances"] == {"counit": 1e-12, "coassoc": 1e-12, "kernel": 1e-6}
+        assert details["cocycle_residual"] <= 1e-6 < details["coassoc"]
+        assert not record["pass"]
+        assert record["max_residual"] == details["coassoc"]
+
     def test_obstruction_and_morita_glue(self, tmp_path):
         inst = tmp_path / "bd.json"
         assert main([
