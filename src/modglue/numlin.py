@@ -139,8 +139,9 @@ def op_norm_maxima(groups) -> list:
     return out
 
 
-def _rank_of(s: np.ndarray, tol: float) -> int:
-    """Number of descending singular values s above tol * s[0]."""
+def rank_of(s: np.ndarray, tol: float) -> int:
+    """Number of descending singular values s above tol * s[0]: the rank
+    decision that rank_margin reports on."""
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
 
 
@@ -148,7 +149,7 @@ def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: number of singular values above tol * sigma_max."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    return _rank_of(singular_values(M), tol)
+    return rank_of(singular_values(M), tol)
 
 
 def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool = False):
@@ -168,7 +169,7 @@ def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool 
         K, s = np.eye(cols, dtype=np.complex128), np.zeros(0)
     else:
         _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
-        K = vh[_rank_of(s, tol):].conj().T
+        K = vh[rank_of(s, tol):].conj().T
     return (K, s) if return_singular_values else K
 
 
@@ -184,7 +185,7 @@ def rank_margin(s: np.ndarray, cols: int, tol: float):
     """
     if not s.size or s[0] == 0.0:
         return None, (0.0 if cols else None)
-    r = _rank_of(s, tol)
+    r = rank_of(s, tol)
     rel = s / (tol * s[0])
     kept = float(rel[r - 1]) if r else None
     if r < s.size:
@@ -200,7 +201,7 @@ def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if 0 in M.shape:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    return u[:, :_rank_of(s, tol)]
+    return u[:, :rank_of(s, tol)]
 
 
 def is_unitary(M, tol: float) -> bool:

@@ -342,11 +342,17 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
                                   dim_cap: int = 200) -> Report:
     """Pair/triple models and the unit-map model agree with the balanced
     quotient on every generated instance whose plain tensor dimension fits
-    the cap."""
+    the cap.  details.rank_margin holds the worst margins of the checks'
+    model rank decisions: the smallest kept and the largest discarded
+    ratio, None where no check kept, resp. discarded, a singular value."""
     t0 = time.time()
-    worst = 0.0
     counts = {"psi": 0, "nu": 0, "pair": 0, "triple": 0}
-    dims_ok = True
+    reports = []
+
+    def record(kind, rep):
+        counts[kind] += 1
+        reports.append(rep)
+
     s = 0
     while sum(counts.values()) < 40 and s < 400:
         cfg = GenConfig(seed=base_seed + s, max_blocks=2, max_block_dim=2,
@@ -360,33 +366,27 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
 
         X = gen.random_module(Rng(cfg.seed ^ 0xF00), D.algebra, cfg)
         if X.dim * B.flat.dim <= dim_cap and counts["psi"] < 10:
-            rep = tensor.psi_oracle_check(X, D.cover, tol, trials=4, seed=cfg.seed)
-            worst = max(worst, rep.relation_residual, rep.inner_residual)
-            dims_ok = dims_ok and rep.oracle_dim == rep.model_dim
-            counts["psi"] += 1
+            record("psi", tensor.psi_oracle_check(X, D.cover, tol, trials=4, seed=cfg.seed))
         if counts["nu"] < 10 and D.cover.num_sets >= 2:
             Y = restrict_module(X, D.cover.sets[0])
             sub = restrict_algebra(D.algebra, D.cover.sets[1])
             if Y.dim * sub.dim <= dim_cap and Y.dim > 0:
-                rep = tensor.nu_oracle_check(Y, D.algebra, D.cover.sets[1], tol,
-                                             trials=4, seed=cfg.seed)
-                worst = max(worst, rep.relation_residual, rep.inner_residual)
-                dims_ok = dims_ok and rep.oracle_dim == rep.model_dim
-                counts["nu"] += 1
+                record("nu", tensor.nu_oracle_check(Y, D.algebra, D.cover.sets[1], tol,
+                                                    trials=4, seed=cfg.seed))
         if fam_dim * B.flat.dim <= dim_cap and counts["pair"] < 10:
-            rep = tensor.pair_model_oracle_check(D, tol, trials=3, seed=cfg.seed)
-            worst = max(worst, rep.relation_residual, rep.inner_residual)
-            dims_ok = dims_ok and rep.oracle_dim == rep.model_dim
-            counts["pair"] += 1
+            record("pair", tensor.pair_model_oracle_check(D, tol, trials=3, seed=cfg.seed))
         if fam_dim * B.flat.dim ** 2 <= dim_cap and counts["triple"] < 10:
-            rep = tensor.triple_model_oracle_check(D, tol, trials=2, seed=cfg.seed)
-            worst = max(worst, rep.relation_residual, rep.inner_residual)
-            dims_ok = dims_ok and rep.oracle_dim == rep.model_dim
-            counts["triple"] += 1
+            record("triple", tensor.triple_model_oracle_check(D, tol, trials=2, seed=cfg.seed))
+    worst = max([0.0] + [x for r in reports for x in (r.relation_residual, r.inner_residual)])
+    dims_ok = all(r.oracle_dim == r.model_dim for r in reports)
+    kept = [r.rank_margin[0] for r in reports if r.rank_margin[0] is not None]
+    dropped = [r.rank_margin[1] for r in reports if r.rank_margin[1] is not None]
     return Report(
         "criterion_10_oracle_agreement", dims_ok and worst <= tol, worst, tol,
         f"seeds={base_seed}.. (scan)", time.time() - t0,
-        {"checks": counts, "dims_equal": dims_ok, "dim_cap": dim_cap},
+        {"checks": counts, "dims_equal": dims_ok, "dim_cap": dim_cap,
+         "rank_margin": {"smallest_kept": min(kept, default=None),
+                         "largest_discarded": max(dropped, default=None)}},
     )
 
 

@@ -7,7 +7,8 @@ with nonempty overlap: the component of an elementary tensor z (x) b at (i, j)
 is z_i|F_ij * b_j|F_ij.  The cube gets ordered triples.  These projections
 separate points, so the models are definitional; the independent oracle is a
 generic quotient of the plain coordinate tensor space by the span of the
-balancing relations, built from nothing but action matrices and an SVD.
+balancing relations, read from the graph that the relations draw on the
+plain coordinates.
 
 The structural maps (delta, epsilon, the one-leg lifts) are given label by
 label as multiplicity matrices T_k acting on stacked slot arrays; the
@@ -272,16 +273,61 @@ class TensorFactor:
     Each piece (rows, cols, left_label, right_label) is a rows x cols block,
     flattened row-major after the pieces before it.  Block left_label of the
     left algebra multiplies it from the left, block right_label of the right
-    algebra from the right; a label is None where no algebra acts.
+    algebra from the right; a label is None where no algebra acts.  A label
+    names a block of the algebra on its side whose dimension is the piece's
+    rows (left label) or cols (right label).
     """
 
     pieces: tuple
     left_algebra: FdCStarAlgebra = None
     right_algebra: FdCStarAlgebra = None
 
+    def __post_init__(self):
+        for n, (rows, cols, left, right) in enumerate(self.pieces):
+            for side, label, alg, size, extent in (("left", left, self.left_algebra, rows, "rows"),
+                                                   ("right", right, self.right_algebra, cols, "cols")):
+                if label is None:
+                    continue
+                if alg is None:
+                    raise InvalidInputError(f"piece {n}: {side} label {label!r} but no {side} algebra")
+                try:
+                    block = alg.block_dims[alg.position(label)]
+                except InvalidInputError as err:
+                    raise InvalidInputError(f"piece {n}: {err}") from None
+                if block != size:
+                    raise InvalidInputError(f"piece {n}: {side} label {label!r} has block dim "
+                                            f"{block}, but the piece has {size} {extent}")
+
     @property
     def dim(self) -> int:
         return sum(rows * cols for rows, cols, _, _ in self.pieces)
+
+    def unit_maps(self, side: str) -> np.ndarray:
+        """Where each matrix unit e_pq of the algebra on the given side,
+        "left" or "right", sends each coordinate: a (units, dim) array, units
+        in matrix_units order, holding the image coordinate, or -1 for zero.
+
+        On a piece whose label on that side is e_pq's block, e_pq sends
+        (q, c) to (p, c) from the left and (r, p) to (r, q) from the right;
+        it sends every other coordinate to zero.
+        """
+        alg = self.left_algebra if side == "left" else self.right_algebra
+        block, p, q = np.array([(b, p, q) for b, n in enumerate(alg.block_dims)
+                                for p in range(n) for q in range(n)], dtype=int).reshape(-1, 3).T
+        # per coordinate: its piece's block position on that side (-1 for
+        # none), its row and column in the piece, and the piece's cols
+        coords = [np.zeros((0, 4), dtype=int)]
+        for rows, cols, left, right in self.pieces:
+            label = left if side == "left" else right
+            r, c = np.divmod(np.arange(rows * cols), cols)
+            coords.append(np.stack([np.full(r.size, -1 if label is None else alg.position(label)),
+                                    r, c, np.full(r.size, cols)], axis=1))
+        pos, row, col, width = np.concatenate(coords).T
+        x = np.arange(pos.size)
+        on_block = pos == block[:, None]
+        if side == "left":
+            return np.where(on_block & (row == q[:, None]), x + (p - q)[:, None] * width, -1)
+        return np.where(on_block & (col == p[:, None]), x + (q - p)[:, None], -1)
 
 
 def module_factor(X: HilbertModule, middle: FdCStarAlgebra = None) -> TensorFactor:
@@ -317,22 +363,6 @@ def b_factor(base: FdCStarAlgebra, cover: ClosedCover) -> TensorFactor:
                         base, base)
 
 
-def _action(factor: TensorFactor, a: AlgebraElement, side: str) -> np.ndarray:
-    """The matrix of a acting on the factor's coordinates from the given side,
-    "left" or "right": a_k (x) I on a piece with label k on that side, resp.
-    I (x) a_k^T, and zero on a piece with no label there."""
-    M = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
-    ofs = 0
-    for rows, cols, left, right in factor.pieces:
-        d = rows * cols
-        if side == "left" and left is not None:
-            M[ofs:ofs + d, ofs:ofs + d] = np.kron(a.block(left), np.eye(cols))
-        elif side == "right" and right is not None:
-            M[ofs:ofs + d, ofs:ofs + d] = np.kron(np.eye(rows), a.block(right).T)
-        ofs += d
-    return M
-
-
 @dataclass(eq=False)
 class GenericBalancedTensor:
     """Quotient of the plain coordinate tensor by the balancing relations.
@@ -354,25 +384,46 @@ class GenericBalancedTensor:
         return self.plain_dim - self.dim
 
 
-#: generic_balanced_tensor drops relation columns of norm at most this; the
-#: factors built here give 0/1 differences, so a nonzero column has norm >= 1.
-_RELATION_COLUMN_TOL = 1e-14
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of the connected component of each vertex 0..n-1
+    of the graph with edges (u[e], v[e]).
+
+    Every pointer goes to a vertex no larger than its own, so the pointers
+    form a forest: each round hooks the larger root of every edge that joins
+    two trees under the smaller one, then jumps pointers until each vertex
+    points at its root.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if (ru == rv).all():
+            return root
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while (root[root] != root).any():
+            root = root[root]
 
 
-def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> GenericBalancedTensor:
-    """Span the relations x*a (x) y - x (x) a*y in every slot and quotient them out.
+def generic_balanced_tensor(factors) -> GenericBalancedTensor:
+    """Quotient the plain tensor by the relations x*a (x) y - x (x) a*y in
+    every slot, read from the combinatorics of the relations.
 
-    A slot's relations, one block of columns per matrix unit a of its middle
-    algebra, are formed on the two factors it touches; after its zero
-    columns are dropped, they are amplified by the identity on the other
-    factors.  The complement is the kernel of the relations' adjoint.
+    A matrix unit acts on each factor as a partial permutation of its
+    coordinates (TensorFactor.unit_maps), so the relation of a unit and a
+    basis tensor is e_u - e_v, e_u, -e_v or 0 in plain coordinates.  Their
+    span is that of the edges e_u - e_v of a graph on the plain coordinates
+    and of the coordinates e_w that one-term relations kill.  Its orthogonal
+    complement has the orthonormal basis 1_C / sqrt(|C|), one column per
+    connected component C of the graph with no killed coordinate, ordered
+    by the smallest coordinate of C.
     """
     factors = tuple(factors)
     if len(factors) < 2:
         raise InvalidInputError("need at least two tensor factors")
     dims = [f.dim for f in factors]
     plain = int(np.prod(dims))
-    rel_cols = []
+    edges, killed = [], []
     for s in range(len(factors) - 1):
         left, right = factors[s], factors[s + 1]
         mid = left.right_algebra
@@ -383,16 +434,30 @@ def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> Ge
             or mid.block_dims != right.left_algebra.block_dims
         ):
             raise InvalidInputError(f"factors {s} and {s + 1} do not share a middle algebra")
-        # one empty block of columns, for a middle algebra with no blocks
-        local = [np.zeros((dims[s] * dims[s + 1], 0), dtype=np.complex128)]
-        for *_, unit in mid.matrix_units():
-            local.append(np.kron(_action(left, unit, "right"), np.eye(dims[s + 1]))
-                         - np.kron(np.eye(dims[s]), _action(right, unit, "left")))
-        local = np.hstack(local)
-        local = local[:, np.linalg.norm(local, axis=0) > _RELATION_COLUMN_TOL]
+        # per unit and basis tensor x (x) y of the two factors, the slot-pair
+        # index of x*a (x) y and of x (x) a*y, -1 for zero
+        d = dims[s + 1]
+        xa, ay = left.unit_maps("right")[:, :, None], right.unit_maps("left")[:, None, :]
+        u = np.where(xa >= 0, xa * d + np.arange(d), -1)
+        v = np.where(ay >= 0, np.arange(dims[s])[:, None] * d + ay, -1)
+        u, v = np.broadcast_arrays(u, v)
+        # slot-pair index t sits at plain index t * post + base, one base per
+        # coordinate of the factors before and after the slot
         pre, post = int(np.prod(dims[:s])), int(np.prod(dims[s + 2:]))
-        rel_cols.append(np.kron(np.eye(pre), np.kron(local, np.eye(post))))
-    complement = numlin.kernel_basis(np.hstack(rel_cols).conj().T, tol)
+        base = (np.arange(pre)[:, None] * (dims[s] * d * post) + np.arange(post)).ravel()
+        pair = (u >= 0) & (v >= 0) & (u != v)
+        edges.append((np.stack([u[pair], v[pair]])[..., None] * post + base).reshape(2, -1))
+        lone = (u >= 0) != (v >= 0)
+        killed.append((np.maximum(u, v)[lone][:, None] * post + base).ravel())
+    u, v = np.concatenate(edges, axis=1)
+    root = _component_roots(plain, u, v)
+    dead = np.zeros(plain, dtype=bool)
+    dead[root[np.concatenate(killed)]] = True
+    kept = (root == np.arange(plain)) & ~dead
+    members = np.flatnonzero(kept[root])
+    complement = np.zeros((plain, int(kept.sum())), dtype=np.complex128)
+    complement[members, (np.cumsum(kept) - 1)[root[members]]] = (
+        1.0 / np.sqrt(np.bincount(root, minlength=plain)[root[members]]))
     return GenericBalancedTensor(factors, plain, complement)
 
 
@@ -411,12 +476,16 @@ def generic_balanced_tensor(factors, tol: float = numlin.DEFAULT_RANK_TOL) -> Ge
 
 @dataclass
 class OracleReport:
+    """One oracle check.  model_dim is the rank of M at the default rank
+    threshold, and rank_margin that decision's numlin.rank_margin."""
+
     plain_dim: int
     oracle_dim: int
     model_dim: int
     relation_residual: float
     inner_residual: float
     tol: float
+    rank_margin: tuple  # (smallest kept, largest discarded)
 
     @property
     def passed(self) -> bool:
@@ -457,7 +526,9 @@ def _oracle_check(factors, legs, elementary, components, tol, trials, seed) -> O
         M[:, col] = elementary(*basis)
     K = gbt.complement
     rel_res = numlin.op_norm(M - (M @ K) @ K.conj().T)
-    model_dim = numlin.rank(M)
+    sv = numlin.singular_values(M)
+    model_dim = numlin.rank_of(sv, numlin.DEFAULT_RANK_TOL)
+    margin = numlin.rank_margin(sv, M.shape[1], numlin.DEFAULT_RANK_TOL)
 
     zs = legs[0]
     mids = [[[_spread_element(inner_product(z[c.part], w[c.part]), c.target) for w in zs]
@@ -478,7 +549,7 @@ def _oracle_check(factors, legs, elementary, components, tol, trials, seed) -> O
                     lhs = lhs + a * mid[s][t] * b
             rhs = inner_product(from_coords(c.space, tu[lo:hi]), from_coords(c.space, tv[lo:hi]))
             worst = max(worst, (lhs - _spread_element(rhs, c.target)).norm())
-    return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol)
+    return OracleReport(gbt.plain_dim, gbt.dim, model_dim, rel_res, worst, tol, margin)
 
 
 def _family_basis(modules) -> list:

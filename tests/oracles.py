@@ -32,9 +32,11 @@ bimodule datum's right gluing datum, which the library stores, is rebuilt
 here from the member bimodules and the transitions, and the pull-apart's
 identity transition stacks, which the library tiles directly, are built
 here through make_gluing_datum from one identity entry per pair.  The balanced-tensor
-quotient, which the library forms slot by slot from factors given as matrix
-pieces, expands every relation to the plain tensor here, from action
-closures, and takes the relation span and its complement from two SVDs.
+quotient, which the library reads from the graph that the relations draw on
+the plain coordinates, is taken here from an SVD of the dense relation
+matrix, formed slot by slot from the same matrix pieces (svd_balanced_tensor),
+and again with every relation expanded to the plain tensor from action
+closures, the relation span and its complement each from an SVD.
 The embedding, its adjoint, G on morphisms and Phi, which the library reads
 from each label's (s, m_k, g_k) view of E_k and its member stacks, cut and
 place each member's rows at the offsets of glued_layout here, with dense
@@ -1145,13 +1147,61 @@ def looped_coboundary_residual(F) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The balanced-tensor quotient, one Kronecker product per matrix unit
+# The balanced-tensor quotient from dense relation matrices
 #
-# tensor.generic_balanced_tensor reads each factor as a list of matrix pieces
-# and forms a slot's relations on the two factors it touches.  Here each
-# factor carries its actions as closures, every relation is expanded to the
-# whole plain tensor with one Kronecker product per factor, and the relation
-# span and its complement each take an SVD of their own.
+# tensor.generic_balanced_tensor reads the quotient from the graph that the
+# relations draw on the plain coordinates.  svd_balanced_tensor reads the same
+# matrix pieces, forms a slot's relations as a dense matrix on the two factors
+# it touches and takes the complement from one SVD.  kron_balanced_tensor
+# gives each factor its actions as closures, expands every relation to the
+# whole plain tensor with one Kronecker product per factor, and takes the
+# relation span and its complement from an SVD each.
+
+#: svd_balanced_tensor and kron_balanced_tensor drop relation columns of norm
+#: at most this; the factors here give 0/1 differences, so a nonzero column
+#: has norm >= 1.
+_RELATION_COLUMN_TOL = 1e-14
+
+
+def _action(factor, a, side: str) -> np.ndarray:
+    """The matrix of a acting on a tensor.TensorFactor's coordinates from
+    the given side, "left" or "right": a_k (x) I on a piece with label k on
+    that side, resp. I (x) a_k^T, and zero on a piece with no label there."""
+    M = np.zeros((factor.dim, factor.dim), dtype=np.complex128)
+    ofs = 0
+    for rows, cols, left, right in factor.pieces:
+        d = rows * cols
+        if side == "left" and left is not None:
+            M[ofs:ofs + d, ofs:ofs + d] = np.kron(a.block(left), np.eye(cols))
+        elif side == "right" and right is not None:
+            M[ofs:ofs + d, ofs:ofs + d] = np.kron(np.eye(rows), a.block(right).T)
+        ofs += d
+    return M
+
+
+def svd_balanced_tensor(factors, tol=numlin.DEFAULT_RANK_TOL) -> tensor.GenericBalancedTensor:
+    """The quotient of tensor.generic_balanced_tensor from one SVD: a slot's
+    relations, one block of columns per matrix unit a of its middle algebra,
+    are formed on the two factors it touches; after its zero columns are
+    dropped, they are amplified by the identity on the other factors.  The
+    complement is the kernel of the relations' adjoint."""
+    factors = tuple(factors)
+    dims = [f.dim for f in factors]
+    plain = int(np.prod(dims))
+    rel_cols = []
+    for s in range(len(factors) - 1):
+        left, right = factors[s], factors[s + 1]
+        # one empty block of columns, for a middle algebra with no blocks
+        local = [np.zeros((dims[s] * dims[s + 1], 0), dtype=np.complex128)]
+        for *_, unit in left.right_algebra.matrix_units():
+            local.append(np.kron(_action(left, unit, "right"), np.eye(dims[s + 1]))
+                         - np.kron(np.eye(dims[s]), _action(right, unit, "left")))
+        local = np.hstack(local)
+        local = local[:, np.linalg.norm(local, axis=0) > _RELATION_COLUMN_TOL]
+        pre, post = int(np.prod(dims[:s])), int(np.prod(dims[s + 2:]))
+        rel_cols.append(np.kron(np.eye(pre), np.kron(local, np.eye(post))))
+    complement = numlin.kernel_basis(np.hstack(rel_cols).conj().T, tol)
+    return tensor.GenericBalancedTensor(factors, plain, complement)
 
 
 @dataclass(eq=False)
@@ -1248,7 +1298,7 @@ def kron_balanced_tensor(factors, tol=numlin.DEFAULT_RANK_TOL) -> KronBalancedTe
         for *_, unit in factors[s].right_algebra.matrix_units():
             diff = (_slot_matrix(dims, s, factors[s].right_mat(unit))
                     - _slot_matrix(dims, s + 1, factors[s + 1].left_mat(unit)))
-            keep = diff[:, np.linalg.norm(diff, axis=0) > tensor._RELATION_COLUMN_TOL]
+            keep = diff[:, np.linalg.norm(diff, axis=0) > _RELATION_COLUMN_TOL]
             if keep.size:
                 rel_cols.append(keep)
     rel = np.hstack(rel_cols) if rel_cols else np.zeros((plain, 0), dtype=np.complex128)

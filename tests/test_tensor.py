@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,11 @@ from modglue.hmod import (
 )
 from modglue.numlin import DEFAULT_TOL
 from modglue.rng import Rng
-from modglue.suite import _delta_isometry_residuals, criterion_3_delta_isometry
+from modglue.suite import (
+    _delta_isometry_residuals,
+    criterion_3_delta_isometry,
+    criterion_10_oracle_agreement,
+)
 
 import oracles
 from test_glue import oracle_datum
@@ -292,6 +297,59 @@ class TestGenericBalancedTensor:
                  tensor.algebra_summand_factor(B, {0})]
             )
 
+    @pytest.mark.parametrize("pieces, side, message", [
+        (((2, 3, 0, None),), "left", "piece 0: left label 0 has block dim 1, but the piece has 2 rows"),
+        (((1, 3, 0, None), (2, 2, 0, None)), "left", "piece 1: left label 0 has block dim 1"),
+        (((1, 1, 5, None),), "left", "piece 0: label 5 not in algebra"),
+        (((1, 1, 0, None),), "none", "piece 0: left label 0 but no left algebra"),
+        (((1, 3, None, 0),), "right", "piece 0: right label 0 has block dim 1, but the piece has 3 cols"),
+    ])
+    def test_pieces_that_contradict_their_algebra_are_refused(self, pieces, side, message):
+        # a piece's label must name a block of the algebra on its side, of
+        # the piece's rows (left) or cols (right)
+        M1 = algebra((1,))
+        with pytest.raises(InvalidInputError, match=message):
+            if side == "right":
+                tensor.generic_balanced_tensor(
+                    [tensor.TensorFactor(pieces, right_algebra=M1),
+                     tensor.algebra_summand_factor(M1, {0})])
+            else:
+                tensor.generic_balanced_tensor(
+                    [tensor.module_factor(module(M1, (2,))),
+                     tensor.TensorFactor(pieces, left_algebra=M1 if side == "left" else None)])
+
+    def test_quotient_stays_small_on_criterion_10s_largest_chain(self):
+        # criterion 10's triple chain of plain dimension 2 * 8 * 8: the
+        # quotient holds no dense relation matrix
+        A = algebra((2, 2))
+        cov = cover(2, [{0}, {1}])
+        family = [restrict_module(module(A, (0, 1)), F) for F in cov.sets]
+        chain = [tensor.family_factor(family, A)] + [tensor.b_factor(A, cov)] * 2
+        assert [f.dim for f in chain] == [2, 8, 8]
+        tracemalloc.start()
+        try:
+            gbt = tensor.generic_balanced_tensor(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gbt.plain_dim == 128 and gbt.dim == 2
+        assert peak <= 0.25e6
+
+    def test_quotient_matches_the_svd_reference_on_criterion_10s_calls(self, monkeypatch):
+        library = tensor.generic_balanced_tensor
+        calls = []
+
+        def compared(factors):
+            got, want = library(factors), oracles.svd_balanced_tensor(factors)
+            assert (got.plain_dim, got.dim) == (want.plain_dim, want.dim)
+            assert numlin.subspace_gap(got.complement, want.complement) <= 1e-12
+            calls.append(got.plain_dim)
+            return got
+
+        monkeypatch.setattr(tensor, "generic_balanced_tensor", compared)
+        assert criterion_10_oracle_agreement().passed
+        assert len(calls) == 40 and max(calls) >= 128
+
 
 #: Criterion 10's bound on the plain tensor dimension of a check.
 ORACLE_DIM_CAP = 200
@@ -303,7 +361,9 @@ def oracle_chains(kind, seed, mults):
     the first seed at or after the given one whose plain dimension fits the
     criterion's cap.  mults "drawn" keeps the drawn multiplicities, zeros
     included; "zero_mult" sets label 0's to zero and the others to at least
-    one; "all_zero" makes every multiplicity zero (plain dimension 0)."""
+    one; "all_zero" makes every multiplicity zero (plain dimension 0).
+    Kind "quadruple" is the chain family (x) B (x) B (x) B, whose middle
+    slot has factors on both sides."""
     while True:
         cfg = GenConfig(seed=seed, max_blocks=2, max_block_dim=2, max_cover_sets=3, max_mult=2)
         rng = Rng(seed)
@@ -324,7 +384,7 @@ def oracle_chains(kind, seed, mults):
                       [oracles.closure_family_factor((Y,), A),
                        oracles.closure_algebra_summand_factor(A, F)])
         else:
-            legs = 1 if kind == "pair" else 2
+            legs = {"pair": 1, "triple": 2, "quadruple": 3}[kind]
             chains = ([tensor.family_factor(family, A)] + [tensor.b_factor(A, cov)] * legs,
                       [oracles.closure_family_factor(family, A)]
                       + [oracles.closure_b_factor(A, cov)] * legs)
@@ -334,11 +394,15 @@ def oracle_chains(kind, seed, mults):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["psi", "nu", "pair", "triple"]),
+@given(kind=st.sampled_from(["psi", "nu", "pair", "triple", "quadruple"]),
        mults=st.sampled_from(["drawn", "zero_mult", "all_zero"]),
        seed=st.integers(min_value=0, max_value=10**6))
 @example(kind="triple", mults="all_zero", seed=0)
 @example(kind="pair", mults="zero_mult", seed=1000)
+# Y = X|F_0 lacks label 1 of F: its units kill coordinates of Y (x) A|F
+@example(kind="nu", mults="drawn", seed=56)
+# a [2, 2, 2, 2] chain: the middle slot has two coordinates on either side
+@example(kind="quadruple", mults="drawn", seed=6)
 def test_balanced_tensor_matches_the_kron_oracle(kind, mults, seed):
     chain, closures = oracle_chains(kind, seed, mults)
     got = tensor.generic_balanced_tensor(chain)
@@ -348,6 +412,8 @@ def test_balanced_tensor_matches_the_kron_oracle(kind, mults, seed):
     if mults == "all_zero":
         assert got.plain_dim == 0
     assert numlin.subspace_gap(got.complement, want.complement) <= 1e-12
+    K = got.complement
+    assert np.abs(K.conj().T @ K - np.eye(K.shape[1])).max(initial=0.0) <= 1e-15
 
 
 class TestPsiNu:
