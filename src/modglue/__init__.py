@@ -38,10 +38,8 @@ from .hmod import (
     apply_map,
     compose,
     inner_product,
-    is_unitary_module_map,
     module,
     module_map,
-    module_map_from_linear,
     restrict_map,
     restrict_module,
     restrict_vector,
@@ -54,12 +52,15 @@ from .morita import (
     bimodules_isomorphic,
     dual_bimodule,
     glue_bimodules,
+    left_act,
+    left_inner,
     obstruction_2cocycle,
     picard_conjugate,
+    picard_conjugate_morphism,
     pull_apart_bimodule,
     tensor_bimodules,
     validate_bimodule,
 )
-from .numlin import is_unitary, kernel_basis, op_norm
+from .numlin import kernel_basis, op_norm
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 emit JSON-line reports.
 
 Exit codes: 0 all checks passed, 1 invalid input data (including maps that
-are not module maps or gluing morphisms), 2 a check failed, 3 file parse/IO
+are not gluing morphisms), 2 a check failed, 3 file parse/IO
 error, 4 a rank decision too close to its threshold to make.
 """
 
@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     InvalidInputError,
     ModelViolationError,
-    NotAModuleMapError,
     NotAMorphismError,
     RankAmbiguityError,
 )
@@ -93,10 +92,15 @@ def _emit(reports, out_path):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _required_residual(v) -> float:
-    """The largest residual of a gluing datum's required laws."""
+def _datum_report(check, v, tol, fingerprint, t0) -> Report:
+    """The report of a gluing datum's validation v under the name check: it
+    passes iff the required laws hold, and its max_residual is the largest
+    residual of those laws."""
     r = v.max_residuals
-    return max(r["unitary"], r["identity"], r["involutive"])
+    return Report(
+        check, v.required_ok, max(r["unitary"], r["identity"], r["involutive"]),
+        tol, fingerprint, time.time() - t0, {"cocycle": v.cocycle, "residuals": r},
+    )
 
 
 def cmd_validate(args) -> int:
@@ -105,11 +109,7 @@ def cmd_validate(args) -> int:
     reports = []
     if isinstance(obj, GluingDatum):
         v = validate_gluing_datum(obj, args.tol)
-        reports.append(Report(
-            "validate_gluing_datum", v.required_ok, _required_residual(v),
-            args.tol, args.file, time.time() - t0,
-            {"cocycle": v.cocycle, "residuals": v.max_residuals},
-        ))
+        reports.append(_datum_report("validate_gluing_datum", v, args.tol, args.file, t0))
     elif isinstance(obj, BimoduleGluingDatum):
         v = morita.validate_bimodule_datum(obj, args.tol)
         residuals = {"unitary": v.unitary, "transitions_bimodule": v.transitions_bimodule,
@@ -163,12 +163,7 @@ def cmd_glue(args) -> int:
     if isinstance(obj, GluingDatum):
         v = validate_gluing_datum(obj, args.tol)
         if not v.required_ok:
-            rep = Report(
-                "glue", False, _required_residual(v), args.tol, args.file,
-                time.time() - t0,
-                {"cocycle": v.cocycle, "residuals": v.max_residuals},
-            )
-            return _emit([rep], args.out)
+            return _emit([_datum_report("glue", v, args.tol, args.file, t0)], args.out)
         gd = glue(obj)
         rep = Report(
             "glue", True, 0.0, args.tol, args.file, time.time() - t0,
@@ -223,6 +218,9 @@ def cmd_descent(args) -> int:
         cfg = gen.GenConfig(seed=args.seed, twist_mode=args.mode)
         D = gen.random_gluing_instance(cfg).datum
         fingerprint = f"seed={args.seed};mode={args.mode}"
+    v = validate_gluing_datum(D, args.tol)
+    if not v.required_ok:
+        return _emit([_datum_report("descent_identities", v, args.tol, fingerprint, t0)], args.out)
     rep = descent_identities_check(D, tol=args.tol, trials=args.trials, seed=args.seed)
     report = Report(
         "descent_identities", rep.passed, max(r for r, _ in rep.judged),
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidInputError, ModelViolationError, NotAModuleMapError, NotAMorphismError) as exc:
+    except (InvalidInputError, ModelViolationError, NotAMorphismError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RankAmbiguityError as exc:

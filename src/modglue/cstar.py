@@ -248,18 +248,6 @@ class SumAlgebraB:
         self.flat = FdCStarAlgebra(tuple(dims), tuple(labels))
         self.summands = tuple(restrict_algebra(self.base, s) for s in self.cover.sets)
 
-    def component(self, b: AlgebraElement, i: int) -> AlgebraElement:
-        """Project a B-element onto its i-th summand A|F_i."""
-        sub = self.summands[i]
-        return AlgebraElement(sub, tuple(b.block((i, k)) for k in sub.labels))
-
-    def assemble(self, parts) -> AlgebraElement:
-        """Inverse of per-set projection: stitch summand elements into B."""
-        blocks = []
-        for (i, k) in self.flat.labels:
-            blocks.append(parts[i].block(k))
-        return AlgebraElement(self.flat, tuple(blocks))
-
 
 def sum_algebra(A: FdCStarAlgebra, cov: ClosedCover) -> SumAlgebraB:
     return SumAlgebraB(A, cov)

@@ -15,14 +15,6 @@ class RankAmbiguityError(ArithmeticError):
         self.diagnostics = diagnostics or {}
 
 
-class NotAModuleMapError(ValueError):
-    """A linear map failed the right-action commutation probe."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NotAMorphismError(ValueError):
     """A family of maps violated the intertwining condition of a gluing morphism."""
 

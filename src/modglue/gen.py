@@ -89,8 +89,8 @@ def random_cover(rng: Rng, alg: FdCStarAlgebra, cfg: GenConfig) -> ClosedCover:
     return cover(K, [frozenset(s) for s in sets])
 
 
-def random_module(rng: Rng, alg: FdCStarAlgebra, cfg: GenConfig, min_mult: int = 0) -> HilbertModule:
-    return module(alg, tuple(rng.randint(min_mult, cfg.max_mult) for _ in alg.block_dims))
+def random_module(rng: Rng, alg: FdCStarAlgebra, cfg: GenConfig) -> HilbertModule:
+    return module(alg, tuple(rng.randint(0, cfg.max_mult) for _ in alg.block_dims))
 
 
 def _gauss_blocks(rng: Rng, shapes) -> tuple:
@@ -168,18 +168,6 @@ def prescribed_phases(cov: ClosedCover, cfg: GenConfig) -> dict:
     for (i, j, re, im) in cfg.phases:
         out[(i, j, block)], out[(j, i, block)] = complex(re, im), np.conj(complex(re, im))
     return out
-
-
-def twist_by_coboundary(rng: Rng, datum: GluingDatum) -> GluingDatum:
-    """Conjugate a datum by per-set unitaries: an isomorphic, still-valid datum."""
-    cov = datum.cover
-    V = {}
-    for i in range(cov.num_sets):
-        for k in sorted(cov.sets[i]):
-            V[(i, k)] = rng.unitary(datum.mult_at(i, k))
-    entries = [(i, j, k, V[(i, k)] @ U @ V[(j, k)].conj().T)
-               for (i, j, k, U) in datum.entries() if i < j]
-    return make_gluing_datum(datum.algebra, cov, datum.modules, entries)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .hmod import (
     HilbertModule,
     ModuleVector,
     adjoint_of,
-    compose,
     map_norm,
     module_map,
     restrict_map,
@@ -279,13 +278,6 @@ def morphism_residual(m: GlueMorphism) -> float:
             R = A[:, None] @ Z - m.target.zeta[k] @ A[None]
             worst = max(worst, float(numlin.op_norms(R).max(initial=0.0)))
     return worst
-
-
-def glue_morphism_compose(a: GlueMorphism, b: GlueMorphism) -> GlueMorphism:
-    return GlueMorphism(
-        b.source, a.target,
-        tuple(compose(x, y) for x, y in zip(a.maps, b.maps)),
-    )
 
 
 def pull_apart_map(alpha: AdjointableMap, cover: ClosedCover) -> GlueMorphism:

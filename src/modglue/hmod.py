@@ -15,8 +15,7 @@ import numpy as np
 
 from . import numlin
 from .cstar import AlgebraElement, FdCStarAlgebra, restrict_algebra
-from .errors import InvalidInputError, NotAModuleMapError
-from .numlin import DEFAULT_TOL
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -190,12 +189,6 @@ def module_map(source: HilbertModule, target: HilbertModule, blocks) -> Adjointa
     ))
 
 
-def identity_map(X: HilbertModule) -> AdjointableMap:
-    return AdjointableMap(
-        X, X, tuple(np.eye(m, dtype=np.complex128) for m in X.mult)
-    )
-
-
 def adjoint_of(alpha: AdjointableMap) -> AdjointableMap:
     return AdjointableMap(
         alpha.target, alpha.source, tuple(b.conj().T for b in alpha.blocks)
@@ -233,11 +226,6 @@ def restrict_map(alpha: AdjointableMap, F) -> AdjointableMap:
     )
 
 
-def is_unitary_module_map(alpha: AdjointableMap, tol: float) -> bool:
-    """True iff every block is unitary (forcing equal multiplicities blockwise)."""
-    return all(numlin.is_unitary(b, tol) for b in alpha.blocks)
-
-
 def unitary_residual(alpha: AdjointableMap) -> float:
     """Largest unitarity defect of any block; inf on non-square blocks."""
     if any(T.shape[0] != T.shape[1] for T in alpha.blocks):
@@ -260,51 +248,3 @@ def from_coords(mod: HilbertModule, u) -> ModuleVector:
         blocks.append(u[ofs:ofs + m * n].reshape(m, n))
         ofs += m * n
     return vector(mod, blocks)
-
-
-def module_map_from_linear(L, X: HilbertModule, Y: HilbertModule, tol: float = DEFAULT_TOL) -> AdjointableMap:
-    """Recover the blockwise left-multiplication form of a linear map, or reject.
-
-    L is a callable ModuleVector -> ModuleVector on coordinates.  The block
-    matrices are probed on basis vectors; L is then checked to commute with
-    the right action of every matrix unit.  A residual above tol raises
-    NotAModuleMapError with the largest violation found.
-    """
-    if X.algebra.labels != Y.algebra.labels:
-        raise InvalidInputError("modules live over different algebras")
-    blocks = []
-    for pos, ((m, n), p) in enumerate(zip(X.block_shapes(), Y.mult)):
-        T = np.zeros((p, m), dtype=np.complex128)
-        for s in range(m):
-            probe = X.zero_vector()
-            if n > 0:
-                probe.blocks[pos][s, 0] = 1.0
-                T[:, s] = apply_map_or_call(L, probe).blocks[pos][:, 0]
-        blocks.append(T)
-    candidate = AdjointableMap(X, Y, tuple(blocks))
-
-    worst = 0.0
-    for x in X.basis_vectors():
-        Lx = apply_map_or_call(L, x)
-        worst = max(worst, vec_norm(Lx - apply_map(candidate, x)))
-        for _, _, _, unit in X.algebra.matrix_units():
-            lhs = apply_map_or_call(L, right_act(x, unit))
-            rhs = right_act(Lx, unit)
-            worst = max(worst, vec_norm(lhs - rhs))
-            if worst > tol:
-                raise NotAModuleMapError(
-                    f"map does not commute with the right action (residual {worst:.3e})",
-                    residual=worst,
-                )
-    if worst > tol:
-        raise NotAModuleMapError(
-            f"map is not blockwise left multiplication (residual {worst:.3e})",
-            residual=worst,
-        )
-    return candidate
-
-
-def apply_map_or_call(L, x: ModuleVector) -> ModuleVector:
-    if isinstance(L, AdjointableMap):
-        return apply_map(L, x)
-    return L(x)

@@ -145,13 +145,6 @@ def rank_of(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
 
 
-def rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: number of singular values above tol * sigma_max."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    return rank_of(singular_values(M), tol)
-
-
 def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool = False):
     """Orthonormal basis of ker M as columns of a (cols, dim ker) matrix.
 
@@ -202,14 +195,6 @@ def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     return u[:, :rank_of(s, tol)]
-
-
-def is_unitary(M, tol: float) -> bool:
-    """True iff M is square with unitarity defect at most tol."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    M = as_cmatrix(M)
-    return M.shape[0] == M.shape[1] and bool(unitarity_defects(M[None])[0] <= tol)
 
 
 def subspace_gap(B1, B2) -> float:

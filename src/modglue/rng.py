@@ -69,10 +69,6 @@ class Rng:
         span = hi - lo + 1
         return lo + self.next_u64() % span
 
-    def complex_gauss(self) -> complex:
-        """Standard complex Gaussian (E|z|^2 = 1)."""
-        return complex(self.gauss_matrix(1, 1)[0, 0])
-
     def gauss_matrix(self, m: int, n: int) -> np.ndarray:
         """m x n standard complex Gaussians in row-major order: entry t is
         sqrt(-ln u1) * exp(2*pi*i*u2) for the uniforms of the stream's

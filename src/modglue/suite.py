@@ -53,6 +53,10 @@ CECH_OBSTRUCTION_TOL = 1e-8
 #: coboundary identity and invariance under coboundary twists.
 COCYCLE_TOL = 1e-10
 
+#: Largest plain tensor dimension of an instance that criterion 10 checks
+#: against the balanced quotient, whose relation matrix grows with it.
+ORACLE_DIM_CAP = 200
+
 
 def criterion_1_round_trip_phi(trials: int = 200, tol: float = DEFAULT_TOL, base_seed: int = 100) -> Report:
     """Phi: X -> G(P(X)) is unitary and natural on random adjointable maps."""
@@ -154,8 +158,7 @@ def _delta_isometry_residuals(D, zs, b) -> tuple:
     return linearity, abs(pair1 - fam1), abs(pair2 - fam2)
 
 
-def criterion_4_delta_algebra(trials: int = 100, tol: float = DEFAULT_TOL,
-                              tol_exact: float = EXACT_IDENTITY_TOL, base_seed: int = 400) -> Report:
+def criterion_4_delta_algebra(trials: int = 100, tol: float = DEFAULT_TOL, base_seed: int = 400) -> Report:
     """Counit, coassociativity and the kernel identity, coherent and twisted.
 
     Coassociativity on arbitrary vectors is equivalent to the triple-overlap
@@ -178,12 +181,12 @@ def criterion_4_delta_algebra(trials: int = 100, tol: float = DEFAULT_TOL,
         else:
             max_raw_coassoc_twisted = max(max_raw_coassoc_twisted, rep.coassoc)
         worst_kernel = max(worst_kernel, rep.kernel_gap)
-    passed = worst_exact <= tol_exact and worst_kernel <= tol
+    passed = worst_exact <= EXACT_IDENTITY_TOL and worst_kernel <= tol
     return Report(
         "criterion_4_delta_algebra", passed, max(worst_exact, worst_kernel), tol,
         f"seeds={base_seed}..{base_seed + trials - 1}", time.time() - t0,
         {"trials": trials, "max_exact_residual": worst_exact,
-         "tol_exact": tol_exact, "max_kernel_gap": worst_kernel,
+         "tol_exact": EXACT_IDENTITY_TOL, "max_kernel_gap": worst_kernel,
          "coassoc_scope": "arbitrary vectors when coherent; glued vectors when twisted",
          "max_raw_coassoc_on_twisted": max_raw_coassoc_twisted},
     )
@@ -338,8 +341,7 @@ def criterion_9_picard(trials: int = 100, tol: float = COCYCLE_TOL, base_seed: i
     )
 
 
-def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 1000,
-                                  dim_cap: int = 200) -> Report:
+def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 1000) -> Report:
     """Pair/triple models and the unit-map model agree with the balanced
     quotient on every generated instance whose plain tensor dimension fits
     the cap.  details.rank_margin holds the worst margins of the checks'
@@ -365,17 +367,17 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
         fam_dim = sum(m.dim for m in D.modules)
 
         X = gen.random_module(Rng(cfg.seed ^ 0xF00), D.algebra, cfg)
-        if X.dim * B.flat.dim <= dim_cap and counts["psi"] < 10:
+        if X.dim * B.flat.dim <= ORACLE_DIM_CAP and counts["psi"] < 10:
             record("psi", tensor.psi_oracle_check(X, D.cover, tol, trials=4, seed=cfg.seed))
         if counts["nu"] < 10 and D.cover.num_sets >= 2:
             Y = restrict_module(X, D.cover.sets[0])
             sub = restrict_algebra(D.algebra, D.cover.sets[1])
-            if Y.dim * sub.dim <= dim_cap and Y.dim > 0:
+            if Y.dim * sub.dim <= ORACLE_DIM_CAP and Y.dim > 0:
                 record("nu", tensor.nu_oracle_check(Y, D.algebra, D.cover.sets[1], tol,
                                                     trials=4, seed=cfg.seed))
-        if fam_dim * B.flat.dim <= dim_cap and counts["pair"] < 10:
+        if fam_dim * B.flat.dim <= ORACLE_DIM_CAP and counts["pair"] < 10:
             record("pair", tensor.pair_model_oracle_check(D, tol, trials=3, seed=cfg.seed))
-        if fam_dim * B.flat.dim ** 2 <= dim_cap and counts["triple"] < 10:
+        if fam_dim * B.flat.dim ** 2 <= ORACLE_DIM_CAP and counts["triple"] < 10:
             record("triple", tensor.triple_model_oracle_check(D, tol, trials=2, seed=cfg.seed))
     worst = max([0.0] + [x for r in reports for x in (r.relation_residual, r.inner_residual)])
     dims_ok = all(r.oracle_dim == r.model_dim for r in reports)
@@ -384,7 +386,7 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
     return Report(
         "criterion_10_oracle_agreement", dims_ok and worst <= tol, worst, tol,
         f"seeds={base_seed}.. (scan)", time.time() - t0,
-        {"checks": counts, "dims_equal": dims_ok, "dim_cap": dim_cap,
+        {"checks": counts, "dims_equal": dims_ok, "dim_cap": ORACLE_DIM_CAP,
          "rank_margin": {"smallest_kept": min(kept, default=None),
                          "largest_discarded": max(dropped, default=None)}},
     )

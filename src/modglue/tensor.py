@@ -235,7 +235,7 @@ def psi_iso(X: HilbertModule, cover: ClosedCover) -> PsiIso:
 
 @dataclass(eq=False)
 class NuIso:
-    """Evaluator for Y (x) A|F_j ~ Y|F_ij and its inverse, Y over A|F_i."""
+    """Evaluator for Y (x) A|F_j ~ Y|F_ij, Y over A|F_i."""
 
     source: HilbertModule  # Y
     summand_j: FdCStarAlgebra  # A|F_j
@@ -246,13 +246,6 @@ class NuIso:
         sub = self.target.algebra
         y_ij = ModuleVector(self.target, tuple(y.block(k) for k in sub.labels))
         return right_act(y_ij, AlgebraElement(sub, tuple(a.block(k) for k in sub.labels)))
-
-    def inverse(self, v: ModuleVector):
-        """A representative (y, a) with nu(y (x) a) = v: zero-padded lift and unit."""
-        y = self.source.zero_vector()
-        for k in self.target.algebra.labels:
-            y.blocks[self.source.algebra.position(k)][:, :] = v.block(k)
-        return y, self.summand_j.identity()
 
 
 def nu_iso(Y: HilbertModule, base: FdCStarAlgebra, F_j) -> NuIso:
@@ -378,10 +371,6 @@ class GenericBalancedTensor:
     @property
     def dim(self) -> int:
         return self.complement.shape[1]
-
-    @property
-    def relation_rank(self) -> int:
-        return self.plain_dim - self.dim
 
 
 def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

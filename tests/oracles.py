@@ -63,6 +63,7 @@ from modglue.glue import (
     validate_gluing_datum,
 )
 from modglue.hmod import (
+    AdjointableMap,
     ModuleVector,
     apply_map,
     coords,
@@ -118,6 +119,11 @@ def power_iteration_top_singular(M, iters=2000, seed=0):
         v = w / nw
         lam = nw
     return float(np.sqrt(lam))
+
+
+def identity_map(X) -> AdjointableMap:
+    """The identity map of the module X, block by block."""
+    return AdjointableMap(X, X, tuple(np.eye(m, dtype=np.complex128) for m in X.mult))
 
 
 def constraint_matrix(D, label):
@@ -1046,15 +1052,26 @@ def pair_from_family_and_b(model, parts, b) -> PairTensorVector:
     return pair_right_act(eta_map(parts, model), b)
 
 
+def b_component(B, b, i) -> AlgebraElement:
+    """The i-th summand A|F_i of an element b of the sum algebra B."""
+    sub = B.summands[i]
+    return AlgebraElement(sub, tuple(b.block((i, k)) for k in sub.labels))
+
+
+def b_assemble(B, parts) -> AlgebraElement:
+    """The element of B whose i-th summand is parts[i]: inverse of b_component."""
+    return AlgebraElement(B.flat, tuple(parts[i].block(k) for (i, k) in B.flat.labels))
+
+
 def family_right_act(parts, b, B) -> tuple:
     """Right action of a sum-algebra element on a family: z_i acted by b_i."""
-    return tuple(right_act(p, B.component(b, i)) for i, p in enumerate(parts))
+    return tuple(right_act(p, b_component(B, b, i)) for i, p in enumerate(parts))
 
 
 def family_inner(parts1, parts2, base, cover) -> AlgebraElement:
     """B-valued inner product of two families, blockwise per (set, label)."""
     B = sum_algebra(base, cover)
-    return B.assemble([inner_product(x, y) for x, y in zip(parts1, parts2)])
+    return b_assemble(B, [inner_product(x, y) for x, y in zip(parts1, parts2)])
 
 
 def object_descent_report(D, tol, trials, seed) -> DescentReport:

@@ -7,11 +7,23 @@ from modglue import gen, morita, serial
 from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError
 from modglue.gen import GenConfig
-from modglue.glue import glue, validate_gluing_datum
+from modglue.glue import glue, make_gluing_datum, validate_gluing_datum
 from modglue.hmod import module
 from modglue.rng import Rng
 
 import oracles
+
+
+def twist_by_coboundary(rng, datum):
+    """Conjugate a datum by per-set unitaries: an isomorphic, still-valid datum."""
+    cov = datum.cover
+    V = {}
+    for i in range(cov.num_sets):
+        for k in sorted(cov.sets[i]):
+            V[(i, k)] = rng.unitary(datum.mult_at(i, k))
+    entries = [(i, j, k, V[(i, k)] @ U @ V[(j, k)].conj().T)
+               for (i, j, k, U) in datum.entries() if i < j]
+    return make_gluing_datum(datum.algebra, cov, datum.modules, entries)
 
 
 class TestRng:
@@ -38,7 +50,7 @@ class TestRng:
         r = Rng(9)
         for m in (1, 2, 5):
             U = r.unitary(m)
-            assert numlin.is_unitary(U, 1e-12)
+            assert U.shape == (m, m) and numlin.unitarity_defects(U[None])[0] <= 1e-12
 
     def test_randint_bounds(self):
         r = Rng(10)
@@ -63,7 +75,6 @@ def test_gaussian_draws_equal_the_scalar_stream(seed, shapes, m):
     for (r, c) in shapes:
         assert same_array(fast.gauss_matrix(r, c), slow.gauss_matrix(r, c))
     assert same_array(fast.unitary(m), slow.unitary(m))
-    assert complex(fast.complex_gauss()) == slow.complex_gauss()
     assert fast.state == slow.state
     # gen draws all blocks of an object in one call, split row-major
     A = gen.random_algebra(Rng(seed), GenConfig(seed=0))
@@ -188,6 +199,6 @@ class TestInstances:
 
     def test_coboundary_twist_preserves_validity(self):
         D = gen.random_gluing_instance(GenConfig(seed=77, twist_mode="coherent")).datum
-        D2 = gen.twist_by_coboundary(Rng(5), D)
+        D2 = twist_by_coboundary(Rng(5), D)
         rep = validate_gluing_datum(D2)
         assert rep.required_ok and rep.cocycle

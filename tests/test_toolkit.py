@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,15 @@ import pytest
 from modglue import cli, gen, morita, serial, suite
 from modglue.cstar import algebra, cover
 from modglue.cli import main
-from modglue.errors import ModelViolationError, NotAModuleMapError, NotAMorphismError
+from modglue.errors import ModelViolationError, NotAMorphismError
 from modglue.gen import GenConfig
 from modglue.glue import descent_identities_check, glue, make_gluing_datum
 from modglue.rng import Rng
 
 import oracles
 from test_glue import phase_witness
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, env=None):
@@ -196,6 +199,24 @@ class TestCli:
     def test_descent_command(self):
         assert main(["descent", "--seed", "3", "--mode", "random_unitary"]) == 0
 
+    def test_descent_refuses_a_datum_that_fails_its_required_laws(self, tmp_path, capsys):
+        # one entry of a transition scaled by 1.01: no longer unitary, so
+        # validate and glue fail the datum, and descent fails it the same way
+        inst, rep, out = tmp_path / "bad.json", tmp_path / "validate.jsonl", tmp_path / "rep.jsonl"
+        assert main(["gen", "--seed", "3", "--mode", "random_unitary", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        obj["zeta"][0]["matrix"][0][0][0] *= 1.01
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst), "--out", str(rep)]) == cli.EXIT_CHECK_FAILED
+        capsys.readouterr()
+        assert main(["descent", str(inst), "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.startswith("FAIL descent_identities residual=")
+        validated, record = json.loads(rep.read_text()), json.loads(out.read_text())
+        assert record["check"] == "descent_identities" and record["pass"] is False
+        assert record["max_residual"] == validated["max_residual"] > record["tol"]
+        assert record["details"] == validated["details"]
+        assert set(record["details"]) == {"cocycle", "residuals"}
+
     def test_descent_fail_line_carries_the_judged_coassociativity(self, tmp_path):
         # transition (0, 1) at block 3 turned by e^{i 9e-7}: the cocycle
         # residual 9e-7 is within --tol 1e-6, so the datum counts as coherent
@@ -325,7 +346,7 @@ class TestCli:
             assert main([command, str(inst)]) == cli.EXIT_RANK_AMBIGUOUS == 4
             assert "error: block 0 on cover sets [0, 1, 2]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [NotAMorphismError, NotAModuleMapError])
+    @pytest.mark.parametrize("error", [NotAMorphismError])
     def test_map_errors_exit_invalid(self, monkeypatch, capsys, error):
         def refuse(args):
             raise error("residual 1.000e+00", residual=1.0)
@@ -583,13 +604,18 @@ class TestCli:
         assert main(["descent", "--trials", "0"]) == 0
 
 
+def load_tracer():
+    """perfbench/tracer.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_tracer_spans_resolve():
     # the traced benchmark run wraps every (module, attribute) of SPANS; a
     # library name deleted or renamed under it would break that run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.SPANS
     for name, modname, attr in tracer.SPANS:
         owner = importlib.import_module(modname)
@@ -604,13 +630,10 @@ def test_descent_ladder_spans_are_called():
     # the descent-ladder workload requires each of these spans to be called,
     # and its per-layer metrics split kernel_basis and subspace_gap time by
     # their direct caller; a refactor that drops one fails here, in tier-1
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    tree = ast.parse((bench / "test_perfbench.py").read_text())
+    tree = ast.parse((ROOT / "perfbench" / "test_perfbench.py").read_text())
     spans = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign) and node.targets[0].id == "LADDER_SPANS")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     D = gen.random_gluing_instance(GenConfig(seed=7, twist_mode="random_unitary")).datum
     tr = tracer.Tracer()
     tr.install()
@@ -622,3 +645,41 @@ def test_descent_ladder_spans_are_called():
         assert tr.calls[span] >= 1, span
     for span in ("numlin.kernel_basis", "numlin.subspace_gap"):
         assert tr.split[(span, "glue.descent_identities_check")] > 0, span
+
+
+def library_layout_names() -> set:
+    """Every name declared in README's "Library layout" table: each part of
+    a backticked dotted name, so `TensorFactor.unit_maps` declares both."""
+    section = (ROOT / "README.md").read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    return {part for name in re.findall(r"`([A-Za-z_][\w.]*)`", table) for part in name.split(".")}
+
+
+def test_every_public_name_is_called_or_declared():
+    # the public surface is what the library and its benchmark call plus
+    # what README's layout table declares; a name that is neither is dead
+    # code or undocumented API.  A re-export from __init__ is no call.
+    library = ROOT / "src" / "modglue"
+    used = {attr for _, _, dotted in load_tracer().SPANS for attr in dotted.split(".")}
+    for path in [*library.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    declared = library_layout_names()
+    known = used | declared
+    unused = []
+    for path in sorted(library.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defs = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [d for d in node.body if isinstance(d, ast.FunctionDef)]
+            unused += [f"{path.stem}.{d.name}" for d in defs
+                       if not d.name.startswith("_") and d.name not in known]
+    assert unused == []
+    init = ast.parse((library / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(exported - declared) == []
