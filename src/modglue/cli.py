@@ -129,21 +129,18 @@ def cmd_validate(args) -> int:
                 "rank_margin": {str(k): list(m) for k, m in v.rank_margin.items()},
             },
         ))
-    else:  # module instance triple
-        A, cov, X = obj
+    else:  # module instance
         reports.append(Report(
             "validate_module", True, 0.0, args.tol, args.file, time.time() - t0,
-            {"dim": X.dim},
+            {"dim": obj.module.dim},
         ))
     return _emit(reports, args.out)
 
 
 def cmd_pullapart(args) -> int:
     obj = load_instance_file(args.file)
-    if isinstance(obj, tuple):  # module instance
-        _, cov, X = obj
-        datum = pull_apart(X, cov)
-        payload = gluing_to_json(datum)
+    if isinstance(obj, gen.ModuleInstance):
+        payload = gluing_to_json(pull_apart(obj.module, obj.cover))
     elif isinstance(obj, EquivalenceBimodule):
         raise InvalidInputError("pullapart of a bimodule needs a cover; supply a bimodule_datum instead")
     else:
@@ -182,9 +179,8 @@ def cmd_roundtrip(args) -> int:
     reports = []
     if args.file:
         obj = load_instance_file(args.file)
-        if isinstance(obj, tuple):
-            _, cov, X = obj
-            phi = phi_iso(X, cov)
+        if isinstance(obj, gen.ModuleInstance):
+            phi = phi_iso(obj.module, obj.cover)
             res = unitary_residual(phi.map)
             reports.append(Report(
                 "roundtrip_phi", res <= args.tol, res, args.tol, args.file,
@@ -293,8 +289,7 @@ def cmd_picard_conjugate(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(canonical_dumps(bimodule_datum_to_json(out)) + "\n")
-    print(report.line())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit([report], None)
 
 
 def cmd_gen(args) -> int:

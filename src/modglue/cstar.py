@@ -235,7 +235,6 @@ class SumAlgebraB:
     base: FdCStarAlgebra
     cover: ClosedCover
     flat: FdCStarAlgebra = field(init=False)
-    summands: tuple = field(init=False)  # A|F_i per cover set
 
     def __post_init__(self):
         if self.cover.prim_size != self.base.num_blocks:
@@ -246,7 +245,6 @@ class SumAlgebraB:
                 dims.append(self.base.block_dims[self.base.position(k)])
                 labels.append((i, k))
         self.flat = FdCStarAlgebra(tuple(dims), tuple(labels))
-        self.summands = tuple(restrict_algebra(self.base, s) for s in self.cover.sets)
 
 
 def sum_algebra(A: FdCStarAlgebra, cov: ClosedCover) -> SumAlgebraB:

@@ -280,7 +280,7 @@ class BimoduleGluingDatum:
     n'_k) transition stack over cover.members(k).  Each transition acts by
     left multiplication N_j|F_ij -> N_i|F_ij and must intertwine both
     actions, which pins it to a unit scalar times v_i v_j* blockwise.
-    right_algebra, cover, nu, mult_at and nu_block read through to right.
+    right_algebra, cover, nu and mult_at read through to right.
     """
 
     left_algebra: FdCStarAlgebra
@@ -301,9 +301,6 @@ class BimoduleGluingDatum:
 
     def mult_at(self, i: int, label) -> int:
         return self.right.mult_at(i, label)
-
-    def nu_block(self, i: int, j: int, label) -> np.ndarray:
-        return self.right.zeta_block(i, j, label)
 
     def twist_at(self, i: int, label) -> np.ndarray:
         return self.bimodules[i].twist_at(label)
@@ -331,37 +328,51 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
 
 
 def transition_cochain(D: BimoduleGluingDatum) -> dict:
-    """(i, j, label) -> (c, r) for every transition nu_ij of D, i != j: the
-    trace-normalized scalar c of v_i* nu_ij v_j, v the member twists, and its
-    residual r = ||v_i* nu_ij v_j - c I||, which vanishes iff nu_ij is the
-    bimodule map c v_i v_j*.  One product and one _scalars_of call per label."""
+    """label -> (C, R), two (s, s) arrays over cover.members(k): C[a, b] is
+    the trace-normalized scalar of v_a* nu_ab v_b, v the member twists, and
+    R[a, b] = ||v_a* nu_ab v_b - C[a, b] I||, which vanishes iff nu_ab is the
+    bimodule map C[a, b] v_a v_b*; C[a, a] = 1 and R[a, a] = 0.  One product
+    and one _scalars_of call per label."""
     out = {}
     for k in D.left_algebra.labels:
-        members, Z = D.cover.members(k), D.nu[k]
-        pa, pb = np.nonzero(~np.eye(len(members), dtype=bool))  # ordered pairs a != b
-        V = np.stack([D.twist_at(i, k) for i in members])
-        C = V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb]
-        out.update(((members[a], members[b], k), cr)
-                   for a, b, cr in zip(pa, pb, zip(*_scalars_of(C))))
+        Z, V = D.nu[k], np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
+        pa, pb = np.nonzero(~np.eye(len(Z), dtype=bool))  # ordered pairs a != b
+        C, R = np.ones(Z.shape[:2], dtype=np.complex128), np.zeros(Z.shape[:2])
+        C[pa, pb], R[pa, pb] = _scalars_of(V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb])
+        out[k] = C, R
     return out
 
 
 def _bimodule_scalars(D: BimoduleGluingDatum, tol: float, what: str) -> dict:
-    """(i, j, label) -> c of transition_cochain for i < j, in sorted order;
-    the first transition in that order whose residual exceeds tol raises
+    """label -> C of transition_cochain(D); the first transition (i, j,
+    label), i < j, in lexicographic order whose residual exceeds tol raises
     ModelViolationError, what naming it in the message."""
-    out = {}
-    for (i, j, k), (c, r) in sorted(transition_cochain(D).items()):
-        if i >= j:
-            continue
-        if r > tol:
-            raise ModelViolationError(
-                f"{what} ({i},{j}) block {k} is not a bimodule unitary "
-                f"(residual {r:.3e})",
-                residual=r,
-            )
-        out[(i, j, k)] = c
+    out, refused = {}, []
+    for k, (C, R) in transition_cochain(D).items():
+        members, out[k] = D.cover.members(k), C
+        refused += [(members[a], members[b], k, r) for a, row in enumerate(R.tolist())
+                    for b, r in enumerate(row) if a < b and r > tol]
+    if refused:
+        i, j, k, r = min(refused)
+        raise ModelViolationError(
+            f"{what} ({i},{j}) block {k} is not a bimodule unitary "
+            f"(residual {r:.3e})",
+            residual=r,
+        )
     return out
+
+
+def _derived_datum(left: FdCStarAlgebra, right: FdCStarAlgebra, cover: ClosedCover,
+                   bimodules: tuple, nu: dict) -> BimoduleGluingDatum:
+    """A bimodule datum derived from valid data, built without the checks of
+    make_bimodule_datum.  nu maps each label to its transition stack, whose
+    part below the diagonal of the (s, s) grid is overwritten here with the
+    adjoints of the part above, as normalize_transitions mirrors a pair given once."""
+    for Z in nu.values():
+        a, b = np.nonzero(np.tri(len(Z), k=-1, dtype=bool))  # pairs a > b
+        Z[a, b] = Z[b, a].conj().swapaxes(-1, -2)
+    modules = tuple(Mi.right_module() for Mi in bimodules)
+    return BimoduleGluingDatum(left, GluingDatum(right, cover, modules, nu), bimodules)
 
 
 @dataclass
@@ -393,7 +404,7 @@ def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) ->
     members = [validate_bimodule(Mi, tol) for Mi in D.bimodules]
     right = validate_gluing_datum(D.right, tol)
     res = right.max_residuals
-    bire = max((r for _, r in transition_cochain(D).values()), default=0.0)
+    bire = max((float(R.max()) for _, R in transition_cochain(D).values()), default=0.0)
     return BimoduleDatumValidation(
         all(v.passed for v in members), right.unitary, bire,
         res["involutive"], res["cocycle"], res["unitary"],
@@ -527,19 +538,17 @@ def dual_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleGlui
     """Dualize each local bimodule; the transition scalars are conjugated,
     the dual twists being the identity."""
     bims = tuple(dual_bimodule(Mi) for Mi in D.bimodules)
-    entries = [(i, j, k, np.conj(c) * _identity(D.right_algebra, k))
-               for (i, j, k), c in _bimodule_scalars(D, tol, "transition").items()]
-    return make_bimodule_datum(
-        D.right_algebra, D.left_algebra, D.cover, bims, entries
-    )
+    nu = {k: np.conj(C)[..., None, None] * _identity(D.right_algebra, k)
+          for k, C in _bimodule_scalars(D, tol, "transition").items()}
+    return _derived_datum(D.right_algebra, D.left_algebra, D.cover, bims, nu)
 
 
 def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
                  tol: float = DEFAULT_TOL) -> BimoduleGluingDatum:
     """Setwise balanced tensor product of two composable bimodule data.
 
-    The induced transition at (i, j) is s * W1, where s is D2's transition
-    scalar: tensor_bimodules keeps the left factor's twist.
+    Label k's transition stack is C2 nu1, C2 the (s, s) scalars of D2's
+    transition cochain: tensor_bimodules keeps the left factor's twist.
     """
     if D1.cover != D2.cover:
         raise InvalidInputError("data live over different covers")
@@ -548,11 +557,9 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
     bims = tuple(
         tensor_bimodules(M1, M2) for M1, M2 in zip(D1.bimodules, D2.bimodules)
     )
-    entries = [(i, j, k, s * D1.nu_block(i, j, k))
-               for (i, j, k), s in _bimodule_scalars(D2, tol, "right-factor transition").items()]
-    return make_bimodule_datum(
-        D1.left_algebra, D2.right_algebra, D1.cover, bims, entries
-    )
+    nu = {k: C[..., None, None] * D1.nu[k]
+          for k, C in _bimodule_scalars(D2, tol, "right-factor transition").items()}
+    return _derived_datum(D1.left_algebra, D2.right_algebra, D1.cover, bims, nu)
 
 
 def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
@@ -573,9 +580,10 @@ def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
     c_M = _bimodule_scalars(Mdat, tol, "right-factor transition")
     B = D.right_algebra
     bims = tuple(identity_bimodule(N.right_algebra) for N in D.bimodules)
-    entries = [(i, j, k, c * (c_M[(i, j, k)] * (np.conj(c) * _identity(B, k))))
-               for (i, j, k), c in c_D.items()]
-    return make_bimodule_datum(B, B, D.cover, bims, entries)
+    nu = {k: C[..., None, None] * (c_M[k][..., None, None]
+                                   * (np.conj(C)[..., None, None] * _identity(B, k)))
+          for k, C in c_D.items()}
+    return _derived_datum(B, B, D.cover, bims, nu)
 
 
 def _identity(alg: FdCStarAlgebra, label) -> np.ndarray:
@@ -646,19 +654,11 @@ def bimodule_data_isomorphic(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
             return None
     cov = D1.cover
     c1, c2 = transition_cochain(D1), transition_cochain(D2)
-
-    lam = {}  # (i, label) -> scalar
-    for k in D1.left_algebra.labels:
-        root, *rest = cov.members(k)
-        lam[(root, k)] = 1.0 + 0j
-        for i in rest:
-            (s1, _), (s2, _) = c1[(i, root, k)], c2[(i, root, k)]
-            if abs(s1) < _SCALAR_ZERO_TOL:
-                return None
-            lam[(i, k)] = s2 / s1
-
+    if any((abs(C1[:, 0]) < _SCALAR_ZERO_TOL).any() for C1, _ in c1.values()):
+        return None
+    lam = {k: c2[k][0][:, 0] / C1[:, 0] for k, (C1, _) in c1.items()}  # over members(k)
     witnesses = tuple(
-        tuple(lam[(i, k)] * (D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T)
+        tuple(lam[k][cov.member_positions[k][i]] * (D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T)
               for k in sorted(cov.sets[i]))
         for i in range(cov.num_sets)
     )
@@ -681,11 +681,11 @@ def _scalar_of(C: np.ndarray):
 
 def _scalars_of(C: np.ndarray):
     """_scalar_of of each matrix of a (count, m, m) stack: the scalars, from
-    one trace each, and the residuals, from one op_norms call."""
+    one batched trace, and the residuals, from one op_norms call."""
     m = C.shape[-1]
-    if m == 0:
+    if not C.size:  # m = 0, or no matrices
         return [1.0 + 0j] * len(C), [0.0] * len(C)
-    s = np.array([complex(np.trace(c) / m) for c in C], dtype=np.complex128)
+    s = np.trace(C, axis1=1, axis2=2) / m
     return s.tolist(), numlin.op_norms(C - s[:, None, None] * np.eye(m)).tolist()
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover, restrict_algebra
 from .errors import FormatError, InvalidInputError
+from .gen import GluingInstance, ModuleInstance
 from .glue import GluingDatum, check_transition_key, make_gluing_datum
 from .hmod import HilbertModule, module
 from .morita import (
@@ -135,11 +136,10 @@ def module_instance_to_json(A: FdCStarAlgebra, cov: ClosedCover, X: HilbertModul
     }
 
 
-def module_instance_from_json(obj):
+def module_instance_from_json(obj) -> ModuleInstance:
     A = algebra_from_json(obj["algebra"])
     cov = cover_from_json(obj["cover"], A.num_blocks)
-    X = module(A, tuple(int(m) for m in obj["module"]["mult"]))
-    return A, cov, X
+    return ModuleInstance(A, cov, module(A, tuple(int(m) for m in obj["module"]["mult"])))
 
 
 def bimodule_to_json(M: EquivalenceBimodule) -> dict:
@@ -197,8 +197,6 @@ def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
 
 def instance_to_json(obj) -> dict:
     """Serialize any supported instance object, tagged by kind."""
-    from .gen import GluingInstance, ModuleInstance
-
     if isinstance(obj, GluingDatum):
         return gluing_to_json(obj)
     if isinstance(obj, BimoduleGluingDatum):

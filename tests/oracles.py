@@ -677,17 +677,17 @@ def pairwise_bimodule_validation(D, tol):
     defect = bire = invo = coc = 0.0
     for (i, j) in D.cover.pairs(include_diagonal=False):
         for k in sorted(D.cover.overlap(i, j)):
-            W = D.nu_block(i, j, k)
+            W = D.right.zeta_block(i, j, k)
             d = 1.0 if W.shape[0] != W.shape[1] else product_unitarity_residual(W)
             unit = unit and W.shape[0] == W.shape[1] and d <= tol
             defect = max(defect, d)
             _, r = morita._scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             bire = max(bire, r)
-            invo = max(invo, numlin.op_norm(D.nu_block(j, i, k) - W.conj().T))
+            invo = max(invo, numlin.op_norm(D.right.zeta_block(j, i, k) - W.conj().T))
     for (i, j, l) in D.cover.triples():
         for k in sorted(D.cover.overlap(i, j, l)):
-            lhs = D.nu_block(i, j, k) @ D.nu_block(j, l, k)
-            coc = max(coc, numlin.op_norm(lhs - D.nu_block(i, l, k)))
+            lhs = D.right.zeta_block(i, j, k) @ D.right.zeta_block(j, l, k)
+            coc = max(coc, numlin.op_norm(lhs - D.right.zeta_block(i, l, k)))
     return morita.BimoduleDatumValidation(
         all(v.passed for v in members), unit, bire, invo, coc, defect,
         max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0))
@@ -713,7 +713,7 @@ def matrix_dual_datum(D, tol=morita.DEFAULT_TOL):
         if i >= j:
             continue
         for k in sorted(D.cover.overlap(i, j)):
-            W = D.nu_block(i, j, k)
+            W = D.right.zeta_block(i, j, k)
             s, r = morita._scalar_of(D.twist_at(i, k).conj().T @ W @ D.twist_at(j, k))
             if r > tol:
                 raise ModelViolationError(
@@ -741,8 +741,8 @@ def matrix_datum_tensor(D1, D2, tol=morita.DEFAULT_TOL):
         if i >= j:
             continue
         for k in sorted(D1.cover.overlap(i, j)):
-            W1 = D1.nu_block(i, j, k)
-            W2 = D2.nu_block(i, j, k)
+            W1 = D1.right.zeta_block(i, j, k)
+            W2 = D2.right.zeta_block(i, j, k)
             s, r = morita._scalar_of(D2.twist_at(i, k).conj().T @ W2 @ D2.twist_at(j, k))
             if r > tol:
                 raise ModelViolationError(
@@ -797,8 +797,8 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
         for i in members[1:]:
             # alpha_i nu1_{i,root} = nu2_{i,root} alpha_root with alpha = lam * C
             q = _scalar_ratio(
-                _canon_matrix(D1, D2, i, k), D1.nu_block(i, root, k),
-                D2.nu_block(i, root, k), _canon_matrix(D1, D2, root, k),
+                _canon_matrix(D1, D2, i, k), D1.right.zeta_block(i, root, k),
+                D2.right.zeta_block(i, root, k), _canon_matrix(D1, D2, root, k),
             )
             if q is None:
                 return None
@@ -868,8 +868,8 @@ def pairwise_datum_morphism_residual(src, tgt, witnesses):
         for k in sorted(cov.overlap(i, j)):
             Wi = witnesses[i][sorted(cov.sets[i]).index(k)]
             Wj = witnesses[j][sorted(cov.sets[j]).index(k)]
-            lhs = Wi @ src.nu_block(i, j, k)
-            rhs = tgt.nu_block(i, j, k) @ Wj
+            lhs = Wi @ src.right.zeta_block(i, j, k)
+            rhs = tgt.right.zeta_block(i, j, k) @ Wj
             worst = max(worst, numlin.op_norm(lhs - rhs))
     return worst
 
@@ -1054,7 +1054,7 @@ def pair_from_family_and_b(model, parts, b) -> PairTensorVector:
 
 def b_component(B, b, i) -> AlgebraElement:
     """The i-th summand A|F_i of an element b of the sum algebra B."""
-    sub = B.summands[i]
+    sub = restrict_algebra(B.base, B.cover.sets[i])
     return AlgebraElement(sub, tuple(b.block((i, k)) for k in sub.labels))
 
 
@@ -1133,11 +1133,11 @@ def object_delta_isometry_residuals(D, zs, b) -> tuple:
 def looped_obstruction_2cocycle(D, tol):
     """morita.obstruction_2cocycle one (triple, label) at a time: the trace-
     normalized scalar f of each composite C and ||C - f I|| from one SVD."""
-    out = {}
+    out, Z = {}, D.right.zeta_block
     for (i, j, l) in D.cover.triples():
         per_block = {}
         for k in sorted(D.cover.overlap(i, j, l)):
-            C = D.nu_block(i, j, k) @ D.nu_block(j, l, k) @ D.nu_block(i, l, k).conj().T
+            C = Z(i, j, k) @ Z(j, l, k) @ Z(i, l, k).conj().T
             m = C.shape[0]
             f = complex(np.trace(C) / m) if m else 1.0 + 0j
             r = numlin.op_norm(C - f * np.eye(m)) if m else 0.0

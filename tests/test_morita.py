@@ -363,7 +363,7 @@ class TestObstruction:
             if i < j:
                 for k in sorted(cov.overlap(i, j)):
                     entries.append((i, j, k,
-                                    g[(i, k)] * D.nu_block(i, j, k) * np.conj(g[(j, k)])))
+                                    g[(i, k)] * D.right.zeta_block(i, j, k) * np.conj(g[(j, k)])))
         D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
         f2 = obstruction_2cocycle(D2)
         assert f.keys() == f2.keys()
@@ -840,7 +840,7 @@ def regauged(D, rng, rephase=False):
                 s = g[(i, k)] * np.conj(g[(j, k)])
             else:
                 s = phase[(i, k)] if i < j else np.conj(phase[(j, k)])
-            entries.append((i, j, k, s * Ci @ D.nu_block(i, j, k) @ Cj.conj().T))
+            entries.append((i, j, k, s * Ci @ D.right.zeta_block(i, j, k) @ Cj.conj().T))
     return morita.make_bimodule_datum(D.left_algebra, D.right_algebra, cov, bims, entries)
 
 
@@ -870,6 +870,31 @@ def assert_same_outcome(got, want):
         assert np.array_equal(got.nu[k], Z)
 
 
+def cochain_datum(mode, seed):
+    """A bimodule datum of one of COCHAIN_MODES."""
+    return phase_datum(seed, np.pi) if mode == "phases" else bimodule_datum(mode, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(COCHAIN_MODES), seed=st.integers(min_value=0, max_value=10**6))
+@example(mode="phases", seed=0)
+@example(mode="non_bimodule", seed=0)
+def test_transition_cochain_holds_each_transition_scalar_bit_for_bit(mode, seed):
+    # one (s, s) pair (C, R) per label over cover.members(k): (1, 0) on the
+    # diagonal, and off it the scalar and residual of v_a* nu_ab v_b
+    D = cochain_datum(mode, seed)
+    cochain = morita.transition_cochain(D)
+    assert list(cochain) == list(D.left_algebra.labels)
+    for k, (C, R) in cochain.items():
+        members = D.cover.members(k)
+        assert C.shape == R.shape == (len(members),) * 2
+        for a, i in enumerate(members):
+            for b, j in enumerate(members):
+                want = (1.0, 0.0) if a == b else morita._scalar_of(
+                    D.twist_at(i, k).conj().T @ D.right.zeta_block(i, j, k) @ D.twist_at(j, k))
+                assert (bits(C[a, b]), bits(R[a, b])) == tuple(map(bits, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(COCHAIN_MODES),
        self_mode=st.sampled_from(("coherent", "random_unitary", "non_bimodule")),
@@ -879,7 +904,7 @@ def assert_same_outcome(got, want):
 @example(mode="coherent", self_mode="non_bimodule", seed=1)  # M refused
 @example(mode="scaled_transition", self_mode="random_unitary", seed=0)
 def test_cochain_operations_match_the_matrix_oracles(mode, self_mode, seed):
-    D = phase_datum(seed, np.pi) if mode == "phases" else bimodule_datum(mode, seed)
+    D = cochain_datum(mode, seed)
     rng = Rng(seed ^ 0xC0C)
     S = self_datum(D.left_algebra, D.cover, self_mode, rng)
     T = self_datum(D.right_algebra, D.cover, self_mode, rng)
@@ -910,19 +935,27 @@ def test_cochain_operations_match_the_matrix_oracles(mode, self_mode, seed):
 
 
 def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
+    # nor do the dual, tensor and conjugate re-check their derived
+    # transitions through make_gluing_datum
     D = bimodule_datum("random_unitary", 14)
     S = self_datum(D.left_algebra, D.cover, "coherent", Rng(4))
+    coherent = bimodule_datum("coherent", 14)
     assert len({(i, j) for (i, j, _, _) in D.right.entries()}) == 6
 
     def refuse(*args):
         raise AssertionError("per-transition scalar extraction")
 
+    def rebuild(*args):
+        raise AssertionError("a derived datum rebuilt with make_gluing_datum")
+
     monkeypatch.setattr(morita, "_scalar_of", refuse)
+    monkeypatch.setattr(glue_module, "make_gluing_datum", rebuild)
+    monkeypatch.setattr(morita, "make_gluing_datum", rebuild)
     dual_datum(D)
     datum_tensor(S, D)
     picard_conjugate(D, S)
     assert validate_bimodule_datum(D).required_ok()
-    gb = glue_bimodules(bimodule_datum("coherent", 14))
+    gb = glue_bimodules(coherent)
     assert gb.bimodule is not None
 
 

@@ -51,10 +51,7 @@ class TestSerialization:
         inst = gen.random_instance(cfg)
         blob = serial.canonical_dumps(serial.instance_to_json(inst))
         parsed = serial.parse_instance(json.loads(blob))
-        blob2 = serial.canonical_dumps(serial.instance_to_json(
-            parsed if not isinstance(parsed, tuple) else gen.ModuleInstance(*parsed)
-        ))
-        assert blob == blob2
+        assert blob == serial.canonical_dumps(serial.instance_to_json(parsed))
 
     def test_matrix_round_trip(self):
         M = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
@@ -284,7 +281,8 @@ class TestCli:
         d_file = tmp_path / "D.json"
         d_file.write_text(serial.canonical_dumps(serial.bimodule_datum_to_json(D)))
         assert main(["picard-conjugate", str(d_file), str(d_file), "--tol", "1e-30"]) == 0
-        assert json.loads(capsys.readouterr().out.splitlines()[-1])["tol"] == 1e-30
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "PASS picard_conjugate residual=0.000e+00 tol=1e-30"
 
     @pytest.mark.parametrize("corrupt,what", [
         ("datum", "transition"), ("self_datum", "right-factor transition"),
