@@ -25,7 +25,6 @@ from .hmod import (
     HilbertModule,
     ModuleVector,
     adjoint_of,
-    map_norm,
     module_map,
     restrict_map,
     restrict_module,
@@ -176,44 +175,49 @@ class DatumValidation:
         return self.unitary and self.identity and self.involutive
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def transition_residuals(D: GluingDatum, k):
-    """Largest unitarity, involution and cocycle residuals of label k's
-    transition stack D.zeta[k].
+def _off_diagonal(Z):
+    """Z_ab over the ordered pairs a != b of one label's stack Z, in order."""
+    return Z[~np.eye(len(Z), dtype=bool)]
 
-    Returns (unitary, involutive, cocycle): the largest unitarity defect, the
-    largest ||Z_ba - Z_ab*|| and cocycle_residual(Z).  A non-finite residual
-    raises InvalidInputError, with numpy's overflow and invalid-value
-    warnings silenced.
-    """
-    Z = D.zeta[k]
-    s = len(Z)
-    if s < 2:
-        return 0.0, 0.0, 0.0
-    pa, pb = np.nonzero(~np.eye(s, dtype=bool))  # ordered pairs a != b
-    unitary = numlin.unitarity_defects(Z[pa, pb]).max(initial=0.0)
-    involutive = numlin.op_norms(
-        Z[pb, pa] - Z[pa, pb].conj().swapaxes(-1, -2)
-    ).max(initial=0.0)
-    return float(unitary), float(involutive), cocycle_residual(Z)
+
+def _involution_defects(Z):
+    """Z_ba - Z_ab* over the pairs a != b of Z, less the exact zeros (norm 0)."""
+    R = _off_diagonal(Z.swapaxes(0, 1)) - _off_diagonal(Z).conj().swapaxes(-1, -2)
+    return R[R.any(axis=(1, 2))]
+
+
+def _cocycle_defects(Z):
+    """Z_ab Z_bc - Z_ac over b not in {a, c} of one label's stack Z (the
+    triples with b = a or b = c are exactly 0), from one batched product."""
+    off = ~np.eye(len(Z), dtype=bool)
+    a, b, c = np.nonzero(off[:, :, None] & off[None])  # a != b != c
+    return Z[a, b] @ Z[b, c] - Z[a, c]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def cocycle_residual(Z) -> float:
     """Largest ||Z_ab Z_bc - Z_ac|| over b not in {a, c} of one label's
-    transition stack Z; the triples with b = a or b = c are exactly 0 and
-    are left out.  All triples take one batched product and one op_norms
-    call, so the extra memory is O(s^3 m^2).  A non-finite residual raises
-    InvalidInputError."""
-    off = ~np.eye(len(Z), dtype=bool)
-    a, b, c = np.nonzero(off[:, :, None] & off[None])  # a != b != c
-    return float(numlin.op_norms(Z[a, b] @ Z[b, c] - Z[a, c]).max(initial=0.0))
+    transition stack Z.  A non-finite residual raises InvalidInputError."""
+    return float(numlin.op_norms(_cocycle_defects(Z)).max(initial=0.0))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _largest(D: GluingDatum, defects, norms) -> float:
+    """Largest of norms(defects(Z)) over D's stacks Z: one norms call (one
+    batched SVD) per multiplicity m >= 1, never zero-padding across them,
+    as padding may change the last bits of a singular value.  A non-finite
+    residual raises InvalidInputError, with numpy's warnings silenced."""
+    by_mult = {}
+    for Z in D.zeta.values():
+        if len(Z) > 1 and Z.shape[-1]:
+            by_mult.setdefault(Z.shape[-1], []).append(defects(Z))
+    return max((float(norms(np.concatenate(g)).max(initial=0.0)) for g in by_mult.values()),
+               default=0.0)
 
 
 def _datum_cocycle_residual(D: GluingDatum) -> float:
     """The cocycle residual that validate_gluing_datum reports, alone."""
-    return max((cocycle_residual(D.zeta[k]) for k in D.algebra.labels),
-               default=0.0)
+    return _largest(D, _cocycle_defects, numlin.op_norms)
 
 
 def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumValidation:
@@ -221,14 +225,12 @@ def validate_gluing_datum(D: GluingDatum, tol: float = DEFAULT_TOL) -> DatumVali
 
     Unitarity and the identity/involution laws are requirements; the cocycle
     residual is advisory and records how far the datum is from coherent.
-    The transitions are checked label by label with transition_residuals;
-    the identity residual is 0, as every stack has Z[a, a] = I.
+    Each residual is the largest over every label, from one batched SVD per
+    multiplicity; the identity residual is 0, as every stack has Z[a, a] = I.
     """
-    unitary, involutive, cocycle = 0.0, 0.0, 0.0
-    for k in D.algebra.labels:
-        unitary, involutive, cocycle = map(
-            max, (unitary, involutive, cocycle), transition_residuals(D, k))
-    res = {"unitary": unitary, "identity": 0.0, "involutive": involutive, "cocycle": cocycle}
+    res = {"unitary": _largest(D, _off_diagonal, numlin.unitarity_defects), "identity": 0.0,
+           "involutive": _largest(D, _involution_defects, numlin.op_norms),
+           "cocycle": _datum_cocycle_residual(D)}
     return DatumValidation(**{key: r <= tol for key, r in res.items()}, max_residuals=res)
 
 
@@ -241,11 +243,8 @@ def pull_apart(X: HilbertModule, cover: ClosedCover) -> GluingDatum:
     if cover.prim_size != X.algebra.num_blocks:
         raise InvalidInputError("cover does not match module algebra")
     modules = tuple(restrict_module(X, F) for F in cover.sets)
-    zeta = {}
-    for k, m in zip(X.algebra.labels, X.mult):
-        s = len(cover.members(k))
-        zeta[k] = np.empty((s, s, m, m), dtype=np.complex128)
-        zeta[k][...] = np.eye(m)
+    zeta = {k: np.broadcast_to(np.eye(m, dtype=np.complex128), (s, s, m, m)).copy()
+            for k, m in zip(X.algebra.labels, X.mult) for s in [len(cover.members(k))]}
     return GluingDatum(X.algebra, cover, modules, zeta)
 
 
@@ -257,13 +256,8 @@ class GlueMorphism:
     target: GluingDatum
     maps: tuple  # AdjointableMap per cover set
 
-    def norm(self) -> float:
-        return max((map_norm(a) for a in self.maps), default=0.0)
-
     def adjoint(self) -> "GlueMorphism":
-        return GlueMorphism(
-            self.target, self.source, tuple(adjoint_of(a) for a in self.maps)
-        )
+        return GlueMorphism(self.target, self.source, tuple(adjoint_of(a) for a in self.maps))
 
 
 def morphism_residual(m: GlueMorphism) -> float:
@@ -293,15 +287,16 @@ def pull_apart_map(alpha: AdjointableMap, cover: ClosedCover) -> GlueMorphism:
 class GluedModule:
     """The glued Hilbert A-module together with its isometric realization.
 
-    For block k, stacked_basis[k] is an orthonormal basis E_k of the overlap
-    constraint kernel inside the stacked space of the Z_i components over
+    For block k, stacked_basis[k] is an orthonormal basis E_k of the
+    compatible families inside the stacked space of the Z_i components over
     the s sets of cover.members(k), each with the label's multiplicity m_k;
     rows(k) views it as the (s, m_k, g_k) stack of the members' rows.
     The embedding scales E_k by sqrt(s) so that each single component
     of an embedded vector carries the abstract inner product on the nose.
     rank_margin[k] is numlin.rank_margin of the rank decision that gave E_k:
-    (smallest kept, largest discarded) singular value of the overlap
-    constraint, each relative to the rank threshold, None where there is none.
+    (smallest kept, largest discarded) singular value of glue's root-holonomy
+    stack H, relative to the threshold, None where there is none; H = 0 on
+    coherent transitions, so it reads as the label's distance from coherent.
     """
 
     datum: GluingDatum
@@ -346,67 +341,64 @@ class GluedModule:
         return g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def glue(D: GluingDatum, tol: float = numlin.DEFAULT_RANK_TOL) -> GluedModule:
     """Solve the overlap constraints and assemble the glued Hilbert A-module.
 
-    Blockwise, the constraint C sends a stacked multiplicity family (z_i) to
-    all differences z_i - zeta_ij z_j.  In matrix coordinates the constraint
-    is C (x) I_n, whose kernel is ker C (x) C^n, so the glued multiplicity is
-    dim ker C.  One SVD of C gives both the kernel basis and the margin of the
-    rank decision at tol: a singular value within a factor
-    numlin.RANK_GAP_FACTOR of tol * sigma_max raises RankAmbiguityError
-    instead of being rounded either way.
+    Every set owning label k contains k, so a compatible family over its s
+    members is z_a = zeta_a0 z_0, z_0 in the kernel of the root-holonomy
+    stack H[a, b] = zeta_a0 - zeta_ab zeta_b0 (b != 0); E_k orthonormalizes
+    (zeta_a0 V)_a, V a kernel basis, and the glued multiplicity is dim ker H.
+    The rank threshold is tol * max(sigma_max(H), sqrt(2s)), sqrt(2s) being
+    the overlap constraint's norm on coherent data; a singular value within
+    a factor numlin.RANK_GAP_FACTOR of it raises RankAmbiguityError instead
+    of being rounded.  A label with one member set or m_k = 0 takes no SVD.
+    A non-finite H raises InvalidInputError, with numpy's warnings silenced.
     """
     if tol <= 0 or tol * numlin.RANK_GAP_FACTOR >= 1:
         raise InvalidInputError(
             f"tol must lie in (0, 1/{numlin.RANK_GAP_FACTOR:g}), got {tol:g}"
         )
-    A = D.algebra
-    mult = []
-    stacked_basis = {}
-    margins = {}
+    A, stacked_basis, margins = D.algebra, {}, {}
     for k in A.labels:
-        members = D.cover.members(k)
-        c, m = len(members), D.label_mult(k)
-        # one row slot z_a - zeta_ab z_b per ordered pair a != b
-        pa, pb = np.nonzero(~np.eye(c, dtype=bool))
-        C = numlin.place_blocks(len(pa), c, (m, m),
-                                [(pa, np.eye(m)), (pb, -D.zeta[k][pa, pb])])
-        E, s = numlin.kernel_basis(C, tol, return_singular_values=True)
-        kept, dropped = numlin.rank_margin(s, C.shape[1], tol)
-        if (kept is not None and kept < numlin.RANK_GAP_FACTOR) or (
-            dropped is not None and dropped > 1 / numlin.RANK_GAP_FACTOR
-        ):
+        members, Z = D.cover.members(k), D.zeta[k]
+        s, m = len(members), D.label_mult(k)
+        if s < 2 or m == 0:
+            stacked_basis[k] = np.eye(s * m, dtype=np.complex128)
+            margins[k] = (None, 0.0 if m else None)
+            continue
+        H = (Z[:, None, 0] - Z[:, 1:] @ Z[None, 1:, 0]).reshape(-1, m)
+        if not np.isfinite(H).all():
+            raise InvalidInputError(f"block {k} on cover sets {list(members)}: the "
+                                    f"root-holonomy stack is not finite")
+        V, sv = numlin.kernel_basis(H, tol, return_singular_values=True, min_scale=np.sqrt(2 * s))
+        kept, dropped = numlin.rank_margin(sv, m, tol, np.sqrt(2 * s))
+        if ((kept is not None and kept < numlin.RANK_GAP_FACTOR)
+                or (dropped is not None and dropped > 1 / numlin.RANK_GAP_FACTOR)):
             raise RankAmbiguityError(
-                f"block {k} on cover sets {list(members)}: a singular value of "
-                f"the overlap constraint lies within a factor "
-                f"{numlin.RANK_GAP_FACTOR:g} of the rank threshold "
-                f"{tol:g}*sigma_max (smallest kept {kept}, largest discarded "
-                f"{dropped}, relative to the threshold)",
-                diagnostics={
-                    "label": k,
-                    "members": list(members),
-                    "singular_values": s.tolist(),
-                    "margin": {"smallest_kept": kept, "largest_discarded": dropped},
-                },
+                f"block {k} on cover sets {list(members)}: a singular value of the "
+                f"root-holonomy stack lies within a factor {numlin.RANK_GAP_FACTOR:g} of "
+                f"the rank threshold {tol:g}*max(sigma_max, sqrt(2s)) (smallest kept "
+                f"{kept}, largest discarded {dropped}, relative to the threshold)",
+                diagnostics={"label": k, "members": list(members), "singular_values": sv.tolist(),
+                             "margin": {"smallest_kept": kept, "largest_discarded": dropped}},
             )
-        mult.append(E.shape[1])
-        stacked_basis[k] = E
+        stacked_basis[k] = numlin.orthonormalize((Z[:, 0] @ V).reshape(s * m, V.shape[1]))
         margins[k] = (kept, dropped)
-    glued = HilbertModule(A, tuple(mult))
+    glued = HilbertModule(A, tuple(stacked_basis[k].shape[1] for k in A.labels))
     return GluedModule(D, glued, stacked_basis, margins)
 
 
-def glue_morphism(m: GlueMorphism, tol: float = DEFAULT_TOL) -> AdjointableMap:
-    """G on morphisms: the diagonal map squeezed through the two embeddings."""
+def glue_morphism(m: GlueMorphism, tol: float = DEFAULT_TOL, glued=None) -> AdjointableMap:
+    """G on morphisms: the diagonal map squeezed through the two embeddings.
+    glued is (glue(m.source), glue(m.target)) where the caller has them."""
     resid = morphism_residual(m)
     if resid > tol:
         raise NotAMorphismError(
             f"family violates the intertwining condition (residual {resid:.3e})",
             residual=resid,
         )
-    gs = glue(m.source)
-    gt = glue(m.target)
+    gs, gt = glued or (glue(m.source), glue(m.target))
     blocks = []
     for k in m.source.algebra.labels:
         A = np.stack([m.maps[i].block(k) for i in m.source.cover.members(k)])
@@ -470,11 +462,8 @@ def epsilon_iso(D: GluingDatum) -> EpsilonResult:
 
     if deficit:
         return EpsilonResult(gd, None, unitary_res, float("inf"), deficit)
-
     morphism = GlueMorphism(pull_apart(gd.module, D.cover), D, maps)
-    return EpsilonResult(
-        gd, morphism, unitary_res, morphism_residual(morphism), deficit
-    )
+    return EpsilonResult(gd, morphism, unitary_res, morphism_residual(morphism), deficit)
 
 
 @dataclass

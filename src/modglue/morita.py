@@ -335,11 +335,12 @@ def transition_cochain(D: BimoduleGluingDatum) -> dict:
     and one _scalars_of call per label."""
     out = {}
     for k in D.left_algebra.labels:
-        Z, V = D.nu[k], np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
-        pa, pb = np.nonzero(~np.eye(len(Z), dtype=bool))  # ordered pairs a != b
-        C, R = np.ones(Z.shape[:2], dtype=np.complex128), np.zeros(Z.shape[:2])
-        C[pa, pb], R[pa, pb] = _scalars_of(V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb])
-        out[k] = C, R
+        Z = D.nu[k]
+        out[k] = C, R = np.ones(Z.shape[:2], dtype=np.complex128), np.zeros(Z.shape[:2])
+        if len(Z) > 1:  # a label of one member set has only the diagonal
+            V = np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
+            pa, pb = np.nonzero(~np.eye(len(Z), dtype=bool))  # ordered pairs a != b
+            C[pa, pb], R[pa, pb] = _scalars_of(V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb])
     return out
 
 

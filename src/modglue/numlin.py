@@ -1,11 +1,12 @@
 """Dense complex matrix primitives: operator norms, kernel bases, unitarity tests.
 
 Every rank, kernel and subspace decision in the package funnels through the
-SVD-based routines here, so a single threshold convention governs all of them:
-a singular value sigma counts as zero iff sigma <= tol * sigma_max.  Callers
-that must not round a near-threshold decision either way test its margin
-against RANK_GAP_FACTOR.  Every unitarity check in the package likewise reads
-its residual from unitarity_defects.
+routines here, the only callers of numpy's SVD, QR and eigensolvers, so one
+threshold convention governs all of them: a singular value sigma counts as
+zero iff sigma <= tol * max(sigma_max, min_scale), min_scale 0 unless given.
+Callers that must not round a near-threshold decision either way test its
+margin against RANK_GAP_FACTOR.  Every unitarity check in the package
+likewise reads its residual from unitarity_defects.
 """
 
 from __future__ import annotations
@@ -139,13 +140,15 @@ def op_norm_maxima(groups) -> list:
     return out
 
 
-def rank_of(s: np.ndarray, tol: float) -> int:
-    """Number of descending singular values s above tol * s[0]: the rank
-    decision that rank_margin reports on."""
-    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
+def rank_of(s: np.ndarray, tol: float, min_scale: float = 0.0) -> int:
+    """Number of descending singular values s above tol * max(s[0],
+    min_scale): the rank decision that rank_margin reports on."""
+    scale = max(s[0] if s.size else 0.0, min_scale)
+    return int(np.sum(s > tol * scale)) if scale > 0.0 else 0
 
 
-def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool = False):
+def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool = False,
+                 min_scale: float = 0.0):
     """Orthonormal basis of ker M as columns of a (cols, dim ker) matrix.
 
     An empty matrix (0 rows) has full kernel: the identity on the column space.
@@ -162,28 +165,34 @@ def kernel_basis(M, tol: float = DEFAULT_RANK_TOL, return_singular_values: bool 
         K, s = np.eye(cols, dtype=np.complex128), np.zeros(0)
     else:
         _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
-        K = vh[rank_of(s, tol):].conj().T
+        K = vh[rank_of(s, tol, min_scale):].conj().T
     return (K, s) if return_singular_values else K
 
 
-def rank_margin(s: np.ndarray, cols: int, tol: float):
+def rank_margin(s: np.ndarray, cols: int, tol: float, min_scale: float = 0.0):
     """How clearly the rank decision at tol was made.
 
     s are the descending singular values of a matrix with cols columns; a
     wide matrix also discards cols - len(s) exact zeros.  Returns the smallest
-    kept and the largest discarded singular value, each divided by
-    tol * sigma_max, with None where nothing is kept or nothing is discarded.
-    A matrix with no nonzero singular value keeps nothing and discards exact
-    zeros only, reported as 0.0.
+    kept and the largest discarded singular value, each divided by tol *
+    max(sigma_max, min_scale), with None where nothing is kept or nothing is
+    discarded.  A zero scale keeps nothing and discards exact zeros, as 0.0.
     """
-    if not s.size or s[0] == 0.0:
+    scale = max(s[0] if s.size else 0.0, min_scale)
+    if scale == 0.0:
         return None, (0.0 if cols else None)
-    r = rank_of(s, tol)
-    rel = s / (tol * s[0])
+    r = rank_of(s, tol, min_scale)
+    rel = s / (tol * scale)
     kept = float(rel[r - 1]) if r else None
     if r < s.size:
         return kept, float(rel[r])
     return kept, (0.0 if cols > s.size else None)
+
+
+def orthonormalize(M) -> np.ndarray:
+    """Q of the reduced QR of a full-column-rank M: an orthonormal basis of
+    its column span, one column per column of M."""
+    return np.linalg.qr(as_cmatrix(M))[0]
 
 
 def orth_basis(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

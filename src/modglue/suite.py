@@ -72,7 +72,8 @@ def criterion_1_round_trip_phi(trials: int = 200, tol: float = DEFAULT_TOL, base
         Y = gen.random_module(rng, X.algebra, cfg)
         a = gen.random_map(rng, X, Y)
         phiY = phi_iso(Y, cov)
-        nat = compose(phiY.map, a) - compose(glue_morphism(pull_apart_map(a, cov)), phi.map)
+        Ga = glue_morphism(pull_apart_map(a, cov), glued=(phi.glued, phiY.glued))
+        nat = compose(phiY.map, a) - compose(Ga, phi.map)
         worst = max(worst, map_norm(nat))
     return Report(
         "criterion_1_round_trip_phi", worst <= tol, worst, tol,

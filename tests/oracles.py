@@ -144,6 +144,30 @@ def constraint_matrix(D, label):
     return np.vstack(blocks) if blocks else np.zeros((0, offsets[-1]), dtype=np.complex128)
 
 
+def root_holonomy_matrix(D, label):
+    """glue's root-holonomy stack H of one block label, entry by entry: the
+    row block zeta_ir - zeta_ij zeta_jr for each member i and each member
+    j != r, in that order, r = members[0] the root; (0, m_k) for a label of
+    one member set.  ker H is the root slot of the kernel of the overlap
+    constraint."""
+    members, m = D.cover.members(label), D.label_mult(label)
+    r = members[0]
+    blocks = [D.zeta_block(i, r, label) - D.zeta_block(i, j, label) @ D.zeta_block(j, r, label)
+              for i in members for j in members[1:]]
+    return np.vstack(blocks) if blocks else np.zeros((0, m), dtype=np.complex128)
+
+
+def holonomy_threshold_ratios(D, label, tol):
+    """The singular values of root_holonomy_matrix(D, label), each divided
+    by glue's rank threshold tol * max(sigma_max, sqrt(2 s)), s the label's
+    member count (sqrt(2 s) is the overlap constraint's norm on coherent
+    data)."""
+    H = root_holonomy_matrix(D, label)
+    s = np.linalg.svd(H, compute_uv=False) if H.size else np.zeros(0)
+    floor = np.sqrt(2 * len(D.cover.members(label)))
+    return s / (tol * max(s[0] if s.size else 0.0, floor))
+
+
 def _kernel_dim(M, tol):
     cols = M.shape[1]
     if 0 in M.shape:

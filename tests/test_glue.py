@@ -44,6 +44,7 @@ from oracles import (
     dense_glue_morphism,
     entrywise_pull_apart,
     flat_glued_subspace_basis,
+    holonomy_threshold_ratios,
     kron_kernel_dim,
     layout_embed,
     layout_project,
@@ -381,8 +382,9 @@ class TestDescentIdentities:
 
 def phase_witness(theta):
     """Three full cover sets over one 2x2 block, multiplicity 1, with the
-    transition phases (1, 1, e^{i theta}): coherent at theta = 0, and the
-    constraint's smallest singular value is about 0.19 * theta * sigma_max."""
+    transition phases (1, 1, e^{i theta}): coherent at theta = 0.  glue's
+    root-holonomy stack has the one singular value sqrt(2) |1 - e^{i theta}|,
+    about 0.58 * theta times the threshold scale sqrt(6) for small theta."""
     cfg = GenConfig(seed=0, twist_mode="prescribed_phases", phases=(
         (0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (0, 2, np.cos(theta), np.sin(theta)),
     ))
@@ -396,16 +398,17 @@ def test_rank_ambiguity_guard():
     # rounding it, on either side of the threshold, and glues clear cases
     rho = numlin.RANK_GAP_FACTOR
     assert glue(phase_witness(1e-6)).module.mult == (0,)
+    assert glue(phase_witness(np.pi)).module.mult == (0,)
     assert glue(phase_witness(0.0)).module.mult == (1,)
 
     with pytest.raises(RankAmbiguityError) as err:
         glue(phase_witness(1e-10))
     diag = err.value.diagnostics
     assert diag["label"] == 0 and diag["members"] == [0, 1, 2]
-    assert len(diag["singular_values"]) == 3
+    assert diag["singular_values"] == pytest.approx([np.sqrt(2) * 1e-10], rel=1e-6)
     margin = diag["margin"]
-    assert margin["smallest_kept"] >= rho  # the two large values are clear
-    assert 1 / rho < margin["largest_discarded"] <= 1.0  # the culprit
+    assert margin["smallest_kept"] is None  # H's one singular value is the culprit
+    assert 1 / rho < margin["largest_discarded"] <= 1.0
     assert "singular value" in str(err.value)
 
     with pytest.raises(RankAmbiguityError) as err:
@@ -413,6 +416,11 @@ def test_rank_ambiguity_guard():
     margin = err.value.diagnostics["margin"]
     assert 1.0 < margin["smallest_kept"] < rho  # kept, but barely
     assert margin["largest_discarded"] is None
+
+    # either side of the threshold, at the band's far ends
+    for theta in (1e-12, 1e-7):
+        with pytest.raises(RankAmbiguityError):
+            glue(phase_witness(theta))
 
 
 def test_glue_rejects_tol_without_room_for_the_band():
@@ -441,45 +449,6 @@ def oracle_datum(mode, seed, theta, **caps):
     return gen.random_gluing_instance(GenConfig(seed=seed, twist_mode=mode, **caps)).datum
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    mode=st.sampled_from(["coherent", "random_unitary", "prescribed_phases", "zero_mult"]),
-    seed=st.integers(min_value=0, max_value=10**6),
-    theta=st.floats(min_value=0.0, max_value=2 * np.pi),
-)
-@example(mode="prescribed_phases", seed=0, theta=1e-10)  # refused
-@example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1): glues to zero
-def test_one_svd_glue_matches_the_kronecker_oracle(mode, seed, theta):
-    D = oracle_datum(mode, seed, theta)
-    tol = numlin.DEFAULT_RANK_TOL
-    try:
-        gd = glue(D, tol)
-    except RankAmbiguityError as err:
-        # a refusal must be backed by a singular value inside the band
-        s = np.linalg.svd(constraint_matrix(D, err.diagnostics["label"]), compute_uv=False)
-        rel = s / (tol * s[0])
-        rho = numlin.RANK_GAP_FACTOR
-        assert np.any((rel > 1 / rho) & (rel < rho))
-        return
-    assert gd.module.mult == two_svd_multiplicities(D, tol)
-    for k, n, g in zip(D.algebra.labels, D.algebra.block_dims, gd.module.mult):
-        assert kron_kernel_dim(constraint_matrix(D, k), n, tol) == g * n
-
-
-def test_glued_module_records_the_rank_margin():
-    # the witness of test_rank_ambiguity_guard, on both clear sides of the band
-    tol, rho = numlin.DEFAULT_RANK_TOL, numlin.RANK_GAP_FACTOR
-    for theta in (1e-6, 0.0, np.pi):
-        D = phase_witness(theta)
-        gd = glue(D, tol)
-        _, s = numlin.kernel_basis(constraint_matrix(D, 0), tol, return_singular_values=True)
-        assert gd.rank_margin == {0: numlin.rank_margin(s, 3, tol)}
-    kept, dropped = glue(phase_witness(1e-6)).rank_margin[0]
-    assert kept >= rho and dropped is None  # all three kept: glues to zero
-    kept, dropped = glue(phase_witness(0.0)).rank_margin[0]
-    assert kept >= rho and dropped < 1 / rho  # one exact zero discarded
-
-
 TRANSITION_MODES = ("coherent", "random_unitary", "prescribed_phases", "zero_mult",
                     "single_member", "scaled")
 
@@ -504,6 +473,55 @@ def transition_datum(mode, seed, theta):
     D = gen.random_gluing_datum(rng, A, cov, cfg)
     entries = [(i, j, k, (1.0 + rng.uniform()) * U) for (i, j, k, U) in D.entries()]
     return make_gluing_datum(A, cov, D.modules, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(TRANSITION_MODES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    theta=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+@example(mode="prescribed_phases", seed=0, theta=1e-10)  # refused
+@example(mode="prescribed_phases", seed=0, theta=np.pi)  # (1, 1, -1): glues to zero
+@example(mode="zero_mult", seed=0, theta=0.0)
+@example(mode="single_member", seed=0, theta=0.0)
+@example(mode="scaled", seed=0, theta=0.0)
+def test_one_svd_glue_matches_the_kronecker_oracle(mode, seed, theta):
+    # glue reads each label from its root-holonomy stack H; the full overlap
+    # constraint C gives the same multiplicities, its Kronecker expansion
+    # confirms them, and E_k is an orthonormal basis of ker C
+    D = transition_datum(mode, seed, theta)
+    tol = numlin.DEFAULT_RANK_TOL
+    try:
+        gd = glue(D, tol)
+    except RankAmbiguityError as err:
+        # a refusal must be backed by a singular value of H inside the band
+        rel = holonomy_threshold_ratios(D, err.diagnostics["label"], tol)
+        rho = numlin.RANK_GAP_FACTOR
+        assert np.any((rel > 1 / rho) & (rel < rho))
+        return
+    assert gd.module.mult == two_svd_multiplicities(D, tol)
+    for k, n, g in zip(D.algebra.labels, D.algebra.block_dims, gd.module.mult):
+        C, E = constraint_matrix(D, k), gd.stacked_basis[k]
+        assert kron_kernel_dim(C, n, tol) == g * n
+        assert numlin.op_norm(E.conj().T @ E - np.eye(g)) <= 1e-12
+        assert numlin.subspace_gap(numlin.kernel_basis(C, tol), E) <= 1e-12
+
+
+def test_glued_module_records_the_rank_margin():
+    # the witness of test_rank_ambiguity_guard, on both clear sides of the
+    # band: the margin is that of H's singular values at glue's threshold
+    tol, rho = numlin.DEFAULT_RANK_TOL, numlin.RANK_GAP_FACTOR
+    for theta in (1e-6, 0.0, np.pi):
+        D = phase_witness(theta)
+        rel = holonomy_threshold_ratios(D, 0, tol)
+        kept, dropped = rel[rel > 1.0], rel[rel <= 1.0]
+        assert glue(D, tol).rank_margin == {0: (
+            float(kept.min()) if kept.size else None, float(dropped.max()) if dropped.size else None)}
+    kept, dropped = glue(phase_witness(1e-6)).rank_margin[0]
+    assert kept >= rho and dropped is None  # H's one value kept: glues to zero
+    kept, dropped = glue(phase_witness(0.0)).rank_margin[0]
+    assert kept is None and dropped == 0.0 < 1 / rho  # H = 0 exactly: coherent
 
 
 @settings(max_examples=80, deadline=None)

@@ -871,23 +871,40 @@ def assert_same_outcome(got, want):
 
 
 def cochain_datum(mode, seed):
-    """A bimodule datum of one of COCHAIN_MODES."""
-    return phase_datum(seed, np.pi) if mode == "phases" else bimodule_datum(mode, seed)
+    """A bimodule datum of one of COCHAIN_MODES, or with mode
+    "single_member" a random-unitary one whose labels each have one member
+    set except label 0, which every set owns."""
+    if mode == "phases":
+        return phase_datum(seed, np.pi)
+    if mode != "single_member":
+        return bimodule_datum(mode, seed)
+    rng = Rng(seed)
+    left = algebra(tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4))))
+    right = algebra(tuple(rng.randint(1, 3) for _ in left.block_dims))
+    sets = [{0} for _ in range(rng.randint(2, 3))]
+    for k in left.labels[1:]:
+        sets[rng.randint(0, len(sets) - 1)].add(k)
+    cfg = GenConfig(seed=seed, twist_mode="random_unitary")
+    return random_bimodule_datum(rng, left, right, cover(left.num_blocks, sets), cfg)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(COCHAIN_MODES), seed=st.integers(min_value=0, max_value=10**6))
 @example(mode="phases", seed=0)
 @example(mode="non_bimodule", seed=0)
+@example(mode="single_member", seed=0)  # labels of one member set take no product
 def test_transition_cochain_holds_each_transition_scalar_bit_for_bit(mode, seed):
     # one (s, s) pair (C, R) per label over cover.members(k): (1, 0) on the
     # diagonal, and off it the scalar and residual of v_a* nu_ab v_b
     D = cochain_datum(mode, seed)
     cochain = morita.transition_cochain(D)
     assert list(cochain) == list(D.left_algebra.labels)
+    if mode == "single_member":
+        assert sum(len(D.cover.members(k)) == 1 for k in cochain) >= 1
     for k, (C, R) in cochain.items():
         members = D.cover.members(k)
         assert C.shape == R.shape == (len(members),) * 2
+        assert (C.dtype, R.dtype) == (np.complex128, np.float64)
         for a, i in enumerate(members):
             for b, j in enumerate(members):
                 want = (1.0, 0.0) if a == b else morita._scalar_of(

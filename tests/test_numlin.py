@@ -329,6 +329,37 @@ class TestRankMargin:
         assert numlin.rank_margin(np.zeros(0), 3, 1e-10) == (None, 0.0)
         assert numlin.rank_margin(np.zeros(0), 0, 1e-10) == (None, None)
 
+    def test_min_scale_raises_the_threshold_of_a_small_matrix(self):
+        # against its own sigma_max a matrix of rounding noise keeps every
+        # value; against a floor it keeps none, and a floor below sigma_max
+        # changes nothing
+        s = np.array([3e-16, 1e-16])
+        assert numlin.rank_of(s, 1e-10) == 2
+        assert numlin.rank_of(s, 1e-10, min_scale=2.0) == 0
+        kept, dropped = numlin.rank_margin(s, 2, 1e-10, min_scale=2.0)
+        assert kept is None and dropped == pytest.approx(3e-16 / 2e-10)
+        t = np.array([4.0, 2.0, 4e-14])
+        assert numlin.rank_margin(t, 3, 1e-10, min_scale=1.0) == numlin.rank_margin(t, 3, 1e-10)
+        assert numlin.rank_margin(np.zeros(2), 3, 1e-10, min_scale=1.0) == (None, 0.0)
+        assert numlin.rank_margin(np.zeros(0), 3, 1e-10, min_scale=1.0) == (None, 0.0)
+
+
+def test_kernel_basis_min_scale_keeps_the_kernel_of_a_tiny_matrix():
+    M = 1e-17 * crand(6, 2)
+    assert numlin.kernel_basis(M).shape == (2, 0)
+    K = numlin.kernel_basis(M, min_scale=1.0)
+    assert K.shape == (2, 2)
+    assert numlin.op_norm(K.conj().T @ K - np.eye(2)) <= 1e-12
+
+
+def test_orthonormalize_spans_the_columns():
+    M = crand(6, 3)
+    Q = numlin.orthonormalize(M)
+    assert Q.shape == (6, 3)
+    assert numlin.op_norm(Q.conj().T @ Q - np.eye(3)) <= 1e-12
+    assert numlin.subspace_gap(Q, numlin.orth_basis(M)) <= 1e-12
+    assert numlin.orthonormalize(np.zeros((4, 0))).shape == (4, 0)
+
 
 def test_subspace_gap():
     Q = np.linalg.qr(crand(5, 5))[0]
