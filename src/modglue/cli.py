@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
         residuals = {"unitary": v.unitary, "transitions_bimodule": v.transitions_bimodule,
                      "involutive": v.involutive, "bimodules": v.bimodules}
         reports.append(Report(
-            "validate_bimodule_datum", v.required_ok(args.tol), max(residuals.values()),
+            "validate_bimodule_datum", v.required_ok, max(residuals.values()),
             args.tol, args.file, time.time() - t0,
             {"cocycle_residual": v.cocycle, "residuals": residuals},
         ))
@@ -187,6 +187,9 @@ def cmd_roundtrip(args) -> int:
                 time.time() - t0, {"glued_mult": list(phi.glued.module.mult)},
             ))
         elif isinstance(obj, GluingDatum):
+            v = validate_gluing_datum(obj, args.tol)
+            if not v.required_ok:
+                return _emit([_datum_report("roundtrip_epsilon", v, args.tol, args.file, t0)], args.out)
             eps = epsilon_iso(obj)
             res = max(eps.unitary_residual, eps.intertwine_residual)
             ok = eps.morphism is not None and res <= args.tol

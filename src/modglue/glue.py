@@ -260,17 +260,20 @@ class GlueMorphism:
         return GlueMorphism(self.target, self.source, tuple(adjoint_of(a) for a in self.maps))
 
 
-def morphism_residual(m: GlueMorphism) -> float:
-    """Largest violation of alpha_i|F_ij o zeta_ij = omega_ij o alpha_j|F_ij.
+def _intertwining_residual(A, Z, W) -> float:
+    """Largest ||A_a Z_ab - W_ab A_b|| over one label's members: A the stack
+    of maps, Z and W the source and target transition stacks."""
+    R = A[:, None] @ Z - W @ A[None]
+    return float(numlin.op_norms(R).max(initial=0.0))
 
-    Per label, R[a, b] = A_a Z_ab - W_ab A_b takes every pair of members at
-    once from the stack A of the alpha_i; the slots a = b are exactly 0."""
+
+def morphism_residual(m: GlueMorphism) -> float:
+    """Largest violation of alpha_i|F_ij o zeta_ij = omega_ij o alpha_j|F_ij."""
     worst = 0.0
     for k, Z in m.source.zeta.items():
         if len(Z) > 1:
             A = np.stack([m.maps[i].block(k) for i in m.source.cover.members(k)])
-            R = A[:, None] @ Z - m.target.zeta[k] @ A[None]
-            worst = max(worst, float(numlin.op_norms(R).max(initial=0.0)))
+            worst = max(worst, _intertwining_residual(A, Z, m.target.zeta[k]))
     return worst
 
 

@@ -34,14 +34,13 @@ from .gen import prescribed_phases
 from .glue import (
     GluingDatum,
     GluedModule,
-    GlueMorphism,
+    _intertwining_residual,
     glue,
     make_gluing_datum,
-    morphism_residual,
     pull_apart,
     validate_gluing_datum,
 )
-from .hmod import AdjointableMap, HilbertModule, ModuleVector, module
+from .hmod import HilbertModule, ModuleVector, module, restrict_module
 from .numlin import DEFAULT_TOL
 from .rng import Rng
 
@@ -112,14 +111,6 @@ def left_inner(M: EquivalenceBimodule, x: ModuleVector, y: ModuleVector) -> Alge
     return AlgebraElement(M.left_algebra, tuple(blocks))
 
 
-def restrict_bimodule(M: EquivalenceBimodule, F) -> EquivalenceBimodule:
-    subL = restrict_algebra(M.left_algebra, F)
-    subR = restrict_algebra(M.right_algebra, F)
-    return EquivalenceBimodule(
-        subL, subR, tuple(M.twist_at(lab) for lab in subL.labels)
-    )
-
-
 # The left inner products see u through a -> u* a u, whose singular values
 # are the products s_i s_j of u's; this threshold on s_min / s_max is the
 # rank threshold on s_min^2 / s_max^2.
@@ -166,23 +157,20 @@ class BimoduleValidation:
         )
 
 
-def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL) -> BimoduleValidation:
-    """Validate M from one SVD per twist (see BimoduleValidation).
-
-    A twist counts as invertible iff its rank decision at _TWIST_RANK_TOL
-    discards no singular value.
-    """
+def _twist_validation(stacks, keys, tol: float) -> BimoduleValidation:
+    """BimoduleValidation of the twists of the (count, m, m) stacks, keyed in
+    order by keys, from one unitarity_defects call per stack."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     defect, margin = {}, {}
     imp = lin = 0.0
-    for lab, u in zip(M.left_algebra.labels, M.twist):
-        (d,), (s,) = numlin.unitarity_defects(u[None], return_singular_values=True)
-        d, top = float(d), float(s[0]) ** 2
-        defect[lab] = d
-        margin[lab] = numlin.rank_margin(s, u.shape[1], _TWIST_RANK_TOL)
-        imp = max(imp, d * (top + 1.0))
-        lin = max(lin, d * top)
+    keys = iter(keys)
+    for U in stacks:
+        for d, s in zip(*numlin.unitarity_defects(U, return_singular_values=True)):
+            key, d, top = next(keys), float(d), float(s[0]) ** 2
+            defect[key] = d
+            margin[key] = numlin.rank_margin(s, U.shape[-1], _TWIST_RANK_TOL)
+            imp, lin = max(imp, d * (top + 1.0)), max(lin, d * top)
     return BimoduleValidation(
         twist_unitary=all(d <= tol for d in defect.values()),
         imprimitivity=imp,
@@ -192,6 +180,15 @@ def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL) -> Bimod
         rank_margin=margin,
         tol=tol,
     )
+
+
+def validate_bimodule(M: EquivalenceBimodule, tol: float = DEFAULT_TOL) -> BimoduleValidation:
+    """Validate M from one SVD per twist (see BimoduleValidation).
+
+    A twist counts as invertible iff its rank decision at _TWIST_RANK_TOL
+    discards no singular value.
+    """
+    return _twist_validation((u[None] for u in M.twist), M.left_algebra.labels, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +238,11 @@ def bimodules_isomorphic(M: EquivalenceBimodule, N: EquivalenceBimodule,
                          tol: float = DEFAULT_TOL):
     """A unitary bimodule isomorphism M -> N (blocks of x |-> W_k x), or None.
 
-    One exists iff the shapes match; the witness is W_k = v_k u_k* built from
-    the two twists, verified against both actions and both inner products.
+    One exists iff the algebras match, which fixes the shapes; the witness
+    is W_k = v_k u_k* built from the two twists, verified against both
+    actions and both inner products.
     """
     if (M.left_algebra != N.left_algebra) or (M.right_algebra != N.right_algebra):
-        return None
-    if M.mult != N.mult:
         return None
     W = tuple(v @ u.conj().T for u, v in zip(M.twist, N.twist))
     if bimodule_morphism_residual(M, N, W) > tol:
@@ -277,15 +273,16 @@ class BimoduleGluingDatum:
 
     right is the gluing datum of the members' right modules, and its zeta
     holds the transitions: nu[k] = right.zeta[k] is label k's (s, s, n'_k,
-    n'_k) transition stack over cover.members(k).  Each transition acts by
-    left multiplication N_j|F_ij -> N_i|F_ij and must intertwine both
-    actions, which pins it to a unit scalar times v_i v_j* blockwise.
-    right_algebra, cover, nu and mult_at read through to right.
+    n'_k) transition stack over cover.members(k), and twist[k] the complex128
+    (s, n'_k, n'_k) stack of the member twists over the same slots.  Each
+    transition acts by left multiplication N_j|F_ij -> N_i|F_ij and must
+    intertwine both actions, which pins it to a unit scalar times v_i v_j*
+    blockwise.  right_algebra, cover, nu and mult_at read through to right.
     """
 
     left_algebra: FdCStarAlgebra
     right: GluingDatum
-    bimodules: tuple  # EquivalenceBimodule over restricted pairs, one per set
+    twist: dict  # label -> (s, n'_k, n'_k) member twist stack
 
     @property
     def right_algebra(self) -> FdCStarAlgebra:
@@ -303,7 +300,7 @@ class BimoduleGluingDatum:
         return self.right.mult_at(i, label)
 
     def twist_at(self, i: int, label) -> np.ndarray:
-        return self.bimodules[i].twist_at(label)
+        return self.twist[label][self.cover.member_positions[label][i]]
 
 
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
@@ -311,7 +308,7 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     """Normalizing constructor: checks the bimodules' left algebras, then
     builds the right gluing datum of their right modules with
     glue.make_gluing_datum, which checks the right algebras and the
-    transitions (i, j, label, matrix)."""
+    transitions (i, j, label, matrix), and stacks the twists per label."""
     bimodules = tuple(bimodules)
     if left.labels != right.labels:
         raise InvalidInputError("algebras must share labels")
@@ -323,22 +320,21 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
         if not is_restriction(Mi.left_algebra, left, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong left algebra")
     modules = tuple(Mi.right_module() for Mi in bimodules)
-    return BimoduleGluingDatum(left, make_gluing_datum(right, cover, modules, nu_entries),
-                               bimodules)
+    twist = {k: np.stack([bimodules[i].twist_at(k) for i in cover.members(k)]) for k in left.labels}
+    return BimoduleGluingDatum(left, make_gluing_datum(right, cover, modules, nu_entries), twist)
 
 
 def transition_cochain(D: BimoduleGluingDatum) -> dict:
     """label -> (C, R), two (s, s) arrays over cover.members(k): C[a, b] is
-    the trace-normalized scalar of v_a* nu_ab v_b, v the member twists, and
-    R[a, b] = ||v_a* nu_ab v_b - C[a, b] I||, which vanishes iff nu_ab is the
-    bimodule map C[a, b] v_a v_b*; C[a, a] = 1 and R[a, a] = 0.  One product
-    and one _scalars_of call per label."""
+    the trace-normalized scalar of v_a* nu_ab v_b, v = D.twist[k] the member
+    twists, and R[a, b] = ||v_a* nu_ab v_b - C[a, b] I||, which vanishes iff
+    nu_ab is the bimodule map C[a, b] v_a v_b*; C[a, a] = 1 and R[a, a] = 0.
+    One product and one _scalars_of call per label."""
     out = {}
     for k in D.left_algebra.labels:
-        Z = D.nu[k]
+        Z, V = D.nu[k], D.twist[k]
         out[k] = C, R = np.ones(Z.shape[:2], dtype=np.complex128), np.zeros(Z.shape[:2])
         if len(Z) > 1:  # a label of one member set has only the diagonal
-            V = np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
             pa, pb = np.nonzero(~np.eye(len(Z), dtype=bool))  # ordered pairs a != b
             C[pa, pb], R[pa, pb] = _scalars_of(V[pa].conj().swapaxes(-1, -2) @ Z[pa, pb] @ V[pb])
     return out
@@ -364,16 +360,24 @@ def _bimodule_scalars(D: BimoduleGluingDatum, tol: float, what: str) -> dict:
 
 
 def _derived_datum(left: FdCStarAlgebra, right: FdCStarAlgebra, cover: ClosedCover,
-                   bimodules: tuple, nu: dict) -> BimoduleGluingDatum:
+                   twist: dict, nu: dict) -> BimoduleGluingDatum:
     """A bimodule datum derived from valid data, built without the checks of
-    make_bimodule_datum.  nu maps each label to its transition stack, whose
-    part below the diagonal of the (s, s) grid is overwritten here with the
-    adjoints of the part above, as normalize_transitions mirrors a pair given once."""
+    make_bimodule_datum from its twist and transition stacks; the part of a
+    transition stack below the diagonal of the (s, s) grid is overwritten
+    with the adjoints of the part above, as normalize_transitions mirrors a
+    pair given once."""
     for Z in nu.values():
         a, b = np.nonzero(np.tri(len(Z), k=-1, dtype=bool))  # pairs a > b
         Z[a, b] = Z[b, a].conj().swapaxes(-1, -2)
-    modules = tuple(Mi.right_module() for Mi in bimodules)
-    return BimoduleGluingDatum(left, GluingDatum(right, cover, modules, nu), bimodules)
+    X = module(right, left.block_dims)
+    modules = tuple(restrict_module(X, F) for F in cover.sets)
+    return BimoduleGluingDatum(left, GluingDatum(right, cover, modules, nu), twist)
+
+
+def _member_twists(cover: ClosedCover, labels, twists) -> dict:
+    """label k -> its twist stacked once per member of k."""
+    return {k: np.broadcast_to(u, (len(cover.members(k)),) + u.shape).copy()
+            for k, u in zip(labels, twists)}
 
 
 @dataclass
@@ -385,39 +389,42 @@ class BimoduleDatumValidation:
     cocycle: float
     unitary: float  # largest transition unitarity defect
     bimodules: float  # largest member max(imprimitivity, left_linearity)
+    tol: float  # the tolerance the residuals were judged at
 
-    def required_ok(self, tol: float = DEFAULT_TOL) -> bool:
+    @property
+    def required_ok(self) -> bool:
         return (
             self.bimodules_ok and self.transitions_unitary
-            and self.transitions_bimodule <= tol and self.involutive <= tol
+            and self.transitions_bimodule <= self.tol and self.involutive <= self.tol
         )
 
 
 def validate_bimodule_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleDatumValidation:
     """Check the member bimodules and the transitions.
 
-    Unitarity, involution and the cocycle are those of
-    glue.validate_gluing_datum on the right gluing datum D.right, so the
+    bimodules_ok holds iff every member bimodule passes validate_bimodule, and
+    bimodules is the largest member max(imprimitivity, left_linearity), from
+    one unitarity_defects call per twist stack.  Unitarity, involution and
+    the cocycle are those of glue.validate_gluing_datum on D.right, so the
     transitions are unitary iff each unitarity defect is at most tol.  The
-    bimodule-map residual is the largest residual of
-    transition_cochain.
+    bimodule-map residual is the largest residual of transition_cochain.
     """
-    members = [validate_bimodule(Mi, tol) for Mi in D.bimodules]
+    members = _twist_validation(D.twist.values(),
+                                [(k, i) for k in D.twist for i in D.cover.members(k)], tol)
     right = validate_gluing_datum(D.right, tol)
     res = right.max_residuals
     bire = max((float(R.max()) for _, R in transition_cochain(D).values()), default=0.0)
     return BimoduleDatumValidation(
-        all(v.passed for v in members), right.unitary, bire,
-        res["involutive"], res["cocycle"], res["unitary"],
-        max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0),
+        members.passed, right.unitary, bire, res["involutive"], res["cocycle"], res["unitary"],
+        max(members.imprimitivity, members.left_linearity), tol,
     )
 
 
 def pull_apart_bimodule(M: EquivalenceBimodule, cover: ClosedCover) -> BimoduleGluingDatum:
     """The canonical datum of a bimodule: the pull-apart of its right module,
     with the restricted twists."""
-    bims = tuple(restrict_bimodule(M, F) for F in cover.sets)
-    return BimoduleGluingDatum(M.left_algebra, pull_apart(M.right_module(), cover), bims)
+    return BimoduleGluingDatum(M.left_algebra, pull_apart(M.right_module(), cover),
+                               _member_twists(cover, M.left_algebra.labels, M.twist))
 
 
 @dataclass
@@ -484,7 +491,7 @@ def _glued_twist(D: BimoduleGluingDatum, gd: GluedModule, k):
     m = R.shape[2]
     if m == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-    K = R.conj().swapaxes(-1, -2) @ np.stack([D.twist_at(i, k) for i in D.cover.members(k)])
+    K = R.conj().swapaxes(-1, -2) @ D.twist[k]
     norms = [np.linalg.norm(Ki) for Ki in K]
     r = int(np.argmax(norms))
     c_r = norms[r] / np.sqrt(m)
@@ -538,10 +545,11 @@ def obstruction_2cocycle(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> di
 def dual_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleGluingDatum:
     """Dualize each local bimodule; the transition scalars are conjugated,
     the dual twists being the identity."""
-    bims = tuple(dual_bimodule(Mi) for Mi in D.bimodules)
-    nu = {k: np.conj(C)[..., None, None] * _identity(D.right_algebra, k)
+    B = D.right_algebra
+    I = B.identity()
+    nu = {k: np.conj(C)[..., None, None] * I.block(k)
           for k, C in _bimodule_scalars(D, tol, "transition").items()}
-    return _derived_datum(D.right_algebra, D.left_algebra, D.cover, bims, nu)
+    return _derived_datum(B, D.left_algebra, D.cover, _member_twists(D.cover, B.labels, I.blocks), nu)
 
 
 def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
@@ -555,12 +563,9 @@ def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
         raise InvalidInputError("data live over different covers")
     if D1.right_algebra != D2.left_algebra:
         raise InvalidInputError("middle algebras do not match")
-    bims = tuple(
-        tensor_bimodules(M1, M2) for M1, M2 in zip(D1.bimodules, D2.bimodules)
-    )
     nu = {k: C[..., None, None] * D1.nu[k]
           for k, C in _bimodule_scalars(D2, tol, "right-factor transition").items()}
-    return _derived_datum(D1.left_algebra, D2.right_algebra, D1.cover, bims, nu)
+    return _derived_datum(D1.left_algebra, D2.right_algebra, D1.cover, D1.twist, nu)
 
 
 def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
@@ -580,89 +585,72 @@ def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
         raise InvalidInputError("data live over different covers")
     c_M = _bimodule_scalars(Mdat, tol, "right-factor transition")
     B = D.right_algebra
-    bims = tuple(identity_bimodule(N.right_algebra) for N in D.bimodules)
-    nu = {k: C[..., None, None] * (c_M[k][..., None, None]
-                                   * (np.conj(C)[..., None, None] * _identity(B, k)))
+    I = B.identity()
+    nu = {k: C[..., None, None] * (c_M[k][..., None, None] * (np.conj(C)[..., None, None] * I.block(k)))
           for k, C in c_D.items()}
-    return _derived_datum(B, B, D.cover, bims, nu)
+    return _derived_datum(B, B, D.cover, _member_twists(D.cover, B.labels, I.blocks), nu)
 
 
-def _identity(alg: FdCStarAlgebra, label) -> np.ndarray:
-    return np.eye(alg.block_dims[alg.position(label)], dtype=np.complex128)
+def _witness_scalars(src: BimoduleGluingDatum, tgt: BimoduleGluingDatum, witnesses):
+    """datum_morphism_residual, and label -> the scalars c of v_tgt* W v_src."""
+    worst, scalars = 0.0, {}
+    for k in src.left_algebra.labels:
+        W = witnesses[k]
+        scalars[k], r = _scalars_of(tgt.twist[k].conj().swapaxes(-1, -2) @ W @ src.twist[k])
+        worst = max(worst, float(numlin.unitarity_defects(W).max()), *r,
+                    _intertwining_residual(W, src.nu[k], tgt.nu[k]))
+    return worst, scalars
 
 
 def datum_morphism_residual(src: BimoduleGluingDatum, tgt: BimoduleGluingDatum,
                             witnesses) -> float:
-    """How far a per-set family of block matrices is from a morphism of
-    bimodule gluing data: each map must be a bimodule unitary, and the family
-    must intertwine the transitions, as glue.morphism_residual measures on
-    the right gluing data."""
-    worst = max((bimodule_morphism_residual(M, N, W)
-                 for M, N, W in zip(src.bimodules, tgt.bimodules, witnesses)), default=0.0)
-    maps = tuple(AdjointableMap(Z, Y, tuple(W))
-                 for Z, Y, W in zip(src.right.modules, tgt.right.modules, witnesses))
-    return max(worst, morphism_residual(GlueMorphism(src.right, tgt.right, maps)))
+    """How far witnesses, label k -> an (s, n'_k, n'_k) stack W over
+    cover.members(k), are from a morphism of bimodule data: the largest
+    unitarity defect of a W_a, distance of v_tgt* W_a v_src from a scalar
+    (W_a is a bimodule map iff it is one) and ||W_a nu_ab - nu'_ab W_b||."""
+    return _witness_scalars(src, tgt, witnesses)[0]
 
 
 def picard_conjugate_morphism(D: BimoduleGluingDatum,
                               src: BimoduleGluingDatum, tgt: BimoduleGluingDatum,
-                              witnesses, tol: float = DEFAULT_TOL):
+                              witnesses, tol: float = DEFAULT_TOL) -> dict:
     """The conjugation functor on morphisms: id (x) alpha (x) id, setwise.
 
-    On the concrete models each component reduces to the scalar of alpha_i
-    against the canonical comparison of the two middle twists, times the
-    identity; the scalar is extracted with an explicit failure mode.
+    Takes and returns witness stacks as datum_morphism_residual does: label
+    k -> c[:, None, None] I, c the scalars of v_tgt* W v_src.  Witnesses whose
+    residual, which bounds each scalar's, exceeds tol raise ModelViolationError.
     """
-    res = datum_morphism_residual(src, tgt, witnesses)
+    res, scalars = _witness_scalars(src, tgt, witnesses)
     if res > tol:
         raise ModelViolationError(
             f"input family is not a morphism of bimodule data (residual {res:.3e})",
             residual=res,
         )
-    cov = D.cover
-    out = []
-    for i in range(cov.num_sets):
-        blocks = []
-        for pos, k in enumerate(sorted(cov.sets[i])):
-            Wk = witnesses[i][pos]
-            s, r = _scalar_of(tgt.twist_at(i, k).conj().T @ Wk @ src.twist_at(i, k))
-            if r > tol:
-                raise ModelViolationError(
-                    f"witness at set {i} block {k} is not a bimodule map "
-                    f"(residual {r:.3e})",
-                    residual=r,
-                )
-            blocks.append(s * _identity(D.right_algebra, k))
-        out.append(tuple(blocks))
-    return tuple(out)
+    I = D.right_algebra.identity()
+    return {k: np.array(c, dtype=np.complex128)[:, None, None] * I.block(k) for k, c in scalars.items()}
 
 
 def bimodule_data_isomorphic(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
                              tol: float = DEFAULT_TOL):
-    """Witness isomorphism of bimodule gluing data, or None.
+    """Witness isomorphism of bimodule gluing data, label k -> the stack
+    lambda[:, None, None] (v2 v1*) over cover.members(k), or None.
 
-    Per set, candidates are scalar multiples lambda_i v2_i v1_i* of the
-    canonical twist comparison.  The intertwining constraint at (i, root),
-    root the lowest set containing the block, reads lambda_i c1 = c2
-    lambda_root in the transition scalars, so lambda_root = 1 and
-    lambda_i = c2[i, root] / c1[i, root]; then every pair is re-verified.
+    Per member, candidates are scalar multiples lambda_a v2_a v1_a* of the
+    canonical twist comparison (equal left algebras fix the shapes).  The
+    intertwining constraint at (a, root), root the lowest set containing the
+    block, reads lambda_a c1 = c2 lambda_root in the transition scalars, so
+    lambda_root = 1 and lambda_a = c2[a, root] / c1[a, root]; then every
+    pair is re-verified.
     """
     if (D1.left_algebra != D2.left_algebra or D1.right_algebra != D2.right_algebra
             or D1.cover != D2.cover):
         return None
-    for M1, M2 in zip(D1.bimodules, D2.bimodules):
-        if M1.mult != M2.mult:
-            return None
-    cov = D1.cover
     c1, c2 = transition_cochain(D1), transition_cochain(D2)
     if any((abs(C1[:, 0]) < _SCALAR_ZERO_TOL).any() for C1, _ in c1.values()):
         return None
-    lam = {k: c2[k][0][:, 0] / C1[:, 0] for k, (C1, _) in c1.items()}  # over members(k)
-    witnesses = tuple(
-        tuple(lam[k][cov.member_positions[k][i]] * (D2.twist_at(i, k) @ D1.twist_at(i, k).conj().T)
-              for k in sorted(cov.sets[i]))
-        for i in range(cov.num_sets)
-    )
+    witnesses = {k: (c2[k][0][:, 0] / C1[:, 0])[:, None, None]
+                 * (D2.twist[k] @ D1.twist[k].conj().swapaxes(-1, -2))
+                 for k, (C1, _) in c1.items()}
     if datum_morphism_residual(D1, D2, witnesses) > tol:
         return None
     return witnesses

@@ -168,7 +168,8 @@ def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
         "right_blocks": [int(n) for n in D.right_algebra.block_dims],
         "cover": cover_to_json(D.cover),
         "bimodules": [
-            {"twist": [matrix_to_json(u) for u in Mi.twist]} for Mi in D.bimodules
+            {"twist": [matrix_to_json(D.twist_at(i, k)) for k in D.left_algebra.labels if k in F]}
+            for i, F in enumerate(D.cover.sets)
         ],
         "nu": _transitions_to_json(D.right),
     }

@@ -410,9 +410,12 @@ def criterion_11_cech(trials: int = 30, tol: float = COCYCLE_TOL, base_seed: int
         f = morita.obstruction_2cocycle(D, CECH_OBSTRUCTION_TOL)
         # D twisted by the coboundary of g, which must leave f unchanged
         g = {(i, k): rng.unit_scalar() for i in range(4) for k in range(K)}
-        entries = [(i, j, k, g[(i, k)] * W * np.conj(g[(j, k)]))
-                   for (i, j, k, W) in D.right.entries() if i < j]
-        D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
+        nu = {}
+        for k, Z in D.nu.items():
+            gk = np.array([g[(i, k)] for i in cov.members(k)])
+            nu[k] = gk[:, None, None, None] * Z * np.conj(gk)[None, :, None, None]
+            nu[k][np.diag_indices(len(Z))] = np.eye(Z.shape[-1])  # g conj(g) may miss 1
+        D2 = morita._derived_datum(left, right, cov, D.twist, nu)
         f2 = morita.obstruction_2cocycle(D2, CECH_OBSTRUCTION_TOL)
         for k, F in f.items():
             worst = max(worst, _coboundary_residual(F), float(np.abs(F - f2[k]).max()))

@@ -31,7 +31,11 @@ singular values, is measured here from the products U*U and UU*.  A
 bimodule datum's right gluing datum, which the library stores, is rebuilt
 here from the member bimodules and the transitions, and the pull-apart's
 identity transition stacks, which the library tiles directly, are built
-here through make_gluing_datum from one identity entry per pair.  The balanced-tensor
+here through make_gluing_datum from one identity entry per pair.  The member
+bimodules of a bimodule datum and the witnesses of a morphism of bimodule
+data, which the library keeps as one stack per label, are per-set tuples
+here (member_bimodules, witness_tuples), and a datum morphism's residual is
+taken one set and one pair at a time.  The balanced-tensor
 quotient, which the library reads from the graph that the relations draw on
 the plain coordinates, is taken here from an SVD of the dense relation
 matrix, formed slot by slot from the same matrix pieces (svd_balanced_tensor),
@@ -696,7 +700,7 @@ def pairwise_gluing_validation(D, tol):
 def pairwise_bimodule_validation(D, tol):
     """validate_bimodule_datum with product_unitarity_residual per (pair,
     label) and one SVD per (triple, label)."""
-    members = [morita.validate_bimodule(Mi, tol) for Mi in D.bimodules]
+    members = [morita.validate_bimodule(Mi, tol) for Mi in member_bimodules(D)]
     unit = True
     defect = bire = invo = coc = 0.0
     for (i, j) in D.cover.pairs(include_diagonal=False):
@@ -714,7 +718,7 @@ def pairwise_bimodule_validation(D, tol):
             coc = max(coc, numlin.op_norm(lhs - D.right.zeta_block(i, l, k)))
     return morita.BimoduleDatumValidation(
         all(v.passed for v in members), unit, bire, invo, coc, defect,
-        max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0))
+        max((max(v.imprimitivity, v.left_linearity) for v in members), default=0.0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +735,7 @@ _SCALAR_ZERO_TOL = 1e-12
 
 
 def matrix_dual_datum(D, tol=morita.DEFAULT_TOL):
-    bims = tuple(morita.dual_bimodule(Mi) for Mi in D.bimodules)
+    bims = tuple(morita.dual_bimodule(Mi) for Mi in member_bimodules(D))
     entries = []
     for (i, j) in D.cover.pairs(include_diagonal=False):
         if i >= j:
@@ -757,9 +761,8 @@ def matrix_datum_tensor(D1, D2, tol=morita.DEFAULT_TOL):
         raise InvalidInputError("data live over different covers")
     if D1.right_algebra != D2.left_algebra:
         raise InvalidInputError("middle algebras do not match")
-    bims = tuple(
-        morita.tensor_bimodules(M1, M2) for M1, M2 in zip(D1.bimodules, D2.bimodules)
-    )
+    bims = tuple(morita.tensor_bimodules(M1, M2)
+                 for M1, M2 in zip(member_bimodules(D1), member_bimodules(D2)))
     entries = []
     for (i, j) in D1.cover.pairs(include_diagonal=False):
         if i >= j:
@@ -809,7 +812,7 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
     if (D1.left_algebra != D2.left_algebra or D1.right_algebra != D2.right_algebra
             or D1.cover != D2.cover):
         return None
-    for M1, M2 in zip(D1.bimodules, D2.bimodules):
+    for M1, M2 in zip(member_bimodules(D1), member_bimodules(D2)):
         if M1.mult != M2.mult:
             return None
     cov = D1.cover
@@ -831,16 +834,54 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
         tuple(lam[(i, k)] * _canon_matrix(D1, D2, i, k) for k in sorted(cov.sets[i]))
         for i in range(cov.num_sets)
     )
-    if morita.datum_morphism_residual(D1, D2, witnesses) > tol:
+    if pairwise_datum_morphism_residual(D1, D2, witnesses) > tol:
         return None
     return witnesses
+
+
+# ---------------------------------------------------------------------------
+# Per-set member bimodules and witnesses
+#
+# morita keeps a bimodule datum's member twists as one (s, m_k, m_k) stack
+# per label, and a morphism of bimodule data as one witness stack per
+# label.  These are the per-set forms they replaced: one EquivalenceBimodule
+# over the restricted algebras per cover set, and per set a tuple of
+# witness blocks in the order of its sorted labels.
+
+
+def restrict_bimodule(M, F):
+    """M over the restrictions of both its algebras to F, with M's twists."""
+    subL = restrict_algebra(M.left_algebra, F)
+    subR = restrict_algebra(M.right_algebra, F)
+    return morita.EquivalenceBimodule(subL, subR, tuple(M.twist_at(lab) for lab in subL.labels))
+
+
+def member_bimodules(D):
+    """The member bimodule of each cover set of a bimodule datum D."""
+    return tuple(
+        morita.EquivalenceBimodule(
+            restrict_algebra(D.left_algebra, F), restrict_algebra(D.right_algebra, F),
+            tuple(D.twist_at(i, k) for k in D.left_algebra.labels if k in F))
+        for i, F in enumerate(D.cover.sets))
+
+
+def witness_tuples(D, witnesses):
+    """A witness stack per label as per-set tuples over the sorted labels."""
+    return tuple(tuple(witnesses[k][D.cover.member_positions[k][i]] for k in sorted(F))
+                 for i, F in enumerate(D.cover.sets))
+
+
+def witness_stacks(D, tuples):
+    """Per-set witness tuples as one stack per label over cover.members(k)."""
+    return {k: np.stack([tuples[i][sorted(D.cover.sets[i]).index(k)] for i in D.cover.members(k)])
+            for k in D.left_algebra.labels}
 
 
 # ---------------------------------------------------------------------------
 # A bimodule datum's right gluing datum, rebuilt
 #
 # morita keeps a bimodule datum as its right gluing datum D.right plus the
-# member bimodules.  These are the paths that stored datum replaced: the
+# member twists.  These are the paths that stored datum replaced: the
 # right datum rebuilt from the right modules and the transitions, the
 # pull-apart built through make_bimodule_datum, and the morphism residual's
 # own loop over pairs and labels.
@@ -848,7 +889,7 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
 
 def rebuilt_right_datum(D):
     """Forget the left structure: the right modules with the same transitions."""
-    modules = tuple(Mi.right_module() for Mi in D.bimodules)
+    modules = tuple(Mi.right_module() for Mi in member_bimodules(D))
     return make_gluing_datum(D.right_algebra, D.cover, modules, D.right.entries())
 
 
@@ -867,7 +908,7 @@ def entrywise_pull_apart(X, cover):
 def entrywise_pull_apart_bimodule(M, cover):
     """morita.pull_apart_bimodule through make_bimodule_datum, from identity
     transitions for i < j."""
-    bims = tuple(morita.restrict_bimodule(M, F) for F in cover.sets)
+    bims = tuple(restrict_bimodule(M, F) for F in cover.sets)
     entries = []
     for (i, j) in cover.pairs(include_diagonal=False):
         if i < j:
@@ -878,16 +919,15 @@ def entrywise_pull_apart_bimodule(M, cover):
 
 
 def pairwise_datum_morphism_residual(src, tgt, witnesses):
-    """morita.datum_morphism_residual with the intertwining residual taken
-    one (pair, label) at a time, each witness block found by its position in
+    """morita.datum_morphism_residual on per-set witnesses (witness_tuples),
+    with each member's bimodule-map residual taken by
+    morita.bimodule_morphism_residual and the intertwining residual one
+    (pair, label) at a time, each witness block found by its position in
     the sorted cover set."""
     worst = 0.0
     cov = src.cover
-    for i in range(cov.num_sets):
-        worst = max(
-            worst,
-            morita.bimodule_morphism_residual(src.bimodules[i], tgt.bimodules[i], witnesses[i]),
-        )
+    for i, (M, N) in enumerate(zip(member_bimodules(src), member_bimodules(tgt))):
+        worst = max(worst, morita.bimodule_morphism_residual(M, N, witnesses[i]))
     for (i, j) in cov.pairs(include_diagonal=False):
         for k in sorted(cov.overlap(i, j)):
             Wi = witnesses[i][sorted(cov.sets[i]).index(k)]

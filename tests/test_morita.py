@@ -364,7 +364,7 @@ class TestObstruction:
                 for k in sorted(cov.overlap(i, j)):
                     entries.append((i, j, k,
                                     g[(i, k)] * D.right.zeta_block(i, j, k) * np.conj(g[(j, k)])))
-        D2 = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
+        D2 = morita.make_bimodule_datum(left, right, cov, oracles.member_bimodules(D), entries)
         f2 = obstruction_2cocycle(D2)
         assert f.keys() == f2.keys()
         for k, F in f.items():
@@ -443,18 +443,11 @@ class TestPicard:
         assert morita.datum_morphism_residual(Na, Nb, cw_ab) < 1e-9
         assert morita.datum_morphism_residual(Nb, Nc, cw_bc) < 1e-9
         # composition is preserved on the nose (scalars multiply)
-        w_ac = tuple(
-            tuple(b2 @ b1 for b1, b2 in zip(r1, r2))
-            for r1, r2 in zip(w_ab, w_bc)
-        )
+        w_ac = {k: w_bc[k] @ W for k, W in w_ab.items()}
         cw_ac = morita.picard_conjugate_morphism(D, Ma, Mc, w_ac)
-        composed = tuple(
-            tuple(b2 @ b1 for b1, b2 in zip(r1, r2))
-            for r1, r2 in zip(cw_ab, cw_bc)
-        )
-        for r1, r2 in zip(cw_ac, composed):
-            for b1, b2 in zip(r1, r2):
-                assert numlin.op_norm(b1 - b2) < 1e-10
+        assert cw_ac.keys() == cw_ab.keys() == set(left.labels)
+        for k, W in cw_ac.items():
+            assert numlin.op_norms(W - cw_bc[k] @ cw_ab[k]).max() < 1e-10
 
     def test_obstruction_multiplicative_under_coherent_composition(self):
         # tensoring with a coherent self-equivalence datum leaves scalars fixed
@@ -559,9 +552,9 @@ def bimodule_datum(mode, seed):
         entries = [(i, j, k, rng.unitary(D.mult_at(i, k)))
                    for (i, j) in cov.pairs(include_diagonal=False) if i < j
                    for k in sorted(cov.overlap(i, j))]
-        D = morita.make_bimodule_datum(left, right, cov, D.bimodules, entries)
+        D = morita.make_bimodule_datum(left, right, cov, oracles.member_bimodules(D), entries)
     elif mode == "scaled_twist":
-        bims = list(D.bimodules)
+        bims = list(oracles.member_bimodules(D))
         last = max(i for i, F in enumerate(cov.sets) if F)
         bims[last] = EquivalenceBimodule(
             bims[last].left_algebra, bims[last].right_algebra,
@@ -570,7 +563,7 @@ def bimodule_datum(mode, seed):
     elif mode == "scaled_transition":
         scale = [1.0 + 2.0 * rng.uniform() for _ in range(cov.num_sets)]
         D = morita.make_bimodule_datum(
-            left, right, cov, D.bimodules,
+            left, right, cov, oracles.member_bimodules(D),
             [(i, j, k, scale[i] / scale[j] * W) for (i, j, k, W) in nu])
     return D
 
@@ -583,7 +576,7 @@ def bimodule_datum(mode, seed):
 def test_closed_form_glued_twist_matches_the_probe_oracle(mode, seed):
     D = bimodule_datum(mode, seed)
     tol = morita.DEFAULT_TOL
-    for Mi in D.bimodules:
+    for Mi in oracles.member_bimodules(D):
         assert_closed_form_matches_the_oracles(Mi, tol)
     try:
         gb = glue_bimodules(D, tol)
@@ -630,7 +623,7 @@ def test_overflowing_transitions_are_invalid_input():
     entries = [(i, j, k, 1e200 * W) for (i, j, k, W) in D.right.entries()]
     assert entries
     big = morita.make_bimodule_datum(D.left_algebra, D.right_algebra, D.cover,
-                                     D.bimodules, entries)
+                                     oracles.member_bimodules(D), entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(InvalidInputError):
@@ -650,8 +643,8 @@ def test_validation_draws_no_random_samples(monkeypatch, algebras):
         raise AssertionError("random sampling on the validation path")
 
     monkeypatch.setattr(Rng, "gauss_matrix", refuse)
-    assert all(validate_bimodule(Mi).passed for Mi in D.bimodules)
-    assert validate_bimodule_datum(D).required_ok()
+    assert all(validate_bimodule(Mi).passed for Mi in oracles.member_bimodules(D))
+    assert validate_bimodule_datum(D).required_ok
     gb = glue_bimodules(D)
     assert gb.bimodule is not None and gb.validation.passed
 
@@ -664,14 +657,14 @@ def test_every_unitarity_check_reads_the_one_defect(monkeypatch, algebras):
     D = random_bimodule_datum(Rng(58), left, right, cov,
                               GenConfig(seed=58, twist_mode="coherent"))
     G = D.right
-    M = D.bimodules[0]
+    M = oracles.member_bimodules(D)[0]
     ident = oracles.identity_map(M.right_module())
     tol = morita.DEFAULT_TOL
 
     def verdicts():
         return {
             "validate_gluing_datum": validate_gluing_datum(G, tol).required_ok,
-            "validate_bimodule_datum": validate_bimodule_datum(D, tol).required_ok(tol),
+            "validate_bimodule_datum": validate_bimodule_datum(D, tol).required_ok,
             "validate_bimodule": validate_bimodule(M, tol).passed,
             "unitary_residual": unitary_residual(ident) <= tol,
             "epsilon_iso": epsilon_iso(G).unitary_residual <= tol,
@@ -772,7 +765,7 @@ def test_obstruction_refuses_the_lexicographically_first_composite():
     M = random_bimodule_datum(rng, alg, alg, cov, GenConfig(seed=5))
     entries = [(i, j, k, rng.unitary(2)) for (i, j) in cov.pairs(include_diagonal=False)
                if i < j for k in sorted(cov.overlap(i, j))]
-    D = morita.make_bimodule_datum(alg, alg, cov, M.bimodules, entries)
+    D = morita.make_bimodule_datum(alg, alg, cov, oracles.member_bimodules(M), entries)
     residuals = oracles.looped_obstruction_2cocycle(D, np.inf)
     assert residuals[(1, 2, 3)][0][1] > 1e-3 and residuals[(0, 1, 2)][1][1] > 1e-3
     message, _ = refusal = obstruction_refusal(obstruction_2cocycle, D, morita.DEFAULT_TOL)
@@ -797,8 +790,10 @@ def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_
     message = {"left": "bimodule 1 has wrong left algebra",
                "right": "module 1 is not over A restricted to cover set 1"}[side]
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
-        morita.make_bimodule_datum(left, right, cov, (D.bimodules[0], bad), entries)
-    assert morita.make_bimodule_datum(left, right, cov, D.bimodules, entries).bimodules == D.bimodules
+        morita.make_bimodule_datum(left, right, cov, (oracles.member_bimodules(D)[0], bad), entries)
+    again = morita.make_bimodule_datum(left, right, cov, oracles.member_bimodules(D), entries)
+    assert again.twist.keys() == D.twist.keys()
+    assert all(np.array_equal(again.twist[k], V) for k, V in D.twist.items())
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +813,7 @@ def self_datum(alg, cov, mode, rng):
     entries = [(i, j, k, rng.unitary(M.mult_at(i, k)))
                for (i, j) in cov.pairs(include_diagonal=False) if i < j
                for k in sorted(cov.overlap(i, j))]
-    return morita.make_bimodule_datum(alg, alg, cov, M.bimodules, entries)
+    return morita.make_bimodule_datum(alg, alg, cov, oracles.member_bimodules(M), entries)
 
 
 def regauged(D, rng, rephase=False):
@@ -828,7 +823,8 @@ def regauged(D, rng, rephase=False):
     more random unit scalar and its conjugate instead, which on a block with
     three or more sets generally changes the obstruction class."""
     cov = D.cover
-    bims = tuple(random_bimodule(rng, M.left_algebra, M.right_algebra) for M in D.bimodules)
+    bims = tuple(random_bimodule(rng, M.left_algebra, M.right_algebra)
+                 for M in oracles.member_bimodules(D))
     g = {(i, k): rng.unit_scalar() for i in range(cov.num_sets) for k in cov.sets[i]}
     phase = {key: rng.unit_scalar() for key in g}
     entries = []
@@ -842,6 +838,38 @@ def regauged(D, rng, rephase=False):
                 s = phase[(i, k)] if i < j else np.conj(phase[(j, k)])
             entries.append((i, j, k, s * Ci @ D.right.zeta_block(i, j, k) @ Cj.conj().T))
     return morita.make_bimodule_datum(D.left_algebra, D.right_algebra, cov, bims, entries)
+
+
+def assert_member_laws_match_the_oracle(D, tol):
+    """validate_bimodule_datum's member fields equal, bit for bit, those of
+    validate_bimodule on each per-set member bimodule."""
+    v, w = validate_bimodule_datum(D, tol), oracles.pairwise_bimodule_validation(D, tol)
+    assert (bits(v.bimodules), v.bimodules_ok) == (bits(w.bimodules), w.bimodules_ok)
+
+
+def assert_morphism_checks_match_the_oracles(D, D2, tol, witnesses=None):
+    """bimodule_data_isomorphic(D, D2) and the per-set oracle find a witness
+    or not alike where D's transitions are unitary (the oracle's quotients
+    assume they are), and datum_morphism_residual on witnesses
+    equals the per-set and pair loops' bit for bit.  witnesses defaults to
+    the witness found, or else the canonical comparisons v2 v1* built one
+    block at a time.  Returns the witness found, or None, and the witnesses
+    checked."""
+    got = bimodule_data_isomorphic(D, D2, tol)
+    v = validate_bimodule_datum(D, tol)
+    if v.transitions_unitary:
+        want = oracles.matrix_bimodule_data_isomorphic(D, D2, tol)
+        assert (got is None) == (want is None)
+    if witnesses is None:
+        witnesses = got if got is not None else oracles.witness_stacks(D, tuple(
+            tuple(D2.twist_at(i, k) @ D.twist_at(i, k).conj().T for k in sorted(F))
+            for i, F in enumerate(D.cover.sets)))
+    tuples = oracles.witness_tuples(D, witnesses)
+    assert all(np.array_equal(W, witnesses[k])
+               for k, W in oracles.witness_stacks(D, tuples).items())
+    assert bits(morita.datum_morphism_residual(D, D2, witnesses)) == \
+        bits(oracles.pairwise_datum_morphism_residual(D, D2, tuples))
+    return got, witnesses
 
 
 def operation_outcome(fn, *args):
@@ -863,8 +891,9 @@ def assert_same_outcome(got, want):
     assert not isinstance(got, tuple), got[0]
     assert (got.left_algebra, got.right_algebra, got.cover) == \
         (want.left_algebra, want.right_algebra, want.cover)
-    for Mg, Mw in zip(got.bimodules, want.bimodules):
-        assert all(np.array_equal(u, v) for u, v in zip(Mg.twist, Mw.twist))
+    assert got.twist.keys() == want.twist.keys()
+    for k, V in want.twist.items():
+        assert np.array_equal(got.twist[k], V)
     assert got.nu.keys() == want.nu.keys()
     for k, Z in want.nu.items():
         assert np.array_equal(got.nu[k], Z)
@@ -934,15 +963,12 @@ def test_cochain_operations_match_the_matrix_oracles(mode, self_mode, seed):
     ):
         assert_same_outcome(operation_outcome(fn, *args), operation_outcome(oracle, *args))
 
-    unitary = validate_bimodule_datum(D).transitions_unitary
+    assert_member_laws_match_the_oracle(D, tol)
     for D2, known_isomorphic in ((D, True), (regauged(D, rng), True),
                                  (regauged(D, rng, True), False)):
-        got = bimodule_data_isomorphic(D, D2, tol)
+        got, _ = assert_morphism_checks_match_the_oracles(D, D2, tol)
         if got is not None:
             assert morita.datum_morphism_residual(D, D2, got) <= tol
-        if unitary:
-            want = oracles.matrix_bimodule_data_isomorphic(D, D2, tol)
-            assert (got is None) == (want is None)
         if known_isomorphic:
             # the scalars solve lambda_i c1 = c2 lambda_root exactly, so an
             # isomorphism of the form lambda_i v2_i v1_i* is found even when
@@ -971,7 +997,7 @@ def test_datum_operations_extract_no_scalar_per_transition(monkeypatch):
     dual_datum(D)
     datum_tensor(S, D)
     picard_conjugate(D, S)
-    assert validate_bimodule_datum(D).required_ok()
+    assert validate_bimodule_datum(D).required_ok
     gb = glue_bimodules(coherent)
     assert gb.bimodule is not None
 
@@ -998,18 +1024,17 @@ def test_right_datum_matches_the_rebuilt_oracles(mode, seed):
     want = oracles.entrywise_pull_apart_bimodule(M, D.cover)
     assert_same_outcome(got, want)
     assert_same_gluing_datum(got.right, want.right)
-    # the intertwining residual on the right data is the pair loop's, bit for
-    # bit, on found witnesses (or the canonical comparisons where none is
-    # found) and on the same witnesses rotated by random unitaries
+    # the morphism residual is the per-set and pair loops', bit for bit, on
+    # found witnesses (or the canonical comparisons where none is found) and
+    # on the same witnesses rotated by random unitaries
     tol = morita.DEFAULT_TOL
+    assert_member_laws_match_the_oracle(D, tol)
+    assert_member_laws_match_the_oracle(got, tol)
     for D2 in (D, regauged(D, rng)):
-        wit = bimodule_data_isomorphic(D, D2, tol) or tuple(
-            tuple(D2.twist_at(i, k) @ D.twist_at(i, k).conj().T for k in sorted(F))
-            for i, F in enumerate(D.cover.sets))
-        bent = tuple(tuple(rng.unitary(len(W)) @ W for W in per) for per in wit)
-        for w in (wit, bent):
-            assert bits(morita.datum_morphism_residual(D, D2, w)) == \
-                bits(oracles.pairwise_datum_morphism_residual(D, D2, w))
+        _, wit = assert_morphism_checks_match_the_oracles(D, D2, tol)
+        bent = tuple(tuple(rng.unitary(len(W)) @ W for W in per)
+                     for per in oracles.witness_tuples(D, wit))
+        assert_morphism_checks_match_the_oracles(D, D2, tol, oracles.witness_stacks(D, bent))
 
 
 def test_bimodule_datum_is_checked_and_glued_without_a_rebuilt_gluing_datum(monkeypatch, algebras):
@@ -1022,7 +1047,7 @@ def test_bimodule_datum_is_checked_and_glued_without_a_rebuilt_gluing_datum(monk
 
     monkeypatch.setattr(glue_module, "make_gluing_datum", refuse)
     monkeypatch.setattr(morita, "make_gluing_datum", refuse)
-    assert validate_bimodule_datum(D).required_ok()
+    assert validate_bimodule_datum(D).required_ok
     gb = glue_bimodules(D)
     assert gb.bimodule is not None and gb.validation.passed
 
@@ -1031,7 +1056,7 @@ def test_in_place_transition_edits_reach_the_right_datum(algebras):
     left, right = algebras
     D = random_bimodule_datum(Rng(61), left, right, cover(3, [{0, 1, 2}] * 2),
                               GenConfig(seed=61, twist_mode="coherent"))
-    assert validate_bimodule_datum(D).required_ok()
+    assert validate_bimodule_datum(D).required_ok
     assert glue_bimodules(D).bimodule is not None
     # swap two rows of nu_01 at block 0: still unitary, no longer a bimodule map
     k = 0

@@ -14,7 +14,7 @@ import pytest
 from modglue import cli, gen, morita, serial, suite
 from modglue.cstar import algebra, cover
 from modglue.cli import main
-from modglue.errors import ModelViolationError, NotAMorphismError
+from modglue.errors import InvalidInputError, ModelViolationError, NotAMorphismError
 from modglue.gen import GenConfig
 from modglue.glue import descent_identities_check, glue, make_gluing_datum
 from modglue.rng import Rng
@@ -102,6 +102,27 @@ def test_gen_output_is_pinned(tmp_path, kind, mode):
         assert main(argv) == 0
         h.update(out.read_bytes())
     assert h.hexdigest() == GEN_SHA256[(kind, mode)]
+
+
+def overflowing_gluing_file(tmp_path):
+    """A generated random-unitary gluing file with every transition scaled by 1e200."""
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--mode", "random_unitary", "--out", str(inst)]) == 0
+    obj = json.loads(inst.read_text())
+    assert obj["zeta"]
+    for e in obj["zeta"]:
+        e["matrix"] = [[[1e200 * re, 1e200 * im] for re, im in row] for row in e["matrix"]]
+    inst.write_text(json.dumps(obj))
+    return inst
+
+
+def test_glue_refuses_an_overflowing_root_holonomy_stack(tmp_path):
+    # the file that every CLI command's validation refuses, taken past it:
+    # the products zeta_ab zeta_b0 of glue's root-holonomy stack overflow,
+    # and glue refuses the stack
+    D = serial.load_instance_file(str(overflowing_gluing_file(tmp_path)))
+    with pytest.raises(InvalidInputError, match="root-holonomy stack is not finite"):
+        glue(D)
 
 
 class TestCli:
@@ -212,6 +233,28 @@ class TestCli:
         assert record["check"] == "descent_identities" and record["pass"] is False
         assert record["max_residual"] == validated["max_residual"] > record["tol"]
         assert record["details"] == validated["details"]
+        assert set(record["details"]) == {"cocycle", "residuals"}
+
+    def test_roundtrip_fails_a_datum_that_fails_its_required_laws(self, tmp_path, capsys):
+        # the 1.01-scaled file above: roundtrip validates it first, as
+        # validate, glue and descent do, and prints the same failing report
+        # with the residuals named instead of running epsilon_iso on it
+        inst = tmp_path / "bad.json"
+        assert main(["gen", "--seed", "3", "--mode", "random_unitary", "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        obj["zeta"][0]["matrix"][0][0][0] *= 1.01
+        inst.write_text(json.dumps(obj))
+        records = {}
+        for command in ("validate", "glue", "descent", "roundtrip"):
+            rep = tmp_path / f"{command}.jsonl"
+            assert main([command, str(inst), "--out", str(rep)]) == cli.EXIT_CHECK_FAILED
+            records[command] = json.loads(rep.read_text())
+        lines = capsys.readouterr().out.splitlines()[-4:]
+        assert [line.split(" residual=")[1] for line in lines] == ["3.371e-03 tol=1e-09"] * 4
+        assert lines[-1].startswith("FAIL roundtrip_epsilon residual=")
+        record = records["roundtrip"]
+        assert record["check"] == "roundtrip_epsilon" and record["pass"] is False
+        assert record["details"] == records["validate"]["details"]
         assert set(record["details"]) == {"cocycle", "residuals"}
 
     def test_descent_fail_line_carries_the_judged_coassociativity(self, tmp_path):
@@ -447,22 +490,13 @@ class TestCli:
         assert main(["validate", str(inst)]) == cli.EXIT_PARSE
         assert "too large" in capsys.readouterr().err
 
-    def test_overflowing_datum_exit_codes(self, tmp_path, capsys):
-        # transitions scaled by 1e200: every judged residual or kernel is
-        # non-finite, so the commands refuse the datum; roundtrip's glue
-        # too, as the products zeta_ab zeta_b0 of its root-holonomy stack
-        # overflow
-        inst = tmp_path / "inst.json"
-        assert main(["gen", "--seed", "1", "--mode", "random_unitary", "--out", str(inst)]) == 0
-        obj = json.loads(inst.read_text())
-        assert obj["zeta"]
-        for e in obj["zeta"]:
-            e["matrix"] = [[[1e200 * re, 1e200 * im] for re, im in row] for row in e["matrix"]]
-        inst.write_text(json.dumps(obj))
+    def test_overflowing_datum_exit_codes(self, tmp_path):
+        # transitions scaled by 1e200: every judged residual is non-finite,
+        # so each command's validation refuses the datum
+        inst = overflowing_gluing_file(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             for command in ("validate", "glue", "descent", "roundtrip"):
                 assert main([command, str(inst)]) == cli.EXIT_INVALID
-        assert "root-holonomy stack is not finite" in capsys.readouterr().err.splitlines()[-1]
 
     @pytest.mark.parametrize("kind,key", [("gluing", "zeta"), ("bimodule", "nu")])
     def test_non_identity_diagonal_transition_exits_invalid(self, tmp_path, capsys, kind, key):
@@ -702,3 +736,20 @@ def test_only_numlin_calls_numpy_decompositions():
                 calls += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                           if decomposition(a.name)]
     assert calls == []
+
+
+def test_only_the_boundary_calls_make_bimodule_datum():
+    # a bimodule datum derived from valid data (dual, tensor, conjugate,
+    # pull-apart, criterion 11's coboundary twist) is put together from its
+    # stacks directly; only the file reader and the generator go through
+    # the re-checking constructor
+    def calls(node):
+        return sum(isinstance(n, ast.Call) and "make_bimodule_datum" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None)) for n in ast.walk(node))
+
+    callers = []
+    for path in sorted((ROOT / "src" / "modglue").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "<module>")
+            callers += [f"{path.stem}.{name}"] * calls(node)
+    assert callers == ["morita.random_bimodule_datum", "serial.bimodule_datum_from_json"]
