@@ -7,7 +7,6 @@ from .cstar import (
     AlgebraElement,
     ClosedCover,
     FdCStarAlgebra,
-    SumAlgebraB,
     algebra,
     cover,
     eta_embed,

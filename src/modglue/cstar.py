@@ -11,7 +11,7 @@ restriction strictly associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -225,37 +225,20 @@ def cover(prim_size: int, sets) -> ClosedCover:
     return ClosedCover(prim_size, tuple(frozenset(s) for s in sets))
 
 
-@dataclass(eq=False)
-class SumAlgebraB:
-    """The direct sum of the restrictions of a base algebra to the cover sets.
-
-    Blocks are indexed by pairs (i, k): cover set i, base label k in F_i.
-    """
-
-    base: FdCStarAlgebra
-    cover: ClosedCover
-    flat: FdCStarAlgebra = field(init=False)
-
-    def __post_init__(self):
-        if self.cover.prim_size != self.base.num_blocks:
-            raise InvalidInputError("cover size does not match algebra")
-        dims, labels = [], []
-        for i, s in enumerate(self.cover.sets):
-            for k in sorted(s):
-                dims.append(self.base.block_dims[self.base.position(k)])
-                labels.append((i, k))
-        self.flat = FdCStarAlgebra(tuple(dims), tuple(labels))
-
-
-def sum_algebra(A: FdCStarAlgebra, cov: ClosedCover) -> SumAlgebraB:
-    return SumAlgebraB(A, cov)
+def sum_algebra(A: FdCStarAlgebra, cov: ClosedCover) -> FdCStarAlgebra:
+    """B, the direct sum of the restrictions of A to the cover sets, with
+    blocks labelled by pairs (i, k): cover set i, label k in F_i."""
+    if cov.prim_size != A.num_blocks:
+        raise InvalidInputError("cover size does not match algebra")
+    labels = [(i, k) for i, F in enumerate(cov.sets) for k in sorted(F)]
+    return FdCStarAlgebra(tuple(A.block_dims[A.position(k)] for _, k in labels), tuple(labels))
 
 
 def eta_embed(A: FdCStarAlgebra, cov: ClosedCover, a: AlgebraElement) -> AlgebraElement:
     """Diagonal embedding of A into B: block (i, k) of the image is block k of a."""
     B = sum_algebra(A, cov)
     _same_algebra(a, A.identity())
-    return AlgebraElement(B.flat, tuple(a.block(k) for (_, k) in B.flat.labels))
+    return AlgebraElement(B, tuple(a.block(k) for (_, k) in B.labels))
 
 
 def image_of_eta_characterization(b: AlgebraElement, cov: ClosedCover, tol: float = DEFAULT_TOL) -> bool:

@@ -20,15 +20,7 @@ import numpy as np
 from . import numlin
 from .cstar import ClosedCover, FdCStarAlgebra, is_restriction
 from .errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
-from .hmod import (
-    AdjointableMap,
-    HilbertModule,
-    ModuleVector,
-    adjoint_of,
-    module_map,
-    restrict_map,
-    restrict_module,
-)
+from .hmod import AdjointableMap, HilbertModule, ModuleVector, module_map, restrict_module
 from .numlin import DEFAULT_TOL
 
 #: Absolute bound on residuals of identities that hold exactly up to
@@ -248,16 +240,26 @@ def pull_apart(X: HilbertModule, cover: ClosedCover) -> GluingDatum:
     return GluingDatum(X.algebra, cover, modules, zeta)
 
 
+def _member_stacks(cover: ClosedCover, labels, blocks) -> dict:
+    """label k -> its block stacked once per member of k."""
+    return {k: np.broadcast_to(b, (len(cover.members(k)),) + b.shape).copy()
+            for k, b in zip(labels, blocks)}
+
+
 @dataclass(eq=False)
 class GlueMorphism:
-    """A family of adjointable maps alpha_i : Z_i -> W_i between gluing data."""
+    """A family of adjointable maps alpha_i : Z_i -> W_i between gluing data
+    over one cover.  maps[k] is label k's complex128 (s, p_k, m_k) stack of
+    the blocks alpha_i at k over members = cover.members(k), as the
+    transitions are stacked.  A record that trusts its stacks."""
 
     source: GluingDatum
     target: GluingDatum
-    maps: tuple  # AdjointableMap per cover set
+    maps: dict  # label -> (s, p, m) stack of the members' blocks
 
     def adjoint(self) -> "GlueMorphism":
-        return GlueMorphism(self.target, self.source, tuple(adjoint_of(a) for a in self.maps))
+        return GlueMorphism(self.target, self.source, {
+            k: np.ascontiguousarray(A.conj().swapaxes(-1, -2)) for k, A in self.maps.items()})
 
 
 def _intertwining_residual(A, Z, W) -> float:
@@ -269,20 +271,16 @@ def _intertwining_residual(A, Z, W) -> float:
 
 def morphism_residual(m: GlueMorphism) -> float:
     """Largest violation of alpha_i|F_ij o zeta_ij = omega_ij o alpha_j|F_ij."""
-    worst = 0.0
-    for k, Z in m.source.zeta.items():
-        if len(Z) > 1:
-            A = np.stack([m.maps[i].block(k) for i in m.source.cover.members(k)])
-            worst = max(worst, _intertwining_residual(A, Z, m.target.zeta[k]))
-    return worst
+    return max((_intertwining_residual(m.maps[k], Z, m.target.zeta[k])
+                for k, Z in m.source.zeta.items() if len(Z) > 1), default=0.0)
 
 
 def pull_apart_map(alpha: AdjointableMap, cover: ClosedCover) -> GlueMorphism:
-    """P on morphisms: restrict blockwise."""
+    """P on morphisms: alpha's block k, stacked once per member of k."""
     return GlueMorphism(
         pull_apart(alpha.source, cover),
         pull_apart(alpha.target, cover),
-        tuple(restrict_map(alpha, F) for F in cover.sets),
+        _member_stacks(cover, alpha.source.algebra.labels, alpha.blocks),
     )
 
 
@@ -402,10 +400,8 @@ def glue_morphism(m: GlueMorphism, tol: float = DEFAULT_TOL, glued=None) -> Adjo
             residual=resid,
         )
     gs, gt = glued or (glue(m.source), glue(m.target))
-    blocks = []
-    for k in m.source.algebra.labels:
-        A = np.stack([m.maps[i].block(k) for i in m.source.cover.members(k)])
-        blocks.append((gt.rows(k).conj().swapaxes(-1, -2) @ A @ gs.rows(k)).sum(0))
+    blocks = [(gt.rows(k).conj().swapaxes(-1, -2) @ m.maps[k] @ gs.rows(k)).sum(0)
+              for k in m.source.algebra.labels]
     return module_map(gs.module, gt.module, blocks)
 
 
@@ -446,22 +442,18 @@ class EpsilonResult:
 
 
 def epsilon_iso(D: GluingDatum) -> EpsilonResult:
-    """Per cover set, the embedding followed by the i-th component projection."""
+    """The counit P(G(D)) -> D: at label k, each member's component of the
+    embedding, the stack sqrt(s) rows(k) of glue(D)."""
     gd = glue(D)
-    deficit = {}
+    deficit, maps = {}, {}
     unitary_res = 0.0
-    blocks = [[] for _ in D.cover.sets]  # per set, one block per label of F_i
     for k, g in zip(D.algebra.labels, gd.module.mult):
         members, m = D.cover.members(k), D.label_mult(k)
-        W = np.sqrt(len(members)) * gd.rows(k)
-        for i, blk in zip(members, W):
-            blocks[i].append(blk)
+        maps[k] = W = np.sqrt(len(members)) * gd.rows(k)
         if m != g:
             deficit.update({(i, k): m - g for i in members})
         else:
             unitary_res = max(unitary_res, float(numlin.unitarity_defects(W).max()))
-    maps = tuple(AdjointableMap(restrict_module(gd.module, F), Z_i, tuple(b))
-                 for F, Z_i, b in zip(D.cover.sets, D.modules, blocks))
 
     if deficit:
         return EpsilonResult(gd, None, unitary_res, float("inf"), deficit)

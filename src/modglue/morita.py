@@ -35,6 +35,7 @@ from .glue import (
     GluingDatum,
     GluedModule,
     _intertwining_residual,
+    _member_stacks,
     glue,
     make_gluing_datum,
     pull_apart,
@@ -374,12 +375,6 @@ def _derived_datum(left: FdCStarAlgebra, right: FdCStarAlgebra, cover: ClosedCov
     return BimoduleGluingDatum(left, GluingDatum(right, cover, modules, nu), twist)
 
 
-def _member_twists(cover: ClosedCover, labels, twists) -> dict:
-    """label k -> its twist stacked once per member of k."""
-    return {k: np.broadcast_to(u, (len(cover.members(k)),) + u.shape).copy()
-            for k, u in zip(labels, twists)}
-
-
 @dataclass
 class BimoduleDatumValidation:
     bimodules_ok: bool
@@ -424,7 +419,7 @@ def pull_apart_bimodule(M: EquivalenceBimodule, cover: ClosedCover) -> BimoduleG
     """The canonical datum of a bimodule: the pull-apart of its right module,
     with the restricted twists."""
     return BimoduleGluingDatum(M.left_algebra, pull_apart(M.right_module(), cover),
-                               _member_twists(cover, M.left_algebra.labels, M.twist))
+                               _member_stacks(cover, M.left_algebra.labels, M.twist))
 
 
 @dataclass
@@ -549,7 +544,7 @@ def dual_datum(D: BimoduleGluingDatum, tol: float = DEFAULT_TOL) -> BimoduleGlui
     I = B.identity()
     nu = {k: np.conj(C)[..., None, None] * I.block(k)
           for k, C in _bimodule_scalars(D, tol, "transition").items()}
-    return _derived_datum(B, D.left_algebra, D.cover, _member_twists(D.cover, B.labels, I.blocks), nu)
+    return _derived_datum(B, D.left_algebra, D.cover, _member_stacks(D.cover, B.labels, I.blocks), nu)
 
 
 def datum_tensor(D1: BimoduleGluingDatum, D2: BimoduleGluingDatum,
@@ -588,7 +583,7 @@ def picard_conjugate(D: BimoduleGluingDatum, Mdat: BimoduleGluingDatum,
     I = B.identity()
     nu = {k: C[..., None, None] * (c_M[k][..., None, None] * (np.conj(C)[..., None, None] * I.block(k)))
           for k, C in c_D.items()}
-    return _derived_datum(B, B, D.cover, _member_twists(D.cover, B.labels, I.blocks), nu)
+    return _derived_datum(B, B, D.cover, _member_stacks(D.cover, B.labels, I.blocks), nu)
 
 
 def _witness_scalars(src: BimoduleGluingDatum, tgt: BimoduleGluingDatum, witnesses):

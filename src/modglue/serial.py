@@ -65,12 +65,31 @@ def matrix_from_json(data, shape) -> np.ndarray:
     return np.array(values, dtype=np.float64).view(np.complex128).reshape(shape)
 
 
+def _int(x, name: str) -> int:
+    """x, if it is a JSON integer; anything else (3.0, true, "3") is a
+    FormatError naming the field."""
+    if type(x) is not int:
+        raise FormatError(f"{name} is {x!r}, not an integer")
+    return x
+
+
+def _ints(data, name: str) -> tuple:
+    """_int of each entry of a list, entry t named name[t]."""
+    return tuple(_int(x, f"{name}[{t}]") for t, x in enumerate(data))
+
+
+def _twists_from_json(data, left: FdCStarAlgebra, name: str = "bimodule") -> tuple:
+    """One twist per block of left, each n x n for the block's n."""
+    check_twist_count(data, left, name)
+    return tuple(matrix_from_json(t, (n, n)) for t, n in zip(data, left.block_dims))
+
+
 def algebra_to_json(A: FdCStarAlgebra) -> dict:
     return {"blocks": [int(n) for n in A.block_dims]}
 
 
 def algebra_from_json(obj) -> FdCStarAlgebra:
-    return algebra(tuple(int(n) for n in obj["blocks"]))
+    return algebra(_ints(obj["blocks"], "algebra.blocks"))
 
 
 def cover_to_json(cov: ClosedCover) -> dict:
@@ -78,7 +97,7 @@ def cover_to_json(cov: ClosedCover) -> dict:
 
 
 def cover_from_json(obj, prim_size: int) -> ClosedCover:
-    return cover(prim_size, [frozenset(int(k) for k in s) for s in obj["sets"]])
+    return cover(prim_size, [frozenset(_ints(s, f"cover.sets[{n}]")) for n, s in enumerate(obj["sets"])])
 
 
 def _transitions_to_json(D: GluingDatum) -> list:
@@ -88,13 +107,13 @@ def _transitions_to_json(D: GluingDatum) -> list:
             for (i, j, k, M) in D.entries() if i < j]
 
 
-def _transitions_from_json(entries, cov: ClosedCover, size) -> list:
-    """(i, j, label, matrix) of each transition entry, size(i, label) the
-    multiplicity of set i at the label; each key passes check_transition_key
-    before size reads it."""
+def _transitions_from_json(entries, cov: ClosedCover, size, name: str) -> list:
+    """(i, j, label, matrix) of each transition entry of the list name,
+    size(i, label) the multiplicity of set i at the label; each key passes
+    check_transition_key before size reads it."""
     out = []
-    for e in entries:
-        i, j, k = int(e["i"]), int(e["j"]), int(e["k"])
+    for n, e in enumerate(entries):
+        i, j, k = (_int(e[key], f"{name}[{n}].{key}") for key in "ijk")
         check_transition_key(cov, i, j, k)
         out.append((i, j, k, matrix_from_json(e["matrix"], (size(i, k), size(j, k)))))
     return out
@@ -116,13 +135,13 @@ def gluing_from_json(obj) -> GluingDatum:
     modules = []
     for i, spec in enumerate(obj["modules"]):
         sub = restrict_algebra(A, cov.sets[i])
-        mult = tuple(int(m) for m in spec["mult"])
+        mult = _ints(spec["mult"], f"modules[{i}].mult")
         if len(mult) != sub.num_blocks:
             raise FormatError(f"module {i} multiplicity length mismatch")
         modules.append(module(sub, mult))
     entries = _transitions_from_json(
         obj.get("zeta", []), cov,
-        lambda i, k: modules[i].mult[modules[i].algebra.position(k)],
+        lambda i, k: modules[i].mult[modules[i].algebra.position(k)], "zeta",
     )
     return make_gluing_datum(A, cov, tuple(modules), entries)
 
@@ -139,7 +158,7 @@ def module_instance_to_json(A: FdCStarAlgebra, cov: ClosedCover, X: HilbertModul
 def module_instance_from_json(obj) -> ModuleInstance:
     A = algebra_from_json(obj["algebra"])
     cov = cover_from_json(obj["cover"], A.num_blocks)
-    return ModuleInstance(A, cov, module(A, tuple(int(m) for m in obj["module"]["mult"])))
+    return ModuleInstance(A, cov, module(A, _ints(obj["module"]["mult"], "module.mult")))
 
 
 def bimodule_to_json(M: EquivalenceBimodule) -> dict:
@@ -152,13 +171,9 @@ def bimodule_to_json(M: EquivalenceBimodule) -> dict:
 
 
 def bimodule_from_json(obj) -> EquivalenceBimodule:
-    left = algebra(tuple(int(n) for n in obj["left_blocks"]))
-    right = algebra(tuple(int(n) for n in obj["right_blocks"]))
-    check_twist_count(obj["twist"], left)
-    twist = tuple(
-        matrix_from_json(t, (m, m)) for t, m in zip(obj["twist"], left.block_dims)
-    )
-    return EquivalenceBimodule(left, right, twist)
+    left = algebra(_ints(obj["left_blocks"], "left_blocks"))
+    right = algebra(_ints(obj["right_blocks"], "right_blocks"))
+    return EquivalenceBimodule(left, right, _twists_from_json(obj["twist"], left))
 
 
 def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
@@ -176,22 +191,18 @@ def bimodule_datum_to_json(D: BimoduleGluingDatum) -> dict:
 
 
 def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
-    left = algebra(tuple(int(n) for n in obj["left_blocks"]))
-    right = algebra(tuple(int(n) for n in obj["right_blocks"]))
+    left = algebra(_ints(obj["left_blocks"], "left_blocks"))
+    right = algebra(_ints(obj["right_blocks"], "right_blocks"))
     cov = cover_from_json(obj["cover"], left.num_blocks)
     bims = []
     for i, spec in enumerate(obj["bimodules"]):
         subL = restrict_algebra(left, cov.sets[i])
         subR = restrict_algebra(right, cov.sets[i])
-        check_twist_count(spec["twist"], subL, f"bimodule {i}")
-        twist = tuple(
-            matrix_from_json(t, (m, m))
-            for t, m in zip(spec["twist"], subL.block_dims)
-        )
+        twist = _twists_from_json(spec["twist"], subL, f"bimodule {i}")
         bims.append(EquivalenceBimodule(subL, subR, twist))
     entries = _transitions_from_json(
         obj.get("nu", []), cov,
-        lambda i, k: bims[i].mult[bims[i].left_algebra.position(k)],
+        lambda i, k: bims[i].mult[bims[i].left_algebra.position(k)], "nu",
     )
     return make_bimodule_datum(left, right, cov, tuple(bims), entries)
 

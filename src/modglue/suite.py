@@ -111,7 +111,7 @@ def criterion_3_delta_isometry(trials: int = 200, tol: float = DEFAULT_TOL, base
         B = sum_algebra(D.algebra, D.cover)
         rng = Rng((base_seed + s) ^ 0xD1CE)
         zs = [tuple(gen.random_vector(rng, m) for m in D.modules) for _ in range(4)]
-        b = gen.random_element(rng, B.flat)
+        b = gen.random_element(rng, B)
         worst = max(worst, *_delta_isometry_residuals(D, zs, b))
     return Report(
         "criterion_3_delta_isometry", worst <= tol, worst, tol,
@@ -368,7 +368,7 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
         fam_dim = sum(m.dim for m in D.modules)
 
         X = gen.random_module(Rng(cfg.seed ^ 0xF00), D.algebra, cfg)
-        if X.dim * B.flat.dim <= ORACLE_DIM_CAP and counts["psi"] < 10:
+        if X.dim * B.dim <= ORACLE_DIM_CAP and counts["psi"] < 10:
             record("psi", tensor.psi_oracle_check(X, D.cover, tol, trials=4, seed=cfg.seed))
         if counts["nu"] < 10 and D.cover.num_sets >= 2:
             Y = restrict_module(X, D.cover.sets[0])
@@ -376,9 +376,9 @@ def criterion_10_oracle_agreement(tol: float = DEFAULT_TOL, base_seed: int = 100
             if Y.dim * sub.dim <= ORACLE_DIM_CAP and Y.dim > 0:
                 record("nu", tensor.nu_oracle_check(Y, D.algebra, D.cover.sets[1], tol,
                                                     trials=4, seed=cfg.seed))
-        if fam_dim * B.flat.dim <= ORACLE_DIM_CAP and counts["pair"] < 10:
+        if fam_dim * B.dim <= ORACLE_DIM_CAP and counts["pair"] < 10:
             record("pair", tensor.pair_model_oracle_check(D, tol, trials=3, seed=cfg.seed))
-        if fam_dim * B.flat.dim ** 2 <= ORACLE_DIM_CAP and counts["triple"] < 10:
+        if fam_dim * B.dim ** 2 <= ORACLE_DIM_CAP and counts["triple"] < 10:
             record("triple", tensor.triple_model_oracle_check(D, tol, trials=2, seed=cfg.seed))
     worst = max([0.0] + [x for r in reports for x in (r.relation_residual, r.inner_residual)])
     dims_ok = all(r.oracle_dim == r.model_dim for r in reports)

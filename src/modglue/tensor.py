@@ -352,7 +352,7 @@ def algebra_summand_factor(base: FdCStarAlgebra, F) -> TensorFactor:
 def b_factor(base: FdCStarAlgebra, cover: ClosedCover) -> TensorFactor:
     """The sum algebra B as a two-sided leg for the base algebra."""
     B = sum_algebra(base, cover)
-    return TensorFactor(tuple((n, n, k, k) for (_, k), n in zip(B.flat.labels, B.flat.block_dims)),
+    return TensorFactor(tuple((n, n, k, k) for (_, k), n in zip(B.labels, B.block_dims)),
                         base, base)
 
 
@@ -582,7 +582,7 @@ def _leg(b: AlgebraElement, j: int, target: FdCStarAlgebra) -> AlgebraElement:
 
 def _b_leg(B, j: int, target: FdCStarAlgebra):
     """L for one B leg: coordinates of b |-> b_j read on the labels of target."""
-    return lambda w: _leg(_element_from_coords(B.flat, w), j, target)
+    return lambda w: _leg(_element_from_coords(B, w), j, target)
 
 
 def _elementary_coords(model, parts, *bs) -> np.ndarray:
@@ -608,7 +608,7 @@ def psi_oracle_check(X: HilbertModule, cover: ClosedCover, tol: float = DEFAULT_
     psi = psi_iso(X, cover)
     return _oracle_check(
         [module_factor(X), b_factor(A, cover)],
-        [_family_basis((X,)), _basis(B.flat)],
+        [_family_basis((X,)), _basis(B)],
         lambda x, b: family_coords(psi.apply(x[0], b)),
         [_Component(Xi, Xi.algebra, 0, _b_leg(B, i, Xi.algebra))
          for i, Xi in enumerate(psi.summands)],
@@ -645,7 +645,7 @@ def pair_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 10, s
     model = pair_model(datum)
     return _oracle_check(
         [family_factor(model.modules, A), b_factor(A, cover)],
-        [_family_basis(model.modules), _basis(B.flat)],
+        [_family_basis(model.modules), _basis(B)],
         lambda z, b: _elementary_coords(model, z, b),
         [_Component(space, space.algebra, i, _b_leg(B, j, space.algebra))
          for (i, j), space in zip(model.entries, model.spaces)],
@@ -659,13 +659,13 @@ def triple_model_oracle_check(datum, tol: float = DEFAULT_TOL, trials: int = 6, 
     A, cover = datum.algebra, datum.cover
     B = sum_algebra(A, cover)
     tm = triple_model(datum)
-    bs = _basis(B.flat)
+    bs = _basis(B)
 
     def double_leg(j, l, T):
         def L(w):
             out = T.zero()
             for b, row in zip(bs, w.reshape(len(bs), len(bs))):
-                out = out + _leg(b, j, T) * _leg(_element_from_coords(B.flat, row), l, T)
+                out = out + _leg(b, j, T) * _leg(_element_from_coords(B, row), l, T)
             return out
         return L
 

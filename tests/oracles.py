@@ -32,10 +32,11 @@ bimodule datum's right gluing datum, which the library stores, is rebuilt
 here from the member bimodules and the transitions, and the pull-apart's
 identity transition stacks, which the library tiles directly, are built
 here through make_gluing_datum from one identity entry per pair.  The member
-bimodules of a bimodule datum and the witnesses of a morphism of bimodule
-data, which the library keeps as one stack per label, are per-set tuples
-here (member_bimodules, witness_tuples), and a datum morphism's residual is
-taken one set and one pair at a time.  The balanced-tensor
+bimodules of a bimodule datum, the witnesses of a morphism of bimodule
+data and the maps of a morphism of gluing data, which the library keeps as
+one stack per label, are per-set tuples here (member_bimodules,
+set_tuples, morphism_maps), and a datum morphism's residual is taken one
+set and one pair at a time.  The balanced-tensor
 quotient, which the library reads from the graph that the relations draw on
 the plain coordinates, is taken here from an SVD of the dense relation
 matrix, formed slot by slot from the same matrix pieces (svd_balanced_tensor),
@@ -44,7 +45,8 @@ closures, the relation span and its complement each from an SVD.
 The embedding, its adjoint, G on morphisms and Phi, which the library reads
 from each label's (s, m_k, g_k) view of E_k and its member stacks, cut and
 place each member's rows at the offsets of glued_layout here, with dense
-zero-filled maps, and the intertwining residual of a family, which the
+zero-filled maps, as are the counit's maps (layout_epsilon_maps), and the
+intertwining residual of a family, which the
 library takes per label from one product, is taken one transition at a time.
 """
 
@@ -322,18 +324,37 @@ def layout_project(gd, parts):
     return g
 
 
+def morphism_maps(m):
+    """The maps of a GlueMorphism m as per-set AdjointableMaps alpha_i : Z_i -> W_i."""
+    blocks = set_tuples(m.source.cover, m.source.algebra.labels, m.maps)
+    return tuple(AdjointableMap(Z, W, b) for Z, W, b in zip(m.source.modules, m.target.modules, blocks))
+
+
 def dense_glue_morphism(m):
     """The blocks of glue.glue_morphism(m), each Et* D Es with D the dense
     block-diagonal map that places alpha_i at the offsets of both layouts."""
     gs, gt = glue(m.source), glue(m.target)
+    maps = morphism_maps(m)
     blocks = []
     for k in m.source.algebra.labels:
         Es, Et = gs.stacked_basis[k], gt.stacked_basis[k]
         Dalpha = np.zeros((Et.shape[0], Es.shape[0]), dtype=np.complex128)
         for (i, ofs_s, m_s), (_, ofs_t, m_t) in zip(glued_layout(gs, k), glued_layout(gt, k)):
-            Dalpha[ofs_t:ofs_t + m_t, ofs_s:ofs_s + m_s] = m.maps[i].block(k)
+            Dalpha[ofs_t:ofs_t + m_t, ofs_s:ofs_s + m_s] = maps[i].block(k)
         blocks.append(Et.conj().T @ Dalpha @ Es)
     return blocks
+
+
+def layout_epsilon_maps(gd):
+    """The blocks of glue.epsilon_iso's map at each cover set i: at each
+    label k of F_i, the rows of sqrt(s) E_k at set i's offset."""
+    D = gd.datum
+    blocks = [[] for _ in D.cover.sets]
+    for k in D.algebra.labels:
+        layout = glued_layout(gd, k)
+        for (i, ofs, m_i) in layout:
+            blocks[i].append(np.sqrt(len(layout)) * gd.stacked_basis[k][ofs:ofs + m_i])
+    return tuple(map(tuple, blocks))
 
 
 def stacked_identity_phi_map(gd, X):
@@ -349,10 +370,11 @@ def stacked_identity_phi_map(gd, X):
 
 def per_entry_morphism_residual(m):
     """glue.morphism_residual, one transition (i, j, k) at a time."""
+    maps = morphism_maps(m)
     worst = 0.0
     for (i, j, k, Z) in m.source.entries():
-        lhs = m.maps[i].block(k) @ Z
-        rhs = m.target.zeta_block(i, j, k) @ m.maps[j].block(k)
+        lhs = maps[i].block(k) @ Z
+        rhs = m.target.zeta_block(i, j, k) @ maps[j].block(k)
         worst = max(worst, numlin.op_norm(lhs - rhs))
     return worst
 
@@ -840,13 +862,14 @@ def matrix_bimodule_data_isomorphic(D1, D2, tol=morita.DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Per-set member bimodules and witnesses
+# Per-set member bimodules, witnesses and maps
 #
 # morita keeps a bimodule datum's member twists as one (s, m_k, m_k) stack
 # per label, and a morphism of bimodule data as one witness stack per
-# label.  These are the per-set forms they replaced: one EquivalenceBimodule
-# over the restricted algebras per cover set, and per set a tuple of
-# witness blocks in the order of its sorted labels.
+# label, as glue keeps the maps of a morphism of gluing data.  These are
+# the per-set forms they replaced: one EquivalenceBimodule over the
+# restricted algebras per cover set, and per set a tuple of blocks in the
+# order of its labels.
 
 
 def restrict_bimodule(M, F):
@@ -865,16 +888,20 @@ def member_bimodules(D):
         for i, F in enumerate(D.cover.sets))
 
 
-def witness_tuples(D, witnesses):
-    """A witness stack per label as per-set tuples over the sorted labels."""
-    return tuple(tuple(witnesses[k][D.cover.member_positions[k][i]] for k in sorted(F))
-                 for i, F in enumerate(D.cover.sets))
+def set_tuples(cover, labels, stacks):
+    """A stack per label over cover.members(k), as the witnesses of a
+    morphism of bimodule data and the maps of a GlueMorphism are kept, as
+    per-set tuples of blocks over the labels of the set in labels' order."""
+    return tuple(tuple(stacks[k][cover.member_positions[k][i]] for k in labels if k in F)
+                 for i, F in enumerate(cover.sets))
 
 
-def witness_stacks(D, tuples):
-    """Per-set witness tuples as one stack per label over cover.members(k)."""
-    return {k: np.stack([tuples[i][sorted(D.cover.sets[i]).index(k)] for i in D.cover.members(k)])
-            for k in D.left_algebra.labels}
+def label_stacks(cover, labels, tuples):
+    """Per-set tuples of blocks (set_tuples) as one stack per label over
+    cover.members(k)."""
+    return {k: np.stack([tuples[i][[l for l in labels if l in cover.sets[i]].index(k)]
+                         for i in cover.members(k)])
+            for k in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +946,7 @@ def entrywise_pull_apart_bimodule(M, cover):
 
 
 def pairwise_datum_morphism_residual(src, tgt, witnesses):
-    """morita.datum_morphism_residual on per-set witnesses (witness_tuples),
+    """morita.datum_morphism_residual on per-set witnesses (set_tuples),
     with each member's bimodule-map residual taken by
     morita.bimodule_morphism_residual and the intertwining residual one
     (pair, label) at a time, each witness block found by its position in
@@ -1117,14 +1144,16 @@ def pair_from_family_and_b(model, parts, b) -> PairTensorVector:
 
 
 def b_component(B, b, i) -> AlgebraElement:
-    """The i-th summand A|F_i of an element b of the sum algebra B."""
-    sub = restrict_algebra(B.base, B.cover.sets[i])
-    return AlgebraElement(sub, tuple(b.block((i, k)) for k in sub.labels))
+    """The i-th summand A|F_i of an element b of the sum algebra B, read
+    from B's blocks labelled (i, k)."""
+    pos = [p for p, (j, _) in enumerate(B.labels) if j == i]
+    sub = FdCStarAlgebra(tuple(B.block_dims[p] for p in pos), tuple(B.labels[p][1] for p in pos))
+    return AlgebraElement(sub, tuple(b.blocks[p] for p in pos))
 
 
 def b_assemble(B, parts) -> AlgebraElement:
     """The element of B whose i-th summand is parts[i]: inverse of b_component."""
-    return AlgebraElement(B.flat, tuple(parts[i].block(k) for (i, k) in B.flat.labels))
+    return AlgebraElement(B, tuple(parts[i].block(k) for (i, k) in B.labels))
 
 
 def family_right_act(parts, b, B) -> tuple:
@@ -1343,7 +1372,7 @@ def closure_algebra_summand_factor(base, F) -> ClosureFactor:
 def closure_b_factor(base, cover) -> ClosureFactor:
     """The sum algebra B as a two-sided leg for the base algebra."""
     B = sum_algebra(base, cover)
-    return _two_sided_factor(base, [k for (_, k) in B.flat.labels], B.flat.block_dims)
+    return _two_sided_factor(base, [k for (_, k) in B.labels], B.block_dims)
 
 
 @dataclass(eq=False)

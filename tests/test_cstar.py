@@ -138,12 +138,12 @@ class TestEta:
         A = algebra((2, 1, 3))
         cov = cover(3, [{0, 1}, {1, 2}, {1}])
         B = sum_algebra(A, cov)
-        bdim = B.flat.dim
+        bdim = B.dim
 
         rows = []
         flat_offsets = {}
         ofs = 0
-        for lab, n in zip(B.flat.labels, B.flat.block_dims):
+        for lab, n in zip(B.labels, B.block_dims):
             flat_offsets[lab] = ofs
             ofs += n * n
         for (i, j) in cov.pairs(include_diagonal=False):

@@ -27,13 +27,13 @@ from modglue.glue import (
 )
 from modglue.cstar import restrict_element
 from modglue.hmod import (
-    AdjointableMap,
     adjoint_of,
     apply_map,
     compose,
     inner_product,
     map_norm,
     module,
+    restrict_map,
     unitary_residual,
     vec_norm,
 )
@@ -46,7 +46,9 @@ from oracles import (
     flat_glued_subspace_basis,
     holonomy_threshold_ratios,
     kron_kernel_dim,
+    label_stacks,
     layout_embed,
+    layout_epsilon_maps,
     layout_project,
     pairwise_gluing_validation,
     per_entry_morphism_residual,
@@ -143,8 +145,8 @@ class TestPullApart:
         a = gen.random_map(rng, X, Y)
         P = pull_apart_map(a, cov)
         Pstar = pull_apart_map(adjoint_of(a), cov)
-        for m1, m2 in zip(P.adjoint().maps, Pstar.maps):
-            assert map_norm(m1 - m2) == 0.0
+        assert P.adjoint().maps.keys() == Pstar.maps.keys()
+        assert all(same_bits(A, Pstar.maps[k]) for k, A in P.adjoint().maps.items())
 
     def test_functor_preserves_composition(self):
         A = algebra((2, 1))
@@ -154,8 +156,10 @@ class TestPullApart:
         a, b = gen.random_map(rng, Y, Z), gen.random_map(rng, X, Y)
         lhs = pull_apart_map(compose(a, b), cov)
         Pa, Pb = pull_apart_map(a, cov), pull_apart_map(b, cov)
-        for m1, x, y in zip(lhs.maps, Pa.maps, Pb.maps):
-            assert map_norm(m1 - compose(x, y)) == 0.0
+        for k, A in lhs.maps.items():
+            assert len(A) == len(cov.members(k))
+            for m1, x, y in zip(A, Pa.maps[k], Pb.maps[k], strict=True):
+                assert same_bits(m1, x @ y)
 
 
 class TestGlue:
@@ -242,10 +246,8 @@ class TestGlueMorphism:
     def test_identity(self):
         X, _, _, cov, _ = self._setup(1)
         D = pull_apart(X, cov)
-        ident = GlueMorphism(D, D, tuple(
-            gen.module_map(m, m, tuple(np.eye(mm) for mm in m.mult))
-            for m in D.modules
-        ))
+        ident = GlueMorphism(D, D, {k: np.array([np.eye(D.label_mult(k))] * len(Z), dtype=np.complex128)
+                                    for k, Z in D.zeta.items()})
         G = glue_morphism(ident)
         assert map_norm(G - gen.module_map(G.source, G.source, tuple(np.eye(m) for m in G.source.mult))) < 1e-12
 
@@ -273,9 +275,9 @@ class TestGlueMorphism:
         if all(m.dim == 0 for m in D.modules):
             pytest.skip("degenerate draw")
         rng = Rng(9)
-        bad = GlueMorphism(D, D, tuple(
-            gen.random_map(rng, m, m) for m in D.modules
-        ))
+        bad = GlueMorphism(D, D, label_stacks(D.cover, D.algebra.labels, tuple(
+            gen.random_map(rng, m, m).blocks for m in D.modules
+        )))
         if morphism_residual(bad) > 1e-9:
             with pytest.raises(NotAMorphismError):
                 glue_morphism(bad)
@@ -713,22 +715,37 @@ def test_member_stacks_match_the_layout_oracles(mode, seed):
     # oracles bit for bit; glue_morphism and phi_map sum the members in
     # another order.  The family [c_k I; d_k I] : D -> D (+) D is a morphism
     # of non-square maps between data of different multiplicities, and so is
-    # its adjoint; a Gaussian family is none.
+    # its adjoint; a Gaussian family is none.  The map stacks of P(a) and of
+    # the counit are those of the per-set maps, bit for bit.
     D = format_datum(mode, seed)
     D2 = doubled_datum(D)
+    labels = D.algebra.labels
     rng = Rng(seed)
-    cd = {k: np.kron(rng.gauss_matrix(2, 1), np.eye(D.label_mult(k))) for k in D.algebra.labels}
-    inclusion = GlueMorphism(D, D2, tuple(
-        AdjointableMap(Z, W, tuple(cd[k] for k in Z.algebra.labels))
-        for Z, W in zip(D.modules, D2.modules)))
-    gaussian = GlueMorphism(D, D2, tuple(
-        gen.random_map(rng, Z, W) for Z, W in zip(D.modules, D2.modules)))
+    cd = {k: np.kron(rng.gauss_matrix(2, 1), np.eye(D.label_mult(k))) for k in labels}
+    inclusion = GlueMorphism(D, D2, label_stacks(D.cover, labels, tuple(
+        tuple(cd[k] for k in Z.algebra.labels) for Z in D.modules)))
+    gaussian = GlueMorphism(D, D2, label_stacks(D.cover, labels, tuple(
+        gen.random_map(rng, Z, W).blocks for Z, W in zip(D.modules, D2.modules))))
     for fam in (inclusion, inclusion.adjoint(), gaussian, gaussian.adjoint()):
         assert bits(morphism_residual(fam)) == bits(per_entry_morphism_residual(fam))
+
+    X = module(D.algebra, [D.label_mult(k) for k in labels])
+    a = gen.random_map(rng, X, module(D.algebra, [2 * m for m in X.mult]))
+    P = pull_apart_map(a, D.cover)
+    want = label_stacks(D.cover, labels, tuple(restrict_map(a, F).blocks for F in D.cover.sets))
+    assert P.maps.keys() == want.keys()
+    assert all(same_bits(A, want[k]) for k, A in P.maps.items())
     try:
         gd = glue(D)
     except RankAmbiguityError:
         return
+    for datum in (D, pull_apart(X, D.cover)):
+        eps = epsilon_iso(datum)
+        if eps.morphism is not None:
+            want = label_stacks(datum.cover, labels, layout_epsilon_maps(eps.glued))
+            assert eps.morphism.maps.keys() == want.keys()
+            assert all(same_bits(A, want[k]) for k, A in eps.morphism.maps.items())
+            assert bits(eps.intertwine_residual) == bits(per_entry_morphism_residual(eps.morphism))
     g = gen.random_vector(rng, gd.module)
     families = (gd.embed(g), tuple(gen.random_vector(rng, Z) for Z in D.modules))
     for got, want in zip(families[0], layout_embed(gd, g)):
@@ -737,7 +754,6 @@ def test_member_stacks_match_the_layout_oracles(mode, seed):
         got, want = gd.project(parts), layout_project(gd, parts)
         assert all(same_bits(a, b) for a, b in zip(got.blocks, want.blocks))
 
-    X = module(D.algebra, [D.label_mult(k) for k in D.algebra.labels])
     pairs = [(glue_morphism(fam).blocks, dense_glue_morphism(fam))
              for fam in (inclusion, inclusion.adjoint())]
     pairs.append((phi_map(gd, X).blocks, stacked_identity_phi_map(gd, X)))

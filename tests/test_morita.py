@@ -861,12 +861,12 @@ def assert_morphism_checks_match_the_oracles(D, D2, tol, witnesses=None):
         want = oracles.matrix_bimodule_data_isomorphic(D, D2, tol)
         assert (got is None) == (want is None)
     if witnesses is None:
-        witnesses = got if got is not None else oracles.witness_stacks(D, tuple(
+        witnesses = got if got is not None else oracles.label_stacks(D.cover, D.left_algebra.labels, tuple(
             tuple(D2.twist_at(i, k) @ D.twist_at(i, k).conj().T for k in sorted(F))
             for i, F in enumerate(D.cover.sets)))
-    tuples = oracles.witness_tuples(D, witnesses)
+    tuples = oracles.set_tuples(D.cover, D.left_algebra.labels, witnesses)
     assert all(np.array_equal(W, witnesses[k])
-               for k, W in oracles.witness_stacks(D, tuples).items())
+               for k, W in oracles.label_stacks(D.cover, D.left_algebra.labels, tuples).items())
     assert bits(morita.datum_morphism_residual(D, D2, witnesses)) == \
         bits(oracles.pairwise_datum_morphism_residual(D, D2, tuples))
     return got, witnesses
@@ -1033,8 +1033,9 @@ def test_right_datum_matches_the_rebuilt_oracles(mode, seed):
     for D2 in (D, regauged(D, rng)):
         _, wit = assert_morphism_checks_match_the_oracles(D, D2, tol)
         bent = tuple(tuple(rng.unitary(len(W)) @ W for W in per)
-                     for per in oracles.witness_tuples(D, wit))
-        assert_morphism_checks_match_the_oracles(D, D2, tol, oracles.witness_stacks(D, bent))
+                     for per in oracles.set_tuples(D.cover, D.left_algebra.labels, wit))
+        assert_morphism_checks_match_the_oracles(
+            D, D2, tol, oracles.label_stacks(D.cover, D.left_algebra.labels, bent))
 
 
 def test_bimodule_datum_is_checked_and_glued_without_a_rebuilt_gluing_datum(monkeypatch, algebras):

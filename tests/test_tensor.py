@@ -195,7 +195,7 @@ class TestDeltaMap:
         B = sum_algebra(D.algebra, D.cover)
         rng = Rng(9)
         z = rand_family(rng, D)
-        b = gen.random_element(rng, B.flat)
+        b = gen.random_element(rng, B)
         diff = {}
         for k, Z in stacked_families(D, [z]).items():
             fam, pair = oracles.slot_sizes(D, k, 1), oracles.slot_sizes(D, k, 2)
@@ -427,7 +427,7 @@ class TestPsiNu:
         psi = tensor.psi_iso(X, cov)
         B = sum_algebra(A, cov)
         x = gen.random_vector(Rng(12), X)
-        parts = psi.apply(x, B.flat.identity())
+        parts = psi.apply(x, B.identity())
         assert vec_norm(parts[0] - restrict_vector(x, {0, 1})) == 0.0
 
     def test_psi_dimension_count(self):
@@ -510,8 +510,8 @@ class TestGluedTensorImage:
         for _ in range(5):
             g1 = gen.random_vector(rng, gd.module)
             g2 = gen.random_vector(rng, gd.module)
-            b1 = gen.random_element(rng, B.flat)
-            b2 = gen.random_element(rng, B.flat)
+            b1 = gen.random_element(rng, B)
+            b2 = gen.random_element(rng, B)
             x = oracles.pair_from_family_and_b(model, gd.embed(g1), b1)
             y = oracles.pair_from_family_and_b(model, gd.embed(g2), b2)
             lhs = oracles.family_inner(
@@ -521,7 +521,7 @@ class TestGluedTensorImage:
             # tensors: b* eta(<g1|g2>) b'
             ip = inner_product(g1, g2)
             eta_ip = AlgebraElement(
-                B.flat, tuple(ip.block(k) for (_, k) in B.flat.labels)
+                B, tuple(ip.block(k) for (_, k) in B.labels)
             )
             rhs = b1.adjoint() * eta_ip * b2
             assert (lhs - rhs).norm() <= 1e-9
@@ -701,7 +701,7 @@ def test_operations_return_well_formed_records(mode, seed):
     for p, F in zip(oracles.eta_map(gen.random_vector(rng, X), D.cover), D.cover.sets):
         _assert_vector(p, restrict_module(X, F))
     t = oracles.delta_map(D, z)
-    b = gen.random_element(rng, sum_algebra(D.algebra, D.cover).flat)
+    b = gen.random_element(rng, sum_algebra(D.algebra, D.cover))
     for u in (t, oracles.eta_map(z, model), oracles.pair_right_act(t, b)):
         for c, space in zip(u.comps, model.spaces):
             _assert_vector(c, space)
@@ -773,7 +773,7 @@ def test_stacked_delta_isometry_matches_the_object_oracle(mode, seed):
     D = descent_datum(mode, seed)
     rng = Rng(seed)
     zs = [rand_family(rng, D) for _ in range(4)]
-    b = gen.random_element(rng, sum_algebra(D.algebra, D.cover).flat)
+    b = gen.random_element(rng, sum_algebra(D.algebra, D.cover))
     got = _delta_isometry_residuals(D, zs, b)
     want = oracles.object_delta_isometry_residuals(D, zs, b)
     assert all(close(g, w) for g, w in zip(got, want)), (got, want)

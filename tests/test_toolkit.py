@@ -480,6 +480,31 @@ class TestCli:
         assert main(["validate", str(inst)]) == cli.EXIT_PARSE
         assert "matrix entry (0, 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,path,value,name", [
+        ("gluing", ("algebra", "blocks", 0), 3.7, "algebra.blocks[0]"),
+        ("gluing", ("algebra", "blocks", 0), 3.0, "algebra.blocks[0]"),
+        ("gluing", ("cover", "sets", 0, 1), True, "cover.sets[0][1]"),
+        ("gluing", ("modules", 0, "mult", 0), "3", "modules[0].mult[0]"),
+        ("gluing", ("zeta", 0, "i"), "0", "zeta[0].i"),
+        ("gluing", ("zeta", 0, "k"), 0.5, "zeta[0].k"),
+        ("module", ("module", "mult", 0), 2.0, "module.mult[0]"),
+        ("bimodule", ("left_blocks", 0), 3.9, "left_blocks[0]"),
+        ("bimodule", ("nu", 0, "j"), 1.0, "nu[0].j"),
+    ])
+    def test_non_integer_integer_field_exits_parse(self, tmp_path, capsys, kind, path, value, name):
+        # block dims, cover labels, multiplicities and transition keys are
+        # JSON integers; 3.7 used to be read as 3, and true and "3" as 1 and 3
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "2", "--kind", kind, "--out", str(inst)]) == 0
+        obj = json.loads(inst.read_text())
+        field = obj
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+        inst.write_text(json.dumps(obj))
+        assert main(["validate", str(inst)]) == cli.EXIT_PARSE
+        assert f"{name} is {value!r}, not an integer" in capsys.readouterr().err
+
     def test_integer_entry_beyond_float_range_exits_parse(self, tmp_path, capsys):
         # a JSON integer too large for a float used to escape as a traceback
         inst = tmp_path / "inst.json"
@@ -738,13 +763,11 @@ def test_only_numlin_calls_numpy_decompositions():
     assert calls == []
 
 
-def test_only_the_boundary_calls_make_bimodule_datum():
-    # a bimodule datum derived from valid data (dual, tensor, conjugate,
-    # pull-apart, criterion 11's coboundary twist) is put together from its
-    # stacks directly; only the file reader and the generator go through
-    # the re-checking constructor
+def library_callers(function: str) -> list:
+    """module.name of the top-level definition around each call of function
+    in the library, once per call."""
     def calls(node):
-        return sum(isinstance(n, ast.Call) and "make_bimodule_datum" in (
+        return sum(isinstance(n, ast.Call) and function in (
             getattr(n.func, "id", None), getattr(n.func, "attr", None)) for n in ast.walk(node))
 
     callers = []
@@ -752,4 +775,20 @@ def test_only_the_boundary_calls_make_bimodule_datum():
         for node in ast.parse(path.read_text()).body:
             name = getattr(node, "name", "<module>")
             callers += [f"{path.stem}.{name}"] * calls(node)
-    assert callers == ["morita.random_bimodule_datum", "serial.bimodule_datum_from_json"]
+    return callers
+
+
+def test_only_the_boundary_calls_make_bimodule_datum():
+    # a bimodule datum derived from valid data (dual, tensor, conjugate,
+    # pull-apart, criterion 11's coboundary twist) is put together from its
+    # stacks directly; only the file reader and the generator go through
+    # the re-checking constructor
+    assert library_callers("make_bimodule_datum") == [
+        "morita.random_bimodule_datum", "serial.bimodule_datum_from_json"]
+
+
+def test_only_hmod_calls_restrict_map():
+    # a morphism of gluing data is one map stack per label, so P on
+    # morphisms broadcasts each block over its members instead of
+    # restricting the map once per cover set
+    assert [c for c in library_callers("restrict_map") if not c.startswith("hmod.")] == []
