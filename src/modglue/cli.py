@@ -300,9 +300,13 @@ def cmd_gen(args) -> int:
     if args.phases:
         try:
             raw = json.loads(args.phases)
-            phases = tuple((int(i), int(j), float(re), float(im)) for (i, j, re, im) in raw)
+            phases = tuple((i, j, float(re), float(im)) for (i, j, re, im) in raw)
         except (ValueError, TypeError) as exc:
             raise InvalidInputError(f"bad --phases: {exc}") from exc
+        for n, (i, j, _, _) in enumerate(phases):  # 0.7 and true are no set index
+            if type(i) is not int or type(j) is not int:
+                raise InvalidInputError(f"bad --phases: entry {n} is {json.dumps(raw[n])}, "
+                                        f"whose set indices are not both integers")
     cfg = gen.GenConfig(seed=args.seed, twist_mode=args.mode, phases=phases, kind=args.kind)
     inst = gen.random_instance(cfg)
     payload = instance_to_json(inst)

@@ -44,10 +44,14 @@ class FdCStarAlgebra:
     def dim(self) -> int:
         return sum(n * n for n in self.block_dims)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {label: p for p, label in enumerate(self.labels)}
+
     def position(self, label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InvalidInputError(f"label {label!r} not in algebra") from None
 
     def identity(self) -> "AlgebraElement":
@@ -194,14 +198,18 @@ class ClosedCover:
             out = out & self.sets[i]
         return out
 
+    @cached_property
+    def _members(self) -> dict:
+        return {k: tuple(i for i, s in enumerate(self.sets) if k in s) for k in range(self.prim_size)}
+
     def members(self, label) -> tuple:
-        """Indices i with label in F_i, ascending."""
-        return tuple(i for i, s in enumerate(self.sets) if label in s)
+        """Indices i with label in F_i, ascending; () for a label no set owns."""
+        return self._members.get(label, ())
 
     @cached_property
     def member_positions(self) -> dict:
         """label -> {i: the position of i in members(label)}, for every label."""
-        return {k: {i: a for a, i in enumerate(self.members(k))} for k in range(self.prim_size)}
+        return {k: {i: a for a, i in enumerate(ms)} for k, ms in self._members.items()}
 
     def pairs(self, include_diagonal=True):
         """Ordered pairs (i, j) with nonempty overlap, lexicographic."""

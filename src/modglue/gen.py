@@ -123,15 +123,11 @@ def random_gluing_datum(
     cfg: GenConfig,
     mult=None,
 ) -> GluingDatum:
-    """Per-set restrictions of a global multiplicity profile, with transitions
-    drawn according to cfg.twist_mode."""
-    from .hmod import restrict_module
-
+    """A datum of the multiplicity profile mult (drawn if None), with
+    transitions drawn according to cfg.twist_mode."""
     K = alg.num_blocks
     if mult is None:
         mult = tuple(rng.randint(0, cfg.max_mult) for _ in range(K))
-    profile = module(alg, mult)
-    modules = tuple(restrict_module(profile, F) for F in cov.sets)
 
     if cfg.twist_mode == "coherent":
         V = {(i, k): rng.unitary(mult[k]) for i in range(cov.num_sets) for k in sorted(cov.sets[i])}
@@ -147,7 +143,7 @@ def random_gluing_datum(
                 else:
                     U = phase.get((i, j, k), 1.0) * np.eye(mult[k], dtype=np.complex128)
                 entries.append((i, j, k, U))
-    return make_gluing_datum(alg, cov, modules, entries)
+    return make_gluing_datum(alg, cov, mult, entries)
 
 
 def prescribed_phases(cov: ClosedCover, cfg: GenConfig) -> dict:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import numlin
-from .cstar import ClosedCover, FdCStarAlgebra, is_restriction
+from .cstar import ClosedCover, FdCStarAlgebra
 from .errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
-from .hmod import AdjointableMap, HilbertModule, ModuleVector, module_map, restrict_module
+from .hmod import AdjointableMap, HilbertModule, ModuleVector, module, module_map, restrict_module
 from .numlin import DEFAULT_TOL
 
 #: Absolute bound on residuals of identities that hold exactly up to
@@ -37,25 +38,30 @@ DIAGONAL_IDENTITY_TOL = 1e-12
 
 @dataclass(eq=False)
 class GluingDatum:
-    """Per-set Hilbert modules plus unitary transitions on overlap blocks.
+    """Unitary transitions on overlap blocks, one stack per label.
 
-    Every cover set owning label k gives it the same multiplicity m_k, as
-    make_gluing_datum requires: no unitary joins different multiplicities.
     zeta maps each label k to its transition stack, one complex128 array Z of
     shape (s, s, m_k, m_k) over members = cover.members(k), s = len(members):
     Z[a, b] is zeta_ij : Z_j -> Z_i at k for i, j = members[a], members[b],
-    and Z[a, a] = I.  The cocycle condition is a validated property, not a
-    constructor requirement, so twisted data are representable.
+    and Z[a, a] = I.  No unitary joins different multiplicities, so the sets
+    owning k agree on m_k, and the stacks are the whole datum: modules derives
+    set i's module as the restriction to F_i of that multiplicity profile.
+    The cocycle condition is a validated property, not a constructor
+    requirement, so twisted data are representable.
     """
 
     algebra: FdCStarAlgebra
     cover: ClosedCover
-    modules: tuple  # HilbertModule over A|F_i, one per cover set
     zeta: dict  # label -> (s, s, m, m) transition stack
 
-    def mult_at(self, i: int, label) -> int:
-        mod = self.modules[i]
-        return mod.mult[mod.algebra.position(label)]
+    @cached_property
+    def modules(self) -> tuple:
+        """Z_i, the module over A|F_i of each cover set i."""
+        X = module(self.algebra, [self.label_mult(k) for k in self.algebra.labels])
+        return tuple(restrict_module(X, F) for F in self.cover.sets)
+
+    def mult_at(self, i: int, label) -> int:  # label_mult, as perfbench/tracer.py calls it
+        return self.label_mult(label)
 
     def label_mult(self, label) -> int:
         """m_k, the label's multiplicity in each of the (one or more) sets owning it."""
@@ -68,11 +74,9 @@ class GluingDatum:
     def entries(self):
         """(i, j, label, matrix) of every transition between two distinct
         sets, ordered by (i, j, label); each matrix is a view into zeta."""
-        for i, Fi in enumerate(self.cover.sets):
-            for j, Fj in enumerate(self.cover.sets):
-                if i != j:
-                    for k in sorted(Fi & Fj):
-                        yield i, j, k, self.zeta_block(i, j, k)
+        for (i, j) in self.cover.pairs(include_diagonal=False):
+            for k in sorted(self.cover.overlap(i, j)):
+                yield i, j, k, self.zeta_block(i, j, k)
 
 
 def check_transition_key(cover: ClosedCover, i: int, j: int, k) -> None:
@@ -87,16 +91,33 @@ def check_transition_key(cover: ClosedCover, i: int, j: int, k) -> None:
         raise InvalidInputError(f"block {k} is not in the overlap of sets {i}, {j}")
 
 
-def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
-    """Checked transition stacks {label: Z} of a datum, as GluingDatum.zeta.
+def label_mults(alg: FdCStarAlgebra, cover: ClosedCover, set_mults) -> tuple:
+    """m, parallel to alg.labels, from set_mults[i], cover set i's map
+    {label: multiplicity}.  Sets that give a label different multiplicities
+    raise InvalidInputError naming each one's: no unitary joins them."""
+    for k in alg.labels:
+        sizes = {i: set_mults[i][k] for i in cover.members(k)}
+        if len(set(sizes.values())) > 1:
+            per_set = ", ".join(f"set {i}: {m}" for i, m in sizes.items())
+            raise InvalidInputError(f"block {k} has different multiplicities on the cover sets "
+                                    f"owning it ({per_set}); no unitary joins them")
+    return tuple(set_mults[cover.members(k)[0]][k] for k in alg.labels)
 
-    entries is an iterable of (i, j, label, matrix) and mult[label] = m_k.
+
+def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, mult, zeta_entries) -> GluingDatum:
+    """Normalizing constructor from the label multiplicities mult, parallel
+    to alg.labels as HilbertModule.mult is, and the transitions zeta_entries,
+    an iterable of (i, j, label, matrix), stacked into GluingDatum.zeta.
+
     Each key must pass check_transition_key, and each matrix must have shape
     (m_k, m_k).  A diagonal entry must lie within DIAGONAL_IDENTITY_TOL of
-    the identity, and Z[a, a] is I.
-    A pair given in only one direction gets the adjoint as its mirror; of the
-    pairs given in neither, the first (i, j, label), i < j, is refused.
+    the identity, and Z[a, a] is I.  A pair given in only one direction gets
+    the adjoint as its mirror; of the pairs given in neither, the first
+    (i, j, label), i < j, is refused.
     """
+    if cover.prim_size != alg.num_blocks:
+        raise InvalidInputError("cover does not match algebra")
+    mult = dict(zip(alg.labels, module(alg, mult).mult))
     slots = cover.member_positions
     zeta = {}
     for k, slot in slots.items():
@@ -104,7 +125,7 @@ def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
         zeta[k] = np.zeros((s, s, m, m), dtype=np.complex128)
         zeta[k].reshape(s * s, m, m)[::s + 1] = np.eye(m)  # Z[a, a] = I
     given = set()
-    for (i, j, k, M) in entries:
+    for (i, j, k, M) in zeta_entries:
         check_transition_key(cover, i, j, k)
         slot = slots[k]
         M = numlin.as_cmatrix(M, (mult[k], mult[k]))
@@ -122,36 +143,7 @@ def normalize_transitions(cover: ClosedCover, entries, mult: dict) -> dict:
     if missing:
         i, j, k = min(missing)
         raise InvalidInputError(f"missing transition for pair ({i},{j}) block {k}")
-    return zeta
-
-
-def make_gluing_datum(alg: FdCStarAlgebra, cover: ClosedCover, modules, zeta_entries) -> GluingDatum:
-    """Normalizing constructor: checks that the sets owning a label agree on
-    its multiplicity, checks shapes and fills mirror transitions.
-
-    zeta_entries is an iterable of (i, j, label, matrix), normalized by
-    normalize_transitions into one transition stack per label.
-    """
-    modules = tuple(modules)
-    if cover.prim_size != alg.num_blocks:
-        raise InvalidInputError("cover does not match algebra")
-    if len(modules) != cover.num_sets:
-        raise InvalidInputError("one module per cover set required")
-    for i, mod in enumerate(modules):
-        if not is_restriction(mod.algebra, alg, cover.sets[i]):
-            raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
-
-    D = GluingDatum(alg, cover, modules, {})
-    mult = {}
-    for k in alg.labels:
-        sizes = {i: D.mult_at(i, k) for i in cover.members(k)}
-        mult[k], *others = set(sizes.values())
-        if others:
-            per_set = ", ".join(f"set {i}: {m}" for i, m in sizes.items())
-            raise InvalidInputError(f"block {k} has different multiplicities on the cover sets "
-                                    f"owning it ({per_set}); no unitary joins them")
-    D.zeta = normalize_transitions(cover, zeta_entries, mult)
-    return D
+    return GluingDatum(alg, cover, zeta)
 
 
 @dataclass
@@ -234,10 +226,9 @@ def pull_apart(X: HilbertModule, cover: ClosedCover) -> GluingDatum:
     """
     if cover.prim_size != X.algebra.num_blocks:
         raise InvalidInputError("cover does not match module algebra")
-    modules = tuple(restrict_module(X, F) for F in cover.sets)
     zeta = {k: np.broadcast_to(np.eye(m, dtype=np.complex128), (s, s, m, m)).copy()
             for k, m in zip(X.algebra.labels, X.mult) for s in [len(cover.members(k))]}
-    return GluingDatum(X.algebra, cover, modules, zeta)
+    return GluingDatum(X.algebra, cover, zeta)
 
 
 def _member_stacks(cover: ClosedCover, labels, blocks) -> dict:
@@ -258,8 +249,8 @@ class GlueMorphism:
     maps: dict  # label -> (s, p, m) stack of the members' blocks
 
     def adjoint(self) -> "GlueMorphism":
-        return GlueMorphism(self.target, self.source, {
-            k: np.ascontiguousarray(A.conj().swapaxes(-1, -2)) for k, A in self.maps.items()})
+        return GlueMorphism(self.target, self.source,
+                            {k: A.conj().swapaxes(-1, -2) for k, A in self.maps.items()})
 
 
 def _intertwining_residual(A, Z, W) -> float:
@@ -316,7 +307,8 @@ class GluedModule:
         """Realize a glued vector as a compatible family (z_i) in prod Z_i."""
         if g.module != self.module:
             raise InvalidInputError("vector does not live in the glued module")
-        arrays = [[None] * m.algebra.num_blocks for m in self.datum.modules]
+        modules = self.datum.modules
+        arrays = [[None] * m.algebra.num_blocks for m in modules]
         for pos, k in enumerate(self.module.algebra.labels):
             members, x = self.datum.cover.members(k), g.blocks[pos]
             # E_k x in one product, cut by member after: a batched product
@@ -324,11 +316,8 @@ class GluedModule:
             W = np.sqrt(len(members)) * (self.stacked_basis[k] @ x).reshape(
                 len(members), self.datum.label_mult(k), x.shape[1])
             for i, blk in zip(members, W):
-                arrays[i][self.datum.modules[i].algebra.position(k)] = blk
-        return tuple(
-            ModuleVector(m, tuple(arr))
-            for m, arr in zip(self.datum.modules, arrays)
-        )
+                arrays[i][modules[i].algebra.position(k)] = blk
+        return tuple(ModuleVector(m, tuple(arr)) for m, arr in zip(modules, arrays))
 
     def project(self, parts) -> ModuleVector:
         """Adjoint of embed on the constraint subspace (exact left inverse)."""

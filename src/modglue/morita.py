@@ -41,7 +41,7 @@ from .glue import (
     pull_apart,
     validate_gluing_datum,
 )
-from .hmod import HilbertModule, ModuleVector, module, restrict_module
+from .hmod import HilbertModule, ModuleVector, module
 from .numlin import DEFAULT_TOL
 from .rng import Rng
 
@@ -278,7 +278,8 @@ class BimoduleGluingDatum:
     (s, n'_k, n'_k) stack of the member twists over the same slots.  Each
     transition acts by left multiplication N_j|F_ij -> N_i|F_ij and must
     intertwine both actions, which pins it to a unit scalar times v_i v_j*
-    blockwise.  right_algebra, cover, nu and mult_at read through to right.
+    blockwise.  right_algebra, cover and nu read through to right, and the
+    multiplicity at k is right.label_mult(k) = n'_k.
     """
 
     left_algebra: FdCStarAlgebra
@@ -297,19 +298,16 @@ class BimoduleGluingDatum:
     def nu(self) -> dict:
         return self.right.zeta
 
-    def mult_at(self, i: int, label) -> int:
-        return self.right.mult_at(i, label)
-
     def twist_at(self, i: int, label) -> np.ndarray:
         return self.twist[label][self.cover.member_positions[label][i]]
 
 
 def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
                         cover: ClosedCover, bimodules, nu_entries) -> BimoduleGluingDatum:
-    """Normalizing constructor: checks the bimodules' left algebras, then
-    builds the right gluing datum of their right modules with
-    glue.make_gluing_datum, which checks the right algebras and the
-    transitions (i, j, label, matrix), and stacks the twists per label."""
+    """Normalizing constructor: checks the bimodules' left and right
+    algebras, builds the right gluing datum of the transitions (i, j, label,
+    matrix) with glue.make_gluing_datum at the multiplicities left.block_dims
+    (n'_k in every member owning k), and stacks the twists per label."""
     bimodules = tuple(bimodules)
     if left.labels != right.labels:
         raise InvalidInputError("algebras must share labels")
@@ -320,9 +318,10 @@ def make_bimodule_datum(left: FdCStarAlgebra, right: FdCStarAlgebra,
     for i, Mi in enumerate(bimodules):
         if not is_restriction(Mi.left_algebra, left, cover.sets[i]):
             raise InvalidInputError(f"bimodule {i} has wrong left algebra")
-    modules = tuple(Mi.right_module() for Mi in bimodules)
+        if not is_restriction(Mi.right_algebra, right, cover.sets[i]):
+            raise InvalidInputError(f"module {i} is not over A restricted to cover set {i}")
     twist = {k: np.stack([bimodules[i].twist_at(k) for i in cover.members(k)]) for k in left.labels}
-    return BimoduleGluingDatum(left, make_gluing_datum(right, cover, modules, nu_entries), twist)
+    return BimoduleGluingDatum(left, make_gluing_datum(right, cover, left.block_dims, nu_entries), twist)
 
 
 def transition_cochain(D: BimoduleGluingDatum) -> dict:
@@ -365,14 +364,12 @@ def _derived_datum(left: FdCStarAlgebra, right: FdCStarAlgebra, cover: ClosedCov
     """A bimodule datum derived from valid data, built without the checks of
     make_bimodule_datum from its twist and transition stacks; the part of a
     transition stack below the diagonal of the (s, s) grid is overwritten
-    with the adjoints of the part above, as normalize_transitions mirrors a
+    with the adjoints of the part above, as make_gluing_datum mirrors a
     pair given once."""
     for Z in nu.values():
         a, b = np.nonzero(np.tri(len(Z), k=-1, dtype=bool))  # pairs a > b
         Z[a, b] = Z[b, a].conj().swapaxes(-1, -2)
-    X = module(right, left.block_dims)
-    modules = tuple(restrict_module(X, F) for F in cover.sets)
-    return BimoduleGluingDatum(left, GluingDatum(right, cover, modules, nu), twist)
+    return BimoduleGluingDatum(left, GluingDatum(right, cover, nu), twist)
 
 
 @dataclass

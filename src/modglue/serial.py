@@ -18,7 +18,7 @@ import numpy as np
 from .cstar import ClosedCover, FdCStarAlgebra, algebra, cover, restrict_algebra
 from .errors import FormatError, InvalidInputError
 from .gen import GluingInstance, ModuleInstance
-from .glue import GluingDatum, check_transition_key, make_gluing_datum
+from .glue import GluingDatum, check_transition_key, label_mults, make_gluing_datum
 from .hmod import HilbertModule, module
 from .morita import (
     BimoduleGluingDatum,
@@ -129,21 +129,26 @@ def gluing_to_json(D: GluingDatum) -> dict:
     }
 
 
+def _one_per_set(data, cov: ClosedCover, name: str) -> list:
+    """The list name of a datum file, which must hold one entry per cover set."""
+    if len(data) != cov.num_sets:
+        raise FormatError(f"{name} has {len(data)} entries; the cover has {cov.num_sets} sets")
+    return data
+
+
 def gluing_from_json(obj) -> GluingDatum:
     A = algebra_from_json(obj["algebra"])
     cov = cover_from_json(obj["cover"], A.num_blocks)
-    modules = []
-    for i, spec in enumerate(obj["modules"]):
-        sub = restrict_algebra(A, cov.sets[i])
+    set_mults = []  # {label: multiplicity} of each cover set
+    for i, spec in enumerate(_one_per_set(obj["modules"], cov, "modules")):
         mult = _ints(spec["mult"], f"modules[{i}].mult")
-        if len(mult) != sub.num_blocks:
+        if len(mult) != len(cov.sets[i]):
             raise FormatError(f"module {i} multiplicity length mismatch")
-        modules.append(module(sub, mult))
-    entries = _transitions_from_json(
-        obj.get("zeta", []), cov,
-        lambda i, k: modules[i].mult[modules[i].algebra.position(k)], "zeta",
-    )
-    return make_gluing_datum(A, cov, tuple(modules), entries)
+        if min(mult, default=0) < 0:
+            raise InvalidInputError("multiplicities must be >= 0")
+        set_mults.append(dict(zip(sorted(cov.sets[i]), mult)))
+    entries = _transitions_from_json(obj.get("zeta", []), cov, lambda i, k: set_mults[i][k], "zeta")
+    return make_gluing_datum(A, cov, label_mults(A, cov, set_mults), entries)
 
 
 def module_instance_to_json(A: FdCStarAlgebra, cov: ClosedCover, X: HilbertModule) -> dict:
@@ -195,7 +200,7 @@ def bimodule_datum_from_json(obj) -> BimoduleGluingDatum:
     right = algebra(_ints(obj["right_blocks"], "right_blocks"))
     cov = cover_from_json(obj["cover"], left.num_blocks)
     bims = []
-    for i, spec in enumerate(obj["bimodules"]):
+    for i, spec in enumerate(_one_per_set(obj["bimodules"], cov, "bimodules")):
         subL = restrict_algebra(left, cov.sets[i])
         subR = restrict_algebra(right, cov.sets[i])
         twist = _twists_from_json(spec["twist"], subL, f"bimodule {i}")

@@ -30,7 +30,6 @@ from .glue import (
 from .hmod import (
     compose,
     map_norm,
-    module,
     restrict_module,
     unitary_residual,
 )
@@ -246,11 +245,10 @@ def criterion_7_degeneracy_witness(tol: float = EXACT_IDENTITY_TOL) -> Report:
     t0 = time.time()
     A1 = algebra((1,))
     cov3 = cover(1, [{0}, {0}, {0}])
-    Z = module(restrict_algebra(A1, {0}), (1,))
     entries = [
         (0, 1, 0, np.eye(1)), (1, 2, 0, np.eye(1)), (0, 2, 0, -np.eye(1)),
     ]
-    D = make_gluing_datum(A1, cov3, (Z, Z, Z), entries)
+    D = make_gluing_datum(A1, cov3, (1,), entries)
     gd = glue(D)
     glued_zero = gd.module.mult == (0,)
 

@@ -48,6 +48,9 @@ place each member's rows at the offsets of glued_layout here, with dense
 zero-filled maps, as are the counit's maps (layout_epsilon_maps), and the
 intertwining residual of a family, which the
 library takes per label from one product, is taken one transition at a time.
+A set's multiplicity at a label, which the library reads once per label
+from the transition stack (label_mult), is read here from the set's own
+module (set_mult).
 """
 
 import itertools
@@ -65,6 +68,7 @@ from modglue.glue import (
     DatumValidation,
     DescentReport,
     glue,
+    label_mults,
     make_gluing_datum,
     validate_gluing_datum,
 )
@@ -132,12 +136,24 @@ def identity_map(X) -> AdjointableMap:
     return AdjointableMap(X, X, tuple(np.eye(m, dtype=np.complex128) for m in X.mult))
 
 
+def set_mult(D, i, label) -> int:
+    """Set i's multiplicity at label, read from its module Z_i = D.modules[i]."""
+    Z = D.modules[i]
+    return Z.mult[Z.algebra.position(label)]
+
+
+def datum_mult(D) -> tuple:
+    """D's label multiplicities, parallel to D.algebra.labels, as
+    make_gluing_datum takes them."""
+    return tuple(D.label_mult(k) for k in D.algebra.labels)
+
+
 def constraint_matrix(D, label):
     """The overlap constraint of one block label on stacked multiplicity
     coordinates: a row block z_i - zeta_ij z_j per ordered pair of distinct
     member sets."""
     members = D.cover.members(label)
-    sizes = [D.mult_at(i, label) for i in members]
+    sizes = [set_mult(D, i, label) for i in members]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     blocks = []
     for a, i in enumerate(members):
@@ -256,7 +272,7 @@ def flat_eta_minus_delta(D):
     M = np.zeros((pair.dim, fam.dim), dtype=np.complex128)
     for (i, j) in model.entries:
         for k in sorted(model.cover.overlap(i, j)):
-            pair.place(M, ((i, j), k), fam, (i, k), np.eye(D.mult_at(i, k)))
+            pair.place(M, ((i, j), k), fam, (i, k), np.eye(set_mult(D, i, k)))
             pair.place(M, ((i, j), k), fam, (j, k), -D.zeta_block(i, j, k))
     return M
 
@@ -268,7 +284,7 @@ def flat_eta_minus_delta_tensor_id(D):
     M = np.zeros((trip.dim, pair.dim), dtype=np.complex128)
     for (i, j, l) in tm.entries:
         for k in sorted(tm.cover.overlap(i, j, l)):
-            trip.place(M, ((i, j, l), k), pair, ((i, l), k), np.eye(D.mult_at(i, k)))
+            trip.place(M, ((i, j, l), k), pair, ((i, l), k), np.eye(set_mult(D, i, k)))
             trip.place(M, ((i, j, l), k), pair, ((j, l), k), -D.zeta_block(i, j, k))
     return M
 
@@ -410,7 +426,7 @@ def flat_glued_tensor_subspace_basis(gd):
         for k in sorted(D.cover.overlap(i, l)):
             E, layout = gd.stacked_basis[k], glued_layout(gd, k)
             ofs = {ii: o for (ii, o, _) in layout}[i]
-            W_i = np.sqrt(len(layout)) * E[ofs:ofs + D.mult_at(i, k), :]
+            W_i = np.sqrt(len(layout)) * E[ofs:ofs + set_mult(D, i, k), :]
             pair.place(M, ((i, l), k), dom, (l, k), W_i)
     if 0 in M.shape:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
@@ -463,7 +479,7 @@ def slot_right_act(stack, sizes: dict, b, k) -> np.ndarray:
 def blockwise_unit_plus_delta(D, k, level, unit, delta):
     """T_k of unit * (eta (x) id^level) + delta * (delta (x) id^level)."""
     members = D.cover.members(k)
-    size = {i: D.mult_at(i, k) for i in members}
+    size = {i: set_mult(D, i, k) for i in members}
     dst = _slots(members, size, level + 2)
     terms = []
     for (i, j, *r) in dst:
@@ -476,7 +492,7 @@ def blockwise_unit_plus_delta(D, k, level, unit, delta):
 
 def blockwise_epsilon_map(D, k):
     members = D.cover.members(k)
-    size = {i: D.mult_at(i, k) for i in members}
+    size = {i: set_mult(D, i, k) for i in members}
     return block_matrix(_slots(members, size, 1), _slots(members, size, 2),
                         [((i,), (i, i), np.eye(size[i])) for i in members])
 
@@ -497,7 +513,7 @@ def blockwise_image_eta_matrices(X, cover, k):
 def blockwise_glued_tensor_subspace_basis(gd, k):
     D = gd.datum
     members = D.cover.members(k)
-    size = {i: D.mult_at(i, k) for i in members}
+    size = {i: set_mult(D, i, k) for i in members}
     E = gd.stacked_basis[k]
     ofs = {i: o for (i, o, _) in glued_layout(gd, k)}
     pair = _slots(members, size, 2)
@@ -915,21 +931,22 @@ def label_stacks(cover, labels, tuples):
 
 
 def rebuilt_right_datum(D):
-    """Forget the left structure: the right modules with the same transitions."""
-    modules = tuple(Mi.right_module() for Mi in member_bimodules(D))
-    return make_gluing_datum(D.right_algebra, D.cover, modules, D.right.entries())
+    """Forget the left structure: the right modules' multiplicities with the
+    same transitions."""
+    set_mults = [dict(zip(Mi.right_algebra.labels, Mi.mult)) for Mi in member_bimodules(D)]
+    return make_gluing_datum(D.right_algebra, D.cover, label_mults(D.right_algebra, D.cover, set_mults),
+                             D.right.entries())
 
 
 def entrywise_pull_apart(X, cover):
     """glue.pull_apart through make_gluing_datum, from one identity
     transition per ordered pair of distinct sets and label of their overlap."""
-    modules = tuple(restrict_module(X, F) for F in cover.sets)
     entries = []
     for (i, j) in cover.pairs(include_diagonal=False):
         for k in sorted(cover.overlap(i, j)):
             m = X.mult[X.algebra.position(k)]
             entries.append((i, j, k, np.eye(m, dtype=np.complex128)))
-    return make_gluing_datum(X.algebra, cover, modules, entries)
+    return make_gluing_datum(X.algebra, cover, X.mult, entries)
 
 
 def entrywise_pull_apart_bimodule(M, cover):

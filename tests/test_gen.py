@@ -20,10 +20,10 @@ def twist_by_coboundary(rng, datum):
     V = {}
     for i in range(cov.num_sets):
         for k in sorted(cov.sets[i]):
-            V[(i, k)] = rng.unitary(datum.mult_at(i, k))
+            V[(i, k)] = rng.unitary(datum.label_mult(k))
     entries = [(i, j, k, V[(i, k)] @ U @ V[(j, k)].conj().T)
                for (i, j, k, U) in datum.entries() if i < j]
-    return make_gluing_datum(datum.algebra, cov, datum.modules, entries)
+    return make_gluing_datum(datum.algebra, cov, oracles.datum_mult(datum), entries)
 
 
 class TestRng:
@@ -185,7 +185,7 @@ class TestInstances:
             ).datum
             has_essential_triple = any(
                 len({i, j, l}) == 3
-                and any(D.mult_at(i, k) > 0 for k in D.cover.overlap(i, j, l))
+                and any(D.label_mult(k) > 0 for k in D.cover.overlap(i, j, l))
                 for (i, j, l) in D.cover.triples()
             )
             if not has_essential_triple:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,18 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modglue import gen, numlin, tensor
-from modglue.cstar import algebra, cover, restrict_algebra
+from modglue import gen, morita, numlin, serial, tensor
+from modglue.cstar import algebra, cover
 from modglue.errors import InvalidInputError, NotAMorphismError, RankAmbiguityError
 from modglue.gen import GenConfig
 from modglue.glue import (
     DEFAULT_TOL,
     GlueMorphism,
+    GluingDatum,
     cocycle_residual,
     descent_identities_check,
     epsilon_iso,
     glue,
     glue_morphism,
+    label_mults,
     make_gluing_datum,
     morphism_residual,
     phi_iso,
@@ -34,6 +37,7 @@ from modglue.hmod import (
     map_norm,
     module,
     restrict_map,
+    restrict_module,
     unitary_residual,
     vec_norm,
 )
@@ -41,6 +45,7 @@ from modglue.rng import Rng
 
 from oracles import (
     constraint_matrix,
+    datum_mult,
     dense_glue_morphism,
     entrywise_pull_apart,
     flat_glued_subspace_basis,
@@ -61,9 +66,8 @@ from oracles import (
 def twisted_single_block_datum():
     A = algebra((1,))
     cov = cover(1, [{0}, {0}, {0}])
-    Z = module(restrict_algebra(A, {0}), (1,))
     entries = [(0, 1, 0, np.eye(1)), (1, 2, 0, np.eye(1)), (0, 2, 0, -np.eye(1))]
-    return make_gluing_datum(A, cov, (Z, Z, Z), entries)
+    return make_gluing_datum(A, cov, (1,), entries)
 
 
 class TestValidation:
@@ -82,44 +86,25 @@ class TestValidation:
     def test_non_identity_diagonal_rejected(self):
         A = algebra((1,))
         cov = cover(1, [{0}, {0}])
-        Z = module(restrict_algebra(A, {0}), (1,))
         with pytest.raises(InvalidInputError):
             make_gluing_datum(
-                A, cov, (Z, Z),
+                A, cov, (1,),
                 [(0, 0, 0, -np.eye(1)), (0, 1, 0, np.eye(1))],
             )
 
     def test_missing_transition_rejected(self):
         A = algebra((1,))
         cov = cover(1, [{0}, {0}])
-        Z = module(restrict_algebra(A, {0}), (1,))
         with pytest.raises(InvalidInputError):
-            make_gluing_datum(A, cov, (Z, Z), [])
+            make_gluing_datum(A, cov, (1,), [])
 
     @pytest.mark.parametrize("i,j", [(-2, 1), (0, -1), (2, 1), (0, 2)])
     def test_out_of_range_set_index_rejected(self, i, j):
         # -2 and -1 would alias sets 0 and 1 by Python indexing
         A = algebra((1,))
         cov = cover(1, [{0}, {0}])
-        Z = module(restrict_algebra(A, {0}), (1,))
         with pytest.raises(InvalidInputError, match=r"names a set outside 0\.\.1"):
-            make_gluing_datum(A, cov, (Z, Z), [(0, 1, 0, np.eye(1)), (i, j, 0, np.eye(1))])
-
-    @pytest.mark.parametrize("dims,labels", [
-        ((3, 2), (1, 2)),  # block 2 of A has dimension 1
-        ((3,), (1,)),  # block 2 is missing
-        ((2, 3, 1), (0, 1, 2)),  # block 0 lies outside cover set 1
-    ])
-    def test_module_over_the_wrong_restriction_rejected(self, dims, labels):
-        X = module(algebra((2, 3, 1)), (1, 2, 2))
-        cov = cover(3, [{0, 1}, {1, 2}])
-        D = pull_apart(X, cov)
-        bad = module(algebra(dims, labels), (1,) * len(dims))
-        with pytest.raises(InvalidInputError,
-                           match="^module 1 is not over A restricted to cover set 1$"):
-            make_gluing_datum(X.algebra, cov, (D.modules[0], bad), [])
-        entries = list(D.entries())
-        assert make_gluing_datum(X.algebra, cov, D.modules, entries).modules == D.modules
+            make_gluing_datum(A, cov, (1,), [(0, 1, 0, np.eye(1)), (i, j, 0, np.eye(1))])
 
 
 class TestPullApart:
@@ -180,9 +165,8 @@ class TestGlue:
         # no triple overlaps: the cocycle is vacuous and gluing is full
         A = algebra((2,))
         cov = cover(1, [{0}, {0}])
-        Z = module(restrict_algebra(A, {0}), (3,))
         U = Rng(8).unitary(3)
-        D = make_gluing_datum(A, cov, (Z, Z), [(0, 1, 0, U)])
+        D = make_gluing_datum(A, cov, (3,), [(0, 1, 0, U)])
         gd = glue(D)
         assert gd.module.mult == (3,)
 
@@ -474,7 +458,7 @@ def transition_datum(mode, seed, theta):
     cov = gen.random_cover(rng, A, cfg)
     D = gen.random_gluing_datum(rng, A, cov, cfg)
     entries = [(i, j, k, (1.0 + rng.uniform()) * U) for (i, j, k, U) in D.entries()]
-    return make_gluing_datum(A, cov, D.modules, entries)
+    return make_gluing_datum(A, cov, datum_mult(D), entries)
 
 
 @settings(max_examples=80, deadline=None)
@@ -574,20 +558,20 @@ def test_batched_cocycle_residual_equals_the_per_index_loop_bit_for_bit(mode, s,
 
 
 def test_mixed_multiplicities_are_checked():
-    # no unitary joins multiplicities 2 and 1: the 2 x 1 isometry of such a
-    # datum is refused with the label and each owning set's multiplicity
-    A = algebra((1,))
-    cov = cover(1, [{0}, {0}])
-    mods = (module(A, (2,)), module(A, (1,)))
-    with pytest.raises(InvalidInputError, match=r"block 0 .*\(set 0: 2, set 1: 1\)"):
-        make_gluing_datum(A, cov, mods, [(0, 1, 0, np.array([[1.0], [0.0]]))])
+    # no unitary joins multiplicities 2 and 1: sets that give one label both
+    # are refused with the label and each owning set's multiplicity
+    A = algebra((1, 2))
+    cov = cover(2, [{0}, {0, 1}, {1}])
+    with pytest.raises(InvalidInputError, match=r"^block 0 .*\(set 0: 2, set 1: 1\); no unitary"):
+        label_mults(A, cov, [{0: 2}, {0: 1, 1: 3}, {1: 3}])
+    assert label_mults(A, cov, [{0: 2}, {0: 2, 1: 3}, {1: 3}]) == (2, 3)
 
 
 def test_overflowing_transitions_are_invalid_input():
     D = gen.random_gluing_instance(GenConfig(seed=4, twist_mode="random_unitary")).datum
     entries = [(i, j, k, 1e200 * U) for (i, j, k, U) in D.entries()]
     assert entries
-    big = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+    big = make_gluing_datum(D.algebra, D.cover, datum_mult(D), entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(InvalidInputError):
@@ -603,7 +587,7 @@ def test_dimension_law_for_coherent_data():
     gd = glue(D)
     for pos, k in enumerate(D.algebra.labels):
         members = D.cover.members(k)
-        assert gd.module.mult[pos] == D.mult_at(members[0], k)
+        assert gd.module.mult[pos] == D.label_mult(k)
 
 
 def test_glued_subspace_basis_is_orthonormal():
@@ -631,8 +615,7 @@ def format_datum(mode, seed):
         return oracle_datum(mode, seed, np.pi)
     D = oracle_datum("random_unitary", seed, np.pi)
     cov = cover(D.cover.prim_size, [*D.cover.sets, frozenset()])
-    empty = module(restrict_algebra(D.algebra, set()), ())
-    return make_gluing_datum(D.algebra, cov, (*D.modules, empty), D.entries())
+    return make_gluing_datum(D.algebra, cov, datum_mult(D), D.entries())
 
 
 def same_bits(a, b):
@@ -649,7 +632,7 @@ def test_entries_rebuild_every_stack_bit_for_bit(mode, seed):
     assert keys == sorted(keys) == sorted(
         (i, j, k) for (i, j) in D.cover.pairs(include_diagonal=False)
         for k in D.cover.overlap(i, j))
-    again = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+    again = make_gluing_datum(D.algebra, D.cover, datum_mult(D), entries)
     assert D.zeta.keys() == again.zeta.keys() == set(D.algebra.labels)
     for k, Z in D.zeta.items():
         s, m = len(D.cover.members(k)), D.label_mult(k)
@@ -670,7 +653,7 @@ def test_one_direction_gets_the_exact_adjoint_and_the_diagonal_is_the_identity(m
     # the generators give each pair once, with i < j
     D = format_datum(mode, seed)
     upper = [(i, j, k, M.copy()) for (i, j, k, M) in D.entries() if i < j]
-    got = make_gluing_datum(D.algebra, D.cover, D.modules, upper)
+    got = make_gluing_datum(D.algebra, D.cover, datum_mult(D), upper)
     for k, Z in got.zeta.items():
         s, m = len(Z), got.label_mult(k)
         for a in range(s):
@@ -694,12 +677,60 @@ def test_pull_apart_stacks_match_the_entrywise_path(seed, empty_set):
     assert all(same_bits(got.zeta[k], Z) for k, Z in want.zeta.items())
 
 
+def test_a_gluing_datum_is_its_stacks():
+    assert [f.name for f in dataclasses.fields(GluingDatum)] == ["algebra", "cover", "zeta"]
+
+
+def constructed_datum(how, seed):
+    """(D, A, m): a datum from the constructor how, and the algebra and the
+    label multiplicities it was built from, read from its input."""
+    if how == "pull_apart":
+        inst = gen.random_module_instance(GenConfig(seed=seed))
+        return pull_apart(inst.module, inst.cover), inst.module.algebra, inst.module.mult
+    if how == "serial":
+        obj = serial.instance_to_json(gen.random_gluing_instance(GenConfig(seed=seed)))
+        D = serial.parse_instance(obj)
+        set_mults = [dict(zip(sorted(F), spec["mult"])) for F, spec in zip(D.cover.sets, obj["modules"])]
+        return D, D.algebra, tuple(set_mults[D.cover.members(k)[0]][k] for k in D.algebra.labels)
+    if how == "derived":
+        Db = gen.random_instance(GenConfig(seed=seed, kind="bimodule"))
+        return morita.dual_datum(Db).right, Db.left_algebra, Db.right_algebra.block_dims
+    if how in ("zero_mult", "empty_set"):
+        D = format_datum(how, seed)
+        return D, D.algebra, datum_mult(D)
+    # the generator draws A, the cover, then the profile: draw them again
+    if how == "prescribed_phases":
+        cfg = GenConfig(seed=seed, twist_mode=how, phases=((0, 1, -1.0, 0.0),))
+    else:
+        cfg = GenConfig(seed=seed, twist_mode="coherent" if how == "make_gluing_datum" else how)
+    rng, again = Rng(seed), Rng(seed)
+    A, _ = gen.random_algebra(rng, cfg), gen.random_algebra(again, cfg)
+    cov, _ = gen._instance_cover(rng, A, cfg), gen._instance_cover(again, A, cfg)
+    mult = tuple(again.randint(0, cfg.max_mult) for _ in A.labels)
+    D = gen.random_gluing_datum(rng, A, cov, cfg)
+    if how == "make_gluing_datum":
+        D = make_gluing_datum(A, cov, mult, D.entries())
+    return D, A, mult
+
+
+@pytest.mark.parametrize("how", ["make_gluing_datum", "coherent", "random_unitary", "prescribed_phases",
+                                 "pull_apart", "serial", "derived", "zero_mult", "empty_set"])
+@pytest.mark.parametrize("seed", range(4))
+def test_modules_are_the_restrictions_of_the_label_profile(how, seed):
+    # the per-set modules are derived from the stacks: set i's is the
+    # module of the constructor's multiplicities over A, restricted to F_i
+    D, A, mult = constructed_datum(how, seed)
+    assert D.algebra == A and datum_mult(D) == tuple(mult)
+    want = tuple(restrict_module(module(A, mult), F) for F in D.cover.sets)
+    assert D.modules == want
+    assert D.modules is D.modules  # built once
+
+
 def doubled_datum(D):
-    """D (+) D: each module at twice its multiplicities, each transition
+    """D (+) D: each label at twice its multiplicity, each transition
     diag(Z_ij, Z_ij)."""
-    mods = tuple(module(Z.algebra, tuple(2 * m for m in Z.mult)) for Z in D.modules)
     entries = [(i, j, k, np.kron(np.eye(2), Z)) for (i, j, k, Z) in D.entries()]
-    return make_gluing_datum(D.algebra, D.cover, mods, entries)
+    return make_gluing_datum(D.algebra, D.cover, [2 * m for m in datum_mult(D)], entries)
 
 
 def bits(x):
@@ -769,13 +800,12 @@ def test_missing_transition_names_the_first_pair_in_lexicographic_order():
     # Label by label, (0, 2, 0) would come first; the message names (0, 1, 1).
     A = algebra((1, 2))
     cov = cover(2, [{0, 1}] * 3)
-    mods = tuple(module(A, (2, 1)) for _ in range(3))
     given_pairs = [(0, 1, 0), (2, 1, 0), (0, 2, 1), (1, 2, 1)]
     entries = [(i, j, k, np.eye(2 if k == 0 else 1)) for (i, j, k) in given_pairs]
     with pytest.raises(InvalidInputError, match=r"^missing transition for pair \(0,1\) block 1$"):
-        make_gluing_datum(A, cov, mods, entries)
+        make_gluing_datum(A, cov, (2, 1), entries)
     entries.append((1, 0, 1, np.eye(1)))
     with pytest.raises(InvalidInputError, match=r"^missing transition for pair \(0,2\) block 0$"):
-        make_gluing_datum(A, cov, mods, entries)
+        make_gluing_datum(A, cov, (2, 1), entries)
     entries.append((0, 2, 0, np.eye(2)))
-    assert make_gluing_datum(A, cov, mods, entries).label_mult(0) == 2
+    assert make_gluing_datum(A, cov, (2, 1), entries).label_mult(0) == 2

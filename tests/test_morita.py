@@ -325,7 +325,7 @@ class TestObstruction:
                                   GenConfig(seed=61, twist_mode="coherent"))
         # corrupt one transition so it stays unitary but is no bimodule map
         k = 0
-        m = D.mult_at(0, k)
+        m = D.right.label_mult(k)
         assert m >= 2
         swap = np.eye(m, dtype=np.complex128)
         swap[[0, 1]] = swap[[1, 0]]
@@ -549,7 +549,7 @@ def bimodule_datum(mode, seed):
     D = random_bimodule_datum(rng, left, right, cov, cfg)
     nu = list(D.right.entries())
     if mode == "non_bimodule":
-        entries = [(i, j, k, rng.unitary(D.mult_at(i, k)))
+        entries = [(i, j, k, rng.unitary(D.right.label_mult(k)))
                    for (i, j) in cov.pairs(include_diagonal=False) if i < j
                    for k in sorted(cov.overlap(i, j))]
         D = morita.make_bimodule_datum(left, right, cov, oracles.member_bimodules(D), entries)
@@ -786,7 +786,7 @@ def test_make_bimodule_datum_refuses_a_member_over_the_wrong_algebra(side, left_
     bad = EquivalenceBimodule(algebra(left_dims, labels), algebra(right_dims, labels),
                               tuple(np.eye(n) for n in left_dims))
     entries = list(D.right.entries())
-    # make_gluing_datum refuses the right modules, naming the set
+    # the left algebra is checked first, then the right one, naming the set
     message = {"left": "bimodule 1 has wrong left algebra",
                "right": "module 1 is not over A restricted to cover set 1"}[side]
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
@@ -810,7 +810,7 @@ def self_datum(alg, cov, mode, rng):
         seed=0, twist_mode="random_unitary" if mode == "random_unitary" else "coherent"))
     if mode != "non_bimodule":
         return M
-    entries = [(i, j, k, rng.unitary(M.mult_at(i, k)))
+    entries = [(i, j, k, rng.unitary(M.right.label_mult(k)))
                for (i, j) in cov.pairs(include_diagonal=False) if i < j
                for k in sorted(cov.overlap(i, j))]
     return morita.make_bimodule_datum(alg, alg, cov, oracles.member_bimodules(M), entries)
@@ -1061,7 +1061,7 @@ def test_in_place_transition_edits_reach_the_right_datum(algebras):
     assert glue_bimodules(D).bimodule is not None
     # swap two rows of nu_01 at block 0: still unitary, no longer a bimodule map
     k = 0
-    swap = np.eye(D.mult_at(0, k), dtype=np.complex128)
+    swap = np.eye(D.right.label_mult(k), dtype=np.complex128)
     swap[[0, 1]] = swap[[1, 0]]
     D.nu[k][0, 1] = swap @ D.nu[k][0, 1]
     D.nu[k][1, 0] = D.nu[k][0, 1].conj().T

@@ -53,9 +53,8 @@ def twisted_datum():
     # guaranteed essential triple overlap on a single block
     A = algebra((1,))
     cov = cover(1, [{0}, {0}, {0}])
-    Z = module(restrict_algebra(A, {0}), (1,))
     entries = [(0, 1, 0, np.eye(1)), (1, 2, 0, np.eye(1)), (0, 2, 0, -np.eye(1))]
-    return make_gluing_datum(A, cov, (Z, Z, Z), entries)
+    return make_gluing_datum(A, cov, (1,), entries)
 
 
 def rand_family(rng, D):
@@ -493,7 +492,7 @@ class TestGluedTensorImage:
                     E = gd.stacked_basis[k]
                     c = len(oracles.glued_layout(gd, k))
                     ofs = {ii: o for (ii, o, _) in oracles.glued_layout(gd, k)}[i]
-                    m_i = D.mult_at(i, k)
+                    m_i = D.label_mult(k)
                     W_i = np.sqrt(c) * E[ofs:ofs + m_i, :]
                     blocks.append(W_i @ gs[l].block(k))
                 comps.append(ModuleVector(space, tuple(blocks)))
@@ -739,9 +738,8 @@ def descent_datum(mode, seed):
         return oracle_datum(mode, seed, np.pi, **caps)
     D = oracle_datum("random_unitary", seed, np.pi, **caps)
     cov = cover(D.cover.prim_size, [*D.cover.sets, frozenset()])
-    empty = module(restrict_algebra(D.algebra, set()), ())
     entries = list(D.entries())
-    return make_gluing_datum(D.algebra, cov, (*D.modules, empty), entries)
+    return make_gluing_datum(D.algebra, cov, oracles.datum_mult(D), entries)
 
 
 DESCENT_MODES = ["coherent", "random_unitary", "prescribed_phases", "zero_mult", "empty_set"]
@@ -858,7 +856,7 @@ def mixed_datum(seed):
             for k in A.labels:
                 G = rng.gauss_matrix(X.mult[k], X.mult[k])
                 entries.append((i, j, k, np.where(G.real > 0.5, complex(-0.0, -0.0), G)))
-    return make_gluing_datum(A, cov, (X,) * cov.num_sets, entries)
+    return make_gluing_datum(A, cov, X.mult, entries)
 
 
 def builder_datum(mode, seed):
@@ -871,7 +869,7 @@ def builder_datum(mode, seed):
         cfg = GenConfig(seed=seed, max_blocks=3, max_block_dim=2, max_mult=3)
         A = gen.random_algebra(rng, cfg)
         return make_gluing_datum(A, cover(A.num_blocks, [set(A.labels)]),
-                                 (gen.random_module(rng, A, cfg),), [])
+                                 gen.random_module(rng, A, cfg).mult, [])
     return descent_datum(mode, seed)
 
 

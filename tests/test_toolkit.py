@@ -152,7 +152,7 @@ class TestCli:
         i, j, k, _ = next(D.entries())
         entries = [(a, b, lab, 2.0 * U if (a, b, lab) == (i, j, k) else U)
                    for (a, b, lab, U) in D.entries() if (b, a, lab) != (i, j, k)]
-        bad = make_gluing_datum(D.algebra, D.cover, D.modules, entries)
+        bad = make_gluing_datum(D.algebra, D.cover, oracles.datum_mult(D), entries)
         inst, rep = tmp_path / "bad.json", tmp_path / "rep.jsonl"
         inst.write_text(serial.canonical_dumps(serial.gluing_to_json(bad)))
         assert main(["glue", str(inst), "--out", str(rep)]) == 2
@@ -602,9 +602,20 @@ class TestCli:
          "block 1 is not in the overlap of sets 0, 1"),
         ("off_overlap_bimodule", ("validate", "morita-glue", "obstruction"),
          "block 1 is not in the overlap of sets 0, 1"),
+        ("fractional_phase_sets", ("gen",),
+         "bad --phases: entry 0 is [0.7, 1.9, -1, 0], whose set indices are not both integers"),
+        ("boolean_phase_set", ("gen",),
+         "bad --phases: entry 0 is [true, 1, -1, 0], whose set indices are not both integers"),
+        ("modules_short", ("validate", "glue", "descent"), "modules has 2 entries; the cover has 3 sets"),
+        ("modules_long", ("validate", "glue", "descent"), "modules has 4 entries; the cover has 3 sets"),
+        ("bimodules_short", ("validate", "morita-glue", "obstruction"),
+         "bimodules has 2 entries; the cover has 3 sets"),
+        ("bimodules_long", ("validate", "morita-glue", "obstruction"),
+         "bimodules has 4 entries; the cover has 3 sets"),
     ])
     def test_refused_inputs_exit_invalid(self, tmp_path, capsys, case, commands, message):
-        # each input is refused where it is read, with one error line
+        # each input is refused where it is read, with one error line; a
+        # per-set list of the wrong length is a malformed file (exit 3)
         inst = tmp_path / "inst.json"
         if case == "mixed_mult":
             # block 0 has multiplicity 2 in set 0 and 1 in set 1: no
@@ -634,6 +645,20 @@ class TestCli:
                 "kind": "bimodule", "left_blocks": [1, 2], "right_blocks": [1, 1],
                 "twist": [[[[1.0, 0.0]]]],
             }))
+        elif case.endswith(("_short", "_long")):
+            # 3 cover sets at these seeds; a missing entry used to be refused
+            # as "list index out of range" and an extra one as "tuple index
+            # out of range"
+            kind, key, seed = (("bimodule", "bimodules", "0") if case.startswith("bi")
+                               else ("gluing", "modules", "2"))
+            assert main(["gen", "--kind", kind, "--seed", seed, "--out", str(inst)]) == 0
+            obj = json.loads(inst.read_text())
+            assert len(obj["cover"]["sets"]) == 3
+            if case.endswith("_short"):
+                obj[key].pop()
+            else:
+                obj[key].append(obj[key][0])
+            inst.write_text(json.dumps(obj))
         elif case.endswith("twist"):
             # member 0 has two twists at seed 0 and three at seed 3
             seed = 0 if case == "missing_twist" else 3
@@ -645,12 +670,15 @@ class TestCli:
             else:
                 twist.pop()
             inst.write_text(json.dumps(obj))
-        phases = "[[0,1,2,0]]" if case == "non_unit_phase" else "[[0,1,0,1],[1,0,0,1]]"
+        # 0.7 and true used to be read as set indices 0 and 1
+        phases = {"non_unit_phase": "[[0,1,2,0]]", "fractional_phase_sets": "[[0.7,1.9,-1,0]]",
+                  "boolean_phase_set": "[[true,1,-1,0]]"}.get(case, "[[0,1,0,1],[1,0,0,1]]")
+        code = cli.EXIT_PARSE if case.endswith(("_short", "_long")) else cli.EXIT_INVALID
         capsys.readouterr()
         for command in commands:
             argv = ([command, "--seed", "3", "--mode", "prescribed_phases", "--phases", phases]
                     if command == "gen" else [command, str(inst)])
-            assert main(argv) == cli.EXIT_INVALID
+            assert main(argv) == code
             out = capsys.readouterr()
             assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
             assert not out.out
@@ -785,6 +813,14 @@ def test_only_the_boundary_calls_make_bimodule_datum():
     # the re-checking constructor
     assert library_callers("make_bimodule_datum") == [
         "morita.random_bimodule_datum", "serial.bimodule_datum_from_json"]
+
+
+def test_no_datum_constructor_restricts_a_module():
+    # a gluing datum is its stacks: the per-set modules are derived on
+    # demand from the label multiplicities, never built by a constructor
+    constructors = {"glue.pull_apart", "glue.make_gluing_datum", "gen.random_gluing_datum",
+                    "morita._derived_datum"}
+    assert constructors & set(library_callers("restrict_module")) == set()
 
 
 def test_only_hmod_calls_restrict_map():
